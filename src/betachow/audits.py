@@ -14,8 +14,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
-from math import log
+from math import gcd, log
 from typing import Sequence
 
 from .linalg import rank
@@ -30,6 +31,7 @@ from .heights import (
     support_primes,
     weil_local,
 )
+from .sharding import sharded
 
 
 def sample_points(dim: int, height_bound: int, count: int, seed: int) -> list[ProjPoint]:
@@ -205,7 +207,7 @@ def _levin_duke_row(payload, idx: int, p: ProjPoint) -> AuditRow:
     q = len(forms)
     lcm = 1
     for d in degrees:
-        lcm = lcm * d // _gcd(lcm, d)
+        lcm = lcm * d // gcd(lcm, d)
     s_places = [ARCH] + [Place(qq) for qq in finite_primes(s)]
     per_place = {}
     lhs = Fraction(1)
@@ -223,44 +225,14 @@ def _levin_duke_row(payload, idx: int, p: ProjPoint) -> AuditRow:
     return AuditRow(idx, p, False, lhs, rhs, verdict, per_place)
 
 
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
-
-
 # ---------------------------------------------------------------------------
 # sharding
 # ---------------------------------------------------------------------------
 
 def _run_sharded(row_fn, payload, points: list[ProjPoint], workers: int) -> list[AuditRow]:
-    if workers <= 1 or len(points) < 2 * workers:
-        return [row_fn(payload, i, p) for i, p in enumerate(points)]
-    import multiprocessing as mp
-
-    chunks = _chunk_indices(len(points), workers)
-    args = [(row_fn, payload, lo, hi, points[lo:hi]) for lo, hi in chunks]
-    with mp.get_context("fork").Pool(workers) as pool:
-        parts = pool.map(_shard_worker, args)
-    rows: list[AuditRow] = []
-    for part in parts:
-        rows.extend(part)
-    rows.sort(key=lambda r: r.index)
-    return rows
+    parts = sharded(partial(_rows, row_fn, payload), list(enumerate(points)), workers)
+    return [row for part in parts for row in part]
 
 
-def _shard_worker(arg):
-    row_fn, payload, lo, _hi, points = arg
-    return [row_fn(payload, lo + k, p) for k, p in enumerate(points)]
-
-
-def _chunk_indices(total: int, parts: int) -> list[tuple[int, int]]:
-    size, rem = divmod(total, parts)
-    out = []
-    start = 0
-    for i in range(parts):
-        end = start + size + (1 if i < rem else 0)
-        if end > start:
-            out.append((start, end))
-        start = end
-    return out
+def _rows(row_fn, payload, indexed: list[tuple[int, ProjPoint]]) -> list[AuditRow]:
+    return [row_fn(payload, i, p) for i, p in indexed]

@@ -215,15 +215,6 @@ class BetaReport:
     rows: list = field(default_factory=list)
 
 
-def cyclic_beta_report(n: int, q: int, cutoff: int | None = None) -> BetaReport:
-    exact = beta_exact_cyclic(n, q)
-    numeric = beta_numeric_cyclic(n, q, 1, cutoff) if cutoff else None
-    return BetaReport(
-        descriptor={"config": "cyclic", "n": n, "q": q},
-        exact=exact, numeric=numeric, cutoff=cutoff,
-        claim="beta > 1", claim_holds=exact > 1)
-
-
 def marked_beta_report(n: int, ell: int, index: int) -> BetaReport:
     bound = beta_autissier_lower(autissier_input_marked(n, ell, index))
     target = marked_target(n, ell, index)

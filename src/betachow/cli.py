@@ -69,6 +69,7 @@ from .search import (
     SolutionSet,
     SRing,
     degeneracy_report,
+    records_solution_set,
     search_cor12,
     search_thm11,
     search_thm16,
@@ -308,41 +309,68 @@ def _run_search(args, s: SRing, box: SearchBox, firsts=None) -> SolutionSet:
     return search_thm16(forms, box, s, firsts=firsts)
 
 
-def _search_with_checkpoint(args, s: SRing, box: SearchBox) -> SolutionSet:
-    if args.kind == "cor12":
-        all_firsts = box.coordinate_values(s)
-    else:
-        all_firsts = list(range(0, box.bound + 1))
-    done: dict[str, list] = {}
+def _open_checkpoint(path: str, header: dict) -> dict[str, list]:
+    """Completed first-coordinate ranges of the checkpoint at path.
+
+    A torn final line (no trailing newline, or not JSON) is cut off; an
+    absent or empty file is started with the header line.  A checkpoint
+    whose header differs (another search, or another version) raises.
+    """
     try:
-        with open(args.checkpoint) as fh:
-            for line in fh:
-                if line.strip():
-                    rec = json.loads(line)
-                    done[rec["first"]] = rec["records"]
+        with open(path) as fh:
+            text = fh.read()
     except FileNotFoundError:
-        pass
-    remaining = [v for v in all_firsts if str(v) not in done]
-    merged: SolutionSet | None = None
+        text = ""
+    lines = [line for line in text.split("\n")[:-1] if line.strip()]
+    if lines:
+        try:
+            json.loads(lines[-1])
+        except ValueError:
+            lines.pop()
+    lines = lines or [json.dumps(header, sort_keys=True)]
+    if json.loads(lines[0]) != header:
+        raise ValueError(f"checkpoint {path} was written for another search or version")
+    kept = "".join(line + "\n" for line in lines)
+    if kept != text:
+        with open(path, "w") as fh:
+            fh.write(kept)
+    records = [json.loads(line) for line in lines[1:]]
+    if not all(isinstance(rec, dict) and {"first", "records"} <= rec.keys() for rec in records):
+        raise ValueError(f"checkpoint {path} holds a malformed record")
+    return {rec["first"]: rec["records"] for rec in records}
+
+
+def _search_with_checkpoint(args, s: SRing, box: SearchBox) -> SolutionSet:
+    # an empty search checks the hypotheses before the checkpoint is touched
+    descriptor = _run_search(args, s, box, firsts=[]).descriptor
+    header = {"artifact": "betachow", "kind": "checkpoint", "version": __version__,
+              "descriptor": descriptor}
+    done = _open_checkpoint(args.checkpoint, header)
+    merged = records_solution_set(descriptor, (rec for recs in done.values() for rec in recs))
+    firsts = box.coordinate_values(s) if args.kind == "cor12" else range(box.bound + 1)
     with open(args.checkpoint, "a") as ck:
-        for v in remaining:
+        for v in (v for v in firsts if str(v) not in done):
             part = _run_search(args, s, box, firsts=[v])
-            if merged is None:
-                merged = SolutionSet(part.descriptor)
             ck.write(json.dumps({"first": str(v), "records": [
                 {"point": [str(c) for c in pt], "witnesses": wit}
                 for pt, wit in zip(part.points, part.witnesses)]}) + "\n")
             ck.flush()
-            merged.points.extend(part.points)
-            merged.witnesses.extend(part.witnesses)
-    if merged is None:
-        merged = _run_search(args, s, box, firsts=[])
-    for records in done.values():
-        for rec in records:
-            merged.points.append(tuple(Fraction(c) for c in rec["point"]))
-            merged.witnesses.append(rec["witnesses"])
+            merged.extend(part)
     merged.sort()
     return merged
+
+
+def _growth(args, s: SRing, box: SearchBox, sols: SolutionSet) -> list[tuple[int, int]]:
+    """Solution counts per growth bound.  Boxes nest and the predicates do
+    not depend on the bound, so the count at b is the number of solutions
+    of height (max |numerator|) <= b in one search at the largest bound."""
+    bounds = [int(t) for t in args.growth.split(",")]
+    if min(bounds) < 0:
+        raise ValueError("invalid search box")
+    if max(bounds) > box.bound:
+        sols = _run_search(args, s, SearchBox(box.dim, max(bounds), box.denom_cap))
+    heights = [max(abs(c.numerator) for c in pt) for pt in sols.points]
+    return [(b, sum(1 for h in heights if h <= b)) for b in bounds]
 
 
 def cmd_search(args) -> int:
@@ -370,21 +398,12 @@ def cmd_search(args) -> int:
     write_output(args.out, content)
 
     if args.degeneracy:
-        growth = None
-        if args.growth:
-            growth = []
-            for b in (int(t) for t in args.growth.split(",")):
-                sub = _run_search_at_bound(args, s, box, b)
-                growth.append((b, sub.count))
+        growth = _growth(args, s, box, sols) if args.growth else None
         rep = degeneracy_report(sols.points, args.degeneracy,
                                 projective=sols.descriptor.get("projective", False),
                                 growth=growth, descriptor=sols.descriptor)
         print(json.dumps(rep.to_json(), sort_keys=True))
     return EXIT_OK
-
-
-def _run_search_at_bound(args, s: SRing, box: SearchBox, bound: int) -> SolutionSet:
-    return _run_search(args, s, SearchBox(box.dim, bound, box.denom_cap))
 
 
 # ---------------------------------------------------------------------------

@@ -133,10 +133,6 @@ def height(p: ProjPoint) -> int:
     return max(abs(c) for c in p.coords)
 
 
-def height_log(p: ProjPoint) -> float:
-    return log(height(p))
-
-
 @dataclass(frozen=True)
 class LocalHeight:
     """Multiplicative local Weil value at one place (lambda = log value)."""

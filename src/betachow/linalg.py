@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
 Matrix = list[list[Fraction]]
@@ -42,18 +43,40 @@ def rank(m: Sequence[Sequence[Fraction | int]]) -> int:
     return len(rref(m)[1])
 
 
+def _integer_row_basis(m: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+    """Integer echelon basis of the row space of m: each row is scaled by
+    the lcm of its denominators, reduced against the kept rows (one per
+    leading column, so at most one per column), and divided by its content."""
+    kept: dict[int, list[int]] = {}
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        v = [x.numerator * (den // x.denominator) for x in row]
+        while any(v):
+            lead = next(c for c, x in enumerate(v) if x)
+            if lead not in kept:
+                g = gcd(*v)
+                kept[lead] = [x // g for x in v]
+                break
+            piv = kept[lead]
+            v = [piv[lead] * x - v[lead] * y for x, y in zip(v, piv)]
+        if len(kept) == len(row):
+            break
+    return [kept[c] for c in sorted(kept)]
+
+
 def kernel_basis(m: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     """Basis of the right null space of m, deterministic.
 
     One vector per free column (ascending), built from the reduced echelon
     form, sign-normalized so the first nonzero entry is positive.  The
     arithmetic is exact: every returned vector annihilates m with no
-    tolerance.
+    tolerance.  It is read off the RREF of an integer row basis of m: the
+    same row space, so the same RREF.
     """
-    a, pivots = rref(m)
-    if not a:
+    if not m:
         return []
-    cols = len(a[0])
+    cols = len(m[0])
+    a, pivots = rref(_integer_row_basis(m))
     free = [c for c in range(cols) if c not in pivots]
     basis: list[list[Fraction]] = []
     for fc in free:

@@ -18,14 +18,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
-from math import gcd
+from math import gcd, prod
 from typing import Callable, Iterable, Sequence
 
 from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
 from .poly import MultiPoly, hyperplanes_general_position, monomial_exponents, parse_poly
 from .primes import vp
+from .sharding import sharded
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,10 @@ class SolutionSet:
     def count(self) -> int:
         return len(self.points)
 
+    def extend(self, other: "SolutionSet"):
+        self.points.extend(other.points)
+        self.witnesses.extend(other.witnesses)
+
     def sort(self):
         order = sorted(range(len(self.points)), key=lambda i: _grade_key(self.points[i]))
         self.points = [self.points[i] for i in order]
@@ -145,38 +151,29 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# affine divisibility search (unit-equation generalization)
+# predicates: hypotheses validated once, then one check per point
 # ---------------------------------------------------------------------------
+#
+# Each factory validates its theorem's hypotheses and returns the per-point
+# check: the values whose valuations witness a solution, or None.  Searches,
+# checkpoint resume and reverify all call the check a factory returns.
 
-def _cor12_predicate(g: MultiPoly, s: SRing) -> Callable[[tuple], tuple[bool, object, object]]:
-    g_const = g.evaluate((0,) * g.nvars) if g.total_degree() <= 0 else None
-
-    def check(xs: tuple):
-        total = 0
-        prod = 1
-        for x in xs:
-            total = total + x
-            prod = prod * x
-        a = prod * (1 - total)
-        b = g_const if g_const is not None else g.evaluate(xs)
-        if a == 0:
-            return b == 0, a, b
-        return divides_in_OS(a, b, s), a, b
-
-    return check
+def _cor12_point(s: SRing, g_const, g: MultiPoly, xs: tuple) -> list | None:
+    total = 0
+    xprod = 1
+    for x in xs:
+        total = total + x
+        xprod = xprod * x
+    a = xprod * (1 - total)
+    b = g_const if g_const is not None else g.evaluate(xs)
+    ok = b == 0 if a == 0 else divides_in_OS(a, b, s)
+    return [*xs, 1 - total, a, b] if ok else None
 
 
-def search_cor12(g: MultiPoly, box: SearchBox, s: SRing,
-                 workers: int = 1, first_values: Sequence | None = None) -> SolutionSet:
-    """All tuples x in the box with (1 - sum x_i) * prod x_i dividing g(x)
-    in the S-integers.
-
-    g must have degree <= 1, S-integer coefficients, and be nonzero at the
-    origin and at each unit vector.
-    """
-    n = box.dim
-    if g.nvars != n:
-        raise ValueError("g must live in the box's variables")
+def _cor12_check(g: MultiPoly, s: SRing) -> Callable[[tuple], list | None]:
+    """(1 - sum x_i) * prod x_i | g(x).  g must have degree <= 1, S-integer
+    coefficients, and be nonzero at the origin and at each unit vector."""
+    n = g.nvars
     if g.total_degree() > 1 or g.is_zero():
         raise ValueError("degenerate g: degree must be <= 1 and g nonzero")
     if any(not s.contains(c) for c in g.terms.values()):
@@ -187,65 +184,169 @@ def search_cor12(g: MultiPoly, box: SearchBox, s: SRing,
         unit = tuple(1 if j == i else 0 for j in range(n))
         if g.evaluate(unit) == 0:
             raise ValueError("degenerate g: vanishes at a unit vector")
+    g_const = g.evaluate((0,) * n) if g.total_degree() <= 0 else None
+    return partial(_cor12_point, s, g_const, g)
 
-    values = box.coordinate_values(s)
-    firsts = list(first_values) if first_values is not None else values
-    check = _cor12_predicate(g, s)
-    sols: list[tuple] = []
-    if workers > 1 and len(firsts) >= 2 * workers:
-        import multiprocessing as mp
-        chunks = _split(firsts, workers)
-        args = [(g, s, n, values, chunk) for chunk in chunks]
-        with mp.get_context("fork").Pool(workers) as pool:
-            for part in pool.map(_cor12_chunk, args):
-                sols.extend(part)
-    else:
-        for x0 in firsts:
-            for rest in product(values, repeat=n - 1):
-                xs = (x0, *rest)
-                if check(xs)[0]:
-                    sols.append(xs)
 
-    descriptor = {
-        "kind": "cor12",
-        "g": str(g),
-        "dim": n,
-        "bound": box.bound,
-        "denom_cap": box.denom_cap,
-        "s_primes": list(s.primes),
-        "projective": False,
-    }
+def _evaluators(forms: Sequence[MultiPoly]) -> list[Callable[[tuple], object]]:
+    if all(f.has_integer_coefficients() for f in forms):
+        return [_int_evaluator(f) for f in forms]
+    return [f.evaluate for f in forms]
+
+
+def _thm11_check(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, s: SRing,
+                 assert_general_position: bool) -> Callable[[tuple], list | None]:
+    """Mode 'i': F_i(x) | G(x) for every i; mode 'ii': prod F_i(x) | G(x);
+    points where any F_i or G vanishes fail."""
+    if mode not in ("i", "ii"):
+        raise ValueError("mode must be 'i' or 'ii'")
+    if not forms:
+        raise ValueError("need at least one divisor form")
+    degs = {f.total_degree() for f in forms}
+    if len(degs) != 1 or not all(f.is_homogeneous() for f in forms):
+        raise ValueError("degree hypothesis violated: the F_i must be "
+                         "homogeneous of one common degree")
+    d = degs.pop()
+    if g_form.nvars != forms[0].nvars or not g_form.is_homogeneous() \
+            or g_form.is_zero() or g_form.total_degree() > d:
+        raise ValueError("degree hypothesis violated: G must be homogeneous "
+                         "of degree <= deg(F_i)")
+    for f in [*forms, g_form]:
+        if any(not s.contains(c) for c in f.terms.values()):
+            raise ValueError("forms must have S-integer coefficients")
+    if d == 1:
+        arrangement = list(forms) + ([g_form] if g_form.total_degree() == 1 else [])
+        if not hyperplanes_general_position(arrangement):
+            raise ValueError("hyperplanes not in general position")
+    elif not assert_general_position:
+        raise ValueError("general position must be asserted for "
+                         "non-hyperplane hypersurfaces")
+    *evaluators, g_eval = _evaluators([*forms, g_form])
+
+    def check(xs: tuple) -> list | None:
+        gval = g_eval(xs)
+        if gval == 0:
+            return None
+        fvals = [ev(xs) for ev in evaluators]
+        if any(v == 0 for v in fvals):
+            return None
+        if mode == "i":
+            ok = all(divides_in_OS(v, gval, s) for v in fvals)
+        else:
+            prod_val = fvals[0]
+            for v in fvals[1:]:
+                prod_val = prod_val * v
+            ok = divides_in_OS(prod_val, gval, s)
+        return [*fvals, gval] if ok else None
+
+    return check
+
+
+def _thm16_hypotheses(forms: Sequence[MultiPoly]):
+    if len(forms) < 3 * (forms[0].nvars - 1):
+        raise ValueError("need q >= 3n linear forms")
+    if not hyperplanes_general_position(forms):
+        raise ValueError("forms must be hyperplanes in general position")
+
+
+def _thm16_windows(coords: Sequence[int], values: Sequence, n: int,
+                   s: SRing) -> tuple[list[bool], list[int]]:
+    """Per-index verdicts of the window equality at every prime outside S
+    in the support, and those primes."""
+    primes = [p for p in support_primes([*values, *coords]) if p not in s.primes]
+    per_index = [True] * len(values)
+    for p in primes:
+        form_vps = [vp(v, p) for v in values]
+        coord_min = min(vp(c, p) for c in coords if c != 0)
+        lhs, rhs = ideal_window_sides(form_vps, n, coord_min)
+        for i in range(len(values)):
+            if lhs[i] != rhs[i]:
+                per_index[i] = False
+    return per_index, primes
+
+
+def _thm16_check(forms: Sequence[MultiPoly], s: SRing) -> Callable[[tuple], list | None]:
+    """The window ideal equality at every index; points on a hyperplane of
+    the family fail."""
+    _thm16_hypotheses(forms)
+    evaluators = _evaluators(forms)
+    n = forms[0].nvars - 1
+
+    def check(xs: tuple) -> list | None:
+        values = [ev(xs) for ev in evaluators]
+        if any(v == 0 for v in values):
+            return None
+        return values if all(_thm16_windows(xs, values, n, s)[0]) else None
+
+    return check
+
+
+def _descriptor_check(descriptor: dict) -> Callable[[tuple], list | None]:
+    """The check of a saved solution set's predicate, validated once."""
+    s = SRing(tuple(descriptor["s_primes"]))
+    kind = descriptor["kind"]
+    if kind == "cor12":
+        return _cor12_check(parse_poly(descriptor["g"], descriptor["dim"]), s)
+    ncoords = descriptor["dim"] + 1
+    forms = [parse_poly(t, ncoords) for t in descriptor["forms"]]
+    if kind == "thm11":
+        return _thm11_check(forms, parse_poly(descriptor["g"], ncoords),
+                            descriptor["mode"], s,
+                            descriptor["assert_general_position"])
+    if kind == "thm16":
+        return _thm16_check(forms, s)
+    raise ValueError(f"unknown predicate kind {kind!r}")
+
+
+def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params) -> dict:
+    """What a solution set was searched for: its predicate and its box."""
+    return {"kind": kind, **params, "dim": box.dim, "bound": box.bound,
+            "denom_cap": box.denom_cap, "s_primes": list(s.primes),
+            "projective": projective}
+
+
+def _collect(descriptor: dict, check: Callable[[tuple], list | None],
+             candidates: Iterable[tuple], s: SRing) -> SolutionSet:
+    """The candidates passing check, with their witnesses, sorted."""
     out = SolutionSet(descriptor)
-    for xs in sols:
-        _, a, b = check(xs)
-        factors = list(xs) + [1 - sum(Fraction(x) for x in xs)]
-        out.points.append(tuple(Fraction(x) for x in xs))
-        out.witnesses.append(_witness_map([*factors, a, b], s))
+    for xs in candidates:
+        values = check(xs)
+        if values is not None:
+            out.points.append(tuple(Fraction(c) for c in xs))
+            out.witnesses.append(_witness_map(values, s))
     out.sort()
     return out
 
 
-def _cor12_chunk(args):
-    g, s, n, values, firsts = args
-    check = _cor12_predicate(g, s)
-    part = []
-    for x0 in firsts:
-        for rest in product(values, repeat=n - 1):
-            xs = (x0, *rest)
-            if check(xs)[0]:
-                part.append(xs)
-    return part
+# ---------------------------------------------------------------------------
+# affine divisibility search (unit-equation generalization)
+# ---------------------------------------------------------------------------
 
+def search_cor12(g: MultiPoly, box: SearchBox, s: SRing,
+                 workers: int = 1, first_values: Sequence | None = None) -> SolutionSet:
+    """All tuples x in the box with (1 - sum x_i) * prod x_i dividing g(x)
+    in the S-integers.
 
-def _split(items: list, parts: int) -> list[list]:
-    size, rem = divmod(len(items), parts)
-    out, start = [], 0
-    for i in range(parts):
-        end = start + size + (1 if i < rem else 0)
-        if end > start:
-            out.append(items[start:end])
-        start = end
+    g must have degree <= 1, S-integer coefficients, and be nonzero at the
+    origin and at each unit vector.
+    """
+    if g.nvars != box.dim:
+        raise ValueError("g must live in the box's variables")
+    check = _cor12_check(g, s)
+    values = box.coordinate_values(s)
+    firsts = list(first_values) if first_values is not None else values
+    descriptor = _descriptor("cor12", box, s, False, g=str(g))
+    out, *rest = sharded(partial(_cor12_part, descriptor, check, s, values), firsts, workers)
+    for part in rest:
+        out.extend(part)
+    if rest:
+        out.sort()
     return out
+
+
+def _cor12_part(descriptor: dict, check, s: SRing, values: list, firsts: list) -> SolutionSet:
+    return _collect(descriptor, check, ((x0, *rest) for x0 in firsts for rest in
+                                        product(values, repeat=descriptor["dim"] - 1)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -307,81 +408,16 @@ def search_thm11(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str,
     mode 'ii' asks prod F_i(x) | G(x); points where any F_i or G vanishes
     are excluded.  firsts restricts the first coordinate (range sharding).
     """
-    if mode not in ("i", "ii"):
-        raise ValueError("mode must be 'i' or 'ii'")
     forms = list(forms)
-    if not forms:
-        raise ValueError("need at least one divisor form")
-    ncoords = forms[0].nvars
-    n = ncoords - 1
+    check = _thm11_check(forms, g_form, mode, s, assert_general_position)
+    n = forms[0].nvars - 1
     if box.dim != n:
         raise ValueError("box dimension must match the projective dimension")
-    degs = {f.total_degree() for f in forms}
-    if len(degs) != 1 or not all(f.is_homogeneous() for f in forms):
-        raise ValueError("degree hypothesis violated: the F_i must be "
-                         "homogeneous of one common degree")
-    d = degs.pop()
-    if g_form.nvars != ncoords or not g_form.is_homogeneous() \
-            or g_form.is_zero() or g_form.total_degree() > d:
-        raise ValueError("degree hypothesis violated: G must be homogeneous "
-                         "of degree <= deg(F_i)")
-    for f in [*forms, g_form]:
-        if any(not s.contains(c) for c in f.terms.values()):
-            raise ValueError("forms must have S-integer coefficients")
-    if d == 1:
-        arrangement = forms + ([g_form] if g_form.total_degree() == 1 else [])
-        if not hyperplanes_general_position(arrangement):
-            raise ValueError("hyperplanes not in general position")
-    elif not assert_general_position:
-        raise ValueError("general position must be asserted for "
-                         "non-hyperplane hypersurfaces")
-
-    r = len(forms)
-    threshold_ok = r >= 2 * n + 1 if mode == "i" else r >= n + 2
-    all_int = all(f.has_integer_coefficients() for f in [*forms, g_form])
-    if all_int:
-        evaluators = [_int_evaluator(f) for f in forms]
-        g_eval = _int_evaluator(g_form)
-    else:
-        evaluators = [f.evaluate for f in forms]
-        g_eval = g_form.evaluate
-    sols = []
-    for xs in _iter_projective(box.bound, ncoords, firsts):
-        gval = g_eval(xs)
-        if gval == 0:
-            continue
-        fvals = [ev(xs) for ev in evaluators]
-        if any(v == 0 for v in fvals):
-            continue
-        if mode == "i":
-            ok = all(divides_in_OS(v, gval, s) for v in fvals)
-        else:
-            prod_val = fvals[0]
-            for v in fvals[1:]:
-                prod_val = prod_val * v
-            ok = divides_in_OS(prod_val, gval, s)
-        if ok:
-            sols.append((xs, fvals, gval))
-
-    descriptor = {
-        "kind": "thm11",
-        "forms": [str(f) for f in forms],
-        "g": str(g_form),
-        "mode": mode,
-        "dim": n,
-        "bound": box.bound,
-        "denom_cap": box.denom_cap,
-        "s_primes": list(s.primes),
-        "projective": True,
-        "threshold_ok": threshold_ok,
-        "assert_general_position": assert_general_position,
-    }
-    out = SolutionSet(descriptor)
-    for xs, fvals, gval in sols:
-        out.points.append(tuple(Fraction(c) for c in xs))
-        out.witnesses.append(_witness_map([*fvals, gval], s))
-    out.sort()
-    return out
+    descriptor = _descriptor(
+        "thm11", box, s, True, forms=[str(f) for f in forms], g=str(g_form), mode=mode,
+        threshold_ok=len(forms) >= (2 * n + 1 if mode == "i" else n + 2),
+        assert_general_position=assert_general_position)
+    return _collect(descriptor, check, _iter_projective(box.bound, n + 1, firsts), s)
 
 
 # ---------------------------------------------------------------------------
@@ -420,66 +456,28 @@ class Thm16Result:
 def ideal_equality_thm16(x: ProjPoint, forms: Sequence[MultiPoly],
                          s: SRing) -> Thm16Result:
     """Exact ideal-equality check for a cyclic family of q >= 3n linear
-    forms in general position, at every prime outside S in the support."""
+    forms in general position, at every prime outside S in the support.
+    Validates the hypotheses on every call; searches validate once."""
     forms = list(forms)
-    ncoords = forms[0].nvars
-    n = ncoords - 1
-    q = len(forms)
-    if q < 3 * n:
-        raise ValueError("need q >= 3n linear forms")
-    if not hyperplanes_general_position(forms):
-        raise ValueError("forms must be hyperplanes in general position")
+    _thm16_hypotheses(forms)
     values = [f.evaluate(x.coords) for f in forms]
     if any(v == 0 for v in values):
         raise ValueError("point on a hyperplane of the family")
-    primes = [p for p in support_primes(values + list(x.coords))
-              if p not in s.primes]
-    per_index = [True] * q
-    for p in primes:
-        form_vps = [vp(v, p) for v in values]
-        coord_min = min(vp(c, p) for c in x.coords if c != 0)
-        lhs, rhs = ideal_window_sides(form_vps, n, coord_min)
-        for i in range(q):
-            if lhs[i] != rhs[i]:
-                per_index[i] = False
+    per_index, primes = _thm16_windows(x.coords, values, len(x.coords) - 1, s)
     return Thm16Result(all(per_index), tuple(per_index), tuple(primes))
 
 
 def search_thm16(forms: Sequence[MultiPoly], box: SearchBox, s: SRing,
                  firsts: Sequence[int] | None = None) -> SolutionSet:
     """Projective points where the window ideal equality holds at every
-    index; points on any hyperplane of the family are skipped."""
+    index; points on any hyperplane of the family are skipped.  The
+    hypotheses (q >= 3n, general position) are checked once, up front."""
     forms = list(forms)
-    ncoords = forms[0].nvars
-    if box.dim != ncoords - 1:
+    check = _thm16_check(forms, s)
+    if box.dim != forms[0].nvars - 1:
         raise ValueError("box dimension must match the projective dimension")
-    sols = []
-    for xs in _iter_projective(box.bound, ncoords, firsts):
-        try:
-            point = ProjPoint(tuple(xs))
-        except ValueError:
-            continue
-        try:
-            res = ideal_equality_thm16(point, forms, s)
-        except ValueError:
-            continue  # on a hyperplane
-        if res.overall:
-            sols.append((xs, [f.evaluate(xs) for f in forms]))
-    descriptor = {
-        "kind": "thm16",
-        "forms": [str(f) for f in forms],
-        "dim": ncoords - 1,
-        "bound": box.bound,
-        "denom_cap": box.denom_cap,
-        "s_primes": list(s.primes),
-        "projective": True,
-    }
-    out = SolutionSet(descriptor)
-    for xs, fvals in sols:
-        out.points.append(tuple(Fraction(c) for c in xs))
-        out.witnesses.append(_witness_map(fvals, s))
-    out.sort()
-    return out
+    descriptor = _descriptor("thm16", box, s, True, forms=[str(f) for f in forms])
+    return _collect(descriptor, check, _iter_projective(box.bound, box.dim + 1, firsts), s)
 
 
 # ---------------------------------------------------------------------------
@@ -500,30 +498,25 @@ def save_solution_set(sols: SolutionSet, path: str, version: str):
         fh.write(text)
 
 
-def _reverify_point(descriptor: dict, point: tuple) -> bool:
-    s = SRing(tuple(descriptor["s_primes"]))
-    kind = descriptor["kind"]
-    if kind == "cor12":
-        g = parse_poly(descriptor["g"], descriptor["dim"])
-        return _cor12_predicate(g, s)(point)[0]
-    ncoords = descriptor["dim"] + 1
-    forms = [parse_poly(t, ncoords) for t in descriptor["forms"]]
-    if kind == "thm11":
-        g_form = parse_poly(descriptor["g"], ncoords)
-        fvals = [f.evaluate(point) for f in forms]
-        gval = g_form.evaluate(point)
-        if gval == 0 or any(v == 0 for v in fvals):
-            return False
-        if descriptor["mode"] == "i":
-            return all(divides_in_OS(v, gval, s) for v in fvals)
-        prod_val = Fraction(1)
-        for v in fvals:
-            prod_val *= v
-        return divides_in_OS(prod_val, gval, s)
-    if kind == "thm16":
-        pt = ProjPoint(tuple(int(c) for c in point))
-        return ideal_equality_thm16(pt, forms, s).overall
-    raise ValueError(f"unknown predicate kind {kind!r}")
+def records_solution_set(descriptor: dict, records: Iterable[dict],
+                         reverify: bool = True) -> SolutionSet:
+    """Stored records ({"point", "witnesses"}) as a solution set.  With
+    reverify, the descriptor's predicate is built once and every point is
+    re-checked; a failing point, or a projective point not in normalized
+    form, raises."""
+    check = _descriptor_check(descriptor) if reverify else None
+    out = SolutionSet(descriptor)
+    for rec in records:
+        if not isinstance(rec, dict) or not {"point", "witnesses"} <= rec.keys():
+            raise ValueError(f"malformed solution record {rec!r}")
+        point = tuple(Fraction(c) for c in rec["point"])
+        if reverify and descriptor["projective"] and ProjPoint.normalize(point).coords != point:
+            raise ValueError(f"stored point {rec['point']} is not normalized")
+        if reverify and check(point) is None:
+            raise ValueError(f"stored point {rec['point']} fails its predicate")
+        out.points.append(point)
+        out.witnesses.append(rec["witnesses"])
+    return out
 
 
 def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
@@ -536,16 +529,7 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     header = json.loads(lines[0])
     if header.get("kind") != "solution-set":
         raise ValueError("not a solution-set file")
-    descriptor = header["descriptor"]
-    out = SolutionSet(descriptor)
-    for line in lines[1:]:
-        rec = json.loads(line)
-        point = tuple(Fraction(c) for c in rec["point"])
-        if reverify and not _reverify_point(descriptor, point):
-            raise ValueError(f"stored point {rec['point']} fails its predicate")
-        out.points.append(point)
-        out.witnesses.append(rec["witnesses"])
-    return out
+    return records_solution_set(header["descriptor"], map(json.loads, lines[1:]), reverify)
 
 
 # ---------------------------------------------------------------------------
@@ -566,14 +550,10 @@ def vanishing_forms(points: Sequence[tuple], degree: int,
     exps = monomial_exponents(nvars, degree, homogeneous=projective)
     rows = []
     for pt in points:
-        row = []
-        for e in exps:
-            val = Fraction(1)
-            for x, k in zip(pt, e):
-                if k:
-                    val *= Fraction(x) ** k
-            row.append(val)
-        rows.append(row)
+        fracs = [Fraction(x) for x in pt]
+        # the row scaled by prod_i den(x_i)^degree: integers, same row space
+        rows.append([prod(x.numerator ** k * x.denominator ** (degree - k)
+                          for x, k in zip(fracs, e)) for e in exps])
     basis = kernel_basis(rows)
     return [MultiPoly(nvars, dict(zip(exps, vec))) for vec in basis]
 

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 import betachow.beta
 from betachow.cli import main
 from betachow.reporting import parse_config_file
@@ -121,7 +123,7 @@ def test_search_checkpoint_resume(tmp_path, capsys):
                      "--box", "6", "--dim", "2", "--format", "json",
                      "--checkpoint", str(ck), "--out", str(out1))
     assert code == 0
-    assert ck.exists() and len(ck.read_text().splitlines()) == 13
+    assert ck.exists() and len(ck.read_text().splitlines()) == 14
     # second run resumes from the completed checkpoint, byte-identical output
     out2 = tmp_path / "b.jsonl"
     code, _, _ = run(capsys, "search", "cor12", "--forms", str(forms),
@@ -129,7 +131,7 @@ def test_search_checkpoint_resume(tmp_path, capsys):
                      "--checkpoint", str(ck), "--out", str(out2))
     assert code == 0
     assert out1.read_bytes() == out2.read_bytes()
-    assert len(ck.read_text().splitlines()) == 13
+    assert len(ck.read_text().splitlines()) == 14
 
 
 def test_search_degeneracy_and_growth(tmp_path, capsys):
@@ -228,3 +230,160 @@ def test_worker_count_env(monkeypatch):
     assert worker_count(2) == 2
     monkeypatch.delenv("BETACHOW_WORKERS")
     assert worker_count(None) == 1
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["x0", "x1", "x2", "x0+x1", "x0+x1+x2", "x1+x2"], "general position"),
+    (["x0", "x1", "x2", "x0+x1+x2"], "3n"),
+])
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_search_thm16_hypotheses_fail_loudly(tmp_path, capsys, lines, message, checkpoint):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("\n".join(lines) + "\n")
+    ck = tmp_path / "ck.jsonl"
+    extra = ["--checkpoint", str(ck)] if checkpoint else []
+    code, out, err = run(capsys, "search", "thm16", "--forms", str(forms),
+                         "--box", "2", "--dim", "2", *extra)
+    assert code == 2
+    assert message in err
+    assert out == ""
+    assert not ck.exists()
+
+
+def _cor12_checkpoint_run(capsys, tmp_path, g_text, ck, out_name):
+    forms = tmp_path / ("g-" + "".join(c if c.isalnum() else "_" for c in g_text) + ".txt")
+    forms.write_text(g_text + "\n")
+    out = tmp_path / out_name
+    code, _, err = run(capsys, "search", "cor12", "--forms", str(forms),
+                       "--box", "6", "--dim", "2", "--format", "json",
+                       "--checkpoint", str(ck), "--out", str(out))
+    return code, out, err
+
+
+def test_checkpoint_header_refuses_another_search(tmp_path, capsys):
+    ck = tmp_path / "ck.jsonl"
+    code, _, _ = _cor12_checkpoint_run(capsys, tmp_path, "x0+2*x1+6", ck, "a.jsonl")
+    assert code == 0
+    header = json.loads(ck.read_text().splitlines()[0])
+    assert header["kind"] == "checkpoint"
+    assert header["descriptor"]["g"] == "x0 + 2*x1 + 6"
+    before = ck.read_bytes()
+    code, out, err = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "b.jsonl")
+    assert code == 2
+    assert "another search" in err
+    assert not out.exists()
+    assert ck.read_bytes() == before
+
+
+def test_checkpoint_without_header_is_refused(tmp_path, capsys):
+    ck = tmp_path / "ck.jsonl"
+    ck.write_text('{"first": "-6", "records": []}\n')
+    code, _, err = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "a.jsonl")
+    assert code == 2
+    assert "another search" in err
+
+
+@pytest.mark.parametrize("record, message", [
+    ({"x": 1}, "malformed record"),
+    ({"first": "-1", "records": [{"point": ["1", "1"]}]}, "malformed solution record"),
+])
+def test_checkpoint_malformed_record_is_refused(tmp_path, capsys, record, message):
+    ck = tmp_path / "ck.jsonl"
+    code, _, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "a.jsonl")
+    assert code == 0
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join([lines[0], json.dumps(record)]) + "\n")
+    code, _, err = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "b.jsonl")
+    assert code == 2
+    assert message in err
+
+
+@pytest.mark.parametrize("tear", ["no-newline", "bad-json"])
+def test_checkpoint_torn_final_line_is_dropped(tmp_path, capsys, tear):
+    full = tmp_path / "full.jsonl"
+    code, ref, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", full, "ref.jsonl")
+    assert code == 0
+    lines = full.read_text().splitlines(keepends=True)
+    ck = tmp_path / "ck.jsonl"
+    if tear == "no-newline":
+        torn = lines[:8] + [lines[8].rstrip("\n")]
+    else:
+        torn = lines[:8] + [lines[8][:10] + "\n"]
+    ck.write_text("".join(torn))
+    code, out, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "out.jsonl")
+    assert code == 0
+    assert out.read_bytes() == ref.read_bytes()
+    assert ck.read_bytes() == full.read_bytes()
+
+
+def test_checkpoint_resumed_records_are_reverified(tmp_path, capsys):
+    ck = tmp_path / "ck.jsonl"
+    code, _, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "a.jsonl")
+    assert code == 0
+    lines = ck.read_text().splitlines()
+    i = next(k for k, line in enumerate(lines) if '"first": "-1"' in line)
+    rec = json.loads(lines[i])
+    rec["records"].append({"point": ["-1", "-1"], "witnesses": {}})
+    lines[i] = json.dumps(rec)
+    ck.write_text("\n".join(lines) + "\n")
+    code, _, err = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "b.jsonl")
+    assert code == 2
+    assert "fails its predicate" in err
+
+
+def _growth_counts(capsys, tmp_path, kind, forms_text, box, growth, extra=()):
+    forms = tmp_path / f"{kind}.txt"
+    forms.write_text(forms_text)
+    code, out, _ = run(capsys, "search", kind, "--forms", str(forms), "--box", str(box),
+                       "--dim", "2", "--format", "json", "--degeneracy", "1",
+                       "--growth", growth, *extra, "--out", str(tmp_path / "g.jsonl"))
+    assert code == 0
+    return [tuple(pair) for pair in json.loads(out.strip().splitlines()[-1])["growth"]]
+
+
+def _count(capsys, tmp_path, kind, bound, extra=()):
+    out = tmp_path / f"count-{bound}.jsonl"
+    code, _, _ = run(capsys, "search", kind, "--forms", str(tmp_path / f"{kind}.txt"),
+                     "--box", str(bound), "--dim", "2", "--format", "json", *extra,
+                     "--out", str(out))
+    assert code == 0
+    return len(load_solution_set(str(out)).points)
+
+
+@pytest.mark.parametrize("kind, forms_text, extra", [
+    ("cor12", "1\n", ("--s-primes", "2,3", "--denom-cap", "2")),
+    ("thm16", "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6)), ()),
+])
+def test_growth_matches_independent_searches(tmp_path, capsys, kind, forms_text, extra):
+    # 5 lies above --box 4: one extra search at 5, filtered by height
+    growth = _growth_counts(capsys, tmp_path, kind, forms_text, 4, "0,1,3,4,5", extra)
+    assert growth == [(b, _count(capsys, tmp_path, kind, b, extra)) for b in (0, 1, 3, 4, 5)]
+    assert growth[-1][1] > growth[2][1] > 0
+
+
+def test_growth_rejects_a_negative_bound(tmp_path, capsys):
+    forms = tmp_path / "g.txt"
+    forms.write_text("1\n")
+    code, _, err = run(capsys, "search", "cor12", "--forms", str(forms), "--box", "3",
+                       "--dim", "2", "--degeneracy", "1", "--growth", "2,-1")
+    assert code == 2
+    assert "invalid search box" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "cor12", "--forms", "{g}", "--box", "12", "--dim", "2",
+     "--s-primes", "2", "--denom-cap", "1", "--format", "json"],
+    ["audit", "subspace", "--forms", "{lines}", "--samples", "9", "--seed", "3",
+     "--height-bound", "50", "--format", "json"],
+])
+def test_output_independent_of_workers(tmp_path, capsys, argv):
+    (tmp_path / "g.txt").write_text("1\n")
+    (tmp_path / "lines.txt").write_text("x0\nx1\nx2\nx0+x1+x2\n")
+    argv = [a.format(g=tmp_path / "g.txt", lines=tmp_path / "lines.txt") for a in argv]
+    outputs = []
+    for workers in ("1", "2", "3", "4"):
+        out = tmp_path / f"w{workers}.txt"
+        code, _, _ = run(capsys, *argv, "--workers", workers, "--out", str(out))
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert len(set(outputs)) == 1

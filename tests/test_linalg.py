@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from betachow.linalg import kernel_basis, mat_vec, rank, rref
 
 
@@ -41,3 +44,49 @@ def test_rref_pivots():
     reduced, pivots = rref([[2, 4], [1, 2]])
     assert pivots == [0]
     assert reduced[0] == [Fraction(1), Fraction(2)]
+
+
+def _kernel_from_plain_rref(m):
+    """Oracle: the kernel read off rref(m) of the full matrix."""
+    a, pivots = rref(m)
+    cols = len(m[0])
+    out = []
+    for fc in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[fc] = Fraction(1)
+        for row, pc in enumerate(pivots):
+            v[pc] = -a[row][fc]
+        if next(x for x in v if x != 0) < 0:
+            v = [-x for x in v]
+        out.append(v)
+    return out
+
+
+_entry = st.one_of(st.just(Fraction(0)),
+                   st.fractions(min_value=-6, max_value=6, max_denominator=7))
+
+
+@st.composite
+def _matrices(draw):
+    cols = draw(st.integers(1, 6))
+    rows = draw(st.integers(1, 9))
+    m = [draw(st.lists(_entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    for i in draw(st.lists(st.integers(0, rows - 1), max_size=3)):
+        m[i] = [Fraction(0)] * cols          # zero rows
+    if draw(st.booleans()) and rows > 1:
+        m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]   # dependent row
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(_matrices())
+def test_kernel_basis_matches_plain_rref(m):
+    assert kernel_basis(m) == _kernel_from_plain_rref(m)
+
+
+def test_kernel_basis_of_zero_matrices_is_identity():
+    for rows, cols in [(1, 1), (3, 2), (2, 5)]:
+        m = [[0] * cols for _ in range(rows)]
+        ident = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
+        assert kernel_basis(m) == ident
+    assert kernel_basis([]) == []

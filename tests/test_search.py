@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -262,3 +263,70 @@ def test_degeneracy_report_examples():
     collinear = degeneracy_report([(0, 0), (1, 1), (2, 2)], 1)
     assert collinear.kernel_dims[1] == 1
     assert collinear.line_components[0]["count"] == 3
+
+
+SIX = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 7)]
+
+
+def _counting_general_position(monkeypatch):
+    import betachow.search
+    calls = []
+    real = betachow.search.hyperplanes_general_position
+
+    def counted(forms):
+        calls.append(len(forms))
+        return real(forms)
+
+    monkeypatch.setattr(betachow.search, "hyperplanes_general_position", counted)
+    return calls
+
+
+def test_thm16_hypotheses_checked_once_per_search_and_per_file(tmp_path, monkeypatch):
+    calls = _counting_general_position(monkeypatch)
+    sols = search_thm16(SIX, SearchBox(2, 3), S_EMPTY)
+    assert sols.count >= 1 and calls == [6]
+    path = tmp_path / "t.jsonl"
+    save_solution_set(sols, str(path), "0.0-test")
+    assert load_solution_set(str(path)).points == sols.points
+    assert calls == [6, 6]
+
+
+def test_search_thm16_rejects_bad_hypotheses_up_front():
+    with pytest.raises(ValueError, match="general position"):
+        search_thm16([parse_poly(t, 3) for t in
+                      ("x0", "x1", "x2", "x0+x1", "x0+x1+x2", "x1+x2")],
+                     SearchBox(2, 2), S_EMPTY)
+    with pytest.raises(ValueError, match="3n"):
+        search_thm16([parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")],
+                     SearchBox(2, 2), S_EMPTY)
+
+
+@pytest.mark.parametrize("bad_point, message", [
+    (["1", "2", "1"], "fails its predicate"),      # window equality fails at 2
+    (["2", "0", "0"], "not normalized"),           # [1:0:0] passes, scaled
+])
+def test_thm16_reverify_rejects_tampered_point(tmp_path, bad_point, message):
+    sols = search_thm16(SIX, SearchBox(2, 2), S_EMPTY)
+    path = tmp_path / "t.jsonl"
+    save_solution_set(sols, str(path), "0.0-test")
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[-1])
+    rec["point"] = bad_point
+    lines[-1] = json.dumps(rec, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_solution_set(str(path))
+    assert load_solution_set(str(path), reverify=False).count == sols.count
+
+
+def test_cor12_reverify_rejects_tampered_point(tmp_path):
+    sols = search_cor12(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,)))
+    path = tmp_path / "c.jsonl"
+    save_solution_set(sols, str(path), "0.0-test")
+    lines = path.read_text().splitlines()
+    rec = json.loads(lines[-1])
+    rec["point"] = ["-1", "-1"]              # (-1)(-1)(1 + 2) = 3 does not divide 1
+    lines[-1] = json.dumps(rec, sort_keys=True)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="fails its predicate"):
+        load_solution_set(str(path))
