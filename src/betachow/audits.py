@@ -7,6 +7,11 @@ max-term decomposition), never asserted as exact inequalities.
 Sampling is seeded and deterministic, and sample batches can be sharded
 across workers: rows are merged back in sample-index order so the output
 does not depend on the worker count.
+
+The forms are checked once per audit, before any row.  Each row evaluates
+every form once in integers and takes its local values from the integer
+kernel of :mod:`betachow.heights`; places are carried as primes, with None
+for the Archimedean place.
 """
 
 from __future__ import annotations
@@ -16,20 +21,19 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import gcd, log
+from math import gcd, log, prod
 from typing import Sequence
 
 from .linalg import rank
-from .poly import MultiPoly, hyperplanes_general_position
+from .poly import MultiPoly, _int_evaluator, hyperplanes_general_position
 from .heights import (
-    ARCH,
-    Place,
     PlaceSet,
     ProjPoint,
+    _local_value,
+    check_weil_form,
     finite_primes,
     height,
     support_primes,
-    weil_local,
 )
 from .sharding import sharded
 
@@ -94,23 +98,15 @@ class AuditReport:
         return max(defects) if defects else None
 
 
-def _local_values(forms: Sequence[MultiPoly], p: ProjPoint,
-                  places: Sequence[Place]) -> dict[Place, list[Fraction]]:
-    return {v: [weil_local(f, p, v).value for f in forms] for v in places}
+def _place_name(prime: int | None) -> str:
+    return "inf" if prime is None else str(prime)
 
 
-def _defect(values: list[Fraction], n: int) -> Fraction:
+def _defect(values: list[Fraction | int], n: int) -> Fraction:
     """Sum of all local values over the best size-n term, multiplicatively."""
-    best = Fraction(0)
-    for subset in combinations(range(len(values)), n):
-        prod = Fraction(1)
-        for i in subset:
-            prod *= values[i]
-        best = max(best, prod)
-    total = Fraction(1)
-    for x in values:
-        total *= x
-    return total / best
+    best = max(prod(values[i] for i in subset)
+               for subset in combinations(range(len(values)), n))
+    return Fraction(prod(values), best)
 
 
 def subspace_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
@@ -125,36 +121,36 @@ def subspace_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
     """
     if not hyperplanes_general_position(forms):
         raise ValueError("non-general-position input")
+    for f in forms:
+        check_weil_form(f)
     eps = Fraction(eps)
     n = forms[0].nvars - 1
     subsets = independent_subsets(forms)
-    payload = (list(forms), s, eps, n, subsets)
-    rows = _run_sharded(_subspace_row, payload, list(points), workers)
+    s_primes = finite_primes(s)
+    params = ([f.total_degree() for f in forms], s_primes, frozenset(s_primes),
+              eps, n, subsets)
+    rows = _run_sharded(_subspace_row, forms, params, list(points), workers)
     return AuditReport("subspace", {"epsilon": str(eps), "forms": [str(f) for f in forms],
                                     "s": sorted(str(v) for v in s)}, rows)
 
 
-def _subspace_row(payload, idx: int, p: ProjPoint) -> AuditRow:
-    forms, s, eps, n, subsets = payload
-    values = [f.evaluate(p.coords) for f in forms]
+def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
+    degrees, s_primes, s_set, eps, n, subsets = params
+    values = [ev(p.coords) for ev in evaluators]
     if any(v == 0 for v in values):
         return AuditRow(idx, p, on_support=True)
-    s_places = [ARCH] + [Place(q) for q in finite_primes(s)]
-    support = [Place(q) for q in support_primes(values + list(p.coords))
-               if q not in set(finite_primes(s))]
-    local = _local_values(forms, p, s_places + support)
+    s_places = [None, *s_primes]
+    support = [q for q in support_primes(values + list(p.coords)) if q not in s_set]
+    local = {v: [_local_value(val, p.coords, d, v) for val, d in zip(values, degrees)]
+             for v in s_places + support}
 
     lhs = Fraction(1)
     per_place = {}
     for v in s_places:
-        best = Fraction(1)  # empty subset contributes 1 (lambda sum of 0)
-        for subset in subsets:
-            prod = Fraction(1)
-            for i in subset:
-                prod *= local[v][i]
-            best = max(best, prod)
+        # subsets starts with the empty one, whose term is 1 (lambda sum 0)
+        best = max(prod(local[v][i] for i in subset) for subset in subsets)
         lhs *= best
-        per_place[str(v)] = str(best)
+        per_place[_place_name(v)] = str(best)
 
     h = height(p)
     # lhs <= h^(n+1+eps), cross-powered to integer exponents
@@ -164,11 +160,11 @@ def _subspace_row(payload, idx: int, p: ProjPoint) -> AuditRow:
 
     defect_total = Fraction(1)
     defect_by_place = {}
-    if len(forms) >= n:
+    if len(values) >= n:
         for v in s_places + support:
             d = _defect(local[v], n)
             if d != 1:
-                defect_by_place[str(v)] = str(d)
+                defect_by_place[_place_name(v)] = str(d)
             defect_total *= d
     return AuditRow(idx, p, False, lhs, rhs, verdict, per_place,
                     defect_total, defect_by_place)
@@ -192,31 +188,33 @@ def levin_duke_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
     elif not assert_general_position:
         raise ValueError("general position must be asserted for "
                          "non-hyperplane divisors")
+    for f in forms:
+        check_weil_form(f)
     n = forms[0].nvars - 1
-    payload = (list(forms), degrees, s, eps, n)
-    rows = _run_sharded(_levin_duke_row, payload, list(points), workers)
+    lcm = 1
+    for d in degrees:
+        lcm = lcm * d // gcd(lcm, d)
+    params = (degrees, lcm, finite_primes(s), eps, n)
+    rows = _run_sharded(_levin_duke_row, forms, params, list(points), workers)
     return AuditReport("levin-duke", {"epsilon": str(eps), "forms": [str(f) for f in forms],
                                       "s": sorted(str(v) for v in s)}, rows)
 
 
-def _levin_duke_row(payload, idx: int, p: ProjPoint) -> AuditRow:
-    forms, degrees, s, eps, n = payload
-    values = [f.evaluate(p.coords) for f in forms]
+def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
+    degrees, lcm, s_primes, eps, n = params
+    values = [ev(p.coords) for ev in evaluators]
     if any(v == 0 for v in values):
         return AuditRow(idx, p, on_support=True)
-    q = len(forms)
-    lcm = 1
-    for d in degrees:
-        lcm = lcm * d // gcd(lcm, d)
-    s_places = [ARCH] + [Place(qq) for qq in finite_primes(s)]
+    q = len(values)
+    s_places = [None, *s_primes]
     per_place = {}
     lhs = Fraction(1)
-    for i, f in enumerate(forms):
+    for i, (val, d) in enumerate(zip(values, degrees)):
         m_i = Fraction(1)
         for v in s_places:
-            m_i *= weil_local(f, p, v).value
+            m_i *= _local_value(val, p.coords, d, v)
         per_place[f"m{i + 1}"] = str(m_i)
-        lhs *= m_i ** (lcm // degrees[i])
+        lhs *= m_i ** (lcm // d)
     h = height(p)
     den, num = eps.denominator, eps.numerator
     # lhs^(1/lcm) > h^(q-n-1-eps), cross-powered
@@ -229,10 +227,16 @@ def _levin_duke_row(payload, idx: int, p: ProjPoint) -> AuditRow:
 # sharding
 # ---------------------------------------------------------------------------
 
-def _run_sharded(row_fn, payload, points: list[ProjPoint], workers: int) -> list[AuditRow]:
-    parts = sharded(partial(_rows, row_fn, payload), list(enumerate(points)), workers)
+def _run_sharded(row_fn, forms: Sequence[MultiPoly], params, points: list[ProjPoint],
+                 workers: int) -> list[AuditRow]:
+    parts = sharded(partial(_rows, row_fn, list(forms), params),
+                    list(enumerate(points)), workers)
     return [row for part in parts for row in part]
 
 
-def _rows(row_fn, payload, indexed: list[tuple[int, ProjPoint]]) -> list[AuditRow]:
-    return [row_fn(payload, i, p) for i, p in indexed]
+def _rows(row_fn, forms: list[MultiPoly], params,
+          indexed: list[tuple[int, ProjPoint]]) -> list[AuditRow]:
+    # The integer evaluators are closures, which do not pickle, so each
+    # chunk builds its own from the forms.
+    evaluators = [_int_evaluator(f) for f in forms]
+    return [row_fn(evaluators, params, i, p) for i, p in indexed]

@@ -13,7 +13,9 @@ point P.  With this representative the height machine identity
 
     prod_v value_v(F, P) = height(P)^{deg F}
 
-is exact, not merely up to a bounded function.
+is exact, not merely up to a bounded function.  For a normalized point the
+coordinates are coprime, so at a prime q the value is the integer
+q^{v_q(F(x))}; only the Archimedean value is a proper fraction.
 
 The finite support of a counting function is discovered by factoring F(P)
 and the coordinates; a factorization failure aborts loudly rather than
@@ -28,7 +30,7 @@ from math import gcd, log
 from typing import Iterable, Mapping, Sequence
 
 from .poly import MultiPoly
-from .primes import factor, is_prime, vp
+from .primes import _vp_int, factor, is_prime, vp
 
 
 @dataclass(frozen=True)
@@ -105,13 +107,16 @@ class ProjPoint:
 
     @classmethod
     def normalize(cls, coords: Sequence[Fraction | int]) -> "ProjPoint":
-        fracs = [Fraction(c) for c in coords]
-        if all(c == 0 for c in fracs):
+        if all(isinstance(c, int) for c in coords):
+            ints = list(coords)
+        else:
+            fracs = [Fraction(c) for c in coords]
+            denom = 1
+            for c in fracs:
+                denom = denom * c.denominator // gcd(denom, c.denominator)
+            ints = [int(c * denom) for c in fracs]
+        if all(c == 0 for c in ints):
             raise ValueError("projective point needs a nonzero coordinate")
-        denom = 1
-        for c in fracs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in fracs]
         g = 0
         for c in ints:
             g = gcd(g, c)
@@ -149,18 +154,38 @@ class LocalHeight:
         return log(self.value)
 
 
-def weil_local(f: MultiPoly, p: ProjPoint, v: Place) -> LocalHeight:
-    """Standard local Weil value max_j |x_j|_v^deg / |F(x)|_v, exact."""
+def check_weil_form(f: MultiPoly):
+    """Raise ValueError unless f is a nonconstant homogeneous form with
+    integer coefficients, the forms this module takes local values of."""
     if not f.is_homogeneous() or f.total_degree() < 1:
         raise ValueError("weil_local needs a nonconstant homogeneous form")
     if not f.has_integer_coefficients():
         raise ValueError("weil_local needs integer coefficients")
+
+
+def _local_value(val: int, coords: Sequence[int], degree: int,
+                 prime: int | None) -> Fraction | int:
+    """value_v(F, P) from val = F(P) != 0, for an integer form F of the
+    given degree and a normalized point P with these coordinates.
+
+    prime is None at the Archimedean place, where the value is
+    max_j |x_j|^deg / |val|.  Otherwise it is trusted to be prime (it comes
+    from a validated Place or from factor()); the coordinates are coprime,
+    so min_j v_q(x_j) = 0 and the value is the integer q^{v_q(val)}.
+    """
+    if prime is None:
+        return Fraction(max(abs(c) for c in coords) ** degree, abs(val))
+    return prime ** _vp_int(val, prime)
+
+
+def weil_local(f: MultiPoly, p: ProjPoint, v: Place) -> LocalHeight:
+    """Standard local Weil value max_j |x_j|_v^deg / |F(x)|_v, exact."""
+    check_weil_form(f)
     val = f.evaluate(p.coords)
     if val == 0:
         raise ValueError("point on support")
-    d = f.total_degree()
-    coord_max = max(abs_at(c, v) for c in p.coords if c != 0)
-    return LocalHeight(v, coord_max ** d / abs_at(val, v))
+    return LocalHeight(v, Fraction(_local_value(val.numerator, p.coords,
+                                                f.total_degree(), v.prime)))
 
 
 def weil_subscheme(generators: Sequence[tuple[MultiPoly, int]], p: ProjPoint,
@@ -181,9 +206,6 @@ def support_primes(values: Iterable[Fraction | int]) -> tuple[int, ...]:
     """Ascending primes dividing any numerator or denominator."""
     primes: set[int] = set()
     for x in values:
-        x = Fraction(x)
-        if x == 0:
-            continue
         for part in (x.numerator, x.denominator):
             if abs(part) > 1:
                 primes.update(factor(part))

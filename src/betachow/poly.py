@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .linalg import rank
 
@@ -276,6 +276,32 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
 def eval_poly(f: MultiPoly, xs: Sequence[Fraction | int]) -> Fraction:
     """Exact evaluation of f at a rational point."""
     return f.evaluate(xs)
+
+
+def _int_evaluator(f: MultiPoly) -> Callable[[tuple], int]:
+    """Fast integer evaluation for an integer-coefficient polynomial."""
+    items = [(int(c), e) for e, c in f.terms.items()]
+    if f.is_homogeneous() and f.total_degree() == 1:
+        pairs = [(e.index(1), int(c)) for e, c in f.terms.items()]
+
+        def lin(xs: tuple) -> int:
+            return sum(c * xs[i] for i, c in pairs)
+
+        return lin
+
+    def ev(xs: tuple) -> int:
+        total = 0
+        for c, e in items:
+            v = c
+            for x, k in zip(xs, e):
+                if k == 1:
+                    v *= x
+                elif k:
+                    v *= x ** k
+            total += v
+        return total
+
+    return ev
 
 
 def hyperplanes_general_position(forms: Sequence[MultiPoly]) -> bool:

@@ -1,9 +1,10 @@
 """Primality testing, integer factorization, and p-adic valuations.
 
-Everything here is deterministic.  Factorization refuses inputs above a
-hard size bound with an explicit error instead of risking a silent wrong
-answer; the local-height machinery depends on the support of a value being
-found exactly.
+Everything here is deterministic.  Factorization trial-divides by the
+primes below _TRIAL_LIMIT and splits what is left with Miller-Rabin and
+Brent's rho.  It refuses inputs above a hard size bound with an explicit
+error instead of risking a silent wrong answer; the local-height machinery
+depends on the support of a value being found exactly.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from math import gcd
 
 FACTOR_BOUND_DEFAULT = 1 << 128
 
-_TRIAL_LIMIT = 1 << 20
+# Trial division stops here: past a few hundred small primes a large prime
+# cofactor costs far less to prove prime (or to split) than to trial-divide.
+_TRIAL_LIMIT = 1 << 10
 
 # Miller-Rabin witness panels.  The first is proven deterministic for all
 # n < 3_317_044_064_679_887_385_961_981; the second (first 25 primes) is the
@@ -116,7 +119,9 @@ def factor(n: int, bound: int = FACTOR_BOUND_DEFAULT) -> dict[int, int]:
             n //= p
         p += wheel[w]
         w = (w + 1) % 8
-    if n > 1:
+    if 1 < n < p * p:  # no prime factor below p is left, so n is prime
+        out[n] = out.get(n, 0) + 1
+    elif n > 1:
         stack = [n]
         while stack:
             m = stack.pop()
@@ -130,6 +135,7 @@ def factor(n: int, bound: int = FACTOR_BOUND_DEFAULT) -> dict[int, int]:
 
 
 def _vp_int(n: int, p: int) -> int:
+    """v_p of a nonzero integer; p is trusted to be prime."""
     v = 0
     while n % p == 0:
         n //= p
@@ -143,6 +149,12 @@ def vp(x: Fraction | int, p: int) -> int:
         raise ValueError("valuation of zero")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
+    return _vp(x, p)
+
+
+def _vp(x: Fraction | int, p: int) -> int:
+    """vp without its checks, for primes that come from factor() or a
+    validated place: x must be nonzero and p prime."""
     if isinstance(x, int):
         return _vp_int(x, p)
     return _vp_int(x.numerator, p) - _vp_int(x.denominator, p)

@@ -25,8 +25,14 @@ from typing import Callable, Iterable, Sequence
 
 from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
-from .poly import MultiPoly, hyperplanes_general_position, monomial_exponents, parse_poly
-from .primes import vp
+from .poly import (
+    MultiPoly,
+    _int_evaluator,
+    hyperplanes_general_position,
+    monomial_exponents,
+    parse_poly,
+)
+from .primes import _vp
 from .sharding import sharded
 
 
@@ -146,7 +152,7 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
     for p in support_primes(nonzero):
         if p in s.primes:
             continue
-        out[str(p)] = [vp(v, p) if v != 0 else None for v in values]
+        out[str(p)] = [_vp(v, p) if v != 0 else None for v in values]
     return out
 
 
@@ -256,8 +262,8 @@ def _thm16_windows(coords: Sequence[int], values: Sequence, n: int,
     primes = [p for p in support_primes([*values, *coords]) if p not in s.primes]
     per_index = [True] * len(values)
     for p in primes:
-        form_vps = [vp(v, p) for v in values]
-        coord_min = min(vp(c, p) for c in coords if c != 0)
+        form_vps = [_vp(v, p) for v in values]
+        coord_min = min(_vp(c, p) for c in coords if c != 0)
         lhs, rhs = ideal_window_sides(form_vps, n, coord_min)
         for i in range(len(values)):
             if lhs[i] != rhs[i]:
@@ -372,31 +378,6 @@ def _iter_projective(bound: int, ncoords: int, firsts: Iterable[int] | None = No
                 if first < 0:
                     continue
             yield xs
-
-def _int_evaluator(f: MultiPoly) -> Callable[[tuple], int]:
-    """Fast integer evaluation for an integer-coefficient polynomial."""
-    items = [(int(c), e) for e, c in f.terms.items()]
-    if f.is_homogeneous() and f.total_degree() == 1:
-        pairs = [(e.index(1), int(c)) for e, c in f.terms.items()]
-
-        def lin(xs: tuple) -> int:
-            return sum(c * xs[i] for i, c in pairs)
-
-        return lin
-
-    def ev(xs: tuple) -> int:
-        total = 0
-        for c, e in items:
-            v = c
-            for x, k in zip(xs, e):
-                if k == 1:
-                    v *= x
-                elif k:
-                    v *= x ** k
-            total += v
-        return total
-
-    return ev
 
 
 def search_thm11(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str,

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import prod
 
 import pytest
 
@@ -8,7 +10,7 @@ from betachow.audits import (
     sample_points,
     subspace_audit,
 )
-from betachow.heights import ProjPoint, make_place_set
+from betachow.heights import ARCH, Place, ProjPoint, make_place_set, support_primes, weil_local
 from betachow.poly import parse_poly
 
 COORD = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
@@ -96,3 +98,44 @@ def test_worker_sharding_matches_serial():
     parallel = subspace_audit(FOUR, make_place_set(), Fraction(1, 2), pts, workers=3)
     assert [(r.index, r.lhs, r.verdict, r.defect) for r in serial.rows] == \
         [(r.index, r.lhs, r.verdict, r.defect) for r in parallel.rows]
+
+
+def test_audit_rows_match_weil_local():
+    """The audits' integer local values against public weil_local, place by place."""
+    s = make_place_set([2, 3])
+    places = [ARCH, Place(2), Place(3)]
+    pts = sample_points(2, 10 ** 4, 40, seed=23)
+    sub = subspace_audit(FOUR, s, Fraction(1, 2), pts)
+    subsets = independent_subsets(FOUR)
+    for row in sub.rows:
+        p = row.point
+        if row.on_support:
+            assert any(f.evaluate(p.coords) == 0 for f in FOUR)
+            continue
+        for v in places:
+            vals = [weil_local(f, p, v).value for f in FOUR]
+            best = max(prod(vals[i] for i in subset) for subset in subsets)
+            assert row.per_place[str(v)] == str(best)
+        support = support_primes([*(f.evaluate(p.coords) for f in FOUR), *p.coords])
+        defect = Fraction(1)
+        for v in places + [Place(q) for q in support if q not in (2, 3)]:
+            vals = [weil_local(f, p, v).value for f in FOUR]
+            defect *= prod(vals) / max(prod(c) for c in combinations(vals, 2))
+        assert row.defect == defect
+
+    mixed = [parse_poly(t, 3) for t in ("x0^2+x1^2+x0*x2", "x1", "x2", "x0+x1+x2")]
+    ld = levin_duke_audit(mixed, s, Fraction(1, 2), pts, assert_general_position=True)
+    for row in ld.rows:
+        if row.on_support:
+            continue
+        for i, f in enumerate(mixed):
+            m_i = prod(weil_local(f, row.point, v).value for v in places)
+            assert row.per_place[f"m{i + 1}"] == str(m_i)
+
+
+@pytest.mark.parametrize("audit", [subspace_audit, levin_duke_audit])
+def test_audits_reject_rational_coefficients_before_any_row(audit):
+    forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "1/2*x0+x1+x2")]
+    # a point on x0 = 0 is on the support, so no row ever computes a value
+    with pytest.raises(ValueError, match="weil_local needs integer coefficients"):
+        audit(forms, make_place_set(), Fraction(1, 2), [ProjPoint.normalize([0, 1, 1])])

@@ -375,6 +375,8 @@ def test_growth_rejects_a_negative_bound(tmp_path, capsys):
      "--s-primes", "2", "--denom-cap", "1", "--format", "json"],
     ["audit", "subspace", "--forms", "{lines}", "--samples", "9", "--seed", "3",
      "--height-bound", "50", "--format", "json"],
+    ["audit", "levinduke", "--forms", "{lines}", "--samples", "9", "--seed", "3",
+     "--height-bound", "50", "--s", "inf,2,3", "--format", "json"],
 ])
 def test_output_independent_of_workers(tmp_path, capsys, argv):
     (tmp_path / "g.txt").write_text("1\n")
@@ -387,3 +389,22 @@ def test_output_independent_of_workers(tmp_path, capsys, argv):
         assert code == 0
         outputs.append(out.read_bytes())
     assert len(set(outputs)) == 1
+
+
+@pytest.mark.parametrize("kind, lines, message", [
+    ("subspace", "1/2*x0 + x1 + x2", "weil_local needs integer coefficients"),
+    ("levinduke", "1/2*x0 + x1 + x2", "weil_local needs integer coefficients"),
+    ("subspace", "x0^2 + x1", "general position check restricted to hyperplanes"),
+    ("levinduke", "x0^2 + x1", "forms must be homogeneous of degree >= 1"),
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_audit_rejects_bad_forms(tmp_path, capsys, kind, lines, message, workers):
+    forms = tmp_path / "forms.txt"
+    forms.write_text(f"x0\nx1\nx2\n{lines}\n")
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(capsys, "audit", kind, "--forms", str(forms), "--samples", "9",
+                       "--seed", "3", "--height-bound", "50", "--workers", workers,
+                       "--out", str(out))
+    assert code == 2
+    assert message in err
+    assert not out.exists()

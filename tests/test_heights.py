@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from betachow.heights import (
     ARCH,
@@ -20,8 +22,21 @@ from betachow.heights import (
     weil_local,
     weil_subscheme,
 )
-from betachow.poly import parse_poly
+from betachow.poly import MultiPoly, monomial_exponents, parse_poly
 from betachow.primes import vp
+
+COORD = st.integers(-10 ** 6, 10 ** 6)
+
+
+@st.composite
+def integer_forms(draw):
+    """Random linear or quadratic form in x0, x1, x2 with integer coefficients."""
+    degree = draw(st.sampled_from([1, 2]))
+    mons = monomial_exponents(3, degree, homogeneous=True)
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=len(mons), max_size=len(mons)))
+    f = MultiPoly(3, dict(zip(mons, coeffs)))
+    assume(not f.is_zero())
+    return f
 
 
 def test_height_examples():
@@ -112,6 +127,39 @@ def test_height_machine_identity_random():
             assert finite_value >= 1  # normalized point, integer coefficients
             total *= finite_value
         assert total == Fraction(height(p)) ** f.total_degree()
+
+
+def test_normalize_integer_coordinates_match_rational_path():
+    for coords in ([0, -4, 6], [3, 0, 0], [-7, 14, 0], [0, 0, -5], [12, 18, -30]):
+        p = ProjPoint.normalize(coords)
+        assert p == ProjPoint.normalize([Fraction(c) for c in coords])
+        assert all(type(c) is int for c in p.coords)
+    with pytest.raises(ValueError, match="nonzero coordinate"):
+        ProjPoint.normalize([0, 0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_forms(), st.lists(COORD, min_size=3, max_size=3))
+def test_weil_local_matches_abs_at_formula(f, coords):
+    """weil_local against the abs_at formula, with the height machine identity
+    and the product formula, at infinity, small primes and the support."""
+    assume(any(coords))
+    p = ProjPoint.normalize(coords)
+    val = f.evaluate(p.coords)
+    assume(val != 0)
+    d = f.total_degree()
+    support = support_primes([val, *p.coords])
+    total = Fraction(1)
+    for v in [ARCH, *(Place(q) for q in sorted({2, 3, 5, 7, *support}))]:
+        expected = max(abs_at(c, v) for c in p.coords) ** d / abs_at(val, v)
+        got = weil_local(f, p, v).value
+        assert type(got) is Fraction and got == expected
+        if v == ARCH or v.prime in support:
+            total *= got
+        else:
+            assert got == 1
+    assert total == Fraction(height(p)) ** d
+    assert product_over_places(val) == 1
 
 
 def test_product_formula_random():

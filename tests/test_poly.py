@@ -5,6 +5,7 @@ import pytest
 
 from betachow.poly import (
     MultiPoly,
+    _int_evaluator,
     eval_poly,
     hyperplanes_general_position,
     monomial_exponents,
@@ -27,6 +28,21 @@ def test_eval_examples():
     assert eval_poly(g, [2, Fraction(1, 2)]) == 2
     h = parse_poly("1-x1-x2", 3)
     assert eval_poly(h, [0, 1, 1]) == -1
+
+
+def test_int_evaluator_matches_evaluate():
+    rng = random.Random(41)
+    for _ in range(200):
+        nvars = rng.randint(1, 4)
+        f = MultiPoly(nvars, {
+            tuple(rng.randint(0, 3) for _ in range(nvars)): rng.randint(-9, 9)
+            for _ in range(rng.randint(1, 4))})
+        lin = MultiPoly(nvars, {tuple(int(j == i) for j in range(nvars)): rng.randint(-9, 9)
+                                for i in range(nvars)})
+        xs = tuple(rng.randint(-10 ** 6, 10 ** 6) for _ in range(nvars))
+        for g in (f, lin):
+            got = _int_evaluator(g)(xs)
+            assert type(got) is int and got == g.evaluate(xs)
 
 
 def test_eval_dimension_mismatch():

@@ -2,8 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from sympy import factorint, primerange
 
-from betachow.primes import FactorizationBoundError, factor, is_prime, vp
+from betachow.primes import _TRIAL_LIMIT, FactorizationBoundError, factor, is_prime, vp
+
+# primes on both sides of the trial-division limit and of 2^20
+NEAR_TRIAL = [*primerange(_TRIAL_LIMIT - 40, _TRIAL_LIMIT),
+              *primerange(_TRIAL_LIMIT, _TRIAL_LIMIT + 40)]
+NEAR_2_20 = [*primerange((1 << 20) - 40, (1 << 20) + 40)]
 
 
 def test_vp_examples():
@@ -80,3 +88,32 @@ def test_is_prime_small():
     for n in range(2, 48):
         assert is_prime(n) == (n in primes)
     assert not is_prime(1) and not is_prime(0) and not is_prime(-3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1 << 64))
+def test_factor_matches_sympy(n):
+    assert factor(n) == dict(sorted(factorint(n).items()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.sampled_from(NEAR_TRIAL + NEAR_2_20), min_size=1, max_size=5),
+       st.sampled_from([1, -1]))
+def test_factor_products_around_trial_limits(ps, sign):
+    n = sign
+    for p in ps:
+        n *= p
+    assert factor(n) == dict(sorted(factorint(abs(n)).items()))
+
+
+@pytest.mark.parametrize("p", [p for p in NEAR_TRIAL if p > _TRIAL_LIMIT][:4] + NEAR_2_20[-2:])
+@pytest.mark.parametrize("e", [2, 3])
+def test_factor_prime_powers_above_trial_limit(p, e):
+    assert factor(p ** e) == {p: e}
+    assert factor(6 * p ** e) == {2: 1, 3: 1, p: e}
+
+
+@pytest.mark.parametrize("n", [561, 41041, 825265])
+def test_factor_carmichael_numbers(n):
+    assert not is_prime(n)
+    assert factor(n) == dict(sorted(factorint(n).items()))
