@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
-from math import gcd, log, prod
+from math import lcm, log, prod
 from typing import Sequence
 
 from .linalg import rank
@@ -191,10 +191,7 @@ def levin_duke_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
     for f in forms:
         check_weil_form(f)
     n = forms[0].nvars - 1
-    lcm = 1
-    for d in degrees:
-        lcm = lcm * d // gcd(lcm, d)
-    params = (degrees, lcm, finite_primes(s), eps, n)
+    params = (degrees, lcm(*degrees), finite_primes(s), eps, n)
     rows = _run_sharded(_levin_duke_row, forms, params, list(points), workers)
     return AuditReport("levin-duke", {"epsilon": str(eps), "forms": [str(f) for f in forms],
                                       "s": sorted(str(v) for v in s)}, rows)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, log
+from math import gcd, lcm, log
 from typing import Iterable, Mapping, Sequence
 
 from .poly import MultiPoly
@@ -107,14 +107,9 @@ class ProjPoint:
 
     @classmethod
     def normalize(cls, coords: Sequence[Fraction | int]) -> "ProjPoint":
-        if all(isinstance(c, int) for c in coords):
-            ints = list(coords)
-        else:
-            fracs = [Fraction(c) for c in coords]
-            denom = 1
-            for c in fracs:
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-            ints = [int(c * denom) for c in fracs]
+        """The normalized point with these int or Fraction coordinates."""
+        denom = lcm(*(c.denominator for c in coords))
+        ints = [int(c * denom) for c in coords]
         if all(c == 0 for c in ints):
             raise ValueError("projective point needs a nonzero coordinate")
         g = 0
@@ -203,7 +198,8 @@ def weil_subscheme(generators: Sequence[tuple[MultiPoly, int]], p: ProjPoint,
 
 
 def support_primes(values: Iterable[Fraction | int]) -> tuple[int, ...]:
-    """Ascending primes dividing any numerator or denominator."""
+    """Ascending primes dividing any numerator or denominator of the
+    values, which are ints or Fractions."""
     primes: set[int] = set()
     for x in values:
         for part in (x.numerator, x.denominator):
@@ -322,9 +318,7 @@ def theoremkey_condition(p: ProjPoint, forms: Sequence[MultiPoly],
     primes.update(v.prime for v in gamma.support() if v.is_finite)
     primes -= set(finite_primes(s))
 
-    lcm = 1
-    for d in degrees:
-        lcm = lcm * d // gcd(lcm, d)
+    degrees_lcm = lcm(*degrees)
     for q in sorted(primes):
         v = Place(q)
         g = gamma.at(v)
@@ -337,8 +331,8 @@ def theoremkey_condition(p: ProjPoint, forms: Sequence[MultiPoly],
         else:
             lhs = Fraction(1)
             for i in range(1, len(forms)):
-                lhs *= vals[i] ** (lcm // degrees[i])
-            if lhs > vals[0] ** (lcm // d0) * g ** lcm:
+                lhs *= vals[i] ** (degrees_lcm // degrees[i])
+            if lhs > vals[0] ** (degrees_lcm // d0) * g ** degrees_lcm:
                 return False
     return True
 

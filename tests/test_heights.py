@@ -129,6 +129,10 @@ def test_height_machine_identity_random():
         assert total == Fraction(height(p)) ** f.total_degree()
 
 
+def test_support_primes_of_ints_and_fractions():
+    assert support_primes([0, -12, Fraction(5, 49), 1, Fraction(-1, 11)]) == (2, 3, 5, 7, 11)
+
+
 def test_normalize_integer_coordinates_match_rational_path():
     for coords in ([0, -4, 6], [3, 0, 0], [-7, 14, 0], [0, 0, -5], [12, 18, -30]):
         p = ProjPoint.normalize(coords)
