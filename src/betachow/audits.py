@@ -226,14 +226,11 @@ def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
 
 def _run_sharded(row_fn, forms: Sequence[MultiPoly], params, points: list[ProjPoint],
                  workers: int) -> list[AuditRow]:
-    parts = sharded(partial(_rows, row_fn, list(forms), params),
+    evaluators = [_int_evaluator(f) for f in forms]
+    parts = sharded(partial(_rows, row_fn, evaluators, params),
                     list(enumerate(points)), workers)
     return [row for part in parts for row in part]
 
 
-def _rows(row_fn, forms: list[MultiPoly], params,
-          indexed: list[tuple[int, ProjPoint]]) -> list[AuditRow]:
-    # The integer evaluators are closures, which do not pickle, so each
-    # chunk builds its own from the forms.
-    evaluators = [_int_evaluator(f) for f in forms]
+def _rows(row_fn, evaluators, params, indexed: list[tuple[int, ProjPoint]]) -> list[AuditRow]:
     return [row_fn(evaluators, params, i, p) for i, p in indexed]

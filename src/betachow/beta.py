@@ -102,17 +102,14 @@ def f_poly(n: int, q: int) -> Fraction:
                     - (n * n - 1) * n ** n * (q - n) + n ** (n + 1))
 
 
-def beta_numeric_cyclic(n: int, q: int, i: int, N: int) -> Fraction:
+def beta_numeric_cyclic(n: int, q: int, N: int) -> Fraction:
     """Leading-term truncation of the section-count ratio at cutoff N.
 
     sum_{m=1}^{nN} max(0, (qN-m)^n - n(nN-m)^n - n^n(q-n)N^n) over
-    N^(n+1) (q^n - n^n q).  The value does not depend on the index i,
-    which is accepted for interface symmetry with the exact route.
+    N^(n+1) (q^n - n^n q), the same for every index i of the family.
     """
     if N < 1:
         raise ValueError("cutoff N must be >= 1")
-    if not 1 <= i <= q:
-        raise ValueError("index i out of range")
     if n < 2 or q < 3 * n:
         raise ValueError("cyclic beta needs n >= 2 and q >= 3n")
     shift = n ** n * (q - n) * N ** n

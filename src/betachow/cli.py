@@ -65,14 +65,17 @@ from .reporting import (
     write_output,
 )
 from .search import (
+    Check,
     SearchBox,
     SolutionSet,
     SRing,
+    _cor12_spec,
+    _first_coordinates,
+    _thm11_spec,
+    _thm16_spec,
     degeneracy_report,
     records_solution_set,
-    search_cor12,
-    search_thm11,
-    search_thm16,
+    run_search,
     solution_set_lines,
 )
 
@@ -195,7 +198,7 @@ def cmd_beta(args) -> int:
         row = {"item": f"beta_cyclic n={n} q={q}", "exact": exact,
                "estimate": "", "claim": "beta > 1", "verdict": exact > 1}
         if args.numeric_n:
-            est = beta_numeric_cyclic(n, q, 1, args.numeric_n)
+            est = beta_numeric_cyclic(n, q, args.numeric_n)
             row["estimate"] = est
         rows.append(row)
         rows.append({"item": f"f n={n} q={q}", "exact": f_poly(n, q),
@@ -289,24 +292,21 @@ def _read_forms_file(path: str) -> tuple[list[str], str | None]:
     return forms, g_text
 
 
-def _run_search(args, s: SRing, box: SearchBox, firsts=None) -> SolutionSet:
+def _search_spec(args, s: SRing, box: SearchBox) -> tuple[dict, Check]:
+    """The run's descriptor and per-point check, its hypotheses checked once."""
     form_texts, g_text = _read_forms_file(args.forms)
     if args.kind == "cor12":
         if len(form_texts) != 1:
             raise ValueError("cor12 needs exactly one polynomial line (g)")
-        g = parse_poly(form_texts[0], box.dim)
-        return search_cor12(g, box, s, workers=worker_count(args.workers),
-                            first_values=firsts)
+        return _cor12_spec(parse_poly(form_texts[0], box.dim), box, s)
     ncoords = box.dim + 1
     forms = [parse_poly(t, ncoords) for t in form_texts]
     if args.kind == "thm11":
         if g_text is None:
             raise ValueError("thm11 needs a 'G:' line in the forms file")
-        g_form = parse_poly(g_text, ncoords)
-        return search_thm11(forms, g_form, args.mode, box, s,
-                            assert_general_position=args.assert_general_position,
-                            firsts=firsts)
-    return search_thm16(forms, box, s, firsts=firsts)
+        return _thm11_spec(forms, parse_poly(g_text, ncoords), args.mode, box, s,
+                           args.assert_general_position)
+    return _thm16_spec(forms, box, s)
 
 
 def _open_checkpoint(path: str, header: dict) -> dict[str, list]:
@@ -340,17 +340,15 @@ def _open_checkpoint(path: str, header: dict) -> dict[str, list]:
     return {rec["first"]: rec["records"] for rec in records}
 
 
-def _search_with_checkpoint(args, s: SRing, box: SearchBox) -> SolutionSet:
-    # an empty search checks the hypotheses before the checkpoint is touched
-    descriptor = _run_search(args, s, box, firsts=[]).descriptor
+def _search_with_checkpoint(path: str, descriptor: dict, check: Check) -> SolutionSet:
     header = {"artifact": "betachow", "kind": "checkpoint", "version": __version__,
               "descriptor": descriptor}
-    done = _open_checkpoint(args.checkpoint, header)
-    merged = records_solution_set(descriptor, (rec for recs in done.values() for rec in recs))
-    firsts = box.coordinate_values(s) if args.kind == "cor12" else range(box.bound + 1)
-    with open(args.checkpoint, "a") as ck:
-        for v in (v for v in firsts if str(v) not in done):
-            part = _run_search(args, s, box, firsts=[v])
+    done = _open_checkpoint(path, header)
+    merged = records_solution_set(descriptor, (rec for recs in done.values() for rec in recs),
+                                  check)
+    with open(path, "a") as ck:
+        for v in (v for v in _first_coordinates(descriptor) if str(v) not in done):
+            part = run_search(descriptor, check, firsts=[v])
             ck.write(json.dumps({"first": str(v), "records": [
                 {"point": [str(c) for c in pt], "witnesses": wit}
                 for pt, wit in zip(part.points, part.witnesses)]}) + "\n")
@@ -360,15 +358,16 @@ def _search_with_checkpoint(args, s: SRing, box: SearchBox) -> SolutionSet:
     return merged
 
 
-def _growth(args, s: SRing, box: SearchBox, sols: SolutionSet) -> list[tuple[int, int]]:
+def _growth(text: str, descriptor: dict, check: Check, workers: int,
+            sols: SolutionSet) -> list[tuple[int, int]]:
     """Solution counts per growth bound.  Boxes nest and the predicates do
     not depend on the bound, so the count at b is the number of solutions
     of height (max |numerator|) <= b in one search at the largest bound."""
-    bounds = [int(t) for t in args.growth.split(",")]
+    bounds = [int(t) for t in text.split(",")]
     if min(bounds) < 0:
         raise ValueError("invalid search box")
-    if max(bounds) > box.bound:
-        sols = _run_search(args, s, SearchBox(box.dim, max(bounds), box.denom_cap))
+    if max(bounds) > descriptor["bound"]:
+        sols = run_search({**descriptor, "bound": max(bounds)}, check, workers)
     heights = [max(abs(c.numerator) for c in pt) for pt in sols.points]
     return [(b, sum(1 for h in heights if h <= b)) for b in bounds]
 
@@ -377,10 +376,12 @@ def cmd_search(args) -> int:
     s = SRing(tuple(int(p) for p in args.s_primes.split(",") if p.strip())
               if args.s_primes not in (None, "", "none") else ())
     box = SearchBox(args.dim, args.box, args.denom_cap)
+    descriptor, check = _search_spec(args, s, box)
+    workers = worker_count(args.workers)
     if args.checkpoint:
-        sols = _search_with_checkpoint(args, s, box)
+        sols = _search_with_checkpoint(args.checkpoint, descriptor, check)
     else:
-        sols = _run_search(args, s, box)
+        sols = run_search(descriptor, check, workers)
 
     config = RunConfig("search", {
         "kind": args.kind, "forms": args.forms, "mode": args.mode or "",
@@ -398,7 +399,7 @@ def cmd_search(args) -> int:
     write_output(args.out, content)
 
     if args.degeneracy:
-        growth = _growth(args, s, box, sols) if args.growth else None
+        growth = _growth(args.growth, descriptor, check, workers, sols) if args.growth else None
         rep = degeneracy_report(sols.points, args.degeneracy,
                                 projective=sols.descriptor.get("projective", False),
                                 growth=growth, descriptor=sols.descriptor)

@@ -96,10 +96,7 @@ class ProjPoint:
     def __post_init__(self):
         if not self.coords or all(c == 0 for c in self.coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        g = 0
-        for c in self.coords:
-            g = gcd(g, c)
-        if g != 1:
+        if gcd(*self.coords) != 1:
             raise ValueError("coordinates must be coprime")
         first = next(c for c in self.coords if c != 0)
         if first < 0:
@@ -112,9 +109,7 @@ class ProjPoint:
         ints = [int(c * denom) for c in coords]
         if all(c == 0 for c in ints):
             raise ValueError("projective point needs a nonzero coordinate")
-        g = 0
-        for c in ints:
-            g = gcd(g, c)
+        g = gcd(*ints)
         ints = [c // g for c in ints]
         if next(c for c in ints if c != 0) < 0:
             ints = [-c for c in ints]

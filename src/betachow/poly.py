@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
+from operator import mul
 from typing import Callable, Iterable, Sequence
 
 from .linalg import rank
@@ -278,30 +280,29 @@ def eval_poly(f: MultiPoly, xs: Sequence[Fraction | int]) -> Fraction:
     return f.evaluate(xs)
 
 
+def _int_linear(row: list[int], xs: tuple) -> int:
+    return sum(map(mul, row, xs))
+
+
+def _int_terms(items: list[tuple[int, Exponents]], xs: tuple) -> int:
+    total = 0
+    for c, e in items:
+        v = c
+        for x, k in zip(xs, e):
+            if k == 1:
+                v *= x
+            elif k:
+                v *= x ** k
+        total += v
+    return total
+
+
 def _int_evaluator(f: MultiPoly) -> Callable[[tuple], int]:
-    """Fast integer evaluation for an integer-coefficient polynomial."""
-    items = [(int(c), e) for e, c in f.terms.items()]
+    """Fast integer evaluation for an integer-coefficient polynomial; a
+    partial of a module-level function, so it pickles."""
     if f.is_homogeneous() and f.total_degree() == 1:
-        pairs = [(e.index(1), int(c)) for e, c in f.terms.items()]
-
-        def lin(xs: tuple) -> int:
-            return sum(c * xs[i] for i, c in pairs)
-
-        return lin
-
-    def ev(xs: tuple) -> int:
-        total = 0
-        for c, e in items:
-            v = c
-            for x, k in zip(xs, e):
-                if k == 1:
-                    v *= x
-                elif k:
-                    v *= x ** k
-            total += v
-        return total
-
-    return ev
+        return partial(_int_linear, [int(c) for c in f.linear_coefficients()])
+    return partial(_int_terms, [(int(c), e) for e, c in f.terms.items()])
 
 
 def hyperplanes_general_position(forms: Sequence[MultiPoly]) -> bool:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import product
-from math import gcd, prod
-from typing import Callable, Iterable, Sequence
+from math import gcd, lcm, prod
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
@@ -160,26 +160,29 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 # predicates: hypotheses validated once, then one check per point
 # ---------------------------------------------------------------------------
 #
-# Each factory validates its theorem's hypotheses and returns the per-point
-# check: the values whose valuations witness a solution, or None.  Searches,
+# Each spec factory validates its search's arguments and its theorem's
+# hypotheses, and returns the descriptor with the per-point check: a
+# partial of a module-level point function (so it pickles) giving the values
+# whose valuations witness a solution, or None.  Searches, shard workers,
 # checkpoint resume and reverify all call the check a factory returns.
 
+Check = Callable[[tuple], "list | None"]
+
+
 def _cor12_point(s: SRing, g_const, g: MultiPoly, xs: tuple) -> list | None:
-    total = 0
-    xprod = 1
-    for x in xs:
-        total = total + x
-        xprod = xprod * x
-    a = xprod * (1 - total)
+    total = sum(xs)
+    a = prod(xs) * (1 - total)
     b = g_const if g_const is not None else g.evaluate(xs)
     ok = b == 0 if a == 0 else divides_in_OS(a, b, s)
     return [*xs, 1 - total, a, b] if ok else None
 
 
-def _cor12_check(g: MultiPoly, s: SRing) -> Callable[[tuple], list | None]:
+def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> tuple[dict, Check]:
     """(1 - sum x_i) * prod x_i | g(x).  g must have degree <= 1, S-integer
     coefficients, and be nonzero at the origin and at each unit vector."""
     n = g.nvars
+    if n != box.dim:
+        raise ValueError("g must live in the box's variables")
     if g.total_degree() > 1 or g.is_zero():
         raise ValueError("degenerate g: degree must be <= 1 and g nonzero")
     if any(not s.contains(c) for c in g.terms.values()):
@@ -191,7 +194,8 @@ def _cor12_check(g: MultiPoly, s: SRing) -> Callable[[tuple], list | None]:
         if g.evaluate(unit) == 0:
             raise ValueError("degenerate g: vanishes at a unit vector")
     g_const = g.evaluate((0,) * n) if g.total_degree() <= 0 else None
-    return partial(_cor12_point, s, g_const, g)
+    return (_descriptor("cor12", box, s, False, g=str(g)),
+            partial(_cor12_point, s, g_const, g))
 
 
 def _evaluators(forms: Sequence[MultiPoly]) -> list[Callable[[tuple], object]]:
@@ -200,10 +204,25 @@ def _evaluators(forms: Sequence[MultiPoly]) -> list[Callable[[tuple], object]]:
     return [f.evaluate for f in forms]
 
 
-def _thm11_check(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, s: SRing,
-                 assert_general_position: bool) -> Callable[[tuple], list | None]:
+def _thm11_point(s: SRing, mode: str, evaluators: list, g_eval, xs: tuple) -> list | None:
+    gval = g_eval(xs)
+    if gval == 0:
+        return None
+    fvals = [ev(xs) for ev in evaluators]
+    if any(v == 0 for v in fvals):
+        return None
+    if mode == "i":
+        ok = all(divides_in_OS(v, gval, s) for v in fvals)
+    else:
+        ok = divides_in_OS(prod(fvals), gval, s)
+    return [*fvals, gval] if ok else None
+
+
+def _thm11_spec(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, box: SearchBox,
+                s: SRing, assert_general_position: bool) -> tuple[dict, Check]:
     """Mode 'i': F_i(x) | G(x) for every i; mode 'ii': prod F_i(x) | G(x);
     points where any F_i or G vanishes fail."""
+    forms = list(forms)
     if mode not in ("i", "ii"):
         raise ValueError("mode must be 'i' or 'ii'")
     if not forms:
@@ -221,35 +240,25 @@ def _thm11_check(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, s: SR
         if any(not s.contains(c) for c in f.terms.values()):
             raise ValueError("forms must have S-integer coefficients")
     if d == 1:
-        arrangement = list(forms) + ([g_form] if g_form.total_degree() == 1 else [])
+        arrangement = forms + ([g_form] if g_form.total_degree() == 1 else [])
         if not hyperplanes_general_position(arrangement):
             raise ValueError("hyperplanes not in general position")
     elif not assert_general_position:
         raise ValueError("general position must be asserted for "
                          "non-hyperplane hypersurfaces")
+    n = forms[0].nvars - 1
+    if box.dim != n:
+        raise ValueError("box dimension must match the projective dimension")
+    descriptor = _descriptor(
+        "thm11", box, s, True, forms=[str(f) for f in forms], g=str(g_form), mode=mode,
+        threshold_ok=len(forms) >= (2 * n + 1 if mode == "i" else n + 2),
+        assert_general_position=assert_general_position)
     *evaluators, g_eval = _evaluators([*forms, g_form])
-
-    def check(xs: tuple) -> list | None:
-        gval = g_eval(xs)
-        if gval == 0:
-            return None
-        fvals = [ev(xs) for ev in evaluators]
-        if any(v == 0 for v in fvals):
-            return None
-        if mode == "i":
-            ok = all(divides_in_OS(v, gval, s) for v in fvals)
-        else:
-            prod_val = fvals[0]
-            for v in fvals[1:]:
-                prod_val = prod_val * v
-            ok = divides_in_OS(prod_val, gval, s)
-        return [*fvals, gval] if ok else None
-
-    return check
+    return descriptor, partial(_thm11_point, s, mode, evaluators, g_eval)
 
 
 def _thm16_hypotheses(forms: Sequence[MultiPoly]):
-    if len(forms) < 3 * (forms[0].nvars - 1):
+    if not forms or len(forms) < 3 * (forms[0].nvars - 1):
         raise ValueError("need q >= 3n linear forms")
     if not hyperplanes_general_position(forms):
         raise ValueError("forms must be hyperplanes in general position")
@@ -271,37 +280,22 @@ def _thm16_windows(coords: Sequence[int], values: Sequence, n: int,
     return per_index, primes
 
 
-def _thm16_check(forms: Sequence[MultiPoly], s: SRing) -> Callable[[tuple], list | None]:
+def _thm16_point(s: SRing, n: int, evaluators: list, xs: tuple) -> list | None:
+    values = [ev(xs) for ev in evaluators]
+    if any(v == 0 for v in values):
+        return None
+    return values if all(_thm16_windows(xs, values, n, s)[0]) else None
+
+
+def _thm16_spec(forms: Sequence[MultiPoly], box: SearchBox, s: SRing) -> tuple[dict, Check]:
     """The window ideal equality at every index; points on a hyperplane of
     the family fail."""
+    forms = list(forms)
     _thm16_hypotheses(forms)
-    evaluators = _evaluators(forms)
-    n = forms[0].nvars - 1
-
-    def check(xs: tuple) -> list | None:
-        values = [ev(xs) for ev in evaluators]
-        if any(v == 0 for v in values):
-            return None
-        return values if all(_thm16_windows(xs, values, n, s)[0]) else None
-
-    return check
-
-
-def _descriptor_check(descriptor: dict) -> Callable[[tuple], list | None]:
-    """The check of a saved solution set's predicate, validated once."""
-    s = SRing(tuple(descriptor["s_primes"]))
-    kind = descriptor["kind"]
-    if kind == "cor12":
-        return _cor12_check(parse_poly(descriptor["g"], descriptor["dim"]), s)
-    ncoords = descriptor["dim"] + 1
-    forms = [parse_poly(t, ncoords) for t in descriptor["forms"]]
-    if kind == "thm11":
-        return _thm11_check(forms, parse_poly(descriptor["g"], ncoords),
-                            descriptor["mode"], s,
-                            descriptor["assert_general_position"])
-    if kind == "thm16":
-        return _thm16_check(forms, s)
-    raise ValueError(f"unknown predicate kind {kind!r}")
+    if box.dim != forms[0].nvars - 1:
+        raise ValueError("box dimension must match the projective dimension")
+    return (_descriptor("thm16", box, s, True, forms=[str(f) for f in forms]),
+            partial(_thm16_point, s, box.dim, _evaluators(forms)))
 
 
 def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params) -> dict:
@@ -311,94 +305,119 @@ def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params)
             "projective": projective}
 
 
-def _collect(descriptor: dict, check: Callable[[tuple], list | None],
-             candidates: Iterable[tuple], s: SRing) -> SolutionSet:
-    """The candidates passing check, with their witnesses, sorted."""
+def _box(descriptor: dict) -> tuple[SearchBox, SRing]:
+    return (SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"]),
+            SRing(tuple(descriptor["s_primes"])))
+
+
+def _descriptor_check(descriptor: dict) -> Check:
+    """The check of a saved solution set's predicate, validated once."""
+    box, s = _box(descriptor)
+    kind = descriptor["kind"]
+    if kind == "cor12":
+        return _cor12_spec(parse_poly(descriptor["g"], box.dim), box, s)[1]
+    forms = [parse_poly(t, box.dim + 1) for t in descriptor["forms"]]
+    if kind == "thm11":
+        return _thm11_spec(forms, parse_poly(descriptor["g"], box.dim + 1),
+                           descriptor["mode"], box, s,
+                           descriptor["assert_general_position"])[1]
+    if kind == "thm16":
+        return _thm16_spec(forms, box, s)[1]
+    raise ValueError(f"unknown predicate kind {kind!r}")
+
+
+# ---------------------------------------------------------------------------
+# the search driver
+# ---------------------------------------------------------------------------
+
+def _first_coordinates(descriptor: dict) -> list:
+    """The first-coordinate values of the descriptor's box, in order: every
+    coordinate value (affine), or 0..B (projective, where the first nonzero
+    coordinate is positive)."""
+    box, s = _box(descriptor)
+    return list(range(box.bound + 1)) if descriptor["projective"] else box.coordinate_values(s)
+
+
+def _iter_projective(bound: int, ncoords: int, firsts: Iterable[int]):
+    """Normalized projective tuples: coprime, first nonzero positive."""
+    rng = range(-bound, bound + 1)
+    for x0 in firsts:
+        if x0 < 0:
+            continue
+        for rest in product(rng, repeat=ncoords - 1):
+            xs = (x0, *rest)
+            if gcd(*xs) != 1 or (x0 == 0 and next(c for c in xs if c != 0) < 0):
+                continue
+            yield xs
+
+
+def _candidates(descriptor: dict, firsts: Iterable) -> Iterator[tuple]:
+    """The box's points, normalized when projective, whose first
+    coordinate is in firsts."""
+    box, s = _box(descriptor)
+    if descriptor["projective"]:
+        return _iter_projective(box.bound, box.dim + 1, firsts)
+    values = box.coordinate_values(s)
+    return ((x0, *rest) for x0 in firsts for rest in product(values, repeat=box.dim - 1))
+
+
+def _search_part(descriptor: dict, check: Check, firsts: list) -> SolutionSet:
+    s = SRing(tuple(descriptor["s_primes"]))
     out = SolutionSet(descriptor)
-    for xs in candidates:
+    for xs in _candidates(descriptor, firsts):
         values = check(xs)
         if values is not None:
             out.points.append(tuple(Fraction(c) for c in xs))
             out.witnesses.append(_witness_map(values, s))
+    return out
+
+
+def run_search(descriptor: dict, check: Check, workers: int = 1,
+               firsts: Sequence | None = None) -> SolutionSet:
+    """The points of the descriptor's box that pass check, with their
+    witnesses, in graded order.  firsts restricts the first coordinate
+    (default: every value); the first coordinates are sharded over workers,
+    and the parts are merged and sorted once."""
+    firsts = _first_coordinates(descriptor) if firsts is None else list(firsts)
+    out = SolutionSet(descriptor)
+    for part in sharded(partial(_search_part, descriptor, check), firsts, workers):
+        out.extend(part)
     out.sort()
     return out
 
 
 # ---------------------------------------------------------------------------
-# affine divisibility search (unit-equation generalization)
+# the searches: cor12 (affine, unit-equation generalization), thm11, thm16
 # ---------------------------------------------------------------------------
 
-def search_cor12(g: MultiPoly, box: SearchBox, s: SRing,
-                 workers: int = 1, first_values: Sequence | None = None) -> SolutionSet:
+def search_cor12(g: MultiPoly, box: SearchBox, s: SRing, workers: int = 1) -> SolutionSet:
     """All tuples x in the box with (1 - sum x_i) * prod x_i dividing g(x)
     in the S-integers.
 
     g must have degree <= 1, S-integer coefficients, and be nonzero at the
     origin and at each unit vector.
     """
-    if g.nvars != box.dim:
-        raise ValueError("g must live in the box's variables")
-    check = _cor12_check(g, s)
-    values = box.coordinate_values(s)
-    firsts = list(first_values) if first_values is not None else values
-    descriptor = _descriptor("cor12", box, s, False, g=str(g))
-    out, *rest = sharded(partial(_cor12_part, descriptor, check, s, values), firsts, workers)
-    for part in rest:
-        out.extend(part)
-    if rest:
-        out.sort()
-    return out
-
-
-def _cor12_part(descriptor: dict, check, s: SRing, values: list, firsts: list) -> SolutionSet:
-    return _collect(descriptor, check, ((x0, *rest) for x0 in firsts for rest in
-                                        product(values, repeat=descriptor["dim"] - 1)), s)
-
-
-# ---------------------------------------------------------------------------
-# projective divisibility search
-# ---------------------------------------------------------------------------
-
-def _iter_projective(bound: int, ncoords: int, firsts: Iterable[int] | None = None):
-    """Normalized projective tuples: coprime, first nonzero positive."""
-    rng = range(-bound, bound + 1)
-    firsts = range(0, bound + 1) if firsts is None else firsts
-    for x0 in firsts:
-        if x0 < 0:
-            continue
-        for rest in product(rng, repeat=ncoords - 1):
-            xs = (x0, *rest)
-            g = 0
-            for c in xs:
-                g = gcd(g, c)
-            if g != 1:
-                continue
-            if x0 == 0:
-                first = next(c for c in xs if c != 0)
-                if first < 0:
-                    continue
-            yield xs
+    return run_search(*_cor12_spec(g, box, s), workers)
 
 
 def search_thm11(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str,
                  box: SearchBox, s: SRing,
-                 assert_general_position: bool = False,
-                 firsts: Sequence[int] | None = None) -> SolutionSet:
+                 assert_general_position: bool = False, workers: int = 1) -> SolutionSet:
     """Projective points with coprime coordinates where the divisibility
     holds in the S-integers: mode 'i' asks F_i(x) | G(x) for every i,
     mode 'ii' asks prod F_i(x) | G(x); points where any F_i or G vanishes
-    are excluded.  firsts restricts the first coordinate (range sharding).
+    are excluded.
     """
-    forms = list(forms)
-    check = _thm11_check(forms, g_form, mode, s, assert_general_position)
-    n = forms[0].nvars - 1
-    if box.dim != n:
-        raise ValueError("box dimension must match the projective dimension")
-    descriptor = _descriptor(
-        "thm11", box, s, True, forms=[str(f) for f in forms], g=str(g_form), mode=mode,
-        threshold_ok=len(forms) >= (2 * n + 1 if mode == "i" else n + 2),
-        assert_general_position=assert_general_position)
-    return _collect(descriptor, check, _iter_projective(box.bound, n + 1, firsts), s)
+    return run_search(*_thm11_spec(forms, g_form, mode, box, s, assert_general_position),
+                      workers)
+
+
+def search_thm16(forms: Sequence[MultiPoly], box: SearchBox, s: SRing,
+                 workers: int = 1) -> SolutionSet:
+    """Projective points where the window ideal equality holds at every
+    index; points on any hyperplane of the family are skipped.  The
+    hypotheses (q >= 3n, general position) are checked once, up front."""
+    return run_search(*_thm16_spec(forms, box, s), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -448,19 +467,6 @@ def ideal_equality_thm16(x: ProjPoint, forms: Sequence[MultiPoly],
     return Thm16Result(all(per_index), tuple(per_index), tuple(primes))
 
 
-def search_thm16(forms: Sequence[MultiPoly], box: SearchBox, s: SRing,
-                 firsts: Sequence[int] | None = None) -> SolutionSet:
-    """Projective points where the window ideal equality holds at every
-    index; points on any hyperplane of the family are skipped.  The
-    hypotheses (q >= 3n, general position) are checked once, up front."""
-    forms = list(forms)
-    check = _thm16_check(forms, s)
-    if box.dim != forms[0].nvars - 1:
-        raise ValueError("box dimension must match the projective dimension")
-    descriptor = _descriptor("thm16", box, s, True, forms=[str(f) for f in forms])
-    return _collect(descriptor, check, _iter_projective(box.bound, box.dim + 1, firsts), s)
-
-
 # ---------------------------------------------------------------------------
 # persistence with re-verification
 # ---------------------------------------------------------------------------
@@ -480,21 +486,21 @@ def save_solution_set(sols: SolutionSet, path: str, version: str):
 
 
 def records_solution_set(descriptor: dict, records: Iterable[dict],
-                         reverify: bool = True) -> SolutionSet:
-    """Stored records ({"point", "witnesses"}) as a solution set.  With
-    reverify, the descriptor's predicate is built once and every point is
-    re-checked; a failing point, or a projective point not in normalized
-    form, raises."""
-    check = _descriptor_check(descriptor) if reverify else None
+                         check: Check | None) -> SolutionSet:
+    """Stored records ({"point", "witnesses"}) as a solution set.  Given the
+    check of the descriptor's predicate, every point is re-checked; a
+    failing point, or a projective point not in normalized form, raises.
+    None skips the re-check."""
     out = SolutionSet(descriptor)
     for rec in records:
         if not isinstance(rec, dict) or not {"point", "witnesses"} <= rec.keys():
             raise ValueError(f"malformed solution record {rec!r}")
         point = tuple(Fraction(c) for c in rec["point"])
-        if reverify and descriptor["projective"] and ProjPoint.normalize(point).coords != point:
-            raise ValueError(f"stored point {rec['point']} is not normalized")
-        if reverify and check(point) is None:
-            raise ValueError(f"stored point {rec['point']} fails its predicate")
+        if check is not None:
+            if descriptor["projective"] and ProjPoint.normalize(point).coords != point:
+                raise ValueError(f"stored point {rec['point']} is not normalized")
+            if check(point) is None:
+                raise ValueError(f"stored point {rec['point']} fails its predicate")
         out.points.append(point)
         out.witnesses.append(rec["witnesses"])
     return out
@@ -510,7 +516,9 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     header = json.loads(lines[0])
     if header.get("kind") != "solution-set":
         raise ValueError("not a solution-set file")
-    return records_solution_set(header["descriptor"], map(json.loads, lines[1:]), reverify)
+    descriptor = header["descriptor"]
+    return records_solution_set(descriptor, map(json.loads, lines[1:]),
+                                _descriptor_check(descriptor) if reverify else None)
 
 
 # ---------------------------------------------------------------------------
@@ -549,9 +557,7 @@ def _divisors(n: int) -> list[int]:
 
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """Exact rational roots of sum_k coeffs[k] t^k (nonzero polynomial)."""
-    denom = 1
-    for c in coeffs:
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in coeffs))
     ints = [int(c * denom) for c in coeffs]
     while ints and ints[-1] == 0:
         ints.pop()
@@ -604,13 +610,9 @@ def linear_factors_2var(f: MultiPoly) -> list[MultiPoly]:
 
 
 def _primitive_form(terms: dict, nvars: int) -> MultiPoly:
-    denom = 1
-    for c in terms.values():
-        denom = denom * c.denominator // gcd(denom, c.denominator)
+    denom = lcm(*(c.denominator for c in terms.values()))
     ints = {e: int(c * denom) for e, c in terms.items()}
-    g = 0
-    for c in ints.values():
-        g = gcd(g, c)
+    g = gcd(*ints.values())
     lead = min(ints, key=lambda e: (-sum(e), tuple(-x for x in e)))
     sign = 1 if ints[lead] > 0 else -1
     return MultiPoly(nvars, {e: Fraction(sign * c, g) for e, c in ints.items()})

@@ -72,7 +72,7 @@ def test_criterion_3_two_route_convergence():
     ok = True
     for n, q in ((2, 6), (2, 8), (3, 9)):
         exact = beta_exact_cyclic(n, q)
-        gaps = [abs(beta_numeric_cyclic(n, q, 1, big_n) - exact)
+        gaps = [abs(beta_numeric_cyclic(n, q, big_n) - exact)
                 for big_n in (50, 100, 200, 400)]
         ok = ok and all(gaps[k + 1] < gaps[k] for k in range(3))
         ok = ok and gaps[-1] < exact / 50

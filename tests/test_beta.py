@@ -70,11 +70,6 @@ def test_f_monotone_scan():
     assert all(r["ok"] for r in scan_f_monotone(2, 8, 12))
 
 
-def test_numeric_independent_of_index():
-    vals = {beta_numeric_cyclic(2, 6, i, 37) for i in range(1, 7)}
-    assert len(vals) == 1
-
-
 def test_numeric_summands_nonnegative():
     # for q >= 3n every summand is already nonnegative (max(0, .) inactive)
     for n, q in ((2, 6), (3, 9), (4, 12)):
@@ -87,7 +82,7 @@ def test_numeric_summands_nonnegative():
 def test_numeric_converges_to_exact():
     for n, q in ((2, 6), (3, 9)):
         exact = beta_exact_cyclic(n, q)
-        gaps = [exact - beta_numeric_cyclic(n, q, 1, big_n) for big_n in (25, 50, 100)]
+        gaps = [exact - beta_numeric_cyclic(n, q, big_n) for big_n in (25, 50, 100)]
         assert all(g > 0 for g in gaps)  # truncation approaches from below
         assert gaps[1] < gaps[0] and gaps[2] < gaps[1]
 
@@ -95,8 +90,8 @@ def test_numeric_converges_to_exact():
 def test_numeric_gap_shrinks_by_factor_four():
     for n, q in ((2, 6), (2, 8), (3, 9)):
         exact = beta_exact_cyclic(n, q)
-        gap_50 = abs(beta_numeric_cyclic(n, q, 1, 50) - exact)
-        gap_400 = abs(beta_numeric_cyclic(n, q, 1, 400) - exact)
+        gap_50 = abs(beta_numeric_cyclic(n, q, 50) - exact)
+        gap_400 = abs(beta_numeric_cyclic(n, q, 400) - exact)
         assert gap_400 <= gap_50 / 4
 
 

@@ -331,6 +331,9 @@ def test_checkpoint_resumed_records_are_reverified(tmp_path, capsys):
     assert "fails its predicate" in err
 
 
+SIX_LINES = "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6))
+
+
 def _growth_counts(capsys, tmp_path, kind, forms_text, box, growth, extra=()):
     forms = tmp_path / f"{kind}.txt"
     forms.write_text(forms_text)
@@ -352,7 +355,7 @@ def _count(capsys, tmp_path, kind, bound, extra=()):
 
 @pytest.mark.parametrize("kind, forms_text, extra", [
     ("cor12", "1\n", ("--s-primes", "2,3", "--denom-cap", "2")),
-    ("thm16", "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6)), ()),
+    ("thm16", SIX_LINES, ()),
 ])
 def test_growth_matches_independent_searches(tmp_path, capsys, kind, forms_text, extra):
     # 5 lies above --box 4: one extra search at 5, filtered by height
@@ -377,11 +380,18 @@ def test_growth_rejects_a_negative_bound(tmp_path, capsys):
      "--height-bound", "50", "--format", "json"],
     ["audit", "levinduke", "--forms", "{lines}", "--samples", "9", "--seed", "3",
      "--height-bound", "50", "--s", "inf,2,3", "--format", "json"],
+    # box 7 gives 8 first coordinates, enough to shard over 4 workers
+    ["search", "thm11", "--forms", "{thm11}", "--mode", "ii", "--box", "7", "--dim", "2",
+     "--s-primes", "2", "--format", "json"],
+    ["search", "thm16", "--forms", "{six}", "--box", "7", "--dim", "2", "--format", "json"],
 ])
 def test_output_independent_of_workers(tmp_path, capsys, argv):
     (tmp_path / "g.txt").write_text("1\n")
     (tmp_path / "lines.txt").write_text("x0\nx1\nx2\nx0+x1+x2\n")
-    argv = [a.format(g=tmp_path / "g.txt", lines=tmp_path / "lines.txt") for a in argv]
+    (tmp_path / "thm11.txt").write_text("x0\nx1\nx2\nx0+x1+x2\nG: x0+2*x1+3*x2\n")
+    (tmp_path / "six.txt").write_text(SIX_LINES)
+    paths = {name: tmp_path / f"{name}.txt" for name in ("g", "lines", "thm11", "six")}
+    argv = [a.format(**paths) for a in argv]
     outputs = []
     for workers in ("1", "2", "3", "4"):
         out = tmp_path / f"w{workers}.txt"
@@ -408,3 +418,48 @@ def test_audit_rejects_bad_forms(tmp_path, capsys, kind, lines, message, workers
     assert code == 2
     assert message in err
     assert not out.exists()
+
+
+def _general_position_calls(monkeypatch) -> list:
+    import betachow.search
+    calls = []
+    real = betachow.search.hyperplanes_general_position
+    monkeypatch.setattr(betachow.search, "hyperplanes_general_position",
+                        lambda forms: calls.append(len(forms)) or real(forms))
+    return calls
+
+
+def _checkpointed(capsys, tmp_path, kind, forms_text, box, ck, out_name="out.jsonl"):
+    forms = tmp_path / f"{kind}.txt"
+    forms.write_text(forms_text)
+    out = tmp_path / out_name
+    code, _, _ = run(capsys, "search", kind, "--forms", str(forms), "--box", str(box),
+                     "--dim", "2", "--format", "json", "--checkpoint", str(ck),
+                     "--out", str(out))
+    assert code == 0
+    return out.read_bytes()
+
+
+def test_checkpointed_thm16_checks_its_hypotheses_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = _general_position_calls(monkeypatch)
+    ck = tmp_path / "ck.jsonl"
+    full = _checkpointed(capsys, tmp_path, "thm16", SIX_LINES, 4, ck)
+    assert calls == [6]
+    lines = ck.read_text().splitlines(keepends=True)
+    assert len(lines) == 6                      # header and 5 first coordinates
+    ck.write_text("".join(lines[:3]))
+    assert _checkpointed(capsys, tmp_path, "thm16", SIX_LINES, 4, ck, "resumed.jsonl") == full
+    assert calls == [6, 6]
+
+
+def test_checkpointed_thm11_checks_its_hypotheses_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = _general_position_calls(monkeypatch)
+    _checkpointed(capsys, tmp_path, "thm11", "x0\nx1\nx2\nG: 1\n", 6, tmp_path / "ck.jsonl")
+    assert calls == [3]
+
+
+def test_growth_search_checks_its_hypotheses_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = _general_position_calls(monkeypatch)
+    growth = _growth_counts(capsys, tmp_path, "thm16", SIX_LINES, 4, "3,5")
+    assert calls == [6]
+    assert growth[1][1] > growth[0][1]          # the extra search at 5 ran

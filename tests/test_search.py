@@ -3,15 +3,21 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import betachow.search
 from betachow.heights import ProjPoint, make_place_set, theoremkey_condition
-from betachow.poly import parse_poly
+from betachow.poly import MultiPoly, parse_poly
 from betachow.search import (
     SearchBox,
     SRing,
     degeneracy_report,
     divides_in_OS,
     ideal_equality_thm16,
+    _primitive_form,
+    _rational_roots,
     ideal_window_sides,
     linear_factors_2var,
     load_solution_set,
@@ -330,3 +336,122 @@ def test_cor12_reverify_rejects_tampered_point(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match="fails its predicate"):
         load_solution_set(str(path))
+
+
+# ---------------------------------------------------------------------------
+# sharded searches against serial ones
+# ---------------------------------------------------------------------------
+
+S_RINGS = st.sampled_from([S_EMPTY, SRing((2,)), SRing((2, 3))])
+
+
+def _vandermonde(ts) -> list:
+    """x0 + t*x1 + t^2*x2 for distinct t: hyperplanes in general position."""
+    return [parse_poly(f"x0+{t}*x1+{t * t}*x2", 3) for t in ts]
+
+
+@st.composite
+def _search_calls(draw):
+    """A search function with its arguments: a random cor12 g, or random
+    thm11/thm16 forms; boxes with at least 8 first coordinates."""
+    kind = draw(st.sampled_from(["cor12", "thm11", "thm16"]))
+    s = draw(S_RINGS)
+    if kind == "cor12":
+        a, b = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        c = draw(st.integers(-6, 6).filter(lambda c: c not in (0, -a, -b)))
+        g = MultiPoly(2, {(1, 0): a, (0, 1): b, (0, 0): c})
+        box = SearchBox(2, draw(st.integers(4, 7)), draw(st.integers(0, 1)))
+        return search_cor12, (g, box, s)
+    ts = draw(st.lists(st.integers(-5, 5), min_size=7, max_size=7, unique=True))
+    box = SearchBox(2, draw(st.integers(7, 9)))
+    if kind == "thm16":
+        return search_thm16, (_vandermonde(ts[:draw(st.integers(6, 7))]), box, s)
+    g_form = draw(st.sampled_from([parse_poly("1", 3), *_vandermonde(ts[-1:])]))
+    return search_thm11, (_vandermonde(ts[:draw(st.integers(1, 5))]), g_form,
+                          draw(st.sampled_from(["i", "ii"])), box, s)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_search_calls(), st.integers(1, 4))
+def test_sharded_search_equals_serial(call, workers):
+    search, args = call
+    seen = []
+    real = betachow.search.sharded
+
+    def spy(fn, items, n):
+        seen.append(n)
+        return real(fn, items, n)
+
+    serial = search(*args)
+    # patched by hand: a function-scoped monkeypatch would span all examples
+    betachow.search.sharded = spy
+    try:
+        sharded = search(*args, workers=workers)
+    finally:
+        betachow.search.sharded = real
+    assert seen == [workers]
+    assert sharded.descriptor == serial.descriptor
+    assert sharded.points == serial.points
+    assert sharded.witnesses == serial.witnesses
+
+
+# ---------------------------------------------------------------------------
+# exact linear factors and rational roots against sympy
+# ---------------------------------------------------------------------------
+
+X0, X1 = sympy.symbols("x0 x1")
+RATIONALS = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+# irreducible over Q, with no linear factor
+QUADRATICS = ["x0^2 + x1^2 + 1", "x0^2 - 2", "x0*x1 + 1", "x0^2 + x1"]
+
+
+def _to_sympy(f: MultiPoly):
+    return sum(sympy.Rational(c.numerator, c.denominator) * X0 ** e[0] * X1 ** e[1]
+               for e, c in f.terms.items())
+
+
+def _from_sympy(expr) -> MultiPoly:
+    return MultiPoly(2, {e: Fraction(int(c.p), int(c.q))
+                         for e, c in sympy.Poly(expr, X0, X1).terms()})
+
+
+@st.composite
+def _linear_forms(draw):
+    a, b = draw(RATIONALS), draw(RATIONALS)
+    if a == b == 0:
+        a = Fraction(1)
+    return MultiPoly(2, {(1, 0): a, (0, 1): b, (0, 0): draw(RATIONALS)})
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_linear_forms(), min_size=1, max_size=4),
+       st.sampled_from([None, *QUADRATICS]), RATIONALS.filter(lambda c: c != 0))
+def test_linear_factors_match_sympy(lines, quadratic, scale):
+    f = MultiPoly.constant(scale, 2)
+    for factor in lines + ([parse_poly(quadratic, 2)] if quadratic else []):
+        f = f * factor
+    got = sorted(str(_primitive_form(lf.terms, 2)) for lf in linear_factors_2var(f))
+    _, factors = sympy.factor_list(_to_sympy(f), X0, X1)
+    want = sorted(str(_primitive_form(_from_sympy(fac).terms, 2))
+                  for fac, mult in factors if sympy.Poly(fac, X0, X1).total_degree() == 1
+                  for _ in range(mult))
+    assert got == want
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(RATIONALS, RATIONALS).filter(lambda ab: ab[0] != 0),
+                min_size=0, max_size=4),
+       st.sampled_from([None, [1, 0, 1], [-2, 0, 1], [1, 1, 1]]),
+       RATIONALS.filter(lambda c: c != 0))
+@example([(Fraction(2), Fraction(-1)), (Fraction(2), Fraction(1))], None, Fraction(1))
+def test_rational_roots_match_sympy(linears, quadratic, scale):
+    t = sympy.symbols("t")
+    poly = sympy.Rational(scale.numerator, scale.denominator)
+    for a, b in linears:
+        poly *= sympy.Rational(a.numerator, a.denominator) * t \
+            + sympy.Rational(b.numerator, b.denominator)
+    if quadratic:
+        poly *= sum(c * t ** k for k, c in enumerate(quadratic))
+    coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(poly, t).all_coeffs())]
+    want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, t, filter="Q"))
+    assert _rational_roots(coeffs) == want
