@@ -21,6 +21,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .heights import ProjPoint, support_primes
@@ -32,7 +33,7 @@ from .poly import (
     monomial_exponents,
     parse_poly,
 )
-from .primes import _vp
+from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _vp, factor
 from .sharding import sharded
 
 
@@ -68,12 +69,17 @@ def divides_in_OS(a: Fraction | int, b: Fraction | int, s: SRing) -> bool:
         raise ValueError("division by zero in the S-integer ring")
     if not s.contains(a) or not s.contains(b):
         raise ValueError("inputs outside the ring of S-integers")
-    if b == 0:
-        return True
-    if isinstance(a, int) and isinstance(b, int) and not s.primes:
-        return b % a == 0
-    q = Fraction(b) / Fraction(a)
-    return s.strip_s_part(q.denominator) == 1
+    # both denominators are S-units, so b/a is an S-integer exactly when the
+    # non-S part of a's numerator divides b's numerator
+    return b.numerator % s.strip_s_part(abs(a.numerator)) == 0
+
+
+def _divisors(n: int, bound: int = FACTOR_BOUND_DEFAULT) -> list[int]:
+    """The positive divisors of n != 0, ascending; factor's bound applies."""
+    divs = [1]
+    for p, e in factor(n, bound).items():
+        divs = [d * p ** k for d in divs for k in range(e + 1)]
+    return sorted(divs)
 
 
 @dataclass(frozen=True)
@@ -351,14 +357,55 @@ def _iter_projective(bound: int, ncoords: int, firsts: Iterable[int]):
             yield xs
 
 
+# A prefix whose g(x', 0) has a larger non-S part gets its full row: past
+# this size factoring it can cost more than checking the row.
+_ROW_FACTOR_BOUND = 1 << 64
+
+
+def _cor12_candidates(g: MultiPoly, values: list, s: SRing,
+                      firsts: Iterable) -> Iterator[tuple]:
+    """The box points with first coordinate in firsts that can pass the
+    cor12 check.  Write x = (x', t) and c = g(x', 0), so g(x) = c + g_t t
+    (g has degree <= 1).  If a = prod x_i (1 - sum x_i) != 0, then t | a |
+    g(x), so t | c in O_S; if a = 0, the point passes only when g(x) = 0,
+    which forces t | c or c = 0.  So a row with c = 0 is taken whole, and
+    otherwise t runs over the nonzero values whose numerator's non-S part
+    divides c's numerator."""
+    n = g.nvars
+    # g's constant term and its coefficients of x0..x_{n-2}, ints where integral
+    exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n - 1))]
+    const, *coeffs = [c.numerator if c.denominator == 1 else c
+                      for c in (g.terms.get(e, Fraction(0)) for e in exps)]
+    by_part: dict[int, list] = {}
+    for v in values:
+        if v != 0:
+            by_part.setdefault(s.strip_s_part(abs(v.numerator)), []).append(v)
+
+    def lasts(c) -> list:
+        if c == 0:
+            return values
+        try:
+            divs = _divisors(s.strip_s_part(abs(c.numerator)), _ROW_FACTOR_BOUND)
+        except FactorizationBoundError:
+            return values
+        return [v for d in divs for v in by_part.get(d, ())]
+
+    if n == 1:
+        keep = set(firsts)
+        return ((t,) for t in lasts(const) if t in keep)
+    prefixes = product(firsts, *[values] * (n - 2))
+    return ((*p, t) for p in prefixes for t in lasts(const + sum(map(mul, coeffs, p))))
+
+
 def _candidates(descriptor: dict, firsts: Iterable) -> Iterator[tuple]:
     """The box's points, normalized when projective, whose first
-    coordinate is in firsts."""
+    coordinate is in firsts; a superset of the points that pass the
+    descriptor's check (cor12 skips last coordinates that cannot)."""
     box, s = _box(descriptor)
     if descriptor["projective"]:
         return _iter_projective(box.bound, box.dim + 1, firsts)
-    values = box.coordinate_values(s)
-    return ((x0, *rest) for x0 in firsts for rest in product(values, repeat=box.dim - 1))
+    return _cor12_candidates(parse_poly(descriptor["g"], box.dim), box.coordinate_values(s),
+                             s, firsts)
 
 
 def _search_part(descriptor: dict, check: Check, firsts: list) -> SolutionSet:
@@ -547,14 +594,6 @@ def vanishing_forms(points: Sequence[tuple], degree: int,
     return [MultiPoly(nvars, dict(zip(exps, vec))) for vec in basis]
 
 
-def _divisors(n: int) -> list[int]:
-    from .primes import factor
-    divs = [1]
-    for p, e in factor(n).items():
-        divs = [d * p ** k for d in divs for k in range(e + 1)]
-    return sorted(divs)
-
-
 def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     """Exact rational roots of sum_k coeffs[k] t^k (nonzero polynomial)."""
     denom = lcm(*(c.denominator for c in coeffs))
@@ -570,11 +609,15 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
         ints = ints[low:]
     if len(ints) == 1:
         return sorted(roots)
+    deg = len(ints) - 1
     for p in _divisors(abs(ints[0])):
         for q in _divisors(abs(ints[-1])):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                if sum(c * cand ** k for k, c in enumerate(ints)) == 0:
-                    roots.add(cand)
+            if gcd(p, q) != 1:
+                continue
+            for r in (p, -p):
+                # q^deg times the polynomial at r/q
+                if sum(c * r ** k * q ** (deg - k) for k, c in enumerate(ints)) == 0:
+                    roots.add(Fraction(r, q))
     return sorted(roots)
 
 

@@ -463,3 +463,33 @@ def test_growth_search_checks_its_hypotheses_once_per_run(tmp_path, capsys, monk
     growth = _growth_counts(capsys, tmp_path, "thm16", SIX_LINES, 4, "3,5")
     assert calls == [6]
     assert growth[1][1] > growth[0][1]          # the extra search at 5 ran
+
+
+@pytest.mark.parametrize("g_text, extra", [
+    ("3-x0+x1", ()),
+    ("1/2*x0+x1+3", ("--s-primes", "2,3", "--denom-cap", "1")),
+])
+def test_cor12_checkpoint_and_resume_match_plain_run(tmp_path, capsys, g_text, extra):
+    forms = tmp_path / "g.txt"
+    forms.write_text(g_text + "\n")
+    argv = ["search", "cor12", "--forms", str(forms), "--box", "5", "--dim", "2",
+            "--format", "json", *extra]
+    outputs = []
+    ck = tmp_path / "ck.jsonl"
+    for name, more in [("plain", ()), ("checkpointed", ("--checkpoint", str(ck))),
+                       ("resumed", ("--checkpoint", str(ck)))]:
+        if name == "resumed":
+            lines = ck.read_text().splitlines(keepends=True)
+            ck.write_text("".join(lines[:len(lines) // 2]))
+        out = tmp_path / f"{name}.jsonl"
+        code, _, _ = run(capsys, *argv, *more, "--out", str(out))
+        assert code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+    assert len(load_solution_set(str(tmp_path / "plain.jsonl")).points) > 3
+
+
+def test_cor12_growth_reaches_box_10000(tmp_path, capsys):
+    # 4 * 10^8 box points; the divisor-driven enumeration visits 2 per row
+    growth = _growth_counts(capsys, tmp_path, "cor12", "1\n", 10000, "10,100,1000,10000")
+    assert growth == [(10, 3), (100, 3), (1000, 3), (10000, 3)]

@@ -1,10 +1,12 @@
 import json
 import random
 from fractions import Fraction
+from itertools import combinations, product
+from math import prod
 
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import betachow.search
@@ -12,7 +14,12 @@ from betachow.heights import ProjPoint, make_place_set, theoremkey_condition
 from betachow.poly import MultiPoly, parse_poly
 from betachow.search import (
     SearchBox,
+    SolutionSet,
     SRing,
+    _candidates,
+    _cor12_spec,
+    _witness_map,
+    run_search,
     degeneracy_report,
     divides_in_OS,
     ideal_equality_thm16,
@@ -60,6 +67,32 @@ def test_divides_transitive():
         c = b * rng.randint(1, 20)
         if divides_in_OS(a, b, s) and divides_in_OS(b, c, s):
             assert divides_in_OS(a, c, s)
+
+
+S_INTEGER_RINGS = [S_EMPTY, SRing((2,)), SRing((2, 3))]
+
+
+@st.composite
+def _s_integers(draw, s: SRing, nonzero: bool = False):
+    num = draw(st.integers(-60, 60).filter(lambda k: k != 0 or not nonzero))
+    return Fraction(num, prod(p ** draw(st.integers(0, 3)) for p in s.primes))
+
+
+@st.composite
+def _divisibility_cases(draw):
+    s = draw(st.sampled_from(S_INTEGER_RINGS))
+    a = draw(_s_integers(s, nonzero=True))
+    # b is a multiple of a often enough to exercise both answers
+    b = draw(st.one_of(_s_integers(s), _s_integers(s).map(lambda k: k * a)))
+    as_int = draw(st.booleans())
+    return s, *((x.numerator if as_int and x.denominator == 1 else x) for x in (a, b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_divisibility_cases())
+def test_divides_in_OS_matches_quotient(case):
+    s, a, b = case
+    assert divides_in_OS(a, b, s) == (s.strip_s_part((Fraction(b) / a).denominator) == 1)
 
 
 def test_box_values():
@@ -455,3 +488,84 @@ def test_rational_roots_match_sympy(linears, quadratic, scale):
     coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(poly, t).all_coeffs())]
     want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, t, filter="Q"))
     assert _rational_roots(coeffs) == want
+
+
+# ---------------------------------------------------------------------------
+# divisor-driven cor12 enumeration against the brute box product
+# ---------------------------------------------------------------------------
+
+def _brute_cor12(descriptor: dict, check) -> SolutionSet:
+    """The oracle: every point of the box, through the same check."""
+    box = SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"])
+    s = SRing(tuple(descriptor["s_primes"]))
+    out = SolutionSet(descriptor)
+    for xs in product(box.coordinate_values(s), repeat=box.dim):
+        values = check(xs)
+        if values is not None:
+            out.points.append(tuple(Fraction(c) for c in xs))
+            out.witnesses.append(_witness_map(values, s))
+    out.sort()
+    return out
+
+
+def _assert_matches_brute(g: MultiPoly, box: SearchBox, s: SRing, workers: int = 1):
+    descriptor, check = _cor12_spec(g, box, s)
+    got = run_search(descriptor, check, workers)
+    want = _brute_cor12(descriptor, check)
+    assert got.points == want.points
+    assert got.witnesses == want.witnesses
+    return got
+
+
+@st.composite
+def _cor12_cases(draw):
+    """A cor12 g satisfying the hypotheses, with integer or S-fraction
+    coefficients, and a box of at most 3000 points."""
+    s = draw(st.sampled_from([*S_INTEGER_RINGS, SRing((5,))]))
+    n = draw(st.integers(1, 3))
+    dens = [1]
+    if draw(st.booleans()):
+        dens = [prod(ps) for k in range(len(s.primes) + 1)
+                for ps in combinations(s.primes, k)]
+    coeffs = [Fraction(draw(st.integers(-6, 6)), draw(st.sampled_from(dens)))
+              for _ in range(n + 1)]
+    assume(coeffs[0] != 0 and all(coeffs[0] + c != 0 for c in coeffs[1:]))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    g = MultiPoly(n, dict(zip([(0,) * n, *units], coeffs)))
+    cap = draw(st.integers(0, 2))
+    fits = [b for b in range(13)
+            if len(SearchBox(n, b, cap).coordinate_values(s)) ** n <= 3000]
+    return g, SearchBox(n, draw(st.integers(0, max(fits))), cap), s
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cor12_cases(), st.integers(1, 2))
+def test_cor12_enumeration_matches_brute_product(case, workers):
+    _assert_matches_brute(*case, workers=workers)
+
+
+@pytest.mark.parametrize("g_text, box, s", [
+    ("3 - x0 + x1", SearchBox(2, 6), S_EMPTY),
+    ("3 - x0 + x1", SearchBox(2, 4, 1), SRing((2, 3))),
+    ("x0 + 6", SearchBox(1, 40), S_EMPTY),
+    ("1/2*x0 + 3", SearchBox(1, 20, 2), SRing((2,))),
+    ("1 + x0 - 2*x1 + x2", SearchBox(3, 4), S_EMPTY),
+    # g(x', 0) beyond the row factoring bound: every row taken whole
+    (f"{10 ** 20 + 1} + x0 + x1", SearchBox(2, 5), S_EMPTY),
+])
+def test_cor12_enumeration_explicit_cases(g_text, box, s):
+    sols = _assert_matches_brute(parse_poly(g_text, box.dim), box, s)
+    if g_text == "3 - x0 + x1":
+        # g(3, 0) = 0: only the full row x0 = 3 holds (3, 0), where a = 0 = g
+        assert (Fraction(3), Fraction(0)) in sols.points
+
+
+def test_cor12_candidates_visit_divisors_only():
+    g = parse_poly("1", 2)
+    descriptor, _ = _cor12_spec(g, SearchBox(2, 50), S_EMPTY)
+    # g(x', 0) = 1 on every row: the last coordinate is a unit
+    assert sorted(_candidates(descriptor, range(-50, 51))) == \
+        [(x0, t) for x0 in range(-50, 51) for t in (-1, 1)]
+    descriptor, _ = _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 5), S_EMPTY)
+    rows = {x0: sorted(t for _, t in _candidates(descriptor, [x0])) for x0 in (0, 2, 3)}
+    assert rows == {0: [-3, -1, 1, 3], 2: [-1, 1], 3: list(range(-5, 6))}
