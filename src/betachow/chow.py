@@ -347,7 +347,7 @@ _CLASS_TERM = re.compile(
 
 def parse_class_expr(expr: str, cfg: BlowupConfig, ell: int | None = None) -> DivisorClass:
     """Evaluate expressions like 'D - 2*Ht1', '-E1', '3*H' over a config."""
-    classes = config_classes(cfg, ell) if cfg.kind == "marked" else config_classes(cfg)
+    classes = config_classes(cfg, ell)
     total: DivisorClass | None = None
     sign, buf = 1, []
     chunks: list[tuple[int, str]] = []

@@ -66,17 +66,12 @@ from .reporting import (
 )
 from .search import (
     Check,
-    SearchBox,
     SolutionSet,
-    SRing,
-    _cor12_spec,
-    _first_coordinates,
-    _thm11_spec,
-    _thm16_spec,
     degeneracy_report,
-    records_solution_set,
     run_search,
-    solution_set_lines,
+    search_spec,
+    search_with_checkpoint,
+    solution_set_text,
 )
 
 VERIFY_FIELDS = ["section", "n", "q_or_l", "beta", "bound", "target", "verdict"]
@@ -153,7 +148,7 @@ def _build_config(args):
 
 def cmd_chow(args) -> int:
     cfg = _build_config(args)
-    classes = config_classes(cfg, args.ell) if cfg.kind == "marked" else config_classes(cfg)
+    classes = config_classes(cfg, args.ell)
     rows = []
     if args.classes:
         for name in sorted(classes):
@@ -292,72 +287,6 @@ def _read_forms_file(path: str) -> tuple[list[str], str | None]:
     return forms, g_text
 
 
-def _search_spec(args, s: SRing, box: SearchBox) -> tuple[dict, Check]:
-    """The run's descriptor and per-point check, its hypotheses checked once."""
-    form_texts, g_text = _read_forms_file(args.forms)
-    if args.kind == "cor12":
-        if len(form_texts) != 1:
-            raise ValueError("cor12 needs exactly one polynomial line (g)")
-        return _cor12_spec(parse_poly(form_texts[0], box.dim), box, s)
-    ncoords = box.dim + 1
-    forms = [parse_poly(t, ncoords) for t in form_texts]
-    if args.kind == "thm11":
-        if g_text is None:
-            raise ValueError("thm11 needs a 'G:' line in the forms file")
-        return _thm11_spec(forms, parse_poly(g_text, ncoords), args.mode, box, s,
-                           args.assert_general_position)
-    return _thm16_spec(forms, box, s)
-
-
-def _open_checkpoint(path: str, header: dict) -> dict[str, list]:
-    """Completed first-coordinate ranges of the checkpoint at path.
-
-    A torn final line (no trailing newline, or not JSON) is cut off; an
-    absent or empty file is started with the header line.  A checkpoint
-    whose header differs (another search, or another version) raises.
-    """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except FileNotFoundError:
-        text = ""
-    lines = [line for line in text.split("\n")[:-1] if line.strip()]
-    if lines:
-        try:
-            json.loads(lines[-1])
-        except ValueError:
-            lines.pop()
-    lines = lines or [json.dumps(header, sort_keys=True)]
-    if json.loads(lines[0]) != header:
-        raise ValueError(f"checkpoint {path} was written for another search or version")
-    kept = "".join(line + "\n" for line in lines)
-    if kept != text:
-        with open(path, "w") as fh:
-            fh.write(kept)
-    records = [json.loads(line) for line in lines[1:]]
-    if not all(isinstance(rec, dict) and {"first", "records"} <= rec.keys() for rec in records):
-        raise ValueError(f"checkpoint {path} holds a malformed record")
-    return {rec["first"]: rec["records"] for rec in records}
-
-
-def _search_with_checkpoint(path: str, descriptor: dict, check: Check) -> SolutionSet:
-    header = {"artifact": "betachow", "kind": "checkpoint", "version": __version__,
-              "descriptor": descriptor}
-    done = _open_checkpoint(path, header)
-    merged = records_solution_set(descriptor, (rec for recs in done.values() for rec in recs),
-                                  check)
-    with open(path, "a") as ck:
-        for v in (v for v in _first_coordinates(descriptor) if str(v) not in done):
-            part = run_search(descriptor, check, firsts=[v])
-            ck.write(json.dumps({"first": str(v), "records": [
-                {"point": [str(c) for c in pt], "witnesses": wit}
-                for pt, wit in zip(part.points, part.witnesses)]}) + "\n")
-            ck.flush()
-            merged.extend(part)
-    merged.sort()
-    return merged
-
-
 def _growth(text: str, descriptor: dict, check: Check, workers: int,
             sols: SolutionSet) -> list[tuple[int, int]]:
     """Solution counts per growth bound.  Boxes nest and the predicates do
@@ -373,13 +302,18 @@ def _growth(text: str, descriptor: dict, check: Check, workers: int,
 
 
 def cmd_search(args) -> int:
-    s = SRing(tuple(int(p) for p in args.s_primes.split(",") if p.strip())
-              if args.s_primes not in (None, "", "none") else ())
-    box = SearchBox(args.dim, args.box, args.denom_cap)
-    descriptor, check = _search_spec(args, s, box)
+    if args.growth is not None and not args.degeneracy:
+        raise ValueError("--growth needs --degeneracy")
+    s_primes = ([int(p) for p in args.s_primes.split(",") if p.strip()]
+                if args.s_primes not in (None, "", "none") else [])
+    form_texts, g_text = _read_forms_file(args.forms)
+    descriptor, check = search_spec({
+        "kind": args.kind, "dim": args.dim, "bound": args.box, "denom_cap": args.denom_cap,
+        "s_primes": s_primes, "forms": form_texts, "g": g_text, "mode": args.mode,
+        "assert_general_position": args.assert_general_position})
     workers = worker_count(args.workers)
     if args.checkpoint:
-        sols = _search_with_checkpoint(args.checkpoint, descriptor, check)
+        sols = search_with_checkpoint(args.checkpoint, descriptor, check, __version__)
     else:
         sols = run_search(descriptor, check, workers)
 
@@ -395,7 +329,7 @@ def cmd_search(args) -> int:
                 for pt, wit in zip(sols.points, sols.witnesses)]
         content = render_csv(rows, ["point", "witnesses"], config, __version__)
     else:
-        content = "\n".join(solution_set_lines(sols, __version__)) + "\n"
+        content = solution_set_text(sols, __version__)
     write_output(args.out, content)
 
     if args.degeneracy:

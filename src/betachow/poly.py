@@ -280,11 +280,16 @@ def eval_poly(f: MultiPoly, xs: Sequence[Fraction | int]) -> Fraction:
     return f.evaluate(xs)
 
 
-def _int_linear(row: list[int], xs: tuple) -> int:
+def _exact(c: Fraction) -> Fraction | int:
+    """c as an int when it is integral."""
+    return c.numerator if c.denominator == 1 else c
+
+
+def _int_linear(row: list, xs: tuple) -> Fraction | int:
     return sum(map(mul, row, xs))
 
 
-def _int_terms(items: list[tuple[int, Exponents]], xs: tuple) -> int:
+def _int_terms(items: list[tuple[Fraction | int, Exponents]], xs: tuple) -> Fraction | int:
     total = 0
     for c, e in items:
         v = c
@@ -297,12 +302,13 @@ def _int_terms(items: list[tuple[int, Exponents]], xs: tuple) -> int:
     return total
 
 
-def _int_evaluator(f: MultiPoly) -> Callable[[tuple], int]:
-    """Fast integer evaluation for an integer-coefficient polynomial; a
-    partial of a module-level function, so it pickles."""
+def _int_evaluator(f: MultiPoly) -> Callable[[tuple], Fraction | int]:
+    """Fast exact evaluation: integral coefficients are kept as ints and the
+    others as Fractions, so an integer-coefficient f gives an int at an
+    integer point.  A partial of a module-level function, so it pickles."""
     if f.is_homogeneous() and f.total_degree() == 1:
-        return partial(_int_linear, [int(c) for c in f.linear_coefficients()])
-    return partial(_int_terms, [(int(c), e) for e, c in f.terms.items()])
+        return partial(_int_linear, [_exact(c) for c in f.linear_coefficients()])
+    return partial(_int_terms, [(_exact(c), e) for e, c in f.terms.items()])
 
 
 def hyperplanes_general_position(forms: Sequence[MultiPoly]) -> bool:

@@ -28,6 +28,7 @@ from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
 from .poly import (
     MultiPoly,
+    _exact,
     _int_evaluator,
     hyperplanes_general_position,
     monomial_exponents,
@@ -139,15 +140,10 @@ class SolutionSet:
         self.points = [self.points[i] for i in order]
         self.witnesses = [self.witnesses[i] for i in order]
 
-    def record_lines(self) -> list[str]:
-        lines = []
-        for pt, wit in zip(self.points, self.witnesses):
-            lines.append(json.dumps({
-                "point": [str(c) for c in pt],
-                "witnesses": wit,
-                "predicate": self.descriptor["kind"],
-            }, sort_keys=True))
-        return lines
+    def records(self) -> list[dict]:
+        """The stored form of each solution: {"point", "witnesses"}."""
+        return [{"point": [str(c) for c in pt], "witnesses": wit}
+                for pt, wit in zip(self.points, self.witnesses)]
 
 
 def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
@@ -169,16 +165,18 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 # Each spec factory validates its search's arguments and its theorem's
 # hypotheses, and returns the descriptor with the per-point check: a
 # partial of a module-level point function (so it pickles) giving the values
-# whose valuations witness a solution, or None.  Searches, shard workers,
-# checkpoint resume and reverify all call the check a factory returns.
+# whose valuations witness a solution, or None.  search_spec is the one
+# decoder from a descriptor to a factory; searches, shard workers,
+# checkpoint resume and reverify all call the check it returns.  Forms are
+# evaluated by _int_evaluator, in ints wherever the coefficients allow.
 
 Check = Callable[[tuple], "list | None"]
 
 
-def _cor12_point(s: SRing, g_const, g: MultiPoly, xs: tuple) -> list | None:
+def _cor12_point(s: SRing, g_eval, xs: tuple) -> list | None:
     total = sum(xs)
     a = prod(xs) * (1 - total)
-    b = g_const if g_const is not None else g.evaluate(xs)
+    b = g_eval(xs)
     ok = b == 0 if a == 0 else divides_in_OS(a, b, s)
     return [*xs, 1 - total, a, b] if ok else None
 
@@ -199,15 +197,8 @@ def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> tuple[dict, Check]:
         unit = tuple(1 if j == i else 0 for j in range(n))
         if g.evaluate(unit) == 0:
             raise ValueError("degenerate g: vanishes at a unit vector")
-    g_const = g.evaluate((0,) * n) if g.total_degree() <= 0 else None
     return (_descriptor("cor12", box, s, False, g=str(g)),
-            partial(_cor12_point, s, g_const, g))
-
-
-def _evaluators(forms: Sequence[MultiPoly]) -> list[Callable[[tuple], object]]:
-    if all(f.has_integer_coefficients() for f in forms):
-        return [_int_evaluator(f) for f in forms]
-    return [f.evaluate for f in forms]
+            partial(_cor12_point, s, _int_evaluator(g)))
 
 
 def _thm11_point(s: SRing, mode: str, evaluators: list, g_eval, xs: tuple) -> list | None:
@@ -259,8 +250,8 @@ def _thm11_spec(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, box: S
         "thm11", box, s, True, forms=[str(f) for f in forms], g=str(g_form), mode=mode,
         threshold_ok=len(forms) >= (2 * n + 1 if mode == "i" else n + 2),
         assert_general_position=assert_general_position)
-    *evaluators, g_eval = _evaluators([*forms, g_form])
-    return descriptor, partial(_thm11_point, s, mode, evaluators, g_eval)
+    return descriptor, partial(_thm11_point, s, mode, [_int_evaluator(f) for f in forms],
+                               _int_evaluator(g_form))
 
 
 def _thm16_hypotheses(forms: Sequence[MultiPoly]):
@@ -301,7 +292,7 @@ def _thm16_spec(forms: Sequence[MultiPoly], box: SearchBox, s: SRing) -> tuple[d
     if box.dim != forms[0].nvars - 1:
         raise ValueError("box dimension must match the projective dimension")
     return (_descriptor("thm16", box, s, True, forms=[str(f) for f in forms]),
-            partial(_thm16_point, s, box.dim, _evaluators(forms)))
+            partial(_thm16_point, s, box.dim, [_int_evaluator(f) for f in forms]))
 
 
 def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params) -> dict:
@@ -312,24 +303,32 @@ def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params)
 
 
 def _box(descriptor: dict) -> tuple[SearchBox, SRing]:
-    return (SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"]),
-            SRing(tuple(descriptor["s_primes"])))
+    s = SRing(tuple(descriptor["s_primes"]))
+    return SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"]), s
 
 
-def _descriptor_check(descriptor: dict) -> Check:
-    """The check of a saved solution set's predicate, validated once."""
+def search_spec(descriptor: dict) -> tuple[dict, Check]:
+    """The canonical descriptor of a search and its per-point check, the
+    hypotheses validated once.  The input names the kind, the box (dim,
+    bound, denom_cap), s_primes, the polynomial texts "forms" and "g", and
+    for thm11 "mode" and "assert_general_position"; a run's cor12 g may come
+    as the one entry of "forms".  A canonical descriptor decodes to itself."""
     box, s = _box(descriptor)
     kind = descriptor["kind"]
     if kind == "cor12":
-        return _cor12_spec(parse_poly(descriptor["g"], box.dim), box, s)[1]
+        texts = descriptor["forms"] if "forms" in descriptor else [descriptor["g"]]
+        if len(texts) != 1:
+            raise ValueError("cor12 needs exactly one polynomial line (g)")
+        return _cor12_spec(parse_poly(texts[0], box.dim), box, s)
+    if kind not in ("thm11", "thm16"):
+        raise ValueError(f"unknown predicate kind {kind!r}")
     forms = [parse_poly(t, box.dim + 1) for t in descriptor["forms"]]
-    if kind == "thm11":
-        return _thm11_spec(forms, parse_poly(descriptor["g"], box.dim + 1),
-                           descriptor["mode"], box, s,
-                           descriptor["assert_general_position"])[1]
     if kind == "thm16":
-        return _thm16_spec(forms, box, s)[1]
-    raise ValueError(f"unknown predicate kind {kind!r}")
+        return _thm16_spec(forms, box, s)
+    if descriptor.get("g") is None:
+        raise ValueError("thm11 needs a 'G:' line in the forms file")
+    return _thm11_spec(forms, parse_poly(descriptor["g"], box.dim + 1), descriptor["mode"],
+                       box, s, descriptor["assert_general_position"])
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +373,7 @@ def _cor12_candidates(g: MultiPoly, values: list, s: SRing,
     n = g.nvars
     # g's constant term and its coefficients of x0..x_{n-2}, ints where integral
     exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n - 1))]
-    const, *coeffs = [c.numerator if c.denominator == 1 else c
-                      for c in (g.terms.get(e, Fraction(0)) for e in exps)]
+    const, *coeffs = [_exact(g.terms.get(e, Fraction(0))) for e in exps]
     by_part: dict[int, list] = {}
     for v in values:
         if v != 0:
@@ -518,33 +516,46 @@ def ideal_equality_thm16(x: ProjPoint, forms: Sequence[MultiPoly],
 # persistence with re-verification
 # ---------------------------------------------------------------------------
 
-def solution_set_lines(sols: SolutionSet, version: str) -> list[str]:
-    header = json.dumps({
-        "artifact": "betachow", "version": version,
-        "kind": "solution-set", "descriptor": sols.descriptor,
-    }, sort_keys=True)
-    return [header, *sols.record_lines()]
+def _header(kind: str, descriptor: dict, version: str) -> str:
+    """The first line of a solution file or checkpoint."""
+    return json.dumps({"artifact": "betachow", "version": version, "kind": kind,
+                       "descriptor": descriptor}, sort_keys=True)
+
+
+def solution_set_text(sols: SolutionSet, version: str) -> str:
+    """A solution file: the header line, then one line per solution."""
+    predicate = sols.descriptor["kind"]
+    records = (json.dumps({**rec, "predicate": predicate}, sort_keys=True) for rec in sols.records())
+    return "\n".join([_header("solution-set", sols.descriptor, version), *records]) + "\n"
 
 
 def save_solution_set(sols: SolutionSet, path: str, version: str):
-    text = "\n".join(solution_set_lines(sols, version)) + "\n"
+    text = solution_set_text(sols, version)
     with open(path, "w") as fh:
         fh.write(text)
 
 
-def records_solution_set(descriptor: dict, records: Iterable[dict],
-                         check: Check | None) -> SolutionSet:
+def _records_solution_set(descriptor: dict, records: Iterable[dict],
+                          check: Check | None) -> SolutionSet:
     """Stored records ({"point", "witnesses"}) as a solution set.  Given the
-    check of the descriptor's predicate, every point is re-checked; a
-    failing point, or a projective point not in normalized form, raises.
-    None skips the re-check."""
+    check of the descriptor's predicate, every point is re-checked; a point
+    outside the descriptor's box, a projective point not in normalized
+    form, or a failing point raises.  None skips the re-check."""
+    box, s = _box(descriptor)
+    projective = descriptor["projective"]
+    # coordinates of the box: |numerator| <= B and a denominator dividing
+    # prod_{p in S} p^denom_cap (projective boxes hold integers only)
+    denoms = 1 if projective else prod(p ** box.denom_cap for p in s.primes)
     out = SolutionSet(descriptor)
     for rec in records:
         if not isinstance(rec, dict) or not {"point", "witnesses"} <= rec.keys():
             raise ValueError(f"malformed solution record {rec!r}")
         point = tuple(Fraction(c) for c in rec["point"])
         if check is not None:
-            if descriptor["projective"] and ProjPoint.normalize(point).coords != point:
+            if len(point) != box.dim + projective or any(
+                    abs(c.numerator) > box.bound or denoms % c.denominator for c in point):
+                raise ValueError(f"stored point {rec['point']} is not a point of the search box")
+            if projective and ProjPoint.normalize(point).coords != point:
                 raise ValueError(f"stored point {rec['point']} is not normalized")
             if check(point) is None:
                 raise ValueError(f"stored point {rec['point']} fails its predicate")
@@ -554,8 +565,9 @@ def records_solution_set(descriptor: dict, records: Iterable[dict],
 
 
 def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
-    """Load a saved solution set; by default every stored point re-verifies
-    its predicate (a mismatch raises)."""
+    """Load a saved solution set; by default the stored descriptor must be
+    canonical and every stored point re-verifies its predicate (a mismatch
+    raises)."""
     with open(path) as fh:
         lines = [line for line in fh.read().splitlines() if line.strip()]
     if not lines:
@@ -563,9 +575,62 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     header = json.loads(lines[0])
     if header.get("kind") != "solution-set":
         raise ValueError("not a solution-set file")
-    descriptor = header["descriptor"]
-    return records_solution_set(descriptor, map(json.loads, lines[1:]),
-                                _descriptor_check(descriptor) if reverify else None)
+    descriptor, check = header["descriptor"], None
+    if reverify:
+        canonical, check = search_spec(descriptor)
+        if canonical != descriptor:
+            raise ValueError("stored descriptor differs from its canonical form")
+    return _records_solution_set(descriptor, map(json.loads, lines[1:]), check)
+
+
+def _open_checkpoint(path: str, header: str) -> dict[str, list]:
+    """Completed first-coordinate ranges of the checkpoint at path.
+
+    A torn final line (no trailing newline, or not JSON) is cut off; an
+    absent or empty file is started with the header line.  A checkpoint
+    whose header differs (another search, or another version) raises.
+    """
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except FileNotFoundError:
+        text = ""
+    lines = [line for line in text.split("\n")[:-1] if line.strip()]
+    if lines:
+        try:
+            json.loads(lines[-1])
+        except ValueError:
+            lines.pop()
+    lines = lines or [header]
+    if json.loads(lines[0]) != json.loads(header):
+        raise ValueError(f"checkpoint {path} was written for another search or version")
+    kept = "".join(line + "\n" for line in lines)
+    if kept != text:
+        with open(path, "w") as fh:
+            fh.write(kept)
+    records = [json.loads(line) for line in lines[1:]]
+    if not all(isinstance(rec, dict) and {"first", "records"} <= rec.keys() for rec in records):
+        raise ValueError(f"checkpoint {path} holds a malformed record")
+    return {rec["first"]: rec["records"] for rec in records}
+
+
+def search_with_checkpoint(path: str, descriptor: dict, check: Check,
+                           version: str) -> SolutionSet:
+    """run_search, resumable: the checkpoint at path holds a header line
+    (version and descriptor) and one line per completed first coordinate.
+    Resumed records re-verify through check; the missing first coordinates
+    are searched and appended one line each."""
+    done = _open_checkpoint(path, _header("checkpoint", descriptor, version))
+    merged = _records_solution_set(
+        descriptor, (rec for recs in done.values() for rec in recs), check)
+    with open(path, "a") as ck:
+        for v in (v for v in _first_coordinates(descriptor) if str(v) not in done):
+            part = run_search(descriptor, check, firsts=[v])
+            ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")
+            ck.flush()
+            merged.extend(part)
+    merged.sort()
+    return merged
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +732,7 @@ def _linear_factor_candidates(f: MultiPoly) -> list[MultiPoly]:
     deg_y = max(e[1] for e in f.terms)
     if deg_y == 0:
         # univariate in x0: factors x0 - root
-        for root in _rational_roots(_restrict_to_x(f)):
+        for root in _rational_roots(_restrict(f, 1, Fraction(0))):
             cands.append(x - MultiPoly.constant(root, 2))
         return cands
     # vertical factors x0 - c force the top x1-coefficient to vanish at c
@@ -695,14 +760,6 @@ def _linear_factor_candidates(f: MultiPoly) -> list[MultiPoly]:
                      (0, 0): slope * t1 - r1}
             cands.append(_primitive_form({e: c for e, c in terms.items() if c != 0}, 2))
     return cands
-
-
-def _restrict_to_x(f: MultiPoly) -> list[Fraction]:
-    deg = max(e[0] for e in f.terms)
-    out = [Fraction(0)] * (deg + 1)
-    for e, c in f.terms.items():
-        out[e[0]] += c
-    return out
 
 
 def plane_linear_factors(f: MultiPoly, projective: bool) -> list[MultiPoly]:

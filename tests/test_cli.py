@@ -1,9 +1,12 @@
+import ast
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import betachow.beta
+import betachow.cli
 from betachow.cli import main
 from betachow.reporting import parse_config_file
 from betachow.search import load_solution_set
@@ -317,18 +320,23 @@ def test_checkpoint_torn_final_line_is_dropped(tmp_path, capsys, tear):
 
 
 def test_checkpoint_resumed_records_are_reverified(tmp_path, capsys):
-    ck = tmp_path / "ck.jsonl"
-    code, _, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "a.jsonl")
-    assert code == 0
-    lines = ck.read_text().splitlines()
-    i = next(k for k, line in enumerate(lines) if '"first": "-1"' in line)
-    rec = json.loads(lines[i])
-    rec["records"].append({"point": ["-1", "-1"], "witnesses": {}})
-    lines[i] = json.dumps(rec)
-    ck.write_text("\n".join(lines) + "\n")
-    code, _, err = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "b.jsonl")
-    assert code == 2
-    assert "fails its predicate" in err
+    for g_text, point, message in [
+        ("1", ["-1", "-1"], "fails its predicate"),
+        # 1*1*1*(1 - 3) = -2 divides g = 2, but the box has two coordinates
+        ("2", ["1", "1", "1"], "not a point of the search box"),
+    ]:
+        ck = tmp_path / f"ck-{g_text}.jsonl"
+        code, _, _ = _cor12_checkpoint_run(capsys, tmp_path, g_text, ck, "a.jsonl")
+        assert code == 0
+        lines = ck.read_text().splitlines()
+        i = next(k for k, line in enumerate(lines) if '"first": "-1"' in line)
+        rec = json.loads(lines[i])
+        rec["records"].append({"point": point, "witnesses": {}})
+        lines[i] = json.dumps(rec)
+        ck.write_text("\n".join(lines) + "\n")
+        code, _, err = _cor12_checkpoint_run(capsys, tmp_path, g_text, ck, "b.jsonl")
+        assert code == 2
+        assert message in err
 
 
 SIX_LINES = "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6))
@@ -371,6 +379,26 @@ def test_growth_rejects_a_negative_bound(tmp_path, capsys):
                        "--dim", "2", "--degeneracy", "1", "--growth", "2,-1")
     assert code == 2
     assert "invalid search box" in err
+
+
+def test_growth_without_degeneracy_is_refused(tmp_path, capsys):
+    forms = tmp_path / "g.txt"
+    forms.write_text("1\n")
+    out = tmp_path / "out.jsonl"
+    code, _, err = run(capsys, "search", "cor12", "--forms", str(forms), "--box", "3",
+                       "--dim", "2", "--growth=-5,x", "--out", str(out))
+    assert code == 2
+    assert "--growth needs --degeneracy" in err
+    assert not out.exists()
+
+
+def test_cli_imports_no_private_search_name():
+    tree = ast.parse(Path(betachow.cli.__file__).read_text())
+    names = [alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) and node.module in ("search", "betachow.search")
+             for alias in node.names]
+    assert "search_spec" in names
+    assert [n for n in names if n.startswith("_")] == []
 
 
 @pytest.mark.parametrize("argv", [

@@ -43,6 +43,14 @@ def test_int_evaluator_matches_evaluate():
         for g in (f, lin):
             got = _int_evaluator(g)(xs)
             assert type(got) is int and got == g.evaluate(xs)
+        # rational coefficients, rational points, and both mixed
+        frac = f + rand_poly(rng, nvars)
+        frac_lin = lin * Fraction(rng.randint(1, 9), rng.randint(2, 6))
+        ys = tuple(Fraction(rng.randint(-10 ** 3, 10 ** 3), rng.randint(1, 12))
+                   for _ in range(nvars))
+        for g in (f, lin, frac, frac_lin):
+            for point in (xs, ys):
+                assert _int_evaluator(g)(point) == g.evaluate(point)
 
 
 def test_eval_dimension_mismatch():

@@ -343,6 +343,10 @@ def test_search_thm16_rejects_bad_hypotheses_up_front():
 @pytest.mark.parametrize("bad_point, message", [
     (["1", "2", "1"], "fails its predicate"),      # window equality fails at 2
     (["2", "0", "0"], "not normalized"),           # [1:0:0] passes, scaled
+    (["1", "0"], "not a point of the search box"),            # too few coordinates
+    (["1", "0", "0", "5"], "not a point of the search box"),  # too many
+    (["9", "-7", "1"], "not a point of the search box"),      # a box-12 solution
+    (["1/2", "0", "0"], "not a point of the search box"),     # not an integer
 ])
 def test_thm16_reverify_rejects_tampered_point(tmp_path, bad_point, message):
     sols = search_thm16(SIX, SearchBox(2, 2), S_EMPTY)
@@ -359,15 +363,43 @@ def test_thm16_reverify_rejects_tampered_point(tmp_path, bad_point, message):
 
 
 def test_cor12_reverify_rejects_tampered_point(tmp_path):
-    sols = search_cor12(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,)))
-    path = tmp_path / "c.jsonl"
+    for g_text, box, s, bad_point, message in [
+        # (-1)(-1)(1 + 2) = 3 does not divide 1
+        ("1", SearchBox(2, 6, 2), SRing((2,)), ["-1", "-1"], "fails its predicate"),
+        # 1*1*1*(1 - 3) = -2 divides g = 2, but the box has two coordinates
+        ("2", SearchBox(2, 3), S_EMPTY, ["1", "1", "1"], "not a point of the search box"),
+        # 8*(-8)*1 and (1/8)(-1/8)*1 are S-units, but beyond the bound and the cap
+        ("1", SearchBox(2, 6, 2), SRing((2,)), ["8", "-8"], "not a point of the search box"),
+        ("1", SearchBox(2, 6, 2), SRing((2,)), ["1/8", "-1/8"], "not a point of the search box"),
+        ("1", SearchBox(2, 6, 2), SRing((2,)), ["1/3", "-1/3"], "not a point of the search box"),
+    ]:
+        sols = search_cor12(parse_poly(g_text, 2), box, s)
+        path = tmp_path / "c.jsonl"
+        save_solution_set(sols, str(path), "0.0-test")
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[-1])
+        rec["point"] = bad_point
+        lines[-1] = json.dumps(rec, sort_keys=True)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=message):
+            load_solution_set(str(path))
+
+
+@pytest.mark.parametrize("edit", [
+    {"projective": False},                  # would re-verify [-2:0:0] as an affine point
+    {"forms": [str(f) for f in SIX[:5]] + ["x0 + 6*x1 + 36*x2 + 0"]},
+    {"mode": "i"},
+])
+def test_reverify_rejects_a_non_canonical_descriptor(tmp_path, edit):
+    sols = search_thm16(SIX, SearchBox(2, 2), S_EMPTY)
+    path = tmp_path / "t.jsonl"
     save_solution_set(sols, str(path), "0.0-test")
-    lines = path.read_text().splitlines()
-    rec = json.loads(lines[-1])
-    rec["point"] = ["-1", "-1"]              # (-1)(-1)(1 + 2) = 3 does not divide 1
-    lines[-1] = json.dumps(rec, sort_keys=True)
-    path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(ValueError, match="fails its predicate"):
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    header["descriptor"] |= edit
+    records.append({**records[-1], "point": ["-2", "0", "0"]})
+    path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n"
+                            for rec in [header, *records]))
+    with pytest.raises(ValueError, match="differs from its canonical form"):
         load_solution_set(str(path))
 
 
@@ -488,6 +520,48 @@ def test_rational_roots_match_sympy(linears, quadratic, scale):
     coeffs = [Fraction(int(c.p), int(c.q)) for c in reversed(sympy.Poly(poly, t).all_coeffs())]
     want = sorted(Fraction(int(r.p), int(r.q)) for r in sympy.roots(poly, t, filter="Q"))
     assert _rational_roots(coeffs) == want
+
+
+# ---------------------------------------------------------------------------
+# the cor12 check against its Fraction formula
+# ---------------------------------------------------------------------------
+
+def _cor12_fraction_check(g: MultiPoly, s: SRing, xs: tuple) -> list | None:
+    """The oracle: a and g(x) computed in Fractions, g by MultiPoly.evaluate."""
+    xs = tuple(Fraction(c) for c in xs)
+    total = sum(xs)
+    a = prod(xs) * (1 - total)
+    b = g.evaluate(xs)
+    ok = b == 0 if a == 0 else divides_in_OS(a, b, s)
+    return [*xs, 1 - total, a, b] if ok else None
+
+
+@st.composite
+def _cor12_check_cases(draw):
+    """A cor12 g (constant g included) with integer or S-fraction
+    coefficients, and an integer or S-fraction point."""
+    s = draw(S_RINGS)
+    n = draw(st.integers(1, 3))
+    const = draw(_s_integers(s, nonzero=True))
+    linear = [draw(st.one_of(st.just(Fraction(0)), _s_integers(s))) for _ in range(n)]
+    assume(all(const + c != 0 for c in linear))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    g = MultiPoly(n, dict(zip([(0,) * n, *units], [const, *linear])))
+    coordinate = st.one_of(st.integers(-60, 60), _s_integers(s))
+    return g, s, tuple(draw(coordinate) for _ in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_cor12_check_cases())
+@example((parse_poly("2", 2), S_EMPTY, (1, -1)))
+@example((parse_poly("6", 2), SRing((2,)), (Fraction(1, 2), 2)))
+def test_cor12_check_matches_fraction_formula(case):
+    g, s, xs = case
+    got = _cor12_spec(g, SearchBox(g.nvars, 0), s)[1](xs)
+    want = _cor12_fraction_check(g, s, xs)
+    assert got == want
+    if want is not None:
+        assert _witness_map(got, s) == _witness_map(want, s)
 
 
 # ---------------------------------------------------------------------------
