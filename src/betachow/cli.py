@@ -313,7 +313,7 @@ def cmd_search(args) -> int:
         "assert_general_position": args.assert_general_position})
     workers = worker_count(args.workers)
     if args.checkpoint:
-        sols = search_with_checkpoint(args.checkpoint, descriptor, check, __version__)
+        sols = search_with_checkpoint(args.checkpoint, descriptor, check, __version__, workers)
     else:
         sols = run_search(descriptor, check, workers)
 

@@ -343,21 +343,26 @@ def _first_coordinates(descriptor: dict) -> list:
     return list(range(box.bound + 1)) if descriptor["projective"] else box.coordinate_values(s)
 
 
-def _iter_projective(bound: int, ncoords: int, firsts: Iterable[int]):
-    """Normalized projective tuples: coprime, first nonzero positive."""
+def _iter_projective(bound: int, ncoords: int, firsts: Iterable[int],
+                     lasts: Callable[[tuple], Iterable[int]] | None = None):
+    """Normalized projective tuples: coprime, first nonzero positive.  Given
+    lasts, the last coordinate of each prefix runs over lasts(prefix) (a
+    subset of [-B, B]) instead of the whole row."""
     rng = range(-bound, bound + 1)
     for x0 in firsts:
         if x0 < 0:
             continue
-        for rest in product(rng, repeat=ncoords - 1):
-            xs = (x0, *rest)
-            if gcd(*xs) != 1 or (x0 == 0 and next(c for c in xs if c != 0) < 0):
-                continue
-            yield xs
+        for prefix in product((x0,), *[rng] * (ncoords - 2)):
+            for t in rng if lasts is None else lasts(prefix):
+                xs = (*prefix, t)
+                if gcd(*xs) != 1 or (x0 == 0 and next(c for c in xs if c != 0) < 0):
+                    continue
+                yield xs
 
 
-# A prefix whose g(x', 0) has a larger non-S part gets its full row: past
-# this size factoring it can cost more than checking the row.
+# A prefix whose g(x', 0) (cor12) or H(x') (thm11) has a larger non-S part
+# gets its full row: past this size factoring it can cost more than checking
+# the row.
 _ROW_FACTOR_BOUND = 1 << 64
 
 
@@ -395,15 +400,85 @@ def _cor12_candidates(g: MultiPoly, values: list, s: SRing,
     return ((*p, t) for p in prefixes for t in lasts(const + sum(map(mul, coeffs, p))))
 
 
+def _s_units(s: SRing, bound: int) -> list[int]:
+    """The positive S-units (products of S-primes) up to bound, ascending."""
+    units = [1] if bound >= 1 else []
+    for p in s.primes:
+        grown = []
+        for u in units:
+            while u <= bound:
+                grown.append(u)
+                u *= p
+        units = grown
+    return sorted(units)
+
+
+def _thm11_lasts(f: list, g: list, g_const: int, units: list, bound: int, s: SRing,
+                 prefix: tuple) -> Iterable[int]:
+    """The last coordinates t in [-B, B] after the prefix x' that can pass
+    the thm11 check.  F = f.x with a_t = f[-1] != 0 and G = g_const + g.x
+    have integer coefficients; units are the S-units up to max |F| on the
+    box, ascending."""
+    a_t, top = f[-1], sum(map(abs, f)) * bound
+    f0 = sum(map(mul, f, prefix))           # F(x', 0): map stops at the prefix
+    h = a_t * (g_const + sum(map(mul, g, prefix))) - g[-1] * f0
+    rng = range(-bound, bound + 1)
+    if h == 0:
+        return rng
+    try:
+        divs = _divisors(s.strip_s_part(abs(h)), _ROW_FACTOR_BOUND)
+    except FactorizationBoundError:
+        return rng
+    lasts = []
+    for d in divs:
+        for u in units:
+            if d * u > top:
+                break
+            for v in (d * u, -d * u):
+                t, r = divmod(v - f0, a_t)
+                if r == 0 and -bound <= t <= bound:
+                    lasts.append(t)
+    return lasts
+
+
+def _thm11_candidates(forms: Sequence[MultiPoly], g: MultiPoly, bound: int, s: SRing,
+                      firsts: Iterable[int]) -> Iterator[tuple]:
+    """The normalized points with first coordinate in firsts that can pass
+    the thm11 check.  Take the first linear F with a_t != 0 on the last
+    coordinate t, and write x = (x', t).  Scaling F and G by S-units to
+    integer coefficients changes no divisibility in O_S.  Both modes need
+    F(x) | G(x), hence F(x) | H(x') = a_t G(x', 0) - b_t F(x', 0), which does
+    not depend on t.  When H(x') != 0, F(x) is +-d*u for a divisor d of H's
+    non-S part and an S-unit u, and each such value fixes t; when H(x') = 0
+    (or is too large to factor) the row is taken whole.  Forms of degree
+    >= 2, and linear forms that all miss t, keep the full scan."""
+    ncoords = g.nvars
+    linear = [f.linear_coefficients() for f in forms if f.total_degree() == 1]
+    fs = next((c for c in linear if c[-1] != 0), None)
+    if fs is None:
+        return _iter_projective(bound, ncoords, firsts)
+    # G is homogeneous of degree <= 1: a linear form or a nonzero constant
+    gs = g.linear_coefficients() if g.total_degree() == 1 else (Fraction(0),) * ncoords
+    g_const = g.terms.get((0,) * ncoords, Fraction(0))
+    scale = lcm(*(c.denominator for c in [*fs, *gs, g_const]))
+    f_ints, g_ints = [int(c * scale) for c in fs], [int(c * scale) for c in gs]
+    units = _s_units(s, sum(map(abs, f_ints)) * bound)
+    return _iter_projective(bound, ncoords, firsts, partial(
+        _thm11_lasts, f_ints, g_ints, int(g_const * scale), units, bound, s))
+
+
 def _candidates(descriptor: dict, firsts: Iterable) -> Iterator[tuple]:
     """The box's points, normalized when projective, whose first
     coordinate is in firsts; a superset of the points that pass the
-    descriptor's check (cor12 skips last coordinates that cannot)."""
+    descriptor's check (cor12 and thm11 skip last coordinates that cannot)."""
     box, s = _box(descriptor)
-    if descriptor["projective"]:
-        return _iter_projective(box.bound, box.dim + 1, firsts)
-    return _cor12_candidates(parse_poly(descriptor["g"], box.dim), box.coordinate_values(s),
-                             s, firsts)
+    if descriptor["kind"] == "cor12":
+        return _cor12_candidates(parse_poly(descriptor["g"], box.dim),
+                                 box.coordinate_values(s), s, firsts)
+    if descriptor["kind"] == "thm11":
+        return _thm11_candidates([parse_poly(t, box.dim + 1) for t in descriptor["forms"]],
+                                 parse_poly(descriptor["g"], box.dim + 1), box.bound, s, firsts)
+    return _iter_projective(box.bound, box.dim + 1, firsts)
 
 
 def _search_part(descriptor: dict, check: Check, firsts: list) -> SolutionSet:
@@ -583,18 +658,23 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     return _records_solution_set(descriptor, map(json.loads, lines[1:]), check)
 
 
-def _open_checkpoint(path: str, header: str) -> dict[str, list]:
-    """Completed first-coordinate ranges of the checkpoint at path.
+def _open_checkpoint(path: str, descriptor: dict, check: Check,
+                     version: str) -> tuple[SolutionSet, set[str]]:
+    """The re-verified solutions and the completed first-coordinate ranges
+    of the checkpoint at path.
 
     A torn final line (no trailing newline, or not JSON) is cut off; an
     absent or empty file is started with the header line.  A checkpoint
-    whose header differs (another search, or another version) raises.
+    whose header differs (another search, or another version), a malformed
+    or failing record, a point stored under another first coordinate, or a
+    point stored twice raises, and leaves the file as it was.
     """
     try:
         with open(path) as fh:
             text = fh.read()
     except FileNotFoundError:
         text = ""
+    header = _header("checkpoint", descriptor, version)
     lines = [line for line in text.split("\n")[:-1] if line.strip()]
     if lines:
         try:
@@ -604,31 +684,55 @@ def _open_checkpoint(path: str, header: str) -> dict[str, list]:
     lines = lines or [header]
     if json.loads(lines[0]) != json.loads(header):
         raise ValueError(f"checkpoint {path} was written for another search or version")
+    ranges = [json.loads(line) for line in lines[1:]]
+    if not all(isinstance(r, dict) and {"first", "records"} <= r.keys() for r in ranges):
+        raise ValueError(f"checkpoint {path} holds a malformed record")
+    firsts = [r["first"] for r in ranges for _ in r["records"]]
+    merged = _records_solution_set(descriptor, (rec for r in ranges for rec in r["records"]),
+                                   check)
+    seen: set[tuple] = set()
+    for first, point in zip(firsts, merged.points):
+        if str(point[0]) != first or point in seen:
+            where = "twice" if str(point[0]) == first else f"under first coordinate {first}"
+            raise ValueError(f"checkpoint {path} stores point {[str(c) for c in point]} {where}")
+        seen.add(point)
     kept = "".join(line + "\n" for line in lines)
     if kept != text:
         with open(path, "w") as fh:
             fh.write(kept)
-    records = [json.loads(line) for line in lines[1:]]
-    if not all(isinstance(rec, dict) and {"first", "records"} <= rec.keys() for rec in records):
-        raise ValueError(f"checkpoint {path} holds a malformed record")
-    return {rec["first"]: rec["records"] for rec in records}
+    return merged, {r["first"] for r in ranges}
+
+
+# With several workers, a checkpointed run searches this many first
+# coordinates per worker between two appends to the checkpoint; a crash
+# loses at most one such batch.
+_CHECKPOINT_BATCH_PER_WORKER = 4
+
+
+def _search_ranges(descriptor: dict, check: Check, firsts: list) -> list[SolutionSet]:
+    """One sorted solution set per first coordinate."""
+    return [run_search(descriptor, check, firsts=[v]) for v in firsts]
 
 
 def search_with_checkpoint(path: str, descriptor: dict, check: Check,
-                           version: str) -> SolutionSet:
+                           version: str, workers: int = 1) -> SolutionSet:
     """run_search, resumable: the checkpoint at path holds a header line
     (version and descriptor) and one line per completed first coordinate.
-    Resumed records re-verify through check; the missing first coordinates
-    are searched and appended one line each."""
-    done = _open_checkpoint(path, _header("checkpoint", descriptor, version))
-    merged = _records_solution_set(
-        descriptor, (rec for recs in done.values() for rec in recs), check)
+    Resumed records re-verify through check.  The missing first coordinates
+    are searched in batches sharded over workers (one coordinate at a time
+    with one worker), and each batch is appended one line per coordinate,
+    in order."""
+    merged, done = _open_checkpoint(path, descriptor, check, version)
+    pending = [v for v in _first_coordinates(descriptor) if str(v) not in done]
+    step = 1 if workers <= 1 else _CHECKPOINT_BATCH_PER_WORKER * workers
     with open(path, "a") as ck:
-        for v in (v for v in _first_coordinates(descriptor) if str(v) not in done):
-            part = run_search(descriptor, check, firsts=[v])
-            ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")
+        for i in range(0, len(pending), step):
+            batch = pending[i:i + step]
+            chunks = sharded(partial(_search_ranges, descriptor, check), batch, workers)
+            for v, part in zip(batch, (part for chunk in chunks for part in chunk)):
+                ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")
+                merged.extend(part)
             ck.flush()
-            merged.extend(part)
     merged.sort()
     return merged
 

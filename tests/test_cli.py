@@ -339,6 +339,42 @@ def test_checkpoint_resumed_records_are_reverified(tmp_path, capsys):
         assert message in err
 
 
+def _checkpointed_record_edit(capsys, tmp_path, edit):
+    """A cor12 checkpoint with one stored record edited by edit(lines, i, j),
+    where lines[i] is a range holding records and lines[j] another range;
+    returns the resumed run's exit code and stderr, and whether the file
+    was left as it was."""
+    ck = tmp_path / "ck.jsonl"
+    code, _, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "a.jsonl")
+    assert code == 0
+    lines = [json.loads(line) for line in ck.read_text().splitlines()]
+    i = next(k for k, rec in enumerate(lines[1:], 1) if rec["records"])
+    j = next(k for k in range(1, len(lines)) if k != i)
+    edit(lines, i, j)
+    ck.write_text("".join(json.dumps(rec) + "\n" for rec in lines))
+    before = ck.read_bytes()
+    code, out, err = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "b.jsonl")
+    return code, err, ck.read_bytes() == before and not out.exists()
+
+
+def test_checkpoint_record_under_another_first_coordinate_is_refused(tmp_path, capsys):
+    def move(lines, i, j):
+        lines[j]["records"].append(lines[i]["records"].pop())
+    code, err, untouched = _checkpointed_record_edit(capsys, tmp_path, move)
+    assert code == 2
+    assert "under first coordinate" in err
+    assert untouched
+
+
+def test_checkpoint_record_stored_twice_is_refused(tmp_path, capsys):
+    def duplicate(lines, i, j):
+        lines[i]["records"].append(lines[i]["records"][0])
+    code, err, untouched = _checkpointed_record_edit(capsys, tmp_path, duplicate)
+    assert code == 2
+    assert "twice" in err
+    assert untouched
+
+
 SIX_LINES = "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6))
 
 
@@ -521,3 +557,41 @@ def test_cor12_growth_reaches_box_10000(tmp_path, capsys):
     # 4 * 10^8 box points; the divisor-driven enumeration visits 2 per row
     growth = _growth_counts(capsys, tmp_path, "cor12", "1\n", 10000, "10,100,1000,10000")
     assert growth == [(10, 3), (100, 3), (1000, 3), (10000, 3)]
+
+
+@pytest.mark.parametrize("kind, forms_text, extra", [
+    ("thm11", "x0\nx1\nx2\nx0+x1+x2\nG: x0+2*x1+3*x2\n", ("--mode", "ii", "--s-primes", "2")),
+    ("thm16", SIX_LINES, ()),
+])
+def test_checkpoint_and_resume_match_plain_run_for_any_workers(tmp_path, capsys, monkeypatch,
+                                                               kind, forms_text, extra):
+    import betachow.search
+    forms = tmp_path / "forms.txt"
+    forms.write_text(forms_text)
+    # box 7: 8 first coordinates, enough to shard over 4 workers
+    argv = ["search", kind, "--forms", str(forms), "--box", "7", "--dim", "2",
+            "--format", "json", *extra]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "plain.jsonl"))
+    assert code == 0
+    plain = (tmp_path / "plain.jsonl").read_bytes()
+    seen = []
+    real = betachow.search.sharded
+    monkeypatch.setattr(betachow.search, "sharded",
+                        lambda fn, items, n: seen.append(n) or real(fn, items, n))
+    checkpoints = []
+    for workers in ("1", "2", "3", "4"):
+        ck = tmp_path / f"ck{workers}.jsonl"
+        for name in ("full", "resumed"):
+            if name == "resumed":
+                lines = ck.read_text().splitlines(keepends=True)
+                ck.write_text("".join(lines[:len(lines) // 2]))
+            out = tmp_path / f"{name}{workers}.jsonl"
+            code, _, _ = run(capsys, *argv, "--checkpoint", str(ck), "--workers", workers,
+                             "--out", str(out))
+            assert code == 0
+            assert out.read_bytes() == plain
+        checkpoints.append(ck.read_bytes())
+        assert int(workers) in seen
+    assert len(set(checkpoints)) == 1
+    assert len(checkpoints[0].splitlines()) == 9     # header and 8 first coordinates
+    assert len(load_solution_set(str(tmp_path / "plain.jsonl")).points) >= 3

@@ -2,7 +2,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import prod
+from math import gcd, prod
 
 import pytest
 import sympy
@@ -11,13 +11,14 @@ from hypothesis import strategies as st
 
 import betachow.search
 from betachow.heights import ProjPoint, make_place_set, theoremkey_condition
-from betachow.poly import MultiPoly, parse_poly
+from betachow.poly import MultiPoly, monomial_exponents, parse_poly
 from betachow.search import (
     SearchBox,
     SolutionSet,
     SRing,
     _candidates,
     _cor12_spec,
+    _thm11_spec,
     _witness_map,
     run_search,
     degeneracy_report,
@@ -643,3 +644,118 @@ def test_cor12_candidates_visit_divisors_only():
     descriptor, _ = _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 5), S_EMPTY)
     rows = {x0: sorted(t for _, t in _candidates(descriptor, [x0])) for x0 in (0, 2, 3)}
     assert rows == {0: [-3, -1, 1, 3], 2: [-1, 1], 3: list(range(-5, 6))}
+
+
+# ---------------------------------------------------------------------------
+# divisor-driven thm11 enumeration against the brute projective box
+# ---------------------------------------------------------------------------
+
+def _brute_projective(descriptor: dict, check) -> SolutionSet:
+    """The oracle: every coprime tuple of the box whose first nonzero
+    coordinate is positive, through the same check."""
+    bound, s = descriptor["bound"], SRing(tuple(descriptor["s_primes"]))
+    out = SolutionSet(descriptor)
+    for xs in product(range(-bound, bound + 1), repeat=descriptor["dim"] + 1):
+        if gcd(*xs) != 1 or next(c for c in xs if c != 0) < 0:
+            continue
+        values = check(xs)
+        if values is not None:
+            out.points.append(tuple(Fraction(c) for c in xs))
+            out.witnesses.append(_witness_map(values, s))
+    out.sort()
+    return out
+
+
+def _assert_thm11_matches_brute(spec, workers: int = 1) -> SolutionSet:
+    descriptor, check = spec
+    got = run_search(descriptor, check, workers)
+    want = _brute_projective(descriptor, check)
+    assert got.points == want.points
+    assert got.witnesses == want.witnesses
+    return got
+
+
+@st.composite
+def _thm11_cases(draw):
+    """thm11 forms satisfying the hypotheses, with integer or S-fraction
+    coefficients: linear forms of which none, some or all miss the last
+    coordinate, or quadratic forms under asserted general position; a
+    constant or linear G; a box of at most 6000 tuples."""
+    s = draw(S_RINGS)
+    n = draw(st.integers(1, 3))
+    ncoords = n + 1
+    coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, *s.primes]))
+    quadratic = draw(st.integers(0, 4)) == 0
+    if quadratic:
+        exps = monomial_exponents(ncoords, 2, homogeneous=True)
+        forms = [MultiPoly(ncoords, {e: draw(coeff) for e in exps})
+                 for _ in range(draw(st.integers(1, 3)))]
+    else:
+        count = draw(st.integers(1, 2 * n + 1))
+        # at most n forms can miss the last coordinate in general position
+        missing = draw(st.integers(0, min(n, count)))
+        forms = [MultiPoly(ncoords, {tuple(int(i == j) for j in range(ncoords)): draw(coeff)
+                                     for i in range(ncoords - (k < missing))})
+                 for k in range(count)]
+    if draw(st.booleans()):
+        g_form = MultiPoly.constant(draw(coeff.filter(lambda c: c != 0)), ncoords)
+    else:
+        g_form = MultiPoly(ncoords, {tuple(int(i == j) for j in range(ncoords)): draw(coeff)
+                                     for i in range(ncoords)})
+    bound = draw(st.integers(0, {1: 38, 2: 8, 3: 4}[n]))
+    try:
+        spec = _thm11_spec(forms, g_form, draw(st.sampled_from(["i", "ii"])),
+                           SearchBox(n, bound), s, assert_general_position=quadratic)
+    except ValueError:
+        assume(False)
+    return spec
+
+
+@settings(max_examples=80, deadline=None)
+@given(_thm11_cases(), st.integers(1, 2))
+def test_thm11_enumeration_matches_brute_box(spec, workers):
+    _assert_thm11_matches_brute(spec, workers)
+
+
+BENCH_FORMS = ["-2*x0 - x1 - x2", "x0 + 2*x1 - x2", "-x0 - 2*x1 - 2*x2", "2*x0 - 2*x2",
+               "-x0 + x1"]
+
+
+@pytest.mark.parametrize("forms, g_text, mode, bound, s", [
+    # the seed-1 search-scan forms: S-units up to max |F| must be listed in
+    # ascending order before the cut, or points such as (4, 1, 5) are lost
+    (BENCH_FORMS, "-x0 + 2*x1 - 15*x2", "ii", 25, SRing((2, 3))),
+    # G = x0: H(x') = x0 vanishes on the rows x0 = 0, which are taken whole
+    (["x0+x1+x2", "x0+2*x1+4*x2", "x0+3*x1+9*x2"], "x0", "i", 10, S_EMPTY),
+    # H(x') beyond the row factoring bound: every row taken whole
+    (["x2", "x0+x1+x2"], f"{10 ** 20}*x0 + x1 + x2", "i", 4, S_EMPTY),
+    # every form misses the last coordinate: the full scan
+    (["x0", "x1"], "x0 + x1 + x2", "i", 8, SRing((2,))),
+])
+def test_thm11_enumeration_explicit_cases(forms, g_text, mode, bound, s):
+    sols = _assert_thm11_matches_brute(_thm11_spec(
+        [parse_poly(f, 3) for f in forms], parse_poly(g_text, 3), mode, SearchBox(2, bound), s,
+        False))
+    if forms is BENCH_FORMS:
+        assert sols.count == 547
+        assert (4, 1, 5) in sols.points
+
+
+def test_thm11_enumeration_checks_few_candidates():
+    # criterion 7's five lines with G = x0 at B = 50: the brute scan checks
+    # 427 393 points; the divisor-driven one checks fewer than 50 000
+    forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 6)]
+    g_form = parse_poly("x0", 3)
+    box = SearchBox(2, 50)
+    descriptor, check = _thm11_spec(forms, g_form, "i", box, S_EMPTY, False)
+    calls = []
+
+    def counting(xs):
+        calls.append(xs)
+        return check(xs)
+
+    sols = run_search(descriptor, counting, workers=1)
+    assert len(calls) < 50_000
+    assert len(set(calls)) == len(calls)
+    assert sols.points == search_thm11(forms, g_form, "i", box, S_EMPTY).points
+    assert sols.count == 15                     # the brute scan's count
