@@ -703,9 +703,14 @@ def _open_checkpoint(path: str, descriptor: dict, check: Check,
     return merged, {r["first"] for r in ranges}
 
 
-# With several workers, a checkpointed run searches this many first
+# With several workers, a checkpointed run searches at most this many first
 # coordinates per worker between two appends to the checkpoint; a crash
-# loses at most one such batch.
+# loses at most one such batch.  The pending coordinates are cut into
+# near-equal batches, each holding at least half this many per worker when
+# there are more than that many pending.  sharding.sharded runs a batch with
+# fewer than 2 items per worker in one process, so this must stay >= 4 for
+# every batch to be sharded whenever 2 per worker are pending.  Each batch
+# forks a new pool (~10 ms for 2 workers on a 2-vCPU host).
 _CHECKPOINT_BATCH_PER_WORKER = 4
 
 
@@ -719,15 +724,17 @@ def search_with_checkpoint(path: str, descriptor: dict, check: Check,
     """run_search, resumable: the checkpoint at path holds a header line
     (version and descriptor) and one line per completed first coordinate.
     Resumed records re-verify through check.  The missing first coordinates
-    are searched in batches sharded over workers (one coordinate at a time
-    with one worker), and each batch is appended one line per coordinate,
-    in order."""
+    are searched in near-equal batches sharded over workers (one coordinate
+    at a time with one worker), and each batch is appended one line per
+    coordinate, in order."""
     merged, done = _open_checkpoint(path, descriptor, check, version)
     pending = [v for v in _first_coordinates(descriptor) if str(v) not in done]
     step = 1 if workers <= 1 else _CHECKPOINT_BATCH_PER_WORKER * workers
+    batches = max(1, -(-len(pending) // step))
+    cuts = [len(pending) * i // batches for i in range(batches + 1)]
     with open(path, "a") as ck:
-        for i in range(0, len(pending), step):
-            batch = pending[i:i + step]
+        for a, b in zip(cuts, cuts[1:]):
+            batch = pending[a:b]
             chunks = sharded(partial(_search_ranges, descriptor, check), batch, workers)
             for v, part in zip(batch, (part for chunk in chunks for part in chunk)):
                 ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")

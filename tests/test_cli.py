@@ -574,24 +574,37 @@ def test_checkpoint_and_resume_match_plain_run_for_any_workers(tmp_path, capsys,
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "plain.jsonl"))
     assert code == 0
     plain = (tmp_path / "plain.jsonl").read_bytes()
-    seen = []
+    # 2 first coordinates per worker and batch: workers=2 forks twice, on 4 each
+    monkeypatch.setattr(betachow.search, "_CHECKPOINT_BATCH_PER_WORKER", 2)
+    batches = []     # (workers, first coordinates) of each checkpoint batch
     real = betachow.search.sharded
-    monkeypatch.setattr(betachow.search, "sharded",
-                        lambda fn, items, n: seen.append(n) or real(fn, items, n))
+
+    def spy(fn, items, n):
+        if fn.func is betachow.search._search_ranges:
+            batches.append((n, [str(v) for v in items]))
+        return real(fn, items, n)
+
+    monkeypatch.setattr(betachow.search, "sharded", spy)
     checkpoints = []
-    for workers in ("1", "2", "3", "4"):
+    for workers in (1, 2, 3, 4):
         ck = tmp_path / f"ck{workers}.jsonl"
         for name in ("full", "resumed"):
             if name == "resumed":
                 lines = ck.read_text().splitlines(keepends=True)
                 ck.write_text("".join(lines[:len(lines) // 2]))
+            batches.clear()
             out = tmp_path / f"{name}{workers}.jsonl"
-            code, _, _ = run(capsys, *argv, "--checkpoint", str(ck), "--workers", workers,
-                             "--out", str(out))
+            code, _, _ = run(capsys, *argv, "--checkpoint", str(ck), "--workers",
+                             str(workers), "--out", str(out))
             assert code == 0
             assert out.read_bytes() == plain
+            firsts = [str(v) for v in range(8)][0 if name == "full" else 3:]
+            assert [v for _, batch in batches for v in batch] == firsts
+            assert all(n == workers and len(batch) <= max(1, 2 * workers)
+                       for n, batch in batches)
+            if name == "full":
+                assert len(batches) == {1: 8, 2: 2, 3: 2, 4: 1}[workers]
         checkpoints.append(ck.read_bytes())
-        assert int(workers) in seen
     assert len(set(checkpoints)) == 1
     assert len(checkpoints[0].splitlines()) == 9     # header and 8 first coordinates
     assert len(load_solution_set(str(tmp_path / "plain.jsonl")).points) >= 3
