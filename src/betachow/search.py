@@ -52,6 +52,8 @@ class SRing:
         object.__setattr__(self, "primes", ps)
 
     def strip_s_part(self, n: int) -> int:
+        if n == 0:
+            raise ValueError("0 has no non-S part")
         for p in self.primes:
             while n % p == 0:
                 n //= p
@@ -335,46 +337,52 @@ def search_spec(descriptor: dict) -> tuple[dict, Check]:
 # the search driver
 # ---------------------------------------------------------------------------
 
-def _first_coordinates(descriptor: dict) -> list:
-    """The first-coordinate values of the descriptor's box, in order: every
-    coordinate value (affine), or 0..B (projective, where the first nonzero
-    coordinate is positive)."""
-    box, s = _box(descriptor)
-    return list(range(box.bound + 1)) if descriptor["projective"] else box.coordinate_values(s)
-
-
-def _iter_projective(bound: int, ncoords: int, firsts: Iterable[int],
-                     lasts: Callable[[tuple], Iterable[int]] | None = None):
-    """Normalized projective tuples: coprime, first nonzero positive.  Given
-    lasts, the last coordinate of each prefix runs over lasts(prefix) (a
-    subset of [-B, B]) instead of the whole row."""
-    rng = range(-bound, bound + 1)
-    for x0 in firsts:
-        if x0 < 0:
-            continue
-        for prefix in product((x0,), *[rng] * (ncoords - 2)):
-            for t in rng if lasts is None else lasts(prefix):
-                xs = (*prefix, t)
-                if gcd(*xs) != 1 or (x0 == 0 and next(c for c in xs if c != 0) < 0):
-                    continue
-                yield xs
-
-
 # A prefix whose g(x', 0) (cor12) or H(x') (thm11) has a larger non-S part
-# gets its full row: past this size factoring it can cost more than checking
-# the row.
+# gets its full row: past this size factoring can cost more than checking it.
 _ROW_FACTOR_BOUND = 1 << 64
 
 
-def _cor12_candidates(g: MultiPoly, values: list, s: SRing,
-                      firsts: Iterable) -> Iterator[tuple]:
-    """The box points with first coordinate in firsts that can pass the
-    cor12 check.  Write x = (x', t) and c = g(x', 0), so g(x) = c + g_t t
-    (g has degree <= 1).  If a = prod x_i (1 - sum x_i) != 0, then t | a |
-    g(x), so t | c in O_S; if a = 0, the point passes only when g(x) = 0,
-    which forces t | c or c = 0.  So a row with c = 0 is taken whole, and
-    otherwise t runs over the nonzero values whose numerator's non-S part
-    divides c's numerator."""
+def _row_divisors(h: Fraction | int, s: SRing) -> list[int] | None:
+    """The divisors of the non-S part of h's numerator, or None (take the
+    whole row) when h = 0 or that part is too large to factor."""
+    if h == 0:
+        return None
+    try:
+        return _divisors(s.strip_s_part(abs(h.numerator)), _ROW_FACTOR_BOUND)
+    except FactorizationBoundError:
+        return None
+
+
+@dataclass(frozen=True)
+class _Rows:
+    """A search's candidate rows, built once per run and handed to every
+    part: the first coordinate runs over firsts (0..B when projective), the
+    others but the last over values, and the last one over lasts(prefix),
+    a picklable rule for the values that can pass the check."""
+
+    ncoords: int
+    firsts: Sequence
+    values: Sequence
+    lasts: Callable[[tuple], Iterable]
+    projective: bool
+
+
+def _whole_row(values: Sequence, prefix: tuple) -> Sequence:
+    return values
+
+
+def _cor12_lasts(const, coeffs: list, by_part: dict, values: list, s: SRing,
+                 prefix: tuple) -> list:
+    """The last coordinates t after the prefix x' that can pass the cor12
+    check.  Write c = g(x', 0), so g(x) = c + g_t t (g has degree <= 1).  If
+    a = prod x_i (1 - sum x_i) != 0, then t | a | g(x), so t | c in O_S; if
+    a = 0, then g(x) = 0 forces t | c or c = 0.  So t runs over the values
+    whose numerator's non-S part (by_part's key) divides c's numerator."""
+    divs = _row_divisors(const + sum(map(mul, coeffs, prefix)), s)
+    return values if divs is None else [v for d in divs for v in by_part.get(d, ())]
+
+
+def _cor12_rows(g: MultiPoly, values: list, s: SRing) -> _Rows:
     n = g.nvars
     # g's constant term and its coefficients of x0..x_{n-2}, ints where integral
     exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n - 1))]
@@ -383,21 +391,8 @@ def _cor12_candidates(g: MultiPoly, values: list, s: SRing,
     for v in values:
         if v != 0:
             by_part.setdefault(s.strip_s_part(abs(v.numerator)), []).append(v)
-
-    def lasts(c) -> list:
-        if c == 0:
-            return values
-        try:
-            divs = _divisors(s.strip_s_part(abs(c.numerator)), _ROW_FACTOR_BOUND)
-        except FactorizationBoundError:
-            return values
-        return [v for d in divs for v in by_part.get(d, ())]
-
-    if n == 1:
-        keep = set(firsts)
-        return ((t,) for t in lasts(const) if t in keep)
-    prefixes = product(firsts, *[values] * (n - 2))
-    return ((*p, t) for p in prefixes for t in lasts(const + sum(map(mul, coeffs, p))))
+    return _Rows(n, values, values, partial(_cor12_lasts, const, coeffs, by_part, values, s),
+                 False)
 
 
 def _s_units(s: SRing, bound: int) -> list[int]:
@@ -413,22 +408,18 @@ def _s_units(s: SRing, bound: int) -> list[int]:
     return sorted(units)
 
 
-def _thm11_lasts(f: list, g: list, g_const: int, units: list, bound: int, s: SRing,
-                 prefix: tuple) -> Iterable[int]:
-    """The last coordinates t in [-B, B] after the prefix x' that can pass
-    the thm11 check.  F = f.x with a_t = f[-1] != 0 and G = g_const + g.x
-    have integer coefficients; units are the S-units up to max |F| on the
-    box, ascending."""
-    a_t, top = f[-1], sum(map(abs, f)) * bound
+def _thm11_lasts(f: list, g: list, g_const: int, units: list, top: int, values: range,
+                 s: SRing, prefix: tuple) -> Iterable[int]:
+    """The last coordinates t after the prefix x' that can pass the thm11
+    check, for F = f.x with a_t = f[-1] != 0, G = g_const + g.x, and units
+    the S-units up to top = max |F| on the box, ascending.  Both modes need
+    F(x) | G(x), hence F(x) | H(x') = a_t G(x', 0) - b_t F(x', 0); when
+    H(x') != 0, F(x) = +-d*u for d | H's non-S part and u in units."""
+    a_t, bound = f[-1], values[-1]
     f0 = sum(map(mul, f, prefix))           # F(x', 0): map stops at the prefix
-    h = a_t * (g_const + sum(map(mul, g, prefix))) - g[-1] * f0
-    rng = range(-bound, bound + 1)
-    if h == 0:
-        return rng
-    try:
-        divs = _divisors(s.strip_s_part(abs(h)), _ROW_FACTOR_BOUND)
-    except FactorizationBoundError:
-        return rng
+    divs = _row_divisors(a_t * (g_const + sum(map(mul, g, prefix))) - g[-1] * f0, s)
+    if divs is None:
+        return values
     lasts = []
     for d in divs:
         for u in units:
@@ -441,50 +432,58 @@ def _thm11_lasts(f: list, g: list, g_const: int, units: list, bound: int, s: SRi
     return lasts
 
 
-def _thm11_candidates(forms: Sequence[MultiPoly], g: MultiPoly, bound: int, s: SRing,
-                      firsts: Iterable[int]) -> Iterator[tuple]:
-    """The normalized points with first coordinate in firsts that can pass
-    the thm11 check.  Take the first linear F with a_t != 0 on the last
-    coordinate t, and write x = (x', t).  Scaling F and G by S-units to
-    integer coefficients changes no divisibility in O_S.  Both modes need
-    F(x) | G(x), hence F(x) | H(x') = a_t G(x', 0) - b_t F(x', 0), which does
-    not depend on t.  When H(x') != 0, F(x) is +-d*u for a divisor d of H's
-    non-S part and an S-unit u, and each such value fixes t; when H(x') = 0
-    (or is too large to factor) the row is taken whole.  Forms of degree
-    >= 2, and linear forms that all miss t, keep the full scan."""
+def _thm11_lasts_rule(forms: Sequence[MultiPoly], g: MultiPoly, values: range, s: SRing):
+    """thm11's lasts rule from the first linear F with a_t != 0, F and G
+    scaled by S-units to integer coefficients; None (the full scan) for
+    forms of degree >= 2 or linear forms that all miss the last coordinate."""
     ncoords = g.nvars
     linear = [f.linear_coefficients() for f in forms if f.total_degree() == 1]
     fs = next((c for c in linear if c[-1] != 0), None)
     if fs is None:
-        return _iter_projective(bound, ncoords, firsts)
+        return None
     # G is homogeneous of degree <= 1: a linear form or a nonzero constant
     gs = g.linear_coefficients() if g.total_degree() == 1 else (Fraction(0),) * ncoords
     g_const = g.terms.get((0,) * ncoords, Fraction(0))
     scale = lcm(*(c.denominator for c in [*fs, *gs, g_const]))
     f_ints, g_ints = [int(c * scale) for c in fs], [int(c * scale) for c in gs]
-    units = _s_units(s, sum(map(abs, f_ints)) * bound)
-    return _iter_projective(bound, ncoords, firsts, partial(
-        _thm11_lasts, f_ints, g_ints, int(g_const * scale), units, bound, s))
+    top = sum(map(abs, f_ints)) * values[-1]
+    return partial(_thm11_lasts, f_ints, g_ints, int(g_const * scale), _s_units(s, top), top,
+                   values, s)
 
 
-def _candidates(descriptor: dict, firsts: Iterable) -> Iterator[tuple]:
-    """The box's points, normalized when projective, whose first
-    coordinate is in firsts; a superset of the points that pass the
-    descriptor's check (cor12 and thm11 skip last coordinates that cannot)."""
+def _rows(descriptor: dict) -> _Rows:
+    """The candidate rows of the descriptor's box: cor12 and thm11 skip last
+    coordinates that cannot pass the check, thm16 takes every row whole."""
     box, s = _box(descriptor)
     if descriptor["kind"] == "cor12":
-        return _cor12_candidates(parse_poly(descriptor["g"], box.dim),
-                                 box.coordinate_values(s), s, firsts)
+        return _cor12_rows(parse_poly(descriptor["g"], box.dim), box.coordinate_values(s), s)
+    values = range(-box.bound, box.bound + 1)
+    lasts = partial(_whole_row, values)
     if descriptor["kind"] == "thm11":
-        return _thm11_candidates([parse_poly(t, box.dim + 1) for t in descriptor["forms"]],
-                                 parse_poly(descriptor["g"], box.dim + 1), box.bound, s, firsts)
-    return _iter_projective(box.bound, box.dim + 1, firsts)
+        lasts = _thm11_lasts_rule([parse_poly(t, box.dim + 1) for t in descriptor["forms"]],
+                                  parse_poly(descriptor["g"], box.dim + 1), values, s) or lasts
+    return _Rows(box.dim + 1, range(box.bound + 1), values, lasts, True)
 
 
-def _search_part(descriptor: dict, check: Check, firsts: list) -> SolutionSet:
+def _walk(rows: _Rows, firsts: Iterable) -> Iterator[tuple]:
+    """The candidate points whose first coordinate is in firsts; projective
+    points only when coprime with first nonzero coordinate positive."""
+    if rows.ncoords == 1:
+        keep = set(firsts)
+        yield from ((t,) for t in rows.lasts(()) if t in keep)
+        return
+    for prefix in product(firsts, *[rows.values] * (rows.ncoords - 2)):
+        for t in rows.lasts(prefix):
+            xs = (*prefix, t)
+            if not rows.projective or (gcd(*xs) == 1
+                                       and (xs[0] or next(c for c in xs if c)) > 0):
+                yield xs
+
+
+def _search_part(descriptor: dict, check: Check, rows: _Rows, firsts: list) -> SolutionSet:
     s = SRing(tuple(descriptor["s_primes"]))
     out = SolutionSet(descriptor)
-    for xs in _candidates(descriptor, firsts):
+    for xs in _walk(rows, firsts):
         values = check(xs)
         if values is not None:
             out.points.append(tuple(Fraction(c) for c in xs))
@@ -492,15 +491,13 @@ def _search_part(descriptor: dict, check: Check, firsts: list) -> SolutionSet:
     return out
 
 
-def run_search(descriptor: dict, check: Check, workers: int = 1,
-               firsts: Sequence | None = None) -> SolutionSet:
+def run_search(descriptor: dict, check: Check, workers: int = 1) -> SolutionSet:
     """The points of the descriptor's box that pass check, with their
-    witnesses, in graded order.  firsts restricts the first coordinate
-    (default: every value); the first coordinates are sharded over workers,
-    and the parts are merged and sorted once."""
-    firsts = _first_coordinates(descriptor) if firsts is None else list(firsts)
+    witnesses, in graded order.  The first coordinates are sharded over
+    workers, and the parts are merged and sorted once."""
+    rows = _rows(descriptor)
     out = SolutionSet(descriptor)
-    for part in sharded(partial(_search_part, descriptor, check), firsts, workers):
+    for part in sharded(partial(_search_part, descriptor, check, rows), rows.firsts, workers):
         out.extend(part)
     out.sort()
     return out
@@ -714,9 +711,10 @@ def _open_checkpoint(path: str, descriptor: dict, check: Check,
 _CHECKPOINT_BATCH_PER_WORKER = 4
 
 
-def _search_ranges(descriptor: dict, check: Check, firsts: list) -> list[SolutionSet]:
-    """One sorted solution set per first coordinate."""
-    return [run_search(descriptor, check, firsts=[v]) for v in firsts]
+def _search_ranges(descriptor: dict, check: Check, rows: _Rows,
+                   firsts: list) -> list[SolutionSet]:
+    """One solution set per first coordinate."""
+    return [_search_part(descriptor, check, rows, [v]) for v in firsts]
 
 
 def search_with_checkpoint(path: str, descriptor: dict, check: Check,
@@ -728,15 +726,17 @@ def search_with_checkpoint(path: str, descriptor: dict, check: Check,
     at a time with one worker), and each batch is appended one line per
     coordinate, in order."""
     merged, done = _open_checkpoint(path, descriptor, check, version)
-    pending = [v for v in _first_coordinates(descriptor) if str(v) not in done]
+    rows = _rows(descriptor)
+    pending = [v for v in rows.firsts if str(v) not in done]
     step = 1 if workers <= 1 else _CHECKPOINT_BATCH_PER_WORKER * workers
     batches = max(1, -(-len(pending) // step))
     cuts = [len(pending) * i // batches for i in range(batches + 1)]
     with open(path, "a") as ck:
         for a, b in zip(cuts, cuts[1:]):
             batch = pending[a:b]
-            chunks = sharded(partial(_search_ranges, descriptor, check), batch, workers)
+            chunks = sharded(partial(_search_ranges, descriptor, check, rows), batch, workers)
             for v, part in zip(batch, (part for chunk in chunks for part in chunk)):
+                part.sort()
                 ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")
                 merged.extend(part)
             ck.flush()

@@ -437,6 +437,21 @@ def test_cli_imports_no_private_search_name():
     assert [n for n in names if n.startswith("_")] == []
 
 
+def test_package_imports_no_test_only_dependency():
+    # the runtime dependency list stays empty: sympy, hypothesis and numpy
+    # are for the tests only
+    imported = set()
+    for path in sorted(Path(betachow.cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name.split(".")[0]) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+                imported.add((path.name, node.module.split(".")[0]))
+    assert len({name for name, _ in imported}) >= 10      # every module was read
+    assert [(name, mod) for name, mod in imported
+            if mod in ("sympy", "hypothesis", "numpy")] == []
+
+
 @pytest.mark.parametrize("argv", [
     ["search", "cor12", "--forms", "{g}", "--box", "12", "--dim", "2",
      "--s-primes", "2", "--denom-cap", "1", "--format", "json"],
@@ -520,6 +535,32 @@ def test_checkpointed_thm11_checks_its_hypotheses_once_per_run(tmp_path, capsys,
     calls = _general_position_calls(monkeypatch)
     _checkpointed(capsys, tmp_path, "thm11", "x0\nx1\nx2\nG: 1\n", 6, tmp_path / "ck.jsonl")
     assert calls == [3]
+
+
+def test_checkpointed_cor12_builds_its_rows_once_per_run(tmp_path, capsys, monkeypatch):
+    import betachow.search
+    calls = {"values": 0, "parse": 0}
+    values, parse = betachow.search.SearchBox.coordinate_values, betachow.search.parse_poly
+
+    def counting_values(box, s):
+        calls["values"] += 1
+        return values(box, s)
+
+    def counting_parse(*args):
+        calls["parse"] += 1
+        return parse(*args)
+
+    monkeypatch.setattr(betachow.search.SearchBox, "coordinate_values", counting_values)
+    monkeypatch.setattr(betachow.search, "parse_poly", counting_parse)
+    ck = tmp_path / "ck.jsonl"
+    full = _checkpointed(capsys, tmp_path, "cor12", "3-x0+x1\n", 5, ck)
+    assert calls["values"] == 1 and calls["parse"] <= 2
+    lines = ck.read_text().splitlines(keepends=True)
+    assert len(lines) == 12                     # header and 11 first coordinates
+    ck.write_text("".join(lines[:5]))
+    calls.update(values=0, parse=0)
+    assert _checkpointed(capsys, tmp_path, "cor12", "3-x0+x1\n", 5, ck, "resumed.jsonl") == full
+    assert calls["values"] == 1 and calls["parse"] <= 2
 
 
 def test_growth_search_checks_its_hypotheses_once_per_run(tmp_path, capsys, monkeypatch):

@@ -16,9 +16,11 @@ from betachow.search import (
     SearchBox,
     SolutionSet,
     SRing,
-    _candidates,
     _cor12_spec,
+    _rows,
     _thm11_spec,
+    _thm16_spec,
+    _walk,
     _witness_map,
     run_search,
     degeneracy_report,
@@ -46,6 +48,15 @@ def test_sring_validation():
         SRing((3, 2))
     assert SRing((2, 3)).contains(Fraction(5, 12))
     assert not SRing((2,)).contains(Fraction(1, 3))
+
+
+@pytest.mark.parametrize("primes, part", [((), -360), ((2,), -45), ((2, 3), -5)])
+def test_strip_s_part_refuses_zero(primes, part):
+    # 0 is divisible by every prime, so stripping it would never end
+    s = SRing(primes)
+    with pytest.raises(ValueError, match="no non-S part"):
+        s.strip_s_part(0)
+    assert s.strip_s_part(-360) == part
 
 
 def test_divides_examples():
@@ -639,10 +650,10 @@ def test_cor12_candidates_visit_divisors_only():
     g = parse_poly("1", 2)
     descriptor, _ = _cor12_spec(g, SearchBox(2, 50), S_EMPTY)
     # g(x', 0) = 1 on every row: the last coordinate is a unit
-    assert sorted(_candidates(descriptor, range(-50, 51))) == \
+    assert sorted(_walk(_rows(descriptor), range(-50, 51))) == \
         [(x0, t) for x0 in range(-50, 51) for t in (-1, 1)]
     descriptor, _ = _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 5), S_EMPTY)
-    rows = {x0: sorted(t for _, t in _candidates(descriptor, [x0])) for x0 in (0, 2, 3)}
+    rows = {x0: sorted(t for _, t in _walk(_rows(descriptor), [x0])) for x0 in (0, 2, 3)}
     assert rows == {0: [-3, -1, 1, 3], 2: [-1, 1], 3: list(range(-5, 6))}
 
 
@@ -666,7 +677,7 @@ def _brute_projective(descriptor: dict, check) -> SolutionSet:
     return out
 
 
-def _assert_thm11_matches_brute(spec, workers: int = 1) -> SolutionSet:
+def _assert_projective_matches_brute(spec, workers: int = 1) -> SolutionSet:
     descriptor, check = spec
     got = run_search(descriptor, check, workers)
     want = _brute_projective(descriptor, check)
@@ -714,7 +725,7 @@ def _thm11_cases(draw):
 @settings(max_examples=80, deadline=None)
 @given(_thm11_cases(), st.integers(1, 2))
 def test_thm11_enumeration_matches_brute_box(spec, workers):
-    _assert_thm11_matches_brute(spec, workers)
+    _assert_projective_matches_brute(spec, workers)
 
 
 BENCH_FORMS = ["-2*x0 - x1 - x2", "x0 + 2*x1 - x2", "-x0 - 2*x1 - 2*x2", "2*x0 - 2*x2",
@@ -733,12 +744,20 @@ BENCH_FORMS = ["-2*x0 - x1 - x2", "x0 + 2*x1 - x2", "-x0 - 2*x1 - 2*x2", "2*x0 -
     (["x0", "x1"], "x0 + x1 + x2", "i", 8, SRing((2,))),
 ])
 def test_thm11_enumeration_explicit_cases(forms, g_text, mode, bound, s):
-    sols = _assert_thm11_matches_brute(_thm11_spec(
+    sols = _assert_projective_matches_brute(_thm11_spec(
         [parse_poly(f, 3) for f in forms], parse_poly(g_text, 3), mode, SearchBox(2, bound), s,
         False))
     if forms is BENCH_FORMS:
         assert sols.count == 547
         assert (4, 1, 5) in sols.points
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=7, max_size=7, unique=True), st.integers(6, 7),
+       S_RINGS, st.integers(0, 4), st.integers(1, 2))
+def test_thm16_enumeration_matches_brute_box(ts, q, s, bound, workers):
+    spec = _thm16_spec(_vandermonde(ts[:q]), SearchBox(2, bound), s)
+    _assert_projective_matches_brute(spec, workers)
 
 
 def test_thm11_enumeration_checks_few_candidates():
