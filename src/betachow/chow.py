@@ -2,10 +2,18 @@
 
 The Chow ring used here is hard-coded to the blow-up of projective n-space
 at r distinct points: H^n = 1, E_i^n = (-1)^(n-1), and every mixed product
-of H with an E_i, or of two distinct E_i, vanishes.  Consequently the top
-product of classes a_j*H - sum_i b_{j,i}*E_i is
+of H with an E_i, or of two distinct E_i, vanishes.
 
-    prod_j a_j  -  sum_i prod_j b_{j,i}.
+A class is stored in one canonical exact form: integers a and b_i over one
+positive common denominator d, in lowest terms (gcd(d, a, b_1..b_r) = 1),
+with b held sparse as {i: b_i} over its nonzero entries.  It stands for
+(a*H - sum_i b_i*E_i)/d, and ``a``/``b`` read it back as Fractions.  The
+top product of n classes (a_j*H - sum_i b_{j,i}*E_i)/d_j is
+
+    (prod_j a_j  -  sum_{i in S} prod_j b_{j,i}) / prod_j d_j,
+
+where S is the support of the sparsest class: at every other index one
+factor is 0.  That is integer arithmetic and one Fraction per product.
 
 Two point/hyperplane configurations are built in: the cyclic one (q >= 3n
 hyperplanes, each consecutive window of n of them meeting in a blown-up
@@ -24,43 +32,103 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm, prod
 from typing import Sequence
 
 
-@dataclass(frozen=True)
+def _rational(x):
+    """x itself when it is an int or a Fraction, else Fraction(x)."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
+
+
 class DivisorClass:
-    """Class a*H - sum_i b_i*E_i on the blow-up of P^n at r points."""
+    """Class a*H - sum_i b_i*E_i on the blow-up of P^n at r points.
 
-    n: int
-    r: int
-    a: Fraction
-    b: tuple[Fraction, ...]
+    Immutable.  Built from numbers (ints, Fractions, or anything Fraction
+    accepts); held as integer numerators ``_a`` and ``_b`` (index ->
+    nonzero numerator, in index order) over the positive denominator
+    ``_den``, in lowest terms, so equal classes have equal fields.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", tuple(Fraction(x) for x in self.b))
-        if len(self.b) != self.r:
+    __slots__ = ("n", "r", "_a", "_b", "_den")
+
+    def __init__(self, n: int, r: int, a, b: Sequence):
+        a, b = _rational(a), tuple(_rational(x) for x in b)
+        if len(b) != r:
             raise ValueError("b must have length r")
-        if self.n < 1 or self.r < 0:
-            raise ValueError("invalid (n, r)")
+        den = lcm(a.denominator, *(x.denominator for x in b))
+        self._set(n, r, a.numerator * (den // a.denominator),
+                  {i: x.numerator * (den // x.denominator) for i, x in enumerate(b)},
+                  den)
 
-    def _check(self, other: "DivisorClass"):
+    @classmethod
+    def _exact(cls, n: int, r: int, a: int, b: dict[int, int], den: int = 1) -> "DivisorClass":
+        """The class (a*H - sum_i b[i]*E_i)/den, from integers with den > 0
+        and the keys of b in increasing order (zero values allowed)."""
+        self = object.__new__(cls)
+        self._set(n, r, a, b, den)
+        return self
+
+    def _set(self, n, r, a, b, den):
+        if n < 1 or r < 0:
+            raise ValueError("invalid (n, r)")
+        g = gcd(den, a, *b.values())
+        for name, value in (("n", n), ("r", r), ("_a", a // g), ("_den", den // g),
+                            ("_b", {i: v // g for i, v in b.items() if v})):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def b(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(self._b.get(i, 0), self._den) for i in range(self.r))
+
+    def _key(self) -> tuple:
+        return (self.n, self.r, self._a, self._den, tuple(self._b.items()))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return f"DivisorClass(n={self.n!r}, r={self.r!r}, a={self.a!r}, b={self.b!r})"
+
+    def __reduce__(self):
+        return DivisorClass, (self.n, self.r, self.a, self.b)
+
+    def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
         if (self.n, self.r) != (other.n, other.r):
             raise ValueError("mismatched (n, r)")
+        den = lcm(self._den, other._den)
+        m1, m2 = den // self._den, sign * (den // other._den)
+        b1, b2 = self._b, other._b
+        b = {i: b1.get(i, 0) * m1 + b2.get(i, 0) * m2 for i in sorted(b1.keys() | b2.keys())}
+        return DivisorClass._exact(self.n, self.r, self._a * m1 + other._a * m2, b, den)
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.n, self.r, self.a + other.a,
-                            tuple(x + y for x, y in zip(self.b, other.b)))
+        return self._combine(other, 1)
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check(other)
-        return DivisorClass(self.n, self.r, self.a - other.a,
-                            tuple(x - y for x, y in zip(self.b, other.b)))
+        return self._combine(other, -1)
 
     def __mul__(self, c) -> "DivisorClass":
-        c = Fraction(c)
-        return DivisorClass(self.n, self.r, c * self.a, tuple(c * x for x in self.b))
+        c = _rational(c)
+        p = c.numerator
+        return DivisorClass._exact(self.n, self.r, p * self._a,
+                                   {i: p * v for i, v in self._b.items()},
+                                   c.denominator * self._den)
 
     __rmul__ = __mul__
 
@@ -73,29 +141,28 @@ class DivisorClass:
 
     @classmethod
     def from_json(cls, d: dict) -> "DivisorClass":
-        return cls(d["n"], d["r"], Fraction(d["a"]),
-                   tuple(Fraction(x) for x in d["b"]))
+        return cls(d["n"], d["r"], d["a"], d["b"])
 
 
 def pullback_hyperplane(n: int, r: int) -> DivisorClass:
-    return DivisorClass(n, r, Fraction(1), (Fraction(0),) * r)
+    return DivisorClass._exact(n, r, 1, {})
 
 
 def e_class(n: int, r: int, i: int) -> DivisorClass:
     """Named basis class E_i: zero H-part, unit b-vector at i (0-based)."""
-    b = [Fraction(0)] * r
-    b[i] = Fraction(1)
-    return DivisorClass(n, r, Fraction(0), tuple(b))
+    # range(r)[i] indexes as a list would: negative i from the end, IndexError past r
+    return DivisorClass._exact(n, r, 0, {range(r)[i]: 1})
 
 
 def strict_transform(n: int, degree: int, mults: Sequence[Fraction | int]) -> DivisorClass:
     """Class d*H - sum_i m_i*E_i of a degree-d divisor through the points."""
     if degree < 1:
         raise ValueError("degree must be >= 1")
-    mults = tuple(Fraction(m) for m in mults)
-    if any(m < 0 for m in mults):
+    mults = tuple(mults)
+    cls = DivisorClass(n, len(mults), degree, mults)
+    if any(m < 0 for m in cls._b.values()):
         raise ValueError("multiplicities must be >= 0")
-    return DivisorClass(n, len(mults), Fraction(degree), mults)
+    return cls
 
 
 def top_intersection(classes: Sequence[DivisorClass]) -> Fraction:
@@ -109,15 +176,10 @@ def top_intersection(classes: Sequence[DivisorClass]) -> Fraction:
     for c in classes:
         if (c.n, c.r) != (n, r):
             raise ValueError("mismatched (n, r)")
-    total = Fraction(1)
-    for c in classes:
-        total *= c.a
-    for i in range(r):
-        prod = Fraction(1)
-        for c in classes:
-            prod *= c.b[i]
-        total -= prod
-    return total
+    total = prod(c._a for c in classes)
+    for i in min(classes, key=lambda c: len(c._b))._b:
+        total -= prod(c._b.get(i, 0) for c in classes)
+    return Fraction(total, prod(c._den for c in classes))
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +246,14 @@ def config_classes(cfg: BlowupConfig, ell: int | None = None) -> dict[str, Divis
     """
     n, q, r = cfg.n, cfg.q, cfg.r
     out: dict[str, DivisorClass] = {}
-    for i in range(q):
-        mults = tuple(Fraction(1 if j in cfg.incidence[i] else 0) for j in range(r))
-        out[f"Ht{i + 1}"] = DivisorClass(n, r, Fraction(1), mults)
+    for i, points in enumerate(cfg.incidence):
+        out[f"Ht{i + 1}"] = DivisorClass._exact(n, r, 1, dict.fromkeys(sorted(points), 1))
     if cfg.kind == "cyclic":
-        out["D"] = DivisorClass(n, r, Fraction(q), (Fraction(n),) * r)
+        out["D"] = DivisorClass._exact(n, r, q, dict.fromkeys(range(r), n))
     else:
         if ell is None or ell < 1:
             raise ValueError("marked configuration needs a positive integer ell")
-        out["A"] = DivisorClass(n, r, Fraction(ell * (n + 1) + 1), (Fraction(ell),) * r)
+        out["A"] = DivisorClass._exact(n, r, ell * (n + 1) + 1, dict.fromkeys(range(r), ell))
     out["H"] = pullback_hyperplane(n, r)
     return out
 
@@ -222,9 +283,9 @@ class CurveClass:
 def curve_value(cls: DivisorClass, curve: CurveClass) -> Fraction:
     """Intersection number of a divisor class with a test curve."""
     if curve.kind == "exceptional-line":
-        return cls.b[curve.points[0]]
-    return cls.a * curve.image_degree - sum(
-        (cls.b[i] for i in curve.points), Fraction(0))
+        return Fraction(cls._b.get(curve.points[0], 0), cls._den)
+    return Fraction(cls._a * curve.image_degree
+                    - sum(cls._b.get(i, 0) for i in curve.points), cls._den)
 
 
 def curve_family(cfg: BlowupConfig) -> tuple[CurveClass, ...]:
@@ -342,7 +403,7 @@ def nef_test(cls: DivisorClass, cfg: BlowupConfig) -> NefResult:
 # ---------------------------------------------------------------------------
 
 _CLASS_TERM = re.compile(
-    r"^(?P<coeff>\d+(?:/\d+)?)?\s*\*?\s*(?P<name>D|A|H|Ht\d+|E\d+)$")
+    r"^(?:(?P<coeff>\d+(?:/\d+)?)\s*\*?\s*)?(?P<name>D|A|H|Ht\d+|E\d+)$")
 
 
 def parse_class_expr(expr: str, cfg: BlowupConfig, ell: int | None = None) -> DivisorClass:
@@ -361,13 +422,18 @@ def parse_class_expr(expr: str, cfg: BlowupConfig, ell: int | None = None) -> Di
             buf.append(ch)
     if buf and "".join(buf).strip():
         chunks.append((sign, "".join(buf).strip()))
+    if expr.rstrip().endswith(("+", "-")):
+        raise ValueError(f"class expression {expr!r} ends with an operator")
     if not chunks:
         raise ValueError(f"empty class expression {expr!r}")
     for sign, chunk in chunks:
         m = _CLASS_TERM.match(chunk)
         if not m:
             raise ValueError(f"malformed class term {chunk!r}")
-        coeff = Fraction(m.group("coeff") or 1) * sign
+        try:
+            coeff = Fraction(m.group("coeff") or 1) * sign
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in class term {chunk!r}") from None
         name = m.group("name")
         if name.startswith("E"):
             idx = int(name[1:]) - 1

@@ -1,11 +1,15 @@
+import pickle
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from betachow.chow import (
     BlowupConfig,
+    CurveClass,
     DivisorClass,
     config_classes,
     curve_family,
@@ -36,6 +40,20 @@ def brute_force_top(classes):
             total += coeff
         elif pick.count(pick[0]) == n and pick[0] != 0:
             total += coeff * Fraction(-1) ** (n - 1)
+    return total
+
+
+def dense_top(classes):
+    """The dense oracle: prod_j a_j - sum_i prod_j b_{j,i}, one Fraction
+    product per entry of every b-vector."""
+    total = Fraction(1)
+    for c in classes:
+        total *= c.a
+    for i in range(classes[0].r):
+        prod = Fraction(1)
+        for c in classes:
+            prod *= c.b[i]
+        total -= prod
     return total
 
 
@@ -218,3 +236,123 @@ def test_parse_class_expr():
     assert parse_class_expr("3*H", cfg) == 3 * cl["H"]
     with pytest.raises(ValueError):
         parse_class_expr("D + Q7", cfg)
+
+
+def test_parse_class_expr_refuses_malformed_expressions():
+    cfg = cyclic_config(2, 6)
+    for expr in ("1/0*D", "D - 3/00*Ht1"):
+        with pytest.raises(ValueError, match="zero denominator"):
+            parse_class_expr(expr, cfg)
+    for expr in ("D + ", "D -", "D - 2*Ht1 +", "-", "+ "):
+        with pytest.raises(ValueError, match="ends with an operator"):
+            parse_class_expr(expr, cfg)
+    for expr in ("* D", "D + *E1", "2 * * D"):
+        with pytest.raises(ValueError, match="malformed"):
+            parse_class_expr(expr, cfg)
+    assert parse_class_expr("D + -E1", cfg) == parse_class_expr("D - E1", cfg)
+    expect = config_classes(cfg)["D"] * 2 + Fraction(1, 2) * e_class(2, 6, 0)
+    assert parse_class_expr("2 D + 1/2*E1", cfg) == expect
+
+
+def test_divisor_class_is_immutable_and_canonical():
+    cls = DivisorClass(2, 3, Fraction(1, 2), (1, 0, Fraction(3, 2)))
+    assert cls == DivisorClass(2, 3, "1/2", (1.0, "0", "3/2"))
+    assert cls == Fraction(1, 2) * DivisorClass(2, 3, 1, (2, 0, 3))
+    assert cls.b == (Fraction(1), Fraction(0), Fraction(3, 2))
+    assert repr(cls) == ("DivisorClass(n=2, r=3, a=Fraction(1, 2), "
+                         "b=(Fraction(1, 1), Fraction(0, 1), Fraction(3, 2)))")
+    assert pickle.loads(pickle.dumps(cls)) == cls
+    assert cls - cls == 0 * cls == DivisorClass(2, 3, 0, (0, 0, 0))
+    for field in ("n", "a", "b", "_den"):
+        with pytest.raises(AttributeError):
+            setattr(cls, field, 1)
+    with pytest.raises(ValueError, match="invalid"):
+        pullback_hyperplane(0, 3)
+    with pytest.raises(IndexError):
+        e_class(2, 3, 3)
+
+
+# ---------------------------------------------------------------------------
+# differential test: sparse integer classes against Fraction-built ones
+# ---------------------------------------------------------------------------
+
+FRACTIONS = st.builds(Fraction, st.integers(-6, 6), st.sampled_from([1, 1, 2, 3, 4, 6]))
+
+
+def _dense_config(cfg, ell):
+    """config_classes as Fraction inputs (a, b), from the formulas of the
+    configuration: Ht_i = H - sum of E_j over the points on H_i, D = q*H -
+    n*sum(E), A = (ell(n+1)+1)*H - ell*sum(E)."""
+    n, r = cfg.n, cfg.r
+    out = {f"Ht{i + 1}": (Fraction(1), tuple(Fraction(j in pts) for j in range(r)))
+           for i, pts in enumerate(cfg.incidence)}
+    if cfg.kind == "cyclic":
+        out["D"] = (Fraction(cfg.q), (Fraction(n),) * r)
+    else:
+        out["A"] = (Fraction(ell * (n + 1) + 1), (Fraction(ell),) * r)
+    out["H"] = (Fraction(1), (Fraction(0),) * r)
+    return out
+
+
+@st.composite
+def _class_products(draw):
+    """n classes on one blow-up, each paired with its Fraction inputs (a, b)
+    computed in Fractions alongside: classes of a cyclic or marked
+    configuration, or random ones (mixed denominators, negative and zero
+    entries, all-zero b), combined by +, - and scalar *."""
+    source = draw(st.sampled_from(["random", "cyclic", "marked"]))
+    if source == "random":
+        n, r = draw(st.integers(1, 4)), draw(st.integers(0, 8))
+        pool = [(pullback_hyperplane(n, r), (Fraction(1), (Fraction(0),) * r))]
+    else:
+        if source == "cyclic":
+            cfg, ell = cyclic_config(2, draw(st.integers(6, 8))), None
+        else:
+            cfg, ell = marked_config(draw(st.integers(2, 4))), draw(st.integers(1, 20))
+        n, r = cfg.n, cfg.r
+        dense = _dense_config(cfg, ell)
+        pool = [(cls, dense[name]) for name, cls in sorted(config_classes(cfg, ell).items())]
+    for _ in range(draw(st.integers(0, 3))):
+        a = draw(FRACTIONS)
+        b = tuple(draw(st.lists(FRACTIONS, min_size=r, max_size=r)))
+        if draw(st.booleans()):
+            b = (Fraction(0),) * r
+        pool.append((DivisorClass(n, r, a, b), (a, b)))
+    picked = []
+    for _ in range(n):
+        cls, (a, b) = draw(st.sampled_from(pool))
+        op = draw(st.sampled_from(["", "+", "-", "*", "rmul"]))
+        if op in ("+", "-"):
+            other, (a2, b2) = draw(st.sampled_from(pool))
+            sign = 1 if op == "+" else -1
+            cls = cls + other if op == "+" else cls - other
+            a, b = a + sign * a2, tuple(x + sign * y for x, y in zip(b, b2))
+        elif op:
+            c = draw(FRACTIONS)
+            scalar = int(c) if c.denominator == 1 and draw(st.booleans()) else c
+            cls = cls * scalar if op == "*" else scalar * cls
+            a, b = c * a, tuple(c * x for x in b)
+        picked.append((cls, (a, b)))
+    return n, r, picked
+
+
+@settings(max_examples=150, deadline=None)
+@given(_class_products())
+def test_sparse_classes_match_fraction_classes_and_dense_products(case):
+    n, r, picked = case
+    for cls, (a, b) in picked:
+        twin = DivisorClass(n, r, a, b)
+        assert cls.a == a and cls.b == b
+        assert cls == twin and hash(cls) == hash(twin)
+        assert cls.to_json() == twin.to_json() == {
+            "n": n, "r": r, "a": str(a), "b": [str(x) for x in b]}
+        assert DivisorClass.from_json(cls.to_json()) == cls
+        for i in range(r):
+            assert curve_value(cls, CurveClass("exceptional-line", (i,), 0)) == b[i]
+        for pts in [(), *combinations(range(r), 1), *combinations(range(r), 2)]:
+            curve = CurveClass("line-through-point-set", pts, 1)
+            assert curve_value(cls, curve) == a - sum(b[i] for i in pts)
+    classes = [cls for cls, _ in picked]
+    value = top_intersection(classes)
+    assert value == dense_top(classes) == brute_force_top(classes)
+    assert value == top_intersection(classes[::-1])

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 import betachow.beta
+import betachow.chow
 import betachow.cli
-from betachow.cli import main
+from betachow.chow import config_classes, cyclic_config
+from betachow.cli import main, verify_rows
 from betachow.reporting import parse_config_file
 from betachow.search import load_solution_set
 
@@ -33,6 +35,58 @@ def test_verify_mutation_detected(capsys, monkeypatch):
                          "--q-mult", "4")
     assert code == 1
     assert "FIRST FAILING ROW" in err
+
+
+def test_verify_intersection_mutation_detected(capsys, monkeypatch):
+    real = betachow.cli.top_intersection
+    cl = config_classes(cyclic_config(2, 7))
+    target = [cl["D"], cl["Ht7"]]
+
+    def off_by_one(classes):
+        value = real(classes)
+        return value + 1 if list(classes) == target else value
+
+    monkeypatch.setattr(betachow.cli, "top_intersection", off_by_one)
+    code, _, err = run(capsys, "verify", "--chow-n-hi", "2", "--beta-n-hi", "2",
+                       "--q-mult", "4")
+    assert code == 1
+    row = json.loads(err.split("FIRST FAILING ROW: ", 1)[1])
+    assert (row["section"], row["n"], row["q_or_l"], row["verdict"]) == \
+        ("intersection", "2", "7", "FAIL")
+
+
+def test_verify_builds_one_fraction_per_top_product(monkeypatch):
+    # a dense per-entry product (or per-entry Fraction classes) builds
+    # thousands more Fractions here than there are top products
+    built, calls = [], {"cli": 0, "beta": 0}
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(betachow.chow, "Fraction", Counting)
+    for name, module in (("cli", betachow.cli), ("beta", betachow.beta)):
+        def counted(classes, real=module.top_intersection, name=name):
+            calls[name] += 1
+            return real(classes)
+
+        monkeypatch.setattr(module, "top_intersection", counted)
+    rows = verify_rows(4, 3, 4)
+    assert all(row["verdict"] for row in rows)
+    # every identity is checked: 1 + n*q products per (n, q), n = 2..4, q = 3n..4n
+    assert calls["cli"] == sum(1 + n * q for n in range(2, 5) for q in range(3 * n, 4 * n + 1))
+    assert len(built) <= 2 * (calls["cli"] + calls["beta"])
+
+
+def test_verify_benchmark_panel(tmp_path, capsys):
+    out = tmp_path / "verify.csv"
+    code, _, _ = run(capsys, "verify", "--chow-n-hi", "7", "--beta-n-hi", "12",
+                     "--q-mult", "20", "--out", str(out))
+    assert code == 0
+    data = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert data[0] == ",".join(betachow.cli.VERIFY_FIELDS)
+    assert len(data) - 1 == 2680
 
 
 def test_verify_reproducible_bytes(tmp_path, capsys):
@@ -76,6 +130,19 @@ def test_chow_usage_error(capsys):
     code, _, err = run(capsys, "chow", "--config", "cyclic", "--n", "2", "--q", "6")
     assert code == 2
     assert "nothing to do" in err
+
+
+@pytest.mark.parametrize("expr, message", [
+    ("1/0*D", "zero denominator"),
+    ("D + ", "ends with an operator"),
+    ("D -", "ends with an operator"),
+])
+def test_chow_bad_class_expression_exits_2(capsys, expr, message):
+    code, out, err = run(capsys, "chow", "--config", "cyclic", "--n", "2", "--q", "6",
+                         "--nef", expr)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_beta_command(capsys):
