@@ -161,6 +161,8 @@ def cmd_chow(args) -> int:
             exp = cfg.n if exp_text == "n" else int(exp_text)
             if name not in classes:
                 raise ValueError(f"unknown class {name!r}")
+            if exp < 0:
+                raise ValueError(f"--power exponent must be >= 0, got {token!r}")
             factors.extend([classes[name]] * exp)
         value = top_intersection(factors)
         rows.append({"item": "power " + " ".join(args.power), "value": value})

@@ -21,20 +21,19 @@ from fractions import Fraction
 from functools import partial
 from itertools import product
 from math import gcd, lcm, prod
-from operator import mul
+from operator import getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
 from .poly import (
     MultiPoly,
-    _exact,
     _int_evaluator,
     hyperplanes_general_position,
     monomial_exponents,
     parse_poly,
 )
-from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _vp, factor
+from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _vp, factor, is_prime
 from .sharding import sharded
 
 
@@ -45,7 +44,6 @@ class SRing:
     primes: tuple[int, ...] = ()
 
     def __post_init__(self):
-        from .primes import is_prime
         ps = tuple(self.primes)
         if list(ps) != sorted(set(ps)) or not all(is_prime(p) for p in ps):
             raise ValueError("S must be a strictly ascending list of primes")
@@ -58,6 +56,12 @@ class SRing:
             while n % p == 0:
                 n //= p
         return n
+
+    def is_unit(self, n: int) -> bool:
+        """Whether n != 0 is +- a product of S-primes: every exponent of such
+        an |n| is below its bit length, so it divides prod(S)^bits."""
+        n = abs(n)
+        return pow(prod(self.primes), n.bit_length(), n) == 0
 
     def contains(self, x: Fraction | int) -> bool:
         if isinstance(x, int):
@@ -169,18 +173,42 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 # partial of a module-level point function (so it pickles) giving the values
 # whose valuations witness a solution, or None.  search_spec is the one
 # decoder from a descriptor to a factory; searches, shard workers,
-# checkpoint resume and reverify all call the check it returns.  Forms are
-# evaluated by _int_evaluator, in ints wherever the coefficients allow.
+# checkpoint resume and reverify all call the check it returns.  A check's
+# values are exact up to S-units, which no witness sees.  cor12 runs in ints
+# over one S-unit denominator per point; thm11 and thm16 evaluate their forms
+# by _int_evaluator, in ints wherever the coefficients allow.
 
 Check = Callable[[tuple], "list | None"]
 
 
-def _cor12_point(s: SRing, g_eval, xs: tuple) -> list | None:
-    total = sum(xs)
-    a = prod(xs) * (1 - total)
-    b = g_eval(xs)
-    ok = b == 0 if a == 0 else divides_in_OS(a, b, s)
-    return [*xs, 1 - total, a, b] if ok else None
+def _cor12_ints(g: MultiPoly) -> list[int]:
+    """The coefficients of c*g, constant term first and then those of x0..,
+    for c the lcm of g's coefficient denominators (an S-unit when g has
+    S-integer coefficients); g has degree <= 1."""
+    n = g.nvars
+    exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    coeffs = [g.terms.get(e, Fraction(0)) for e in exps]
+    c = lcm(*(x.denominator for x in coeffs))
+    return [x.numerator * (c // x.denominator) for x in coeffs]
+
+
+def _cor12_point(s: SRing, const: int, linear: list[int], xs: tuple) -> list | None:
+    """The cor12 check in ints.  Over the common denominator D of the point,
+    X_i = D x_i, rest = D - sum X_i = D (1 - sum x_i), A = prod X_i * rest =
+    D^(n+1) a and B = c D g(x) with const, linear the coefficients of c*g.
+    D and c are S-units, so a | g(x) in O_S iff A / gcd(A, B) is an S-unit."""
+    d = lcm(*[x.denominator for x in xs])
+    if d == 1:
+        big = [x.numerator for x in xs]
+    elif not s.is_unit(d):
+        raise ValueError("inputs outside the ring of S-integers")
+    else:
+        big = [x.numerator * (d // x.denominator) for x in xs]
+    rest = d - sum(big)
+    a = prod(big) * rest
+    b = const * d + sum(map(mul, linear, big))
+    ok = b == 0 if a == 0 else s.is_unit(a // gcd(a, b))
+    return [*big, rest, a, b] if ok else None
 
 
 def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> tuple[dict, Check]:
@@ -199,8 +227,9 @@ def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> tuple[dict, Check]:
         unit = tuple(1 if j == i else 0 for j in range(n))
         if g.evaluate(unit) == 0:
             raise ValueError("degenerate g: vanishes at a unit vector")
+    const, *linear = _cor12_ints(g)
     return (_descriptor("cor12", box, s, False, g=str(g)),
-            partial(_cor12_point, s, _int_evaluator(g)))
+            partial(_cor12_point, s, const, linear))
 
 
 def _thm11_point(s: SRing, mode: str, evaluators: list, g_eval, xs: tuple) -> list | None:
@@ -371,28 +400,28 @@ def _whole_row(values: Sequence, prefix: tuple) -> Sequence:
     return values
 
 
-def _cor12_lasts(const, coeffs: list, by_part: dict, values: list, s: SRing,
+def _cor12_lasts(const: int, linear: list[int], by_part: dict, values: list, s: SRing,
                  prefix: tuple) -> list:
     """The last coordinates t after the prefix x' that can pass the cor12
     check.  Write c = g(x', 0), so g(x) = c + g_t t (g has degree <= 1).  If
     a = prod x_i (1 - sum x_i) != 0, then t | a | g(x), so t | c in O_S; if
     a = 0, then g(x) = 0 forces t | c or c = 0.  So t runs over the values
-    whose numerator's non-S part (by_part's key) divides c's numerator."""
-    divs = _row_divisors(const + sum(map(mul, coeffs, prefix)), s)
+    whose numerator's non-S part (by_part's key) divides c's numerator.  c
+    comes times an S-unit, from g's integer-scaled coefficients const, linear
+    (_cor12_ints)."""
+    # map stops at the prefix, so x_{n-1}'s coefficient is left out
+    divs = _row_divisors(const + sum(map(mul, linear, prefix)), s)
     return values if divs is None else [v for d in divs for v in by_part.get(d, ())]
 
 
 def _cor12_rows(g: MultiPoly, values: list, s: SRing) -> _Rows:
-    n = g.nvars
-    # g's constant term and its coefficients of x0..x_{n-2}, ints where integral
-    exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n - 1))]
-    const, *coeffs = [_exact(g.terms.get(e, Fraction(0))) for e in exps]
+    const, *linear = _cor12_ints(g)
     by_part: dict[int, list] = {}
     for v in values:
         if v != 0:
             by_part.setdefault(s.strip_s_part(abs(v.numerator)), []).append(v)
-    return _Rows(n, values, values, partial(_cor12_lasts, const, coeffs, by_part, values, s),
-                 False)
+    return _Rows(g.nvars, values, values,
+                 partial(_cor12_lasts, const, linear, by_part, values, s), False)
 
 
 def _s_units(s: SRing, bound: int) -> list[int]:
@@ -607,13 +636,48 @@ def save_solution_set(sols: SolutionSet, path: str, version: str):
         fh.write(text)
 
 
+def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
+    """Whether stored is the witness map of the checked values, without
+    factoring them: every key names a prime outside S (keys caches that
+    verdict per key), its list holds each value's valuation there, None at
+    exactly the zero values, and no nonzero value keeps a prime outside S
+    once the listed ones are divided out."""
+    if not isinstance(stored, dict):
+        return False
+    nums = [abs(v.numerator) or 1 for v in values]      # a zero value leaves 1
+    dens = [v.denominator for v in values]
+    for key, vps in stored.items():
+        if key not in keys:
+            p = int(key) if key.isdecimal() else 0
+            keys[key] = p if str(p) == key and p not in s.primes and is_prime(p) else None
+        p = keys[key]
+        if p is None or not isinstance(vps, list) or len(vps) != len(values) \
+                or all(e is None or e == 0 for e in vps):
+            return False
+        for i, (v, e) in enumerate(zip(values, vps)):
+            if v == 0 or e is None:
+                if v != 0 or e is not None:
+                    return False
+                continue
+            k = _vp(v, p)
+            if type(e) is not int or e != k:
+                return False
+            if k > 0:
+                nums[i] //= p ** k
+            elif k < 0:
+                dens[i] //= p ** -k
+    return s.is_unit(prod(nums) * prod(dens))
+
+
 def _records_solution_set(descriptor: dict, records: Iterable[dict],
                           check: Check | None) -> SolutionSet:
     """Stored records ({"point", "witnesses"}) as a solution set.  Given the
     check of the descriptor's predicate, every point is re-checked; a point
     outside the descriptor's box, a projective point not in normalized
-    form, or a failing point raises.  None skips the re-check."""
+    form, a failing point, or stored witnesses that are not the witness map
+    of the check's values raise.  None skips the re-check."""
     box, s = _box(descriptor)
+    keys: dict = {}
     projective = descriptor["projective"]
     # coordinates of the box: |numerator| <= B and a denominator dividing
     # prod_{p in S} p^denom_cap (projective boxes hold integers only)
@@ -629,8 +693,12 @@ def _records_solution_set(descriptor: dict, records: Iterable[dict],
                 raise ValueError(f"stored point {rec['point']} is not a point of the search box")
             if projective and ProjPoint.normalize(point).coords != point:
                 raise ValueError(f"stored point {rec['point']} is not normalized")
-            if check(point) is None:
+            values = check(point)
+            if values is None:
                 raise ValueError(f"stored point {rec['point']} fails its predicate")
+            if not _witnesses_match(rec["witnesses"], values, s, keys):
+                raise ValueError(f"stored point {rec['point']} has witnesses that differ "
+                                 "from its predicate")
         out.points.append(point)
         out.witnesses.append(rec["witnesses"])
     return out
@@ -762,10 +830,11 @@ def vanishing_forms(points: Sequence[tuple], degree: int,
     exps = monomial_exponents(nvars, degree, homogeneous=projective)
     rows = []
     for pt in points:
-        fracs = [Fraction(x) for x in pt]
-        # the row scaled by prod_i den(x_i)^degree: integers, same row space
-        rows.append([prod(x.numerator ** k * x.denominator ** (degree - k)
-                          for x, k in zip(fracs, e)) for e in exps])
+        # the row scaled by prod_i den(x_i)^degree: integers, same row space;
+        # tables[i][k] = num(x_i)^k den(x_i)^(degree - k)
+        tables = [[x.numerator ** k * x.denominator ** (degree - k) for k in range(degree + 1)]
+                  for x in map(Fraction, pt)]
+        rows.append([prod(map(getitem, tables, e)) for e in exps])
     basis = kernel_basis(rows)
     return [MultiPoly(nvars, dict(zip(exps, vec))) for vec in basis]
 

@@ -145,6 +145,15 @@ def test_chow_bad_class_expression_exits_2(capsys, expr, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("power", [["D,-1", "Ht1,2"], ["Ht1,2", "D,-1"]])
+def test_chow_negative_power_exits_2(capsys, power):
+    code, out, err = run(capsys, "chow", "--config", "cyclic", "--n", "2", "--q", "6",
+                         "--power", *power)
+    assert code == 2
+    assert "--power exponent must be >= 0" in err and "Traceback" not in err
+    assert out == ""
+
+
 def test_beta_command(capsys):
     code, out, _ = run(capsys, "beta", "--cyclic", "2", "6", "--numeric-N", "50")
     assert code == 0
@@ -439,6 +448,15 @@ def test_checkpoint_record_stored_twice_is_refused(tmp_path, capsys):
     code, err, untouched = _checkpointed_record_edit(capsys, tmp_path, duplicate)
     assert code == 2
     assert "twice" in err
+    assert untouched
+
+
+def test_checkpoint_record_with_tampered_witnesses_is_refused(tmp_path, capsys):
+    def fabricate(lines, i, j):
+        lines[i]["records"][0]["witnesses"] = {"7": [1]}
+    code, err, untouched = _checkpointed_record_edit(capsys, tmp_path, fabricate)
+    assert code == 2
+    assert "has witnesses that differ from its predicate" in err
     assert untouched
 
 

@@ -2,7 +2,8 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, prod
+from functools import partial
+from math import gcd, lcm, prod
 
 import pytest
 import sympy
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import betachow.search
 from betachow.heights import ProjPoint, make_place_set, theoremkey_condition
+from betachow.linalg import kernel_basis
 from betachow.poly import MultiPoly, monomial_exponents, parse_poly
 from betachow.search import (
     SearchBox,
@@ -88,6 +90,15 @@ S_INTEGER_RINGS = [S_EMPTY, SRing((2,)), SRing((2, 3))]
 def _s_integers(draw, s: SRing, nonzero: bool = False):
     num = draw(st.integers(-60, 60).filter(lambda k: k != 0 or not nonzero))
     return Fraction(num, prod(p ** draw(st.integers(0, 3)) for p in s.primes))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(S_INTEGER_RINGS), st.integers(-10 ** 6, 10 ** 6).filter(bool),
+       st.integers(0, 40), st.integers(0, 40))
+def test_is_unit_matches_strip_s_part(s, k, e2, e3):
+    # k times a large power of 2 and 3, as common denominators make them
+    n = k * 2 ** e2 * 3 ** e3
+    assert s.is_unit(n) == (abs(s.strip_s_part(n)) == 1)
 
 
 @st.composite
@@ -397,6 +408,72 @@ def test_cor12_reverify_rejects_tampered_point(tmp_path):
             load_solution_set(str(path))
 
 
+def _edit_witnesses(wit: dict, key: str, vps) -> dict:
+    """wit with key's list set to vps, or key dropped when vps is None."""
+    out = {k: v for k, v in wit.items() if k != key}
+    return out if vps is None else {**out, key: vps}
+
+
+# the stored record of (1/2, -5/2) for g = 3 - x0 + x1, S = {2}: values
+# 1, -5, 6, -30 and 0 up to S-units
+WIT = {"3": [0, 0, 1, 1, None], "5": [0, 1, 0, 1, None]}
+TAMPERED_WITNESSES = [
+    {"7": [1]},                                             # a fabricated map
+    [],                                                     # not a map
+    _edit_witnesses(WIT, "5", None),                        # -5 and -30 keep the prime 5
+    _edit_witnesses(WIT, "3", [0, 0, 2, 1, None]),          # a wrong valuation
+    _edit_witnesses(WIT, "3", [0, 0, True, 1, None]),       # not an int
+    _edit_witnesses(WIT, "3", [0, 0, 1, 1, 0]),             # a zero value with a valuation
+    _edit_witnesses(WIT, "3", [None, 0, 1, 1, None]),       # None at a nonzero value
+    _edit_witnesses(WIT, "3", [0, 0, 1, 1]),                # one valuation short
+    _edit_witnesses(WIT, "2", [0, 0, 1, 1, None]),          # a prime of S
+    _edit_witnesses(WIT, "7", [0, 0, 0, 0, None]),          # a prime dividing no value
+    _edit_witnesses(WIT, "9", [0, 0, 2, 2, None]),          # not a prime
+    {"03": WIT["3"], "5": WIT["5"]},                        # not the canonical key
+]
+
+
+@pytest.mark.parametrize("witnesses", TAMPERED_WITNESSES)
+def test_reverify_rejects_tampered_witnesses(tmp_path, witnesses):
+    sols = search_cor12(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,)))
+    path = tmp_path / "c.jsonl"
+    save_solution_set(sols, str(path), "0.0-test")
+    header, *records = [json.loads(line) for line in path.read_text().splitlines()]
+    i = next(k for k, rec in enumerate(records) if rec["point"] == ["1/2", "-5/2"])
+    assert records[i]["witnesses"] == WIT
+    assert load_solution_set(str(path)).witnesses == sols.witnesses
+    records[i]["witnesses"] = witnesses
+    path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n"
+                            for rec in [header, *records]))
+    with pytest.raises(ValueError, match=r"stored point \['1/2', '-5/2'\] has witnesses "
+                                         "that differ from its predicate"):
+        load_solution_set(str(path))
+    assert load_solution_set(str(path), reverify=False).witnesses[i] == witnesses
+
+
+@pytest.mark.parametrize("search", [
+    lambda: search_cor12(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,))),
+    lambda: search_thm16(SIX, SearchBox(2, 5), SRing((2, 3))),
+    lambda: search_thm11([parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0 + x1 + x2")],
+                         parse_poly("1/2*x0 - 3*x1 + 5*x2", 3), "ii", SearchBox(2, 5),
+                         SRing((2,))),
+])
+def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatch, search):
+    sols = search()
+    keys = {k for wit in sols.witnesses for k in wit}
+    assert sols.count > 1 and keys
+    path = tmp_path / "w.jsonl"
+    save_solution_set(sols, str(path), "0.0-test")
+    calls = []
+    real = betachow.search.is_prime
+    monkeypatch.setattr(betachow.search, "is_prime", lambda p: calls.append(p) or real(p))
+    loaded = load_solution_set(str(path))
+    assert loaded.witnesses == sols.witnesses
+    # SRing checks the primes of S itself
+    s_primes = sols.descriptor["s_primes"]
+    assert sorted(p for p in calls if p not in s_primes) == sorted(int(k) for k in keys)
+
+
 @pytest.mark.parametrize("edit", [
     {"projective": False},                  # would re-verify [-2:0:0] as an affine point
     {"forms": [str(f) for f in SIX[:5]] + ["x0 + 6*x1 + 36*x2 + 0"]},
@@ -534,6 +611,24 @@ def test_rational_roots_match_sympy(linears, quadratic, scale):
     assert _rational_roots(coeffs) == want
 
 
+def _vanishing_forms_by_powers(points, degree: int, projective: bool) -> list:
+    """The oracle: each row entry a product of powers, built per monomial."""
+    nvars = len(points[0])
+    exps = monomial_exponents(nvars, degree, homogeneous=projective)
+    rows = [[prod(Fraction(x).numerator ** k * Fraction(x).denominator ** (degree - k)
+                  for x, k in zip(pt, e)) for e in exps] for pt in points]
+    return [MultiPoly(nvars, dict(zip(exps, vec))) for vec in kernel_basis(rows)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+           st.tuples(*[st.one_of(st.integers(-9, 9), RATIONALS)] * n), min_size=1, max_size=12)),
+       st.integers(1, 3), st.booleans())
+def test_vanishing_forms_match_per_monomial_powers(points, degree, projective):
+    assert vanishing_forms(points, degree, projective) == \
+        _vanishing_forms_by_powers(points, degree, projective)
+
+
 # ---------------------------------------------------------------------------
 # the cor12 check against its Fraction formula
 # ---------------------------------------------------------------------------
@@ -567,13 +662,64 @@ def _cor12_check_cases(draw):
 @given(_cor12_check_cases())
 @example((parse_poly("2", 2), S_EMPTY, (1, -1)))
 @example((parse_poly("6", 2), SRing((2,)), (Fraction(1, 2), 2)))
+# a mixed int/Fraction point: a = -8/9 is an S-unit
+@example((parse_poly("5 + 1/2*x1", 2), SRing((2, 3)), (Fraction(1, 3), 2)))
+# rest = 0: a = 0 = g(1/2, 1/2)
+@example((parse_poly("2 - 3*x0 - x1", 2), SRing((2,)), (Fraction(1, 2), Fraction(1, 2))))
+# a denominator that is not an S-unit
+@example((parse_poly("6", 2), SRing((2,)), (Fraction(1, 3), 1)))
 def test_cor12_check_matches_fraction_formula(case):
     g, s, xs = case
-    got = _cor12_spec(g, SearchBox(g.nvars, 0), s)[1](xs)
-    want = _cor12_fraction_check(g, s, xs)
-    assert got == want
-    if want is not None:
-        assert _witness_map(got, s) == _witness_map(want, s)
+    check = _cor12_spec(g, SearchBox(g.nvars, 0), s)[1]
+    if not all(s.contains(Fraction(c)) for c in xs):
+        with pytest.raises(ValueError, match="outside the ring of S-integers"):
+            check(xs)
+        return
+    got, want = check(xs), _cor12_fraction_check(g, s, xs)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
+    assert _witness_map(got, s) == _witness_map(want, s)
+    # the same values over the common denominator D of the point and the
+    # common denominator c of g: x_i and 1 - sum x_i times D, a times
+    # D^(n+1), g(x) times c*D
+    n = len(xs)
+    d = lcm(*(Fraction(x).denominator for x in xs))
+    c = lcm(*(v.denominator for v in g.terms.values()))
+    assert all(type(v) is int for v in got)
+    assert got == [v * k for v, k in zip(want, [d] * (n + 1) + [d ** (n + 1), c * d])]
+
+
+def _counting_fractions(monkeypatch) -> list:
+    """Every Fraction built from now on (by constructors and arithmetic
+    alike), as its constructor arguments."""
+    built = []
+    raw = Fraction.__dict__["__new__"].__func__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return raw(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    return built
+
+
+def test_cor12_check_builds_no_fractions(monkeypatch):
+    g = parse_poly("1/4*x0 + 3/2*x1 - 5/6", 2)
+    s = SRing((2, 3))
+    check = _cor12_spec(g, SearchBox(2, 0), s)[1]
+    points = [(Fraction(1, 2), Fraction(-3, 4)), (Fraction(5, 9), 7), (Fraction(1, 6), -1)]
+    wants = [_cor12_fraction_check(g, s, xs) for xs in points]
+    assert any(wants) and not all(wants)
+    built = _counting_fractions(monkeypatch)
+    gots = [check(xs) for xs in points]
+    assert built == []
+    assert [got is None for got in gots] == [want is None for want in wants]
+    assert [_witness_map(got, s) for got in gots if got] == \
+        [_witness_map(want, s) for want in wants if want]
+    # the guard sees the Fractions of the oracle
+    _cor12_fraction_check(g, s, points[0])
+    assert built
 
 
 # ---------------------------------------------------------------------------
@@ -604,10 +750,10 @@ def _assert_matches_brute(g: MultiPoly, box: SearchBox, s: SRing, workers: int =
 
 
 @st.composite
-def _cor12_cases(draw):
+def _cor12_cases(draw, rings=(*S_INTEGER_RINGS, SRing((5,)))):
     """A cor12 g satisfying the hypotheses, with integer or S-fraction
-    coefficients, and a box of at most 3000 points."""
-    s = draw(st.sampled_from([*S_INTEGER_RINGS, SRing((5,))]))
+    coefficients, an S from rings, and a box of at most 3000 points."""
+    s = draw(st.sampled_from(rings))
     n = draw(st.integers(1, 3))
     dens = [1]
     if draw(st.booleans()):
@@ -630,6 +776,18 @@ def test_cor12_enumeration_matches_brute_product(case, workers):
     _assert_matches_brute(*case, workers=workers)
 
 
+@settings(max_examples=40, deadline=None)
+@given(_cor12_cases([SRing((2,)), SRing((2, 3))]), st.integers(1, 2))
+def test_cor12_search_matches_fraction_check_search(case, workers):
+    # the same enumeration and driver, with the Fraction formula as the check
+    g, box, s = case
+    descriptor, check = _cor12_spec(g, box, s)
+    got = run_search(descriptor, check, workers)
+    want = run_search(descriptor, partial(_cor12_fraction_check, g, s), workers)
+    assert got.points == want.points
+    assert got.witnesses == want.witnesses
+
+
 @pytest.mark.parametrize("g_text, box, s", [
     ("3 - x0 + x1", SearchBox(2, 6), S_EMPTY),
     ("3 - x0 + x1", SearchBox(2, 4, 1), SRing((2, 3))),
@@ -638,6 +796,8 @@ def test_cor12_enumeration_matches_brute_product(case, workers):
     ("1 + x0 - 2*x1 + x2", SearchBox(3, 4), S_EMPTY),
     # g(x', 0) beyond the row factoring bound: every row taken whole
     (f"{10 ** 20 + 1} + x0 + x1", SearchBox(2, 5), S_EMPTY),
+    # coefficient denominators 2 and 3: the rows need c*g with c = 6
+    ("1/2*x0 + x1 + 1/3", SearchBox(2, 6, 1), SRing((2, 3))),
 ])
 def test_cor12_enumeration_explicit_cases(g_text, box, s):
     sols = _assert_matches_brute(parse_poly(g_text, box.dim), box, s)
