@@ -65,7 +65,7 @@ from .reporting import (
     write_output,
 )
 from .search import (
-    Check,
+    Search,
     SolutionSet,
     degeneracy_report,
     run_search,
@@ -289,7 +289,7 @@ def _read_forms_file(path: str) -> tuple[list[str], str | None]:
     return forms, g_text
 
 
-def _growth(text: str, descriptor: dict, check: Check, workers: int,
+def _growth(text: str, search: Search, workers: int,
             sols: SolutionSet) -> list[tuple[int, int]]:
     """Solution counts per growth bound.  Boxes nest and the predicates do
     not depend on the bound, so the count at b is the number of solutions
@@ -297,8 +297,8 @@ def _growth(text: str, descriptor: dict, check: Check, workers: int,
     bounds = [int(t) for t in text.split(",")]
     if min(bounds) < 0:
         raise ValueError("invalid search box")
-    if max(bounds) > descriptor["bound"]:
-        sols = run_search({**descriptor, "bound": max(bounds)}, check, workers)
+    if max(bounds) > search.box.bound:
+        sols = run_search(search.with_bound(max(bounds)), workers)
     heights = [max(abs(c.numerator) for c in pt) for pt in sols.points]
     return [(b, sum(1 for h in heights if h <= b)) for b in bounds]
 
@@ -309,15 +309,15 @@ def cmd_search(args) -> int:
     s_primes = ([int(p) for p in args.s_primes.split(",") if p.strip()]
                 if args.s_primes not in (None, "", "none") else [])
     form_texts, g_text = _read_forms_file(args.forms)
-    descriptor, check = search_spec({
+    search = search_spec({
         "kind": args.kind, "dim": args.dim, "bound": args.box, "denom_cap": args.denom_cap,
         "s_primes": s_primes, "forms": form_texts, "g": g_text, "mode": args.mode,
         "assert_general_position": args.assert_general_position})
     workers = worker_count(args.workers)
     if args.checkpoint:
-        sols = search_with_checkpoint(args.checkpoint, descriptor, check, __version__, workers)
+        sols = search_with_checkpoint(args.checkpoint, search, __version__, workers)
     else:
-        sols = run_search(descriptor, check, workers)
+        sols = run_search(search, workers)
 
     config = RunConfig("search", {
         "kind": args.kind, "forms": args.forms, "mode": args.mode or "",
@@ -335,7 +335,7 @@ def cmd_search(args) -> int:
     write_output(args.out, content)
 
     if args.degeneracy:
-        growth = _growth(args.growth, descriptor, check, workers, sols) if args.growth else None
+        growth = _growth(args.growth, search, workers, sols) if args.growth else None
         rep = degeneracy_report(sols.points, args.degeneracy,
                                 projective=sols.descriptor.get("projective", False),
                                 growth=growth, descriptor=sols.descriptor)

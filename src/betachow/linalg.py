@@ -89,8 +89,3 @@ def kernel_basis(m: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
             v = [-x for x in v]
         basis.append(v)
     return basis
-
-
-def mat_vec(m: Sequence[Sequence[Fraction | int]], v: Sequence[Fraction | int]) -> list[Fraction]:
-    return [sum((Fraction(x) * Fraction(y) for x, y in zip(row, v)), Fraction(0))
-            for row in m]

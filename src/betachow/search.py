@@ -16,7 +16,7 @@ degree cutoff, and nothing more is claimed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -169,27 +169,41 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 # ---------------------------------------------------------------------------
 #
 # Each spec factory validates its search's arguments and its theorem's
-# hypotheses, and returns the descriptor with the per-point check: a
-# partial of a module-level point function (so it pickles) giving the values
-# whose valuations witness a solution, or None.  search_spec is the one
-# decoder from a descriptor to a factory; searches, shard workers,
-# checkpoint resume and reverify all call the check it returns.  A check's
-# values are exact up to S-units, which no witness sees.  cor12 runs in ints
-# over one S-unit denominator per point; thm11 and thm16 evaluate their forms
-# by _int_evaluator, in ints wherever the coefficients allow.
+# hypotheses, and returns one Search.  Its check is a partial of a
+# module-level point function (so it pickles) giving the values whose
+# valuations witness a solution, or None.  search_spec is the one decoder
+# from a descriptor to a factory.  A check's values are exact up to S-units,
+# which no witness sees: cor12 runs in ints over one S-unit denominator per
+# point, thm11 in ints over forms scaled by S-units, and thm16 evaluates its
+# forms by _int_evaluator.
 
 Check = Callable[[tuple], "list | None"]
 
 
-def _cor12_ints(g: MultiPoly) -> list[int]:
-    """The coefficients of c*g, constant term first and then those of x0..,
-    for c the lcm of g's coefficient denominators (an S-unit when g has
-    S-integer coefficients); g has degree <= 1."""
-    n = g.nvars
-    exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n))]
-    coeffs = [g.terms.get(e, Fraction(0)) for e in exps]
-    c = lcm(*(x.denominator for x in coeffs))
-    return [x.numerator * (c // x.denominator) for x in coeffs]
+@dataclass(frozen=True)
+class Search:
+    """One validated search, decoded once: the canonical descriptor, its box
+    and ring, the per-point check, and rows, a picklable rule building the
+    candidate rows of a box from the data the factory parsed and scaled.
+    Runs, shard workers, checkpoints, growth and reverify all take it."""
+
+    descriptor: dict
+    box: SearchBox
+    s: SRing
+    check: Check
+    rows: Callable[[SearchBox], "_Rows"]
+
+    def with_bound(self, bound: int) -> "Search":
+        """The same search over the box with numerator bound `bound`."""
+        return replace(self, descriptor={**self.descriptor, "bound": bound},
+                       box=SearchBox(self.box.dim, bound, self.box.denom_cap))
+
+
+def _scaled(f: MultiPoly) -> MultiPoly:
+    """f times the lcm of its coefficient denominators, which has integer
+    coefficients; the lcm is an S-unit when f has S-integer coefficients,
+    so divisibility in O_S and every witness are unchanged."""
+    return f * lcm(*(c.denominator for c in f.terms.values()))
 
 
 def _cor12_point(s: SRing, const: int, linear: list[int], xs: tuple) -> list | None:
@@ -211,7 +225,7 @@ def _cor12_point(s: SRing, const: int, linear: list[int], xs: tuple) -> list | N
     return [*big, rest, a, b] if ok else None
 
 
-def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> tuple[dict, Check]:
+def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> Search:
     """(1 - sum x_i) * prod x_i | g(x).  g must have degree <= 1, S-integer
     coefficients, and be nonzero at the origin and at each unit vector."""
     n = g.nvars
@@ -227,27 +241,30 @@ def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> tuple[dict, Check]:
         unit = tuple(1 if j == i else 0 for j in range(n))
         if g.evaluate(unit) == 0:
             raise ValueError("degenerate g: vanishes at a unit vector")
-    const, *linear = _cor12_ints(g)
-    return (_descriptor("cor12", box, s, False, g=str(g)),
-            partial(_cor12_point, s, const, linear))
+    # the coefficients of c*g: the constant term first, then those of x0..
+    exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n))]
+    scaled = _scaled(g).terms
+    const, *linear = [int(scaled.get(e, 0)) for e in exps]
+    return Search(_descriptor("cor12", box, s, False, g=str(g)), box, s,
+                  partial(_cor12_point, s, const, linear), partial(_cor12_rows, s, const, linear))
 
 
 def _thm11_point(s: SRing, mode: str, evaluators: list, g_eval, xs: tuple) -> list | None:
+    """The thm11 check in ints, on integer points and the forms scaled by
+    S-units: F | G in O_S iff F / gcd(F, G) is an S-unit."""
     gval = g_eval(xs)
     if gval == 0:
         return None
     fvals = [ev(xs) for ev in evaluators]
     if any(v == 0 for v in fvals):
         return None
-    if mode == "i":
-        ok = all(divides_in_OS(v, gval, s) for v in fvals)
-    else:
-        ok = divides_in_OS(prod(fvals), gval, s)
+    divisors = fvals if mode == "i" else [prod(fvals)]
+    ok = all(s.is_unit(f // gcd(f, gval)) for f in divisors)
     return [*fvals, gval] if ok else None
 
 
 def _thm11_spec(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, box: SearchBox,
-                s: SRing, assert_general_position: bool) -> tuple[dict, Check]:
+                s: SRing, assert_general_position: bool) -> Search:
     """Mode 'i': F_i(x) | G(x) for every i; mode 'ii': prod F_i(x) | G(x);
     points where any F_i or G vanishes fail."""
     forms = list(forms)
@@ -281,8 +298,10 @@ def _thm11_spec(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, box: S
         "thm11", box, s, True, forms=[str(f) for f in forms], g=str(g_form), mode=mode,
         threshold_ok=len(forms) >= (2 * n + 1 if mode == "i" else n + 2),
         assert_general_position=assert_general_position)
-    return descriptor, partial(_thm11_point, s, mode, [_int_evaluator(f) for f in forms],
-                               _int_evaluator(g_form))
+    scaled, g_scaled = [_scaled(f) for f in forms], _scaled(g_form)
+    check = partial(_thm11_point, s, mode, [_int_evaluator(f) for f in scaled],
+                    _int_evaluator(g_scaled))
+    return Search(descriptor, box, s, check, _thm11_rows_rule(scaled, g_scaled, s))
 
 
 def _thm16_hypotheses(forms: Sequence[MultiPoly]):
@@ -315,15 +334,16 @@ def _thm16_point(s: SRing, n: int, evaluators: list, xs: tuple) -> list | None:
     return values if all(_thm16_windows(xs, values, n, s)[0]) else None
 
 
-def _thm16_spec(forms: Sequence[MultiPoly], box: SearchBox, s: SRing) -> tuple[dict, Check]:
+def _thm16_spec(forms: Sequence[MultiPoly], box: SearchBox, s: SRing) -> Search:
     """The window ideal equality at every index; points on a hyperplane of
     the family fail."""
     forms = list(forms)
     _thm16_hypotheses(forms)
     if box.dim != forms[0].nvars - 1:
         raise ValueError("box dimension must match the projective dimension")
-    return (_descriptor("thm16", box, s, True, forms=[str(f) for f in forms]),
-            partial(_thm16_point, s, box.dim, [_int_evaluator(f) for f in forms]))
+    return Search(_descriptor("thm16", box, s, True, forms=[str(f) for f in forms]), box, s,
+                  partial(_thm16_point, s, box.dim, [_int_evaluator(f) for f in forms]),
+                  _projective_rows)
 
 
 def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params) -> dict:
@@ -333,18 +353,15 @@ def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params)
             "projective": projective}
 
 
-def _box(descriptor: dict) -> tuple[SearchBox, SRing]:
-    s = SRing(tuple(descriptor["s_primes"]))
-    return SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"]), s
-
-
-def search_spec(descriptor: dict) -> tuple[dict, Check]:
-    """The canonical descriptor of a search and its per-point check, the
-    hypotheses validated once.  The input names the kind, the box (dim,
+def search_spec(descriptor: dict) -> Search:
+    """The search a descriptor names, its hypotheses validated once and its
+    polynomial texts parsed once.  The input names the kind, the box (dim,
     bound, denom_cap), s_primes, the polynomial texts "forms" and "g", and
     for thm11 "mode" and "assert_general_position"; a run's cor12 g may come
-    as the one entry of "forms".  A canonical descriptor decodes to itself."""
-    box, s = _box(descriptor)
+    as the one entry of "forms".  A canonical descriptor decodes to a Search
+    holding itself."""
+    s = SRing(tuple(descriptor["s_primes"]))
+    box = SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"])
     kind = descriptor["kind"]
     if kind == "cor12":
         texts = descriptor["forms"] if "forms" in descriptor else [descriptor["g"]]
@@ -407,21 +424,27 @@ def _cor12_lasts(const: int, linear: list[int], by_part: dict, values: list, s: 
     a = prod x_i (1 - sum x_i) != 0, then t | a | g(x), so t | c in O_S; if
     a = 0, then g(x) = 0 forces t | c or c = 0.  So t runs over the values
     whose numerator's non-S part (by_part's key) divides c's numerator.  c
-    comes times an S-unit, from g's integer-scaled coefficients const, linear
-    (_cor12_ints)."""
+    comes times an S-unit, from g's integer-scaled coefficients const, linear."""
     # map stops at the prefix, so x_{n-1}'s coefficient is left out
     divs = _row_divisors(const + sum(map(mul, linear, prefix)), s)
     return values if divs is None else [v for d in divs for v in by_part.get(d, ())]
 
 
-def _cor12_rows(g: MultiPoly, values: list, s: SRing) -> _Rows:
-    const, *linear = _cor12_ints(g)
+def _cor12_rows(s: SRing, const: int, linear: list[int], box: SearchBox) -> _Rows:
+    values = box.coordinate_values(s)
     by_part: dict[int, list] = {}
     for v in values:
         if v != 0:
             by_part.setdefault(s.strip_s_part(abs(v.numerator)), []).append(v)
-    return _Rows(g.nvars, values, values,
+    return _Rows(box.dim, values, values,
                  partial(_cor12_lasts, const, linear, by_part, values, s), False)
+
+
+def _projective_rows(box: SearchBox) -> _Rows:
+    """Every row whole: thm16, and thm11 without a linear F_i that meets the
+    last coordinate."""
+    values = range(-box.bound, box.bound + 1)
+    return _Rows(box.dim + 1, range(box.bound + 1), values, partial(_whole_row, values), True)
 
 
 def _s_units(s: SRing, bound: int) -> list[int]:
@@ -461,37 +484,26 @@ def _thm11_lasts(f: list, g: list, g_const: int, units: list, top: int, values: 
     return lasts
 
 
-def _thm11_lasts_rule(forms: Sequence[MultiPoly], g: MultiPoly, values: range, s: SRing):
-    """thm11's lasts rule from the first linear F with a_t != 0, F and G
-    scaled by S-units to integer coefficients; None (the full scan) for
-    forms of degree >= 2 or linear forms that all miss the last coordinate."""
+def _thm11_rows(s: SRing, f: list[int], g: list[int], g_const: int, box: SearchBox) -> _Rows:
+    rows = _projective_rows(box)
+    top = sum(map(abs, f)) * box.bound
+    return replace(rows, lasts=partial(_thm11_lasts, f, g, g_const, _s_units(s, top), top,
+                                       rows.values, s))
+
+
+def _thm11_rows_rule(forms: Sequence[MultiPoly], g: MultiPoly, s: SRing):
+    """thm11's rows rule from the first linear F with a_t != 0, for F and G
+    with integer coefficients; every row whole for forms of degree >= 2 or
+    linear forms that all miss the last coordinate."""
     ncoords = g.nvars
     linear = [f.linear_coefficients() for f in forms if f.total_degree() == 1]
     fs = next((c for c in linear if c[-1] != 0), None)
     if fs is None:
-        return None
+        return _projective_rows
     # G is homogeneous of degree <= 1: a linear form or a nonzero constant
-    gs = g.linear_coefficients() if g.total_degree() == 1 else (Fraction(0),) * ncoords
-    g_const = g.terms.get((0,) * ncoords, Fraction(0))
-    scale = lcm(*(c.denominator for c in [*fs, *gs, g_const]))
-    f_ints, g_ints = [int(c * scale) for c in fs], [int(c * scale) for c in gs]
-    top = sum(map(abs, f_ints)) * values[-1]
-    return partial(_thm11_lasts, f_ints, g_ints, int(g_const * scale), _s_units(s, top), top,
-                   values, s)
-
-
-def _rows(descriptor: dict) -> _Rows:
-    """The candidate rows of the descriptor's box: cor12 and thm11 skip last
-    coordinates that cannot pass the check, thm16 takes every row whole."""
-    box, s = _box(descriptor)
-    if descriptor["kind"] == "cor12":
-        return _cor12_rows(parse_poly(descriptor["g"], box.dim), box.coordinate_values(s), s)
-    values = range(-box.bound, box.bound + 1)
-    lasts = partial(_whole_row, values)
-    if descriptor["kind"] == "thm11":
-        lasts = _thm11_lasts_rule([parse_poly(t, box.dim + 1) for t in descriptor["forms"]],
-                                  parse_poly(descriptor["g"], box.dim + 1), values, s) or lasts
-    return _Rows(box.dim + 1, range(box.bound + 1), values, lasts, True)
+    gs = g.linear_coefficients() if g.total_degree() == 1 else (0,) * ncoords
+    return partial(_thm11_rows, s, [int(c) for c in fs], [int(c) for c in gs],
+                   int(g.terms.get((0,) * ncoords, 0)))
 
 
 def _walk(rows: _Rows, firsts: Iterable) -> Iterator[tuple]:
@@ -509,31 +521,31 @@ def _walk(rows: _Rows, firsts: Iterable) -> Iterator[tuple]:
                 yield xs
 
 
-def _search_part(descriptor: dict, check: Check, rows: _Rows, firsts: list) -> SolutionSet:
-    s = SRing(tuple(descriptor["s_primes"]))
-    out = SolutionSet(descriptor)
+def _search_part(search: Search, rows: _Rows, firsts: list) -> SolutionSet:
+    out = SolutionSet(search.descriptor)
     for xs in _walk(rows, firsts):
-        values = check(xs)
+        values = search.check(xs)
         if values is not None:
             out.points.append(tuple(Fraction(c) for c in xs))
-            out.witnesses.append(_witness_map(values, s))
+            out.witnesses.append(_witness_map(values, search.s))
     return out
 
 
-def run_search(descriptor: dict, check: Check, workers: int = 1) -> SolutionSet:
-    """The points of the descriptor's box that pass check, with their
-    witnesses, in graded order.  The first coordinates are sharded over
-    workers, and the parts are merged and sorted once."""
-    rows = _rows(descriptor)
-    out = SolutionSet(descriptor)
-    for part in sharded(partial(_search_part, descriptor, check, rows), rows.firsts, workers):
+def run_search(search: Search, workers: int = 1) -> SolutionSet:
+    """The points of the search's box that pass its check, with their
+    witnesses, in graded order.  The rows are built once; the first
+    coordinates are sharded over workers, and the parts are merged and
+    sorted once."""
+    rows = search.rows(search.box)
+    out = SolutionSet(search.descriptor)
+    for part in sharded(partial(_search_part, search, rows), rows.firsts, workers):
         out.extend(part)
     out.sort()
     return out
 
 
 # ---------------------------------------------------------------------------
-# the searches: cor12 (affine, unit-equation generalization), thm11, thm16
+# the searches: cor12 (affine, unit-equation generalization), thm11
 # ---------------------------------------------------------------------------
 
 def search_cor12(g: MultiPoly, box: SearchBox, s: SRing, workers: int = 1) -> SolutionSet:
@@ -543,7 +555,7 @@ def search_cor12(g: MultiPoly, box: SearchBox, s: SRing, workers: int = 1) -> So
     g must have degree <= 1, S-integer coefficients, and be nonzero at the
     origin and at each unit vector.
     """
-    return run_search(*_cor12_spec(g, box, s), workers)
+    return run_search(_cor12_spec(g, box, s), workers)
 
 
 def search_thm11(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str,
@@ -554,16 +566,8 @@ def search_thm11(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str,
     mode 'ii' asks prod F_i(x) | G(x); points where any F_i or G vanishes
     are excluded.
     """
-    return run_search(*_thm11_spec(forms, g_form, mode, box, s, assert_general_position),
+    return run_search(_thm11_spec(forms, g_form, mode, box, s, assert_general_position),
                       workers)
-
-
-def search_thm16(forms: Sequence[MultiPoly], box: SearchBox, s: SRing,
-                 workers: int = 1) -> SolutionSet:
-    """Projective points where the window ideal equality holds at every
-    index; points on any hyperplane of the family are skipped.  The
-    hypotheses (q >= 3n, general position) are checked once, up front."""
-    return run_search(*_thm16_spec(forms, box, s), workers)
 
 
 # ---------------------------------------------------------------------------
@@ -630,12 +634,6 @@ def solution_set_text(sols: SolutionSet, version: str) -> str:
     return "\n".join([_header("solution-set", sols.descriptor, version), *records]) + "\n"
 
 
-def save_solution_set(sols: SolutionSet, path: str, version: str):
-    text = solution_set_text(sols, version)
-    with open(path, "w") as fh:
-        fh.write(text)
-
-
 def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
     """Whether stored is the witness map of the checked values, without
     factoring them: every key names a prime outside S (keys caches that
@@ -670,30 +668,32 @@ def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
 
 
 def _records_solution_set(descriptor: dict, records: Iterable[dict],
-                          check: Check | None) -> SolutionSet:
+                          search: Search | None) -> SolutionSet:
     """Stored records ({"point", "witnesses"}) as a solution set.  Given the
-    check of the descriptor's predicate, every point is re-checked; a point
-    outside the descriptor's box, a projective point not in normalized
-    form, a failing point, or stored witnesses that are not the witness map
-    of the check's values raise.  None skips the re-check."""
-    box, s = _box(descriptor)
+    search of the descriptor, every point is re-checked; a point outside the
+    search's box, a projective point not in normalized form, a failing
+    point, or stored witnesses that are not the witness map of the check's
+    values raise.  None skips the re-check."""
     keys: dict = {}
     projective = descriptor["projective"]
-    # coordinates of the box: |numerator| <= B and a denominator dividing
-    # prod_{p in S} p^denom_cap (projective boxes hold integers only)
-    denoms = 1 if projective else prod(p ** box.denom_cap for p in s.primes)
+    if search is not None:
+        box, s = search.box, search.s
+        # coordinates of the box: |numerator| <= B and a denominator dividing
+        # prod_{p in S} p^denom_cap (projective boxes hold integers only)
+        denoms = 1 if projective else prod(p ** box.denom_cap for p in s.primes)
     out = SolutionSet(descriptor)
     for rec in records:
         if not isinstance(rec, dict) or not {"point", "witnesses"} <= rec.keys():
             raise ValueError(f"malformed solution record {rec!r}")
         point = tuple(Fraction(c) for c in rec["point"])
-        if check is not None:
+        if search is not None:
             if len(point) != box.dim + projective or any(
                     abs(c.numerator) > box.bound or denoms % c.denominator for c in point):
                 raise ValueError(f"stored point {rec['point']} is not a point of the search box")
             if projective and ProjPoint.normalize(point).coords != point:
                 raise ValueError(f"stored point {rec['point']} is not normalized")
-            values = check(point)
+            # a projective point of the box is integral, and its check runs in ints
+            values = search.check(tuple(c.numerator for c in point) if projective else point)
             if values is None:
                 raise ValueError(f"stored point {rec['point']} fails its predicate")
             if not _witnesses_match(rec["witnesses"], values, s, keys):
@@ -715,16 +715,15 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     header = json.loads(lines[0])
     if header.get("kind") != "solution-set":
         raise ValueError("not a solution-set file")
-    descriptor, check = header["descriptor"], None
+    descriptor, search = header["descriptor"], None
     if reverify:
-        canonical, check = search_spec(descriptor)
-        if canonical != descriptor:
+        search = search_spec(descriptor)
+        if search.descriptor != descriptor:
             raise ValueError("stored descriptor differs from its canonical form")
-    return _records_solution_set(descriptor, map(json.loads, lines[1:]), check)
+    return _records_solution_set(descriptor, map(json.loads, lines[1:]), search)
 
 
-def _open_checkpoint(path: str, descriptor: dict, check: Check,
-                     version: str) -> tuple[SolutionSet, set[str]]:
+def _open_checkpoint(path: str, search: Search, version: str) -> tuple[SolutionSet, set[str]]:
     """The re-verified solutions and the completed first-coordinate ranges
     of the checkpoint at path.
 
@@ -739,7 +738,7 @@ def _open_checkpoint(path: str, descriptor: dict, check: Check,
             text = fh.read()
     except FileNotFoundError:
         text = ""
-    header = _header("checkpoint", descriptor, version)
+    header = _header("checkpoint", search.descriptor, version)
     lines = [line for line in text.split("\n")[:-1] if line.strip()]
     if lines:
         try:
@@ -753,8 +752,8 @@ def _open_checkpoint(path: str, descriptor: dict, check: Check,
     if not all(isinstance(r, dict) and {"first", "records"} <= r.keys() for r in ranges):
         raise ValueError(f"checkpoint {path} holds a malformed record")
     firsts = [r["first"] for r in ranges for _ in r["records"]]
-    merged = _records_solution_set(descriptor, (rec for r in ranges for rec in r["records"]),
-                                   check)
+    merged = _records_solution_set(search.descriptor,
+                                   (rec for r in ranges for rec in r["records"]), search)
     seen: set[tuple] = set()
     for first, point in zip(firsts, merged.points):
         if str(point[0]) != first or point in seen:
@@ -779,22 +778,21 @@ def _open_checkpoint(path: str, descriptor: dict, check: Check,
 _CHECKPOINT_BATCH_PER_WORKER = 4
 
 
-def _search_ranges(descriptor: dict, check: Check, rows: _Rows,
-                   firsts: list) -> list[SolutionSet]:
+def _search_ranges(search: Search, rows: _Rows, firsts: list) -> list[SolutionSet]:
     """One solution set per first coordinate."""
-    return [_search_part(descriptor, check, rows, [v]) for v in firsts]
+    return [_search_part(search, rows, [v]) for v in firsts]
 
 
-def search_with_checkpoint(path: str, descriptor: dict, check: Check,
-                           version: str, workers: int = 1) -> SolutionSet:
+def search_with_checkpoint(path: str, search: Search, version: str,
+                           workers: int = 1) -> SolutionSet:
     """run_search, resumable: the checkpoint at path holds a header line
     (version and descriptor) and one line per completed first coordinate.
-    Resumed records re-verify through check.  The missing first coordinates
-    are searched in near-equal batches sharded over workers (one coordinate
-    at a time with one worker), and each batch is appended one line per
-    coordinate, in order."""
-    merged, done = _open_checkpoint(path, descriptor, check, version)
-    rows = _rows(descriptor)
+    Resumed records re-verify through the search's check.  The missing
+    first coordinates are searched in near-equal batches sharded over
+    workers (one coordinate at a time with one worker), and each batch is
+    appended one line per coordinate, in order."""
+    merged, done = _open_checkpoint(path, search, version)
+    rows = search.rows(search.box)
     pending = [v for v in rows.firsts if str(v) not in done]
     step = 1 if workers <= 1 else _CHECKPOINT_BATCH_PER_WORKER * workers
     batches = max(1, -(-len(pending) // step))
@@ -802,7 +800,7 @@ def search_with_checkpoint(path: str, descriptor: dict, check: Check,
     with open(path, "a") as ck:
         for a, b in zip(cuts, cuts[1:]):
             batch = pending[a:b]
-            chunks = sharded(partial(_search_ranges, descriptor, check, rows), batch, workers)
+            chunks = sharded(partial(_search_ranges, search, rows), batch, workers)
             for v, part in zip(batch, (part for chunk in chunks for part in chunk)):
                 part.sort()
                 ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")

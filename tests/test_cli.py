@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -616,13 +617,9 @@ def test_checkpointed_thm16_checks_its_hypotheses_once_per_run(tmp_path, capsys,
     assert calls == [6, 6]
 
 
-def test_checkpointed_thm11_checks_its_hypotheses_once_per_run(tmp_path, capsys, monkeypatch):
-    calls = _general_position_calls(monkeypatch)
-    _checkpointed(capsys, tmp_path, "thm11", "x0\nx1\nx2\nG: 1\n", 6, tmp_path / "ck.jsonl")
-    assert calls == [3]
-
-
-def test_checkpointed_cor12_builds_its_rows_once_per_run(tmp_path, capsys, monkeypatch):
+def _rows_work(monkeypatch) -> dict:
+    """Counts of the box coordinate lists built and the polynomial texts
+    parsed from now on."""
     import betachow.search
     calls = {"values": 0, "parse": 0}
     values, parse = betachow.search.SearchBox.coordinate_values, betachow.search.parse_poly
@@ -637,22 +634,52 @@ def test_checkpointed_cor12_builds_its_rows_once_per_run(tmp_path, capsys, monke
 
     monkeypatch.setattr(betachow.search.SearchBox, "coordinate_values", counting_values)
     monkeypatch.setattr(betachow.search, "parse_poly", counting_parse)
+    return calls
+
+
+def test_checkpointed_thm11_checks_its_hypotheses_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = _general_position_calls(monkeypatch)
+    work = _rows_work(monkeypatch)
+    ck = tmp_path / "ck.jsonl"
+    full = _checkpointed(capsys, tmp_path, "thm11", "x0\nx1\nx2\nG: 1\n", 6, ck)
+    # one parse per form and one for G; projective rows need no coordinate list
+    assert calls == [3] and work == {"values": 0, "parse": 4}
+    lines = ck.read_text().splitlines(keepends=True)
+    ck.write_text("".join(lines[:4]))
+    work.update(values=0, parse=0)
+    assert _checkpointed(capsys, tmp_path, "thm11", "x0\nx1\nx2\nG: 1\n", 6, ck,
+                         "resumed.jsonl") == full
+    assert calls == [3, 3] and work == {"values": 0, "parse": 4}
+
+
+def test_checkpointed_cor12_builds_its_rows_once_per_run(tmp_path, capsys, monkeypatch):
+    calls = _rows_work(monkeypatch)
     ck = tmp_path / "ck.jsonl"
     full = _checkpointed(capsys, tmp_path, "cor12", "3-x0+x1\n", 5, ck)
-    assert calls["values"] == 1 and calls["parse"] <= 2
+    assert calls["values"] == 1 and calls["parse"] == 1
     lines = ck.read_text().splitlines(keepends=True)
     assert len(lines) == 12                     # header and 11 first coordinates
     ck.write_text("".join(lines[:5]))
     calls.update(values=0, parse=0)
     assert _checkpointed(capsys, tmp_path, "cor12", "3-x0+x1\n", 5, ck, "resumed.jsonl") == full
-    assert calls["values"] == 1 and calls["parse"] <= 2
+    assert calls["values"] == 1 and calls["parse"] == 1
 
 
 def test_growth_search_checks_its_hypotheses_once_per_run(tmp_path, capsys, monkeypatch):
     calls = _general_position_calls(monkeypatch)
+    work = _rows_work(monkeypatch)
     growth = _growth_counts(capsys, tmp_path, "thm16", SIX_LINES, 4, "3,5")
-    assert calls == [6]
+    assert calls == [6] and work["parse"] == 6
     assert growth[1][1] > growth[0][1]          # the extra search at 5 ran
+    # the search at the extra bound reuses the texts parsed for the first one
+    calls.clear()
+    work.update(values=0, parse=0)
+    _growth_counts(capsys, tmp_path, "thm11", "x0\nx1\nx2\nG: 1\n", 4, "3,5")
+    assert calls == [3] and work == {"values": 0, "parse": 4}
+    work.update(values=0, parse=0)
+    growth = _growth_counts(capsys, tmp_path, "cor12", "3-x0+x1\n", 4, "3,5")
+    assert work == {"values": 2, "parse": 1}    # one coordinate list per box
+    assert growth[1][1] > growth[0][1]
 
 
 @pytest.mark.parametrize("g_text, extra", [
@@ -734,3 +761,43 @@ def test_checkpoint_and_resume_match_plain_run_for_any_workers(tmp_path, capsys,
     assert len(set(checkpoints)) == 1
     assert len(checkpoints[0].splitlines()) == 9     # header and 8 first coordinates
     assert len(load_solution_set(str(tmp_path / "plain.jsonl")).points) >= 3
+
+
+DATA = Path(__file__).parent / "data"
+THM11_PINNED = "1/2*x0 + x1\nx1\nx2\nx0 + x1 + x2\nG: x0 + 3*x1 + 5*x2\n"
+
+
+@pytest.mark.parametrize("name, forms_text, args, full_sha, plain_sha", [
+    ("cor12", "1/2*x0 - x1 + 3\n",
+     ("--box", "1", "--s-primes", "2,3", "--denom-cap", "2"),
+     "1fa96592b7404f6e13c3869741fd1b0b46deedb1065fb914b3e6d7834767ab3a",
+     "404548bb7575545c8a36bd90d15462776dd48396228899c91a5fe5b27f6e7613"),
+    ("thm11", THM11_PINNED, ("--mode", "ii", "--box", "5", "--s-primes", "2"),
+     "e52a4f1d91af3bdead703a60e1d87dc6ee0d445d1fa3785c6cb095eeefd995eb",
+     "6cd6b6b81ab821726bafec6abe65a66f3017c537697ab49d9791cfbfcfc3024a"),
+    ("thm16", "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6)), ("--box", "7"),
+     "1de3e0f752ca87702aa2db05507de6f510716e2e373332d3bb644b62e3558232",
+     "ef8ee7125898203dae4019fdda4f4f807c1a98e59b25c8c7751b589d7894f3fa"),
+])
+def test_checkpoint_from_an_earlier_version_resumes_to_the_plain_run(
+        tmp_path, capsys, name, forms_text, args, full_sha, plain_sha):
+    # tests/data/<name>.half.ckpt is the first half of a checkpoint that an
+    # earlier commit wrote for this search; the hashes are of that commit's
+    # completed checkpoint and of its plain output, so the on-disk format
+    # and the output bytes are pinned across commits, not only within one
+    forms = tmp_path / "forms.txt"
+    forms.write_text(forms_text)
+    argv = ["search", name, "--forms", str(forms), *args, "--dim", "2", "--format", "json"]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "plain.jsonl"))
+    assert code == 0
+    plain = (tmp_path / "plain.jsonl").read_bytes()
+    assert hashlib.sha256(plain).hexdigest() == plain_sha
+    for workers in ("1", "2", "3", "4"):
+        ck = tmp_path / f"ck{workers}.jsonl"
+        ck.write_bytes((DATA / f"{name}.half.ckpt").read_bytes())
+        out = tmp_path / f"resumed{workers}.jsonl"
+        code, _, _ = run(capsys, *argv, "--checkpoint", str(ck), "--workers", workers,
+                         "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == plain
+        assert hashlib.sha256(ck.read_bytes()).hexdigest() == full_sha

@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from functools import partial
@@ -19,7 +20,6 @@ from betachow.search import (
     SolutionSet,
     SRing,
     _cor12_spec,
-    _rows,
     _thm11_spec,
     _thm16_spec,
     _walk,
@@ -33,10 +33,10 @@ from betachow.search import (
     ideal_window_sides,
     linear_factors_2var,
     load_solution_set,
-    save_solution_set,
     search_cor12,
+    search_spec,
     search_thm11,
-    search_thm16,
+    solution_set_text,
     vanishing_forms,
 )
 
@@ -267,7 +267,7 @@ def test_ideal_equality_validation():
 
 def test_search_thm16_runs():
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 7)]
-    sols = search_thm16(forms, SearchBox(2, 2), S_EMPTY)
+    sols = run_search(_thm16_spec(forms, SearchBox(2, 2), S_EMPTY))
     pts = {tuple(int(c) for c in p) for p in sols.points}
     assert (1, 0, 0) in pts
     for pt in sols.points:
@@ -279,7 +279,7 @@ def test_persistence_round_trip(tmp_path):
     g = parse_poly("1", 2)
     sols = search_cor12(g, SearchBox(2, 30), SRing((2,)))
     path = tmp_path / "sols.jsonl"
-    save_solution_set(sols, str(path), "0.0-test")
+    path.write_text(solution_set_text(sols, "0.0-test"))
     loaded = load_solution_set(str(path))
     assert loaded.points == sols.points
     assert loaded.witnesses == sols.witnesses
@@ -345,22 +345,22 @@ def _counting_general_position(monkeypatch):
 
 def test_thm16_hypotheses_checked_once_per_search_and_per_file(tmp_path, monkeypatch):
     calls = _counting_general_position(monkeypatch)
-    sols = search_thm16(SIX, SearchBox(2, 3), S_EMPTY)
+    sols = run_search(_thm16_spec(SIX, SearchBox(2, 3), S_EMPTY))
     assert sols.count >= 1 and calls == [6]
     path = tmp_path / "t.jsonl"
-    save_solution_set(sols, str(path), "0.0-test")
+    path.write_text(solution_set_text(sols, "0.0-test"))
     assert load_solution_set(str(path)).points == sols.points
     assert calls == [6, 6]
 
 
 def test_search_thm16_rejects_bad_hypotheses_up_front():
     with pytest.raises(ValueError, match="general position"):
-        search_thm16([parse_poly(t, 3) for t in
-                      ("x0", "x1", "x2", "x0+x1", "x0+x1+x2", "x1+x2")],
-                     SearchBox(2, 2), S_EMPTY)
+        _thm16_spec([parse_poly(t, 3) for t in
+                     ("x0", "x1", "x2", "x0+x1", "x0+x1+x2", "x1+x2")],
+                    SearchBox(2, 2), S_EMPTY)
     with pytest.raises(ValueError, match="3n"):
-        search_thm16([parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")],
-                     SearchBox(2, 2), S_EMPTY)
+        _thm16_spec([parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")],
+                    SearchBox(2, 2), S_EMPTY)
 
 
 @pytest.mark.parametrize("bad_point, message", [
@@ -372,9 +372,9 @@ def test_search_thm16_rejects_bad_hypotheses_up_front():
     (["1/2", "0", "0"], "not a point of the search box"),     # not an integer
 ])
 def test_thm16_reverify_rejects_tampered_point(tmp_path, bad_point, message):
-    sols = search_thm16(SIX, SearchBox(2, 2), S_EMPTY)
+    sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
     path = tmp_path / "t.jsonl"
-    save_solution_set(sols, str(path), "0.0-test")
+    path.write_text(solution_set_text(sols, "0.0-test"))
     lines = path.read_text().splitlines()
     rec = json.loads(lines[-1])
     rec["point"] = bad_point
@@ -398,7 +398,7 @@ def test_cor12_reverify_rejects_tampered_point(tmp_path):
     ]:
         sols = search_cor12(parse_poly(g_text, 2), box, s)
         path = tmp_path / "c.jsonl"
-        save_solution_set(sols, str(path), "0.0-test")
+        path.write_text(solution_set_text(sols, "0.0-test"))
         lines = path.read_text().splitlines()
         rec = json.loads(lines[-1])
         rec["point"] = bad_point
@@ -437,7 +437,7 @@ TAMPERED_WITNESSES = [
 def test_reverify_rejects_tampered_witnesses(tmp_path, witnesses):
     sols = search_cor12(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,)))
     path = tmp_path / "c.jsonl"
-    save_solution_set(sols, str(path), "0.0-test")
+    path.write_text(solution_set_text(sols, "0.0-test"))
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
     i = next(k for k, rec in enumerate(records) if rec["point"] == ["1/2", "-5/2"])
     assert records[i]["witnesses"] == WIT
@@ -453,9 +453,14 @@ def test_reverify_rejects_tampered_witnesses(tmp_path, witnesses):
 
 @pytest.mark.parametrize("search", [
     lambda: search_cor12(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,))),
-    lambda: search_thm16(SIX, SearchBox(2, 5), SRing((2, 3))),
+    lambda: run_search(_thm16_spec(SIX, SearchBox(2, 5), SRing((2, 3)))),
     lambda: search_thm11([parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0 + x1 + x2")],
                          parse_poly("1/2*x0 - 3*x1 + 5*x2", 3), "ii", SearchBox(2, 5),
+                         SRing((2,))),
+    # forms with coefficients 1/2 and 3/2: the check scales them by S-units
+    lambda: search_thm11([parse_poly(t, 3) for t in ("1/2*x0 + x1", "x1 - 3/2*x2", "x2",
+                                                     "x0 + x1 + x2")],
+                         parse_poly("x0 + 3*x1 + 5*x2", 3), "ii", SearchBox(2, 6),
                          SRing((2,))),
 ])
 def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatch, search):
@@ -463,7 +468,7 @@ def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatc
     keys = {k for wit in sols.witnesses for k in wit}
     assert sols.count > 1 and keys
     path = tmp_path / "w.jsonl"
-    save_solution_set(sols, str(path), "0.0-test")
+    path.write_text(solution_set_text(sols, "0.0-test"))
     calls = []
     real = betachow.search.is_prime
     monkeypatch.setattr(betachow.search, "is_prime", lambda p: calls.append(p) or real(p))
@@ -480,9 +485,9 @@ def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatc
     {"mode": "i"},
 ])
 def test_reverify_rejects_a_non_canonical_descriptor(tmp_path, edit):
-    sols = search_thm16(SIX, SearchBox(2, 2), S_EMPTY)
+    sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
     path = tmp_path / "t.jsonl"
-    save_solution_set(sols, str(path), "0.0-test")
+    path.write_text(solution_set_text(sols, "0.0-test"))
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
     header["descriptor"] |= edit
     records.append({**records[-1], "point": ["-2", "0", "0"]})
@@ -505,9 +510,9 @@ def _vandermonde(ts) -> list:
 
 
 @st.composite
-def _search_calls(draw):
-    """A search function with its arguments: a random cor12 g, or random
-    thm11/thm16 forms; boxes with at least 8 first coordinates."""
+def _searches(draw):
+    """A search: a random cor12 g, or random thm11/thm16 forms; boxes with
+    at least 8 first coordinates."""
     kind = draw(st.sampled_from(["cor12", "thm11", "thm16"]))
     s = draw(S_RINGS)
     if kind == "cor12":
@@ -515,20 +520,19 @@ def _search_calls(draw):
         c = draw(st.integers(-6, 6).filter(lambda c: c not in (0, -a, -b)))
         g = MultiPoly(2, {(1, 0): a, (0, 1): b, (0, 0): c})
         box = SearchBox(2, draw(st.integers(4, 7)), draw(st.integers(0, 1)))
-        return search_cor12, (g, box, s)
+        return _cor12_spec(g, box, s)
     ts = draw(st.lists(st.integers(-5, 5), min_size=7, max_size=7, unique=True))
     box = SearchBox(2, draw(st.integers(7, 9)))
     if kind == "thm16":
-        return search_thm16, (_vandermonde(ts[:draw(st.integers(6, 7))]), box, s)
+        return _thm16_spec(_vandermonde(ts[:draw(st.integers(6, 7))]), box, s)
     g_form = draw(st.sampled_from([parse_poly("1", 3), *_vandermonde(ts[-1:])]))
-    return search_thm11, (_vandermonde(ts[:draw(st.integers(1, 5))]), g_form,
-                          draw(st.sampled_from(["i", "ii"])), box, s)
+    return _thm11_spec(_vandermonde(ts[:draw(st.integers(1, 5))]), g_form,
+                       draw(st.sampled_from(["i", "ii"])), box, s, False)
 
 
 @settings(max_examples=12, deadline=None)
-@given(_search_calls(), st.integers(1, 4))
-def test_sharded_search_equals_serial(call, workers):
-    search, args = call
+@given(_searches(), st.integers(1, 4))
+def test_sharded_search_equals_serial(search, workers):
     seen = []
     real = betachow.search.sharded
 
@@ -536,17 +540,33 @@ def test_sharded_search_equals_serial(call, workers):
         seen.append(n)
         return real(fn, items, n)
 
-    serial = search(*args)
+    serial = run_search(search)
     # patched by hand: a function-scoped monkeypatch would span all examples
     betachow.search.sharded = spy
     try:
-        sharded = search(*args, workers=workers)
+        sharded = run_search(search, workers)
     finally:
         betachow.search.sharded = real
     assert seen == [workers]
     assert sharded.descriptor == serial.descriptor
     assert sharded.points == serial.points
     assert sharded.witnesses == serial.witnesses
+
+
+@pytest.mark.parametrize("search", [
+    _cor12_spec(parse_poly("1/2*x0 - x1 + 3", 2), SearchBox(2, 2, 1), SRing((2, 3))),
+    _thm11_spec([parse_poly(t, 3) for t in ("1/2*x0 + x1", "x1", "x2", "x0 + x1 + x2")],
+                parse_poly("x0 + 3*x1 + 5*x2", 3), "ii", SearchBox(2, 3), SRing((2,)), False),
+    _thm16_spec(SIX, SearchBox(2, 2), SRing((2, 3))),
+])
+def test_with_bound_is_the_search_decoded_at_that_bound(search):
+    grown = search.with_bound(6)
+    decoded = search_spec({**search.descriptor, "bound": 6})
+    assert (grown.descriptor, grown.box, grown.s) == (decoded.descriptor, decoded.box, decoded.s)
+    sols = run_search(grown)
+    assert sols.descriptor == decoded.descriptor
+    assert sols.records() == run_search(decoded).records()
+    assert sols.count > run_search(search).count
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +690,7 @@ def _cor12_check_cases(draw):
 @example((parse_poly("6", 2), SRing((2,)), (Fraction(1, 3), 1)))
 def test_cor12_check_matches_fraction_formula(case):
     g, s, xs = case
-    check = _cor12_spec(g, SearchBox(g.nvars, 0), s)[1]
+    check = _cor12_spec(g, SearchBox(g.nvars, 0), s).check
     if not all(s.contains(Fraction(c)) for c in xs):
         with pytest.raises(ValueError, match="outside the ring of S-integers"):
             check(xs)
@@ -707,7 +727,7 @@ def _counting_fractions(monkeypatch) -> list:
 def test_cor12_check_builds_no_fractions(monkeypatch):
     g = parse_poly("1/4*x0 + 3/2*x1 - 5/6", 2)
     s = SRing((2, 3))
-    check = _cor12_spec(g, SearchBox(2, 0), s)[1]
+    check = _cor12_spec(g, SearchBox(2, 0), s).check
     points = [(Fraction(1, 2), Fraction(-3, 4)), (Fraction(5, 9), 7), (Fraction(1, 6), -1)]
     wants = [_cor12_fraction_check(g, s, xs) for xs in points]
     assert any(wants) and not all(wants)
@@ -726,24 +746,22 @@ def test_cor12_check_builds_no_fractions(monkeypatch):
 # divisor-driven cor12 enumeration against the brute box product
 # ---------------------------------------------------------------------------
 
-def _brute_cor12(descriptor: dict, check) -> SolutionSet:
+def _brute_cor12(search) -> SolutionSet:
     """The oracle: every point of the box, through the same check."""
-    box = SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"])
-    s = SRing(tuple(descriptor["s_primes"]))
-    out = SolutionSet(descriptor)
-    for xs in product(box.coordinate_values(s), repeat=box.dim):
-        values = check(xs)
+    out = SolutionSet(search.descriptor)
+    for xs in product(search.box.coordinate_values(search.s), repeat=search.box.dim):
+        values = search.check(xs)
         if values is not None:
             out.points.append(tuple(Fraction(c) for c in xs))
-            out.witnesses.append(_witness_map(values, s))
+            out.witnesses.append(_witness_map(values, search.s))
     out.sort()
     return out
 
 
 def _assert_matches_brute(g: MultiPoly, box: SearchBox, s: SRing, workers: int = 1):
-    descriptor, check = _cor12_spec(g, box, s)
-    got = run_search(descriptor, check, workers)
-    want = _brute_cor12(descriptor, check)
+    search = _cor12_spec(g, box, s)
+    got = run_search(search, workers)
+    want = _brute_cor12(search)
     assert got.points == want.points
     assert got.witnesses == want.witnesses
     return got
@@ -781,9 +799,9 @@ def test_cor12_enumeration_matches_brute_product(case, workers):
 def test_cor12_search_matches_fraction_check_search(case, workers):
     # the same enumeration and driver, with the Fraction formula as the check
     g, box, s = case
-    descriptor, check = _cor12_spec(g, box, s)
-    got = run_search(descriptor, check, workers)
-    want = run_search(descriptor, partial(_cor12_fraction_check, g, s), workers)
+    search = _cor12_spec(g, box, s)
+    got = run_search(search, workers)
+    want = run_search(replace(search, check=partial(_cor12_fraction_check, g, s)), workers)
     assert got.points == want.points
     assert got.witnesses == want.witnesses
 
@@ -808,12 +826,12 @@ def test_cor12_enumeration_explicit_cases(g_text, box, s):
 
 def test_cor12_candidates_visit_divisors_only():
     g = parse_poly("1", 2)
-    descriptor, _ = _cor12_spec(g, SearchBox(2, 50), S_EMPTY)
+    search = _cor12_spec(g, SearchBox(2, 50), S_EMPTY)
     # g(x', 0) = 1 on every row: the last coordinate is a unit
-    assert sorted(_walk(_rows(descriptor), range(-50, 51))) == \
+    assert sorted(_walk(search.rows(search.box), range(-50, 51))) == \
         [(x0, t) for x0 in range(-50, 51) for t in (-1, 1)]
-    descriptor, _ = _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 5), S_EMPTY)
-    rows = {x0: sorted(t for _, t in _walk(_rows(descriptor), [x0])) for x0 in (0, 2, 3)}
+    search = _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 5), S_EMPTY)
+    rows = {x0: sorted(t for _, t in _walk(search.rows(search.box), [x0])) for x0 in (0, 2, 3)}
     assert rows == {0: [-3, -1, 1, 3], 2: [-1, 1], 3: list(range(-5, 6))}
 
 
@@ -821,38 +839,38 @@ def test_cor12_candidates_visit_divisors_only():
 # divisor-driven thm11 enumeration against the brute projective box
 # ---------------------------------------------------------------------------
 
-def _brute_projective(descriptor: dict, check) -> SolutionSet:
+def _brute_projective(search) -> SolutionSet:
     """The oracle: every coprime tuple of the box whose first nonzero
     coordinate is positive, through the same check."""
-    bound, s = descriptor["bound"], SRing(tuple(descriptor["s_primes"]))
-    out = SolutionSet(descriptor)
-    for xs in product(range(-bound, bound + 1), repeat=descriptor["dim"] + 1):
+    bound = search.box.bound
+    out = SolutionSet(search.descriptor)
+    for xs in product(range(-bound, bound + 1), repeat=search.box.dim + 1):
         if gcd(*xs) != 1 or next(c for c in xs if c != 0) < 0:
             continue
-        values = check(xs)
+        values = search.check(xs)
         if values is not None:
             out.points.append(tuple(Fraction(c) for c in xs))
-            out.witnesses.append(_witness_map(values, s))
+            out.witnesses.append(_witness_map(values, search.s))
     out.sort()
     return out
 
 
-def _assert_projective_matches_brute(spec, workers: int = 1) -> SolutionSet:
-    descriptor, check = spec
-    got = run_search(descriptor, check, workers)
-    want = _brute_projective(descriptor, check)
+def _assert_projective_matches_brute(search, workers: int = 1) -> SolutionSet:
+    got = run_search(search, workers)
+    want = _brute_projective(search)
     assert got.points == want.points
     assert got.witnesses == want.witnesses
     return got
 
 
 @st.composite
-def _thm11_cases(draw):
+def _thm11_cases(draw, rings=S_RINGS):
     """thm11 forms satisfying the hypotheses, with integer or S-fraction
     coefficients: linear forms of which none, some or all miss the last
     coordinate, or quadratic forms under asserted general position; a
-    constant or linear G; a box of at most 6000 tuples."""
-    s = draw(S_RINGS)
+    constant or linear G; an S drawn from rings; a box of at most 6000
+    tuples."""
+    s = draw(rings)
     n = draw(st.integers(1, 3))
     ncoords = n + 1
     coeff = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, *s.primes]))
@@ -886,6 +904,45 @@ def _thm11_cases(draw):
 @given(_thm11_cases(), st.integers(1, 2))
 def test_thm11_enumeration_matches_brute_box(spec, workers):
     _assert_projective_matches_brute(spec, workers)
+
+
+def _thm11_fraction_check(forms: list, g_form: MultiPoly, mode: str, s: SRing,
+                          xs: tuple) -> list | None:
+    """The oracle: the forms unscaled, evaluated by MultiPoly.evaluate, and
+    the divisibility tested by divides_in_OS."""
+    gval = g_form.evaluate(xs)
+    if gval == 0:
+        return None
+    fvals = [f.evaluate(xs) for f in forms]
+    if any(v == 0 for v in fvals):
+        return None
+    if mode == "i":
+        ok = all(divides_in_OS(v, gval, s) for v in fvals)
+    else:
+        ok = divides_in_OS(prod(fvals), gval, s)
+    return [*fvals, gval] if ok else None
+
+
+@settings(max_examples=40, deadline=None)
+@given(_thm11_cases(st.sampled_from([SRing((2,)), SRing((2, 3))])), st.integers(1, 2))
+@example(_thm11_spec([parse_poly(t, 3) for t in ("1/2*x0 + x1", "x1 - 3/2*x2", "x2")],
+                     parse_poly("x0 + 1/3*x1 + 5*x2", 3), "i", SearchBox(2, 6),
+                     SRing((2, 3)), False), 2)
+@example(_thm11_spec([parse_poly(t, 3) for t in ("1/2*x0 + x1", "x1 - 3/2*x2", "x2",
+                                                 "x0 + x1 + x2")],
+                     parse_poly("x0 + 3*x1 + 5*x2", 3), "ii", SearchBox(2, 6), SRing((2,)),
+                     False), 1)
+def test_thm11_search_matches_fraction_check_search(search, workers):
+    # the same enumeration and driver, with the unscaled Fraction formula as
+    # the check
+    d = search.descriptor
+    forms = [parse_poly(t, d["dim"] + 1) for t in d["forms"]]
+    oracle = partial(_thm11_fraction_check, forms, parse_poly(d["g"], d["dim"] + 1), d["mode"],
+                     search.s)
+    got = run_search(search, workers)
+    want = run_search(replace(search, check=oracle), workers)
+    assert got.points == want.points
+    assert got.witnesses == want.witnesses
 
 
 BENCH_FORMS = ["-2*x0 - x1 - x2", "x0 + 2*x1 - x2", "-x0 - 2*x1 - 2*x2", "2*x0 - 2*x2",
@@ -926,14 +983,14 @@ def test_thm11_enumeration_checks_few_candidates():
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 6)]
     g_form = parse_poly("x0", 3)
     box = SearchBox(2, 50)
-    descriptor, check = _thm11_spec(forms, g_form, "i", box, S_EMPTY, False)
+    search = _thm11_spec(forms, g_form, "i", box, S_EMPTY, False)
     calls = []
 
     def counting(xs):
         calls.append(xs)
-        return check(xs)
+        return search.check(xs)
 
-    sols = run_search(descriptor, counting, workers=1)
+    sols = run_search(replace(search, check=counting), workers=1)
     assert len(calls) < 50_000
     assert len(set(calls)) == len(calls)
     assert sols.points == search_thm11(forms, g_form, "i", box, S_EMPTY).points
