@@ -13,7 +13,7 @@ floating point appears only when rendering logarithms for humans.
 __version__ = "0.1.0"
 
 from .primes import FactorizationBoundError, factor, is_prime, vp
-from .poly import MultiPoly, eval_poly, hyperplanes_general_position, parse_poly
+from .poly import MultiPoly, hyperplanes_general_position, parse_poly
 from .linalg import kernel_basis, rank
 from .chow import (
     BlowupConfig,

@@ -10,8 +10,9 @@ does not depend on the worker count.
 
 The forms are checked once per audit, before any row.  Each row evaluates
 every form once in integers and takes its local values from the integer
-kernel of :mod:`betachow.heights`; places are carried as primes, with None
-for the Archimedean place.
+kernel of :mod:`betachow.heights`: the subspace audit place by place, with
+None for the Archimedean place, and the Levin-Duke audit from the S-split
+m_S = h^d / r in one step.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .heights import (
     PlaceSet,
     ProjPoint,
     _local_value,
+    _s_split,
     check_weil_form,
     finite_primes,
     height,
@@ -202,22 +204,18 @@ def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
     values = [ev(p.coords) for ev in evaluators]
     if any(v == 0 for v in values):
         return AuditRow(idx, p, on_support=True)
-    q = len(values)
-    s_places = [None, *s_primes]
-    per_place = {}
-    lhs = Fraction(1)
-    for i, (val, d) in enumerate(zip(values, degrees)):
-        m_i = Fraction(1)
-        for v in s_places:
-            m_i *= _local_value(val, p.coords, d, v)
-        per_place[f"m{i + 1}"] = str(m_i)
-        lhs *= m_i ** (lcm // d)
-    h = height(p)
+    q, h = len(values), height(p)
+    splits = [_s_split(val, h, d, s_primes) for val, d in zip(values, degrees)]
+    per_place = {f"m{i + 1}": str(m_i) for i, (m_i, _) in enumerate(splits)}
+    r_power = prod(r_i ** (lcm // d) for (_, r_i), d in zip(splits, degrees))
+    # lhs = prod_i m_i^(lcm/d_i) = h^(q lcm) / r_power, so lhs^(1/lcm) >
+    # h^(q-n-1-eps) cross-powered by lcm*den reads h^k > r_power^den; for
+    # k < 0, h^k <= 1 <= r_power^den
     den, num = eps.denominator, eps.numerator
-    # lhs^(1/lcm) > h^(q-n-1-eps), cross-powered
-    verdict = lhs ** den > Fraction(h) ** ((q - n - 1) * lcm * den - lcm * num)
+    k = lcm * ((n + 1) * den + num)
+    verdict = k >= 0 and h ** k > r_power ** den
     rhs = f"{h}^({q - n - 1}-{eps})"
-    return AuditRow(idx, p, False, lhs, rhs, verdict, per_place)
+    return AuditRow(idx, p, False, Fraction(h ** (q * lcm), r_power), rhs, verdict, per_place)
 
 
 # ---------------------------------------------------------------------------

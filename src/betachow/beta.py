@@ -13,7 +13,7 @@ enclosures, never as floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
@@ -203,13 +203,9 @@ class BetaReport:
     """One beta computation with every exact verdict spelled out."""
 
     descriptor: dict
-    exact: Fraction | None = None
     lower_bound: Fraction | None = None
-    numeric: Fraction | None = None
-    cutoff: int | None = None
     claim: str = ""
     claim_holds: bool | None = None
-    rows: list = field(default_factory=list)
 
 
 def marked_beta_report(n: int, ell: int, index: int) -> BetaReport:

@@ -229,9 +229,17 @@ def cmd_beta(args) -> int:
 # heights
 # ---------------------------------------------------------------------------
 
+def _rational(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator a usage error (ValueError)."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
+
+
 def cmd_heights(args) -> int:
     s = parse_places(args.s)
-    point = ProjPoint.normalize([Fraction(c) for c in args.point.split(",")])
+    point = ProjPoint.normalize([_rational(c) for c in args.point.split(",")])
     form = parse_poly(args.form, len(point.coords))
     gens = [(form, form.total_degree())]
     for text in args.subscheme or []:
@@ -241,8 +249,10 @@ def cmd_heights(args) -> int:
     places = [ARCH] + [Place(p) for p in sorted(set(finite_primes(s))
                                                 | set(dec.support))]
     rows = []
+    product = 1                     # of the printed local values: h^d when they agree
     for v in places:
         lh = weil_local(form, point, v)
+        product *= lh.value
         row = {"place": str(v), "in_s": "yes" if v in s else "no",
                "value": lh.value, "lambda": lh.log_value}
         if len(gens) > 1:
@@ -255,7 +265,7 @@ def cmd_heights(args) -> int:
     rows.append({"place": "h", "in_s": "", "value": dec.total,
                  "lambda": float(dec.log_rows["h"])})
     rows.append({"place": "height_check", "in_s": "",
-                 "value": dec.total == Fraction(height(point)) ** form.total_degree(),
+                 "value": product == height(point) ** form.total_degree(),
                  "lambda": ""})
     fields = ["place", "in_s", "value", "lambda"]
     if len(gens) > 1:
@@ -354,7 +364,7 @@ def cmd_audit(args) -> int:
         raise ValueError("audit needs at least one form")
     nvars = max(parse_poly(t).nvars for t in form_texts)
     forms = [parse_poly(t, nvars) for t in form_texts]
-    eps = Fraction(args.epsilon)
+    eps = _rational(args.epsilon)
     points = sample_points(nvars - 1, args.height_bound, args.samples, args.seed)
     workers = worker_count(args.workers)
     if args.kind == "subspace":

@@ -17,6 +17,9 @@ is exact, not merely up to a bounded function.  For a normalized point the
 coordinates are coprime, so at a prime q the value is the integer
 q^{v_q(F(x))}; only the Archimedean value is a proper fraction.
 
+So the split over a place set S needs no per-place loop: the counting part
+N_S is r, the part of |F(x)| prime to S, and m_S = height(P)^{deg F} / r.
+
 The finite support of a counting function is discovered by factoring F(P)
 and the coordinates; a factorization failure aborts loudly rather than
 silently dropping a prime.
@@ -26,11 +29,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, log
+from math import gcd, lcm, log, prod
 from typing import Iterable, Mapping, Sequence
 
 from .poly import MultiPoly
-from .primes import _vp_int, factor, is_prime, vp
+from .primes import _prime_to, _vp_int, factor, is_prime, vp
 
 
 @dataclass(frozen=True)
@@ -178,6 +181,16 @@ def weil_local(f: MultiPoly, p: ProjPoint, v: Place) -> LocalHeight:
                                                 f.total_degree(), v.prime)))
 
 
+def _s_split(val: int, h: int, degree: int, s_primes: Iterable[int]) -> tuple[Fraction, int]:
+    """(m_S, N_S) from val = F(P) != 0, for an integer form F of the given
+    degree and a normalized point P of height h, with S the Archimedean
+    place and s_primes.  Off S only the primes dividing val count, so N_S is
+    r, the part of |val| prime to S; the values at all places multiply to
+    h^degree, so m_S = h^degree / r."""
+    r = abs(_prime_to(val, s_primes))
+    return Fraction(h ** degree, r), r
+
+
 def weil_subscheme(generators: Sequence[tuple[MultiPoly, int]], p: ProjPoint,
                    v: Place) -> LocalHeight:
     """Local value of the subscheme cut out by several forms: the minimum
@@ -208,7 +221,7 @@ class HeightDecomposition:
     """Multiplicative proximity / counting split of a divisor height."""
 
     proximity: Fraction          # product over v in S
-    counting: Fraction           # product over v outside S
+    counting: int                # product over v outside S
     total: Fraction              # proximity * counting
     support: tuple[int, ...]     # finite primes carrying the counting part
 
@@ -221,8 +234,8 @@ class HeightDecomposition:
 def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecomposition:
     """Exact decomposition h = m * N of the local Weil values of F at P.
 
-    The counting part runs over the finite support found by factoring F(P)
-    and the coordinates; everywhere else the local value is 1.
+    The split is _s_split's; the support is found by factoring F(P) and the
+    coordinates, and everywhere else the local value is 1.
     """
     if ARCH not in s:
         raise ValueError("the place set must contain the Archimedean place")
@@ -230,14 +243,8 @@ def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecompo
     if val == 0:
         raise ValueError("point on support")
     support = support_primes([val, *[c for c in p.coords if c != 0]])
-    m = weil_local(f, p, ARCH).value
-    for q in finite_primes(s):
-        m *= weil_local(f, p, Place(q)).value
-    n_part = Fraction(1)
-    s_primes = set(finite_primes(s))
-    for q in support:
-        if q not in s_primes:
-            n_part *= weil_local(f, p, Place(q)).value
+    check_weil_form(f)
+    m, n_part = _s_split(val.numerator, height(p), f.total_degree(), finite_primes(s))
     return HeightDecomposition(m, n_part, m * n_part, support)
 
 
@@ -290,22 +297,21 @@ def theoremkey_condition(p: ProjPoint, forms: Sequence[MultiPoly],
     forms[0] is the reference divisor D_0; the rest are D_1..D_r.  Mode "i"
     checks (1/d_i) lambda_i <= (1/d_0) lambda_0 + gamma_v at every finite
     place outside S for every i; mode "ii" checks the sum over i instead.
-    Comparisons are cross-powered so only integer exponents appear.
+    Every form is checked before any is evaluated, and each is evaluated
+    once.  Comparisons are cross-powered so only integer exponents appear.
     """
     if mode not in ("i", "ii"):
         raise ValueError("mode must be 'i' or 'ii'")
     if len(forms) < 2:
         raise ValueError("need the reference form and at least one divisor")
     gamma = gamma or MkConstant.trivial()
-    degrees = []
     for f in forms:
-        if not f.is_homogeneous() or f.total_degree() < 1:
-            raise ValueError("degenerate degrees: forms must be homogeneous of degree >= 1")
-        degrees.append(f.total_degree())
+        check_weil_form(f)
+    degrees = [f.total_degree() for f in forms]
     d0 = degrees[0]
     if mode == "i" and any(d < d0 for d in degrees[1:]):
         raise ValueError("mode i needs deg(D_i) >= deg(D_0)")
-    values = [f.evaluate(p.coords) for f in forms]
+    values = [f.evaluate(p.coords).numerator for f in forms]
     if any(val == 0 for val in values):
         raise ValueError("point on support")
 
@@ -315,20 +321,14 @@ def theoremkey_condition(p: ProjPoint, forms: Sequence[MultiPoly],
 
     degrees_lcm = lcm(*degrees)
     for q in sorted(primes):
-        v = Place(q)
-        g = gamma.at(v)
-        vals = [weil_local(f, p, v).value for f in forms]
+        g = gamma.at(Place(q))
+        v0, *rest = [_local_value(val, p.coords, d, q) for val, d in zip(values, degrees)]
         if mode == "i":
-            for i in range(1, len(forms)):
-                di = degrees[i]
-                if vals[i] ** d0 > vals[0] ** di * g ** (d0 * di):
-                    return False
-        else:
-            lhs = Fraction(1)
-            for i in range(1, len(forms)):
-                lhs *= vals[i] ** (degrees_lcm // degrees[i])
-            if lhs > vals[0] ** (degrees_lcm // d0) * g ** degrees_lcm:
+            if any(v ** d0 > v0 ** d * g ** (d0 * d) for v, d in zip(rest, degrees[1:])):
                 return False
+        elif prod(v ** (degrees_lcm // d) for v, d in zip(rest, degrees[1:])) > \
+                v0 ** (degrees_lcm // d0) * g ** degrees_lcm:
+            return False
     return True
 
 

@@ -256,7 +256,10 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
             if not m:
                 raise ValueError(f"malformed factor: {factor_text!r}")
             if m.group("num"):
-                coeff *= Fraction(m.group("num"))
+                try:
+                    coeff *= Fraction(m.group("num"))
+                except ZeroDivisionError:
+                    raise ValueError(f"zero denominator in term {body!r}") from None
             else:
                 i = int(m.group("var")[1:])
                 e = int(m.group("exp") or 1)
@@ -273,11 +276,6 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
         e = tuple(exps.get(i, 0) for i in range(nvars))
         out[e] = out.get(e, Fraction(0)) + coeff
     return MultiPoly(nvars, out)
-
-
-def eval_poly(f: MultiPoly, xs: Sequence[Fraction | int]) -> Fraction:
-    """Exact evaluation of f at a rational point."""
-    return f.evaluate(xs)
 
 
 def _exact(c: Fraction) -> Fraction | int:

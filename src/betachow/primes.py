@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 FACTOR_BOUND_DEFAULT = 1 << 128
 
@@ -141,6 +142,17 @@ def _vp_int(n: int, p: int) -> int:
         n //= p
         v += 1
     return v
+
+
+def _prime_to(n: int, primes: Iterable[int]) -> int:
+    """n with every factor of the given primes divided out (the non-S part
+    of n, sign kept, for the primes of S)."""
+    if n == 0:
+        raise ValueError("0 has no non-S part")
+    for p in primes:
+        while n % p == 0:
+            n //= p
+    return n
 
 
 def vp(x: Fraction | int, p: int) -> int:

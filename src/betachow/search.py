@@ -33,7 +33,7 @@ from .poly import (
     monomial_exponents,
     parse_poly,
 )
-from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _vp, factor, is_prime
+from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _prime_to, _vp, factor, is_prime
 from .sharding import sharded
 
 
@@ -50,12 +50,7 @@ class SRing:
         object.__setattr__(self, "primes", ps)
 
     def strip_s_part(self, n: int) -> int:
-        if n == 0:
-            raise ValueError("0 has no non-S part")
-        for p in self.primes:
-            while n % p == 0:
-                n //= p
-        return n
+        return _prime_to(n, self.primes)
 
     def is_unit(self, n: int) -> bool:
         """Whether n != 0 is +- a product of S-primes: every exponent of such
@@ -103,7 +98,7 @@ class SearchBox:
             raise ValueError("invalid search box")
 
     def coordinate_values(self, s: SRing) -> list:
-        """Sorted coordinate values; plain ints when no denominators occur."""
+        """Sorted coordinate values, the integral ones as ints."""
         if not s.primes or self.denom_cap == 0:
             return list(range(-self.bound, self.bound + 1))
         dens = [1]
@@ -112,13 +107,13 @@ class SearchBox:
         values = set()
         for den in dens:
             for num in range(-self.bound, self.bound + 1):
-                if gcd(num, den) == 1 or den == 1:
-                    values.add(Fraction(num, den))
+                if gcd(num, den) == 1:
+                    values.add(Fraction(num, den) if den > 1 else num)
         return sorted(values)
 
 
 def _grade_key(point: tuple) -> tuple:
-    return (max(abs(Fraction(c).numerator) for c in point), tuple(Fraction(c) for c in point))
+    return (max(abs(c.numerator) for c in point), point)
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +122,8 @@ def _grade_key(point: tuple) -> tuple:
 
 @dataclass
 class SolutionSet:
-    """Deterministically ordered solutions of one predicate over one box."""
+    """Deterministically ordered solutions of one predicate over one box;
+    a point's coordinates are ints when integral, else Fractions."""
 
     descriptor: dict
     points: list[tuple] = field(default_factory=list)
@@ -526,7 +522,7 @@ def _search_part(search: Search, rows: _Rows, firsts: list) -> SolutionSet:
     for xs in _walk(rows, firsts):
         values = search.check(xs)
         if values is not None:
-            out.points.append(tuple(Fraction(c) for c in xs))
+            out.points.append(xs)
             out.witnesses.append(_witness_map(values, search.s))
     return out
 
@@ -667,13 +663,32 @@ def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
     return s.is_unit(prod(nums) * prod(dens))
 
 
+def _stored_point(texts) -> tuple:
+    """A stored point, a JSON list of its coordinates' texts, read back: each
+    text must be str of its value, an int or a Fraction in lowest terms."""
+    if not isinstance(texts, list):
+        raise ValueError(f"stored point {texts!r} is not a list of coordinates")
+    point = []
+    for text in texts:
+        try:
+            num, _, den = text.partition("/")
+            c = Fraction(int(num), int(den)) if den else int(num)
+        except (AttributeError, ValueError, ZeroDivisionError):
+            c = None
+        if c is None or str(c) != text:
+            raise ValueError(f"stored coordinate {text!r} is not canonical")
+        point.append(c)
+    return tuple(point)
+
+
 def _records_solution_set(descriptor: dict, records: Iterable[dict],
                           search: Search | None) -> SolutionSet:
     """Stored records ({"point", "witnesses"}) as a solution set.  Given the
     search of the descriptor, every point is re-checked; a point outside the
     search's box, a projective point not in normalized form, a failing
     point, or stored witnesses that are not the witness map of the check's
-    values raise.  None skips the re-check."""
+    values raise.  None skips the re-check; a coordinate that is not
+    canonical text raises either way."""
     keys: dict = {}
     projective = descriptor["projective"]
     if search is not None:
@@ -685,15 +700,14 @@ def _records_solution_set(descriptor: dict, records: Iterable[dict],
     for rec in records:
         if not isinstance(rec, dict) or not {"point", "witnesses"} <= rec.keys():
             raise ValueError(f"malformed solution record {rec!r}")
-        point = tuple(Fraction(c) for c in rec["point"])
+        point = _stored_point(rec["point"])
         if search is not None:
             if len(point) != box.dim + projective or any(
                     abs(c.numerator) > box.bound or denoms % c.denominator for c in point):
                 raise ValueError(f"stored point {rec['point']} is not a point of the search box")
             if projective and ProjPoint.normalize(point).coords != point:
                 raise ValueError(f"stored point {rec['point']} is not normalized")
-            # a projective point of the box is integral, and its check runs in ints
-            values = search.check(tuple(c.numerator for c in point) if projective else point)
+            values = search.check(point)
             if values is None:
                 raise ValueError(f"stored point {rec['point']} fails its predicate")
             if not _witnesses_match(rec["witnesses"], values, s, keys):
@@ -831,7 +845,7 @@ def vanishing_forms(points: Sequence[tuple], degree: int,
         # the row scaled by prod_i den(x_i)^degree: integers, same row space;
         # tables[i][k] = num(x_i)^k den(x_i)^(degree - k)
         tables = [[x.numerator ** k * x.denominator ** (degree - k) for k in range(degree + 1)]
-                  for x in map(Fraction, pt)]
+                  for x in pt]
         rows.append([prod(map(getitem, tables, e)) for e in exps])
     basis = kernel_basis(rows)
     return [MultiPoly(nvars, dict(zip(exps, vec))) for vec in basis]
@@ -996,7 +1010,6 @@ def degeneracy_report(points: Sequence[tuple], max_degree: int,
     per-line point counts (plane case, via exact linear-factor extraction
     of the kernel forms), and the solution-count growth curve when the
     caller supplies counts per box bound."""
-    points = [tuple(Fraction(c) for c in p) for p in points]
     kernel_dims: dict[int, int] = {}
     kernel_forms: dict[int, list[MultiPoly]] = {}
     splits: dict[int, list[bool]] = {}

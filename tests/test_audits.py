@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import combinations
-from math import prod
+from math import lcm, prod
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from betachow.audits import (
     independent_subsets,
@@ -10,8 +12,16 @@ from betachow.audits import (
     sample_points,
     subspace_audit,
 )
-from betachow.heights import ARCH, Place, ProjPoint, make_place_set, support_primes, weil_local
-from betachow.poly import parse_poly
+from betachow.heights import (
+    ARCH,
+    Place,
+    ProjPoint,
+    height,
+    make_place_set,
+    support_primes,
+    weil_local,
+)
+from betachow.poly import MultiPoly, hyperplanes_general_position, monomial_exponents, parse_poly
 
 COORD = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
 FOUR = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")]
@@ -139,3 +149,49 @@ def test_audits_reject_rational_coefficients_before_any_row(audit):
     # a point on x0 = 0 is on the support, so no row ever computes a value
     with pytest.raises(ValueError, match="weil_local needs integer coefficients"):
         audit(forms, make_place_set(), Fraction(1, 2), [ProjPoint.normalize([0, 1, 1])])
+
+
+# ---------------------------------------------------------------------------
+# Levin-Duke rows against the per-place row
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _forms(draw):
+    """A linear or quadratic form in x0, x1, x2 with integer coefficients."""
+    mons = monomial_exponents(3, draw(st.sampled_from([1, 2])), homogeneous=True)
+    coeffs = draw(st.lists(st.integers(-30, 30), min_size=len(mons), max_size=len(mons)))
+    f = MultiPoly(3, dict(zip(mons, coeffs)))
+    assume(not f.is_zero())
+    return f
+
+
+def _levin_duke_per_place(forms, s, eps, p):
+    """The oracle: each m_i the product of weil_local over S, lhs the product
+    of the m_i^(lcm/d_i), and the cross-powered verdict in Fractions."""
+    degrees = [f.total_degree() for f in forms]
+    big, q, n = lcm(*degrees), len(forms), forms[0].nvars - 1
+    m = [prod(weil_local(f, p, v).value for v in s) for f in forms]
+    lhs = prod(m_i ** (big // d) for m_i, d in zip(m, degrees))
+    den, num = eps.denominator, eps.numerator
+    verdict = lhs ** den > Fraction(height(p)) ** ((q - n - 1) * big * den - big * num)
+    return lhs, {f"m{i + 1}": str(m_i) for i, m_i in enumerate(m)}, verdict
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(_forms(), min_size=3, max_size=5),
+       st.sampled_from([(), (2,), (2, 3), (5, 7)]),
+       # -10 makes the row's exponent k negative, 10 the oracle's
+       st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(10), Fraction(-10)]),
+       st.sampled_from([10, 10 ** 3, 10 ** 6, 10 ** 12]), st.integers(0, 10 ** 6))
+def test_levin_duke_rows_match_per_place_row(forms, s_primes, eps, height_bound, seed):
+    if all(f.total_degree() == 1 for f in forms):
+        assume(hyperplanes_general_position(forms))
+    s = make_place_set(s_primes)
+    points = sample_points(2, height_bound, 6, seed)
+    report = levin_duke_audit(forms, s, eps, points, assert_general_position=True)
+    for row in report.rows:
+        if row.on_support:
+            assert any(f.evaluate(row.point.coords) == 0 for f in forms)
+            continue
+        assert (row.lhs, row.per_place, row.verdict) == \
+            _levin_duke_per_place(forms, s, eps, row.point)

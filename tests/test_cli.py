@@ -303,6 +303,20 @@ def test_usage_errors(capsys):
                "--box", "2", "--dim", "2")[0] == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["search", "cor12", "--forms", "{zero}", "--box", "2", "--dim", "2"],
+    ["heights", "--form", "x0", "--point", "1/0,1"],
+    ["audit", "levinduke", "--forms", "{coords}", "--epsilon", "1/0", "--samples", "2"],
+])
+def test_zero_denominator_is_a_usage_error(tmp_path, capsys, argv):
+    (tmp_path / "zero.txt").write_text("1/0*x0 + x1\n")
+    (tmp_path / "coords.txt").write_text("x0\nx1\nx2\n")
+    argv = [a.format(zero=tmp_path / "zero.txt", coords=tmp_path / "coords.txt") for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "zero denominator" in err and "Traceback" not in err
+
+
 def test_worker_count_env(monkeypatch):
     from betachow.reporting import worker_count
     monkeypatch.setenv("BETACHOW_WORKERS", "3")
@@ -449,6 +463,27 @@ def test_checkpoint_record_stored_twice_is_refused(tmp_path, capsys):
     code, err, untouched = _checkpointed_record_edit(capsys, tmp_path, duplicate)
     assert code == 2
     assert "twice" in err
+    assert untouched
+
+
+@pytest.mark.parametrize("coordinate", ["1/0", None, 3, "1/1", "6/4", "+3", "-0", " 1", "1.0"])
+def test_checkpoint_coordinate_that_is_not_canonical_text_is_refused(tmp_path, capsys,
+                                                                     coordinate):
+    def edit(lines, i, j):
+        lines[i]["records"][0]["point"][-1] = coordinate
+    code, err, untouched = _checkpointed_record_edit(capsys, tmp_path, edit)
+    assert code == 2
+    assert "is not canonical" in err
+    assert untouched
+
+
+def test_checkpoint_point_that_is_not_a_list_is_refused(tmp_path, capsys):
+    def edit(lines, i, j):
+        rec = lines[i]["records"][0]
+        rec["point"] = ",".join(rec["point"])
+    code, err, untouched = _checkpointed_record_edit(capsys, tmp_path, edit)
+    assert code == 2
+    assert "is not a list of coordinates" in err
     assert untouched
 
 

@@ -1,8 +1,9 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from betachow.heights import (
@@ -271,3 +272,92 @@ def test_blowup_integrality_equivalence():
         rhs = all(weil_local(f_d, p, v).value <= weil_local(f_w, p, v).value
                   for v in off_s)
         assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# the closed S-split against the per-place products of weil_local
+# ---------------------------------------------------------------------------
+
+S_CHOICES = [(), (2,), (2, 3), (5, 7)]
+
+
+def _proximity_counting_per_place(f, p, s):
+    """The oracle: m_S the product of weil_local over S (which holds ARCH),
+    N_S the product over the support off S, and their product."""
+    val = f.evaluate(p.coords)
+    support = support_primes([val, *[c for c in p.coords if c != 0]])
+    m = prod(weil_local(f, p, v).value for v in s)
+    n = prod((weil_local(f, p, Place(q)).value for q in support if Place(q) not in s),
+             start=Fraction(1))
+    return m, n, m * n, support
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_forms(), st.lists(COORD, min_size=3, max_size=3), st.sampled_from(S_CHOICES))
+def test_proximity_counting_matches_weil_local_per_place(f, coords, s_primes):
+    assume(any(coords))
+    p = ProjPoint.normalize(coords)
+    assume(f.evaluate(p.coords) != 0)
+    s = make_place_set(s_primes)
+    dec = proximity_counting(f, p, s)
+    assert (dec.proximity, dec.counting, dec.total, dec.support) == \
+        _proximity_counting_per_place(f, p, s)
+    assert dec.total == height(p) ** f.total_degree()
+
+
+def _theoremkey_per_place(p, forms, s, gamma, mode):
+    """The oracle: the per-prime comparison with every local value taken
+    from weil_local, one call per form and prime."""
+    degrees = [f.total_degree() for f in forms]
+    d0, big = degrees[0], lcm(*degrees)
+    values = [f.evaluate(p.coords) for f in forms]
+    primes = set(support_primes(values + [c for c in p.coords if c != 0]))
+    primes.update(v.prime for v in gamma.support() if v.is_finite)
+    primes -= {v.prime for v in s if v.is_finite}
+    for q in sorted(primes):
+        g = gamma.at(Place(q))
+        vals = [weil_local(f, p, Place(q)).value for f in forms]
+        if mode == "i":
+            if any(vals[i] ** d0 > vals[0] ** degrees[i] * g ** (d0 * degrees[i])
+                   for i in range(1, len(forms))):
+                return False
+        elif prod(vals[i] ** (big // degrees[i]) for i in range(1, len(forms))) > \
+                vals[0] ** (big // d0) * g ** big:
+            return False
+    return True
+
+
+GAMMAS = st.dictionaries(st.sampled_from([ARCH, Place(2), Place(3), Place(5), Place(7)]),
+                         st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2),
+                                          Fraction(3), Fraction(9, 2)]), max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+# at 2 the values are 1 and 4 = gamma^(d0*d1): both modes hold with no room
+@example([parse_poly("x0", 3), parse_poly("x1^2", 3)], [1, 2, 1], (), {Place(2): Fraction(2)}, "i")
+@example([parse_poly("x0", 3), parse_poly("x1^2", 3)], [1, 2, 1], (), {Place(2): Fraction(2)}, "ii")
+@given(st.lists(integer_forms(), min_size=2, max_size=4),
+       # small coordinates give values with few primes, where the condition can hold
+       st.lists(st.one_of(st.integers(-12, 12), st.integers(-10 ** 4, 10 ** 4)),
+                min_size=3, max_size=3),
+       st.sampled_from(S_CHOICES), GAMMAS, st.sampled_from(["i", "ii"]))
+def test_theoremkey_matches_weil_local_per_prime(forms, coords, s_primes, gamma, mode):
+    assume(any(coords))
+    p = ProjPoint.normalize(coords)
+    assume(all(f.evaluate(p.coords) != 0 for f in forms))
+    degrees = [f.total_degree() for f in forms]
+    assume(mode == "ii" or min(degrees[1:]) >= degrees[0])
+    s, gamma = make_place_set(s_primes), MkConstant.from_map(gamma)
+    assert theoremkey_condition(p, forms, s, gamma, mode) == \
+        _theoremkey_per_place(p, forms, s, gamma, mode)
+
+
+@pytest.mark.parametrize("coords", [[1, 1, 0], [2, 2, 1]])
+@pytest.mark.parametrize("first", [True, False])
+def test_theoremkey_refuses_rational_coefficients_at_every_point(coords, first):
+    # 1/2*x0 + 1/2*x1 is 1 at [1:1:0], where no prime is checked at all
+    half, x0 = parse_poly("1/2*x0+1/2*x1", 3), parse_poly("x0", 3)
+    forms = [half, x0] if first else [x0, half]
+    for mode in ("i", "ii"):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            theoremkey_condition(ProjPoint.normalize(coords), forms, make_place_set(), mode=mode)

@@ -6,7 +6,6 @@ import pytest
 from betachow.poly import (
     MultiPoly,
     _int_evaluator,
-    eval_poly,
     hyperplanes_general_position,
     monomial_exponents,
     parse_poly,
@@ -23,11 +22,11 @@ def rand_poly(rng, nvars, max_deg=3, terms=4):
 
 def test_eval_examples():
     f = parse_poly("x0+x1", 2)
-    assert eval_poly(f, [1, 2]) == 3
+    assert f.evaluate([1, 2]) == 3
     g = parse_poly("x0^2*x1", 2)
-    assert eval_poly(g, [2, Fraction(1, 2)]) == 2
+    assert g.evaluate([2, Fraction(1, 2)]) == 2
     h = parse_poly("1-x1-x2", 3)
-    assert eval_poly(h, [0, 1, 1]) == -1
+    assert h.evaluate([0, 1, 1]) == -1
 
 
 def test_int_evaluator_matches_evaluate():
@@ -86,6 +85,12 @@ def test_parse_rejects_garbage():
     for bad in ("", "x0 +", "2**x0", "y1"):
         with pytest.raises(ValueError):
             parse_poly(bad)
+
+
+@pytest.mark.parametrize("text", ["3/0", "3/00", "1/0*x0 + x1", "x0 - 2/0*x1^2"])
+def test_parse_rejects_a_zero_denominator(text):
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_poly(text)
 
 
 def test_general_position_examples():

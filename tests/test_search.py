@@ -134,6 +134,31 @@ def test_cor12_frozen_solution_set():
     assert (Fraction(-1), Fraction(-1)) not in sols.points
 
 
+def test_points_keep_integral_coordinates_as_ints(tmp_path):
+    sols = search_cor12(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,)))
+    path = tmp_path / "c.jsonl"
+    path.write_text(solution_set_text(sols, "0.0-test"))
+    for points in (sols.points, load_solution_set(str(path)).points):
+        assert points == sols.points
+        assert any(type(c) is Fraction for pt in points for c in pt)
+        assert all(type(c) is (int if c.denominator == 1 else Fraction)
+                   for pt in points for c in pt)
+
+
+@pytest.mark.parametrize("reverify", [True, False])
+@pytest.mark.parametrize("coordinate", ["1/0", None, "1/1", "-0"])
+def test_load_refuses_coordinates_that_are_not_canonical_text(tmp_path, reverify, coordinate):
+    sols = search_cor12(parse_poly("1", 2), SearchBox(2, 6), S_EMPTY)
+    lines = solution_set_text(sols, "0.0-test").splitlines()
+    rec = json.loads(lines[-1])
+    rec["point"][0] = coordinate
+    lines[-1] = json.dumps(rec, sort_keys=True)
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="is not canonical"):
+        load_solution_set(str(path), reverify=reverify)
+
+
 def test_cor12_empty_box():
     g = parse_poly("1", 2)
     assert search_cor12(g, SearchBox(2, 0), S_EMPTY).points == []
