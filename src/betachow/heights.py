@@ -131,6 +131,16 @@ def height(p: ProjPoint) -> int:
     return max(abs(c) for c in p.coords)
 
 
+def _log(x: Fraction | int) -> float:
+    """log(x) for a positive rational x.  Past the float range, where x
+    cannot be converted to a float, it is log(numerator) - log(denominator):
+    log of an int never overflows."""
+    try:
+        return log(x)
+    except OverflowError:
+        return log(x.numerator) - log(x.denominator)
+
+
 @dataclass(frozen=True)
 class LocalHeight:
     """Multiplicative local Weil value at one place (lambda = log value)."""
@@ -144,7 +154,7 @@ class LocalHeight:
 
     @property
     def log_value(self) -> float:
-        return log(self.value)
+        return _log(self.value)
 
 
 def check_weil_form(f: MultiPoly):
@@ -227,8 +237,8 @@ class HeightDecomposition:
 
     @property
     def log_rows(self) -> dict[str, float]:
-        return {"m": log(self.proximity), "N": log(self.counting),
-                "h": log(self.total)}
+        return {"m": _log(self.proximity), "N": _log(self.counting),
+                "h": _log(self.total)}
 
 
 def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecomposition:
@@ -242,8 +252,8 @@ def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecompo
     val = f.evaluate(p.coords)
     if val == 0:
         raise ValueError("point on support")
-    support = support_primes([val, *[c for c in p.coords if c != 0]])
     check_weil_form(f)
+    support = support_primes([val, *[c for c in p.coords if c != 0]])
     m, n_part = _s_split(val.numerator, height(p), f.total_degree(), finite_primes(s))
     return HeightDecomposition(m, n_part, m * n_part, support)
 

@@ -6,12 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from betachow.audits import (
-    independent_subsets,
-    levin_duke_audit,
-    sample_points,
-    subspace_audit,
-)
+from betachow.audits import levin_duke_audit, sample_points, subspace_audit
 from betachow.heights import (
     ARCH,
     Place,
@@ -21,10 +16,49 @@ from betachow.heights import (
     support_primes,
     weil_local,
 )
+from betachow.linalg import rank
 from betachow.poly import MultiPoly, hyperplanes_general_position, monomial_exponents, parse_poly
 
 COORD = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
 FOUR = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")]
+
+
+def independent_subsets(forms):
+    """The oracle's subsets: every index subset whose linear forms are
+    linearly independent, including the empty set."""
+    vectors = [list(f.linear_coefficients()) for f in forms]
+    out = [()]
+    for size in range(1, min(len(forms), forms[0].nvars) + 1):
+        for subset in combinations(range(len(forms)), size):
+            if rank([vectors[i] for i in subset]) == size:
+                out.append(subset)
+    return out
+
+
+def _subspace_row_by_subsets(forms, s, eps, p):
+    """The oracle row: weil_local at each place, the max over every
+    independent subset, and the defect against every size-n subset, in
+    Fractions.  Returns (lhs, verdict, per_place, defect, defect_by_place)."""
+    n = forms[0].nvars - 1
+    subsets = independent_subsets(forms)
+    s_places = sorted(s, key=lambda v: v.prime or 0)
+    support = [q for q in support_primes([*(f.evaluate(p.coords) for f in forms), *p.coords])
+               if Place(q) not in s]
+    local = {v: [weil_local(f, p, v).value for f in forms]
+             for v in s_places + [Place(q) for q in support]}
+    per_place = {str(v): max(prod(local[v][i] for i in subset) for subset in subsets)
+                 for v in s_places}
+    lhs = prod(per_place.values())
+    verdict = lhs ** eps.denominator <= \
+        Fraction(height(p)) ** ((n + 1) * eps.denominator + eps.numerator)
+    defect, defect_by_place = Fraction(1), {}
+    if len(forms) >= n:
+        for v, vals in local.items():
+            d = prod(vals) / max(prod(c) for c in combinations(vals, n))
+            if d != 1:
+                defect_by_place[str(v)] = str(d)
+            defect *= d
+    return lhs, verdict, {k: str(b) for k, b in per_place.items()}, defect, defect_by_place
 
 
 def test_sample_points_deterministic():
@@ -33,6 +67,12 @@ def test_sample_points_deterministic():
     assert a == b
     assert all(1 <= max(abs(c) for c in p.coords) <= 100 for p in a)
     assert sample_points(2, 100, 5, seed=6) != a[:5]
+
+
+@pytest.mark.parametrize("bound", [0, -2])
+def test_sample_points_refuses_a_height_bound_below_one(bound):
+    with pytest.raises(ValueError, match="height bound must be >= 1"):
+        sample_points(2, bound, 3, seed=1)
 
 
 def test_independent_subsets():
@@ -195,3 +235,38 @@ def test_levin_duke_rows_match_per_place_row(forms, s_primes, eps, height_bound,
             continue
         assert (row.lhs, row.per_place, row.verdict) == \
             _levin_duke_per_place(forms, s, eps, row.point)
+
+
+# ---------------------------------------------------------------------------
+# closed-form subspace rows against the enumeration of independent subsets
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _arrangements(draw):
+    """3-6 integer lines in P^2 or 4-6 planes in P^3, in general position."""
+    nvars = draw(st.sampled_from([3, 4]))
+    count = draw(st.integers(nvars, 6))
+    forms = []
+    for _ in range(count):
+        coeffs = draw(st.lists(st.integers(-12, 12), min_size=nvars, max_size=nvars))
+        assume(any(coeffs))
+        forms.append(MultiPoly(nvars, {tuple(int(i == j) for j in range(nvars)): c
+                                       for i, c in enumerate(coeffs) if c}))
+    assume(hyperplanes_general_position(forms))
+    return forms
+
+
+@settings(max_examples=120, deadline=None)
+@given(_arrangements(), st.sampled_from([(), (2,), (2, 3), (5, 7)]),
+       st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-3)]),
+       st.sampled_from([10, 10 ** 3, 10 ** 6, 10 ** 12]), st.integers(0, 10 ** 6))
+def test_subspace_rows_match_subset_enumeration(forms, s_primes, eps, height_bound, seed):
+    s = make_place_set(s_primes)
+    points = sample_points(forms[0].nvars - 1, height_bound, 6, seed)
+    report = subspace_audit(forms, s, eps, points)
+    for row in report.rows:
+        if row.on_support:
+            assert any(f.evaluate(row.point.coords) == 0 for f in forms)
+            continue
+        assert (row.lhs, row.verdict, row.per_place, row.defect, row.defect_by_place) == \
+            _subspace_row_by_subsets(forms, s, eps, row.point)

@@ -1,6 +1,7 @@
 import ast
 import hashlib
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -180,6 +181,34 @@ def test_heights_resource_bound(capsys):
                        "--s", "inf")
     assert code == 3
     assert "resource bound" in err
+
+
+def test_heights_bad_form_is_a_usage_error_before_factoring(capsys):
+    # F(P) is past the factorization bound, and the form is checked first
+    code, _, err = run(capsys, "heights", "--form", "1/2*x0", "--point",
+                       "1361129467683753853853498429727072845827,3")
+    assert code == 2
+    assert "weil_local needs integer coefficients" in err
+
+
+def test_heights_logs_past_the_float_range(capsys):
+    # h^9 = 10^324 does not fit a float, but its log does
+    code, out, _ = run(capsys, "heights", "--form", "x0^9", "--point",
+                       "1," + "1" + "0" * 36, "--s", "inf")
+    assert code == 0
+    row = next(line for line in out.splitlines() if line.startswith("inf,"))
+    assert abs(float(row.rsplit(",", 1)[1]) - 324 * math.log(10)) < 1e-9
+
+
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_audit_height_bound_below_one_is_a_usage_error(tmp_path, capsys, bound):
+    forms = tmp_path / "coords.txt"
+    forms.write_text("x0\nx1\nx2\n")
+    code, out, err = run(capsys, "audit", "subspace", "--forms", str(forms),
+                         "--samples", "3", "--height-bound", bound)
+    assert code == 2
+    assert "height bound must be >= 1" in err
+    assert out == ""
 
 
 def test_search_cor12_jsonl_and_reload(tmp_path, capsys):
