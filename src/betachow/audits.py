@@ -47,6 +47,8 @@ def sample_points(dim: int, height_bound: int, count: int, seed: int) -> list[Pr
     """Deterministic sample of normalized points with height <= bound."""
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
+    if count < 0:
+        raise ValueError("sample count must be >= 0")
     rng = random.Random(seed)
     out: list[ProjPoint] = []
     while len(out) < count:

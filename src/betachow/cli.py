@@ -504,6 +504,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_dash_values(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
+    """argv with `--opt value` written `--opt=value` where --opt takes one
+    value and the value starts with '-' but is none of the option strings of
+    the parser and its subcommand: argparse would read a value such as -1/2,
+    -1,2 or -x0+x1 as an option."""
+    actions = list(parser._actions)
+    for a in parser._actions:
+        if isinstance(a.choices, dict) and argv and argv[0] in a.choices:
+            actions += a.choices[argv[0]]._actions
+    options = {o for a in actions for o in a.option_strings}
+    one_value = {o for a in actions if a.nargs is None for o in a.option_strings}
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] in one_value and tok.startswith("-") and tok not in options:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if "--config-file" in argv:
@@ -521,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = argv[:1] + flags + argv[1:i] + argv[i + 2:]
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_dash_values(parser, argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
-from typing import Sequence
-
-Matrix = list[list[Fraction]]
+from typing import Iterable, Sequence
 
 
-def _copy(m: Sequence[Sequence[Fraction | int]]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in m]
-
-
-def rref(m: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
+def rref(m: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form and pivot column indices."""
-    a = _copy(m)
+    a = [[Fraction(x) for x in row] for row in m]
     if not a:
         return a, []
     rows, cols = len(a), len(a[0])
@@ -39,11 +34,11 @@ def rref(m: Sequence[Sequence[Fraction | int]]) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def rank(m: Sequence[Sequence[Fraction | int]]) -> int:
-    return len(rref(m)[1])
+def rank(m: Iterable[Sequence[Fraction | int]]) -> int:
+    return len(_integer_row_basis(m))
 
 
-def _integer_row_basis(m: Sequence[Sequence[Fraction | int]]) -> list[list[int]]:
+def _integer_row_basis(m: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     """Integer echelon basis of the row space of m: each row is scaled by
     the lcm of its denominators, reduced against the kept rows (one per
     leading column, so at most one per column), and divided by its content."""
@@ -64,19 +59,25 @@ def _integer_row_basis(m: Sequence[Sequence[Fraction | int]]) -> list[list[int]]
     return [kept[c] for c in sorted(kept)]
 
 
-def kernel_basis(m: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
+def kernel_basis(m: Iterable[Sequence[Fraction | int]]) -> list[list[Fraction]]:
     """Basis of the right null space of m, deterministic.
 
     One vector per free column (ascending), built from the reduced echelon
     form, sign-normalized so the first nonzero entry is positive.  The
     arithmetic is exact: every returned vector annihilates m with no
     tolerance.  It is read off the RREF of an integer row basis of m: the
-    same row space, so the same RREF.
+    same row space, so the same RREF.  Rows are read lazily: at full column
+    rank the kernel is empty, and neither the rest of m nor rref is touched.
     """
-    if not m:
+    rows = iter(m)
+    first = next(rows, None)
+    if first is None:
         return []
-    cols = len(m[0])
-    a, pivots = rref(_integer_row_basis(m))
+    cols = len(first)
+    ints = _integer_row_basis(chain((first,), rows))
+    if len(ints) == cols:
+        return []
+    a, pivots = rref(ints)
     free = [c for c in range(cols) if c not in pivots]
     basis: list[list[Fraction]] = []
     for fc in free:

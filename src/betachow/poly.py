@@ -16,6 +16,7 @@ import re
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
+from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
@@ -322,15 +323,16 @@ def hyperplanes_general_position(forms: Sequence[MultiPoly]) -> bool:
     if not forms:
         return True
     nv = forms[0].nvars
+    vectors = []
     for f in forms:
         if f.nvars != nv or f.is_zero() or not f.is_homogeneous() or f.total_degree() != 1:
             raise ValueError("general position check restricted to hyperplanes")
-    vectors = [list(f.linear_coefficients()) for f in forms]
+        # scaled to integers once: a nonzero multiple keeps every subset's rank
+        den = lcm(*(c.denominator for c in f.terms.values()))
+        coeffs = {e.index(1): c.numerator * (den // c.denominator) for e, c in f.terms.items()}
+        vectors.append([coeffs.get(i, 0) for i in range(nv)])
     k = min(len(forms), nv)
-    for subset in combinations(range(len(forms)), k):
-        if rank([vectors[i] for i in subset]) < k:
-            return False
-    return True
+    return all(rank(subset) == k for subset in combinations(vectors, k))
 
 
 def monomial_exponents(nvars: int, degree: int, homogeneous: bool) -> list[Exponents]:

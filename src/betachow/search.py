@@ -840,14 +840,11 @@ def vanishing_forms(points: Sequence[tuple], degree: int,
         raise ValueError("no points given")
     nvars = len(points[0])
     exps = monomial_exponents(nvars, degree, homogeneous=projective)
-    rows = []
-    for pt in points:
-        # the row scaled by prod_i den(x_i)^degree: integers, same row space;
-        # tables[i][k] = num(x_i)^k den(x_i)^(degree - k)
-        tables = [[x.numerator ** k * x.denominator ** (degree - k) for k in range(degree + 1)]
-                  for x in pt]
-        rows.append([prod(map(getitem, tables, e)) for e in exps])
-    basis = kernel_basis(rows)
+    # lazy rows (none past full rank is built), each scaled by prod_i
+    # den(x_i)^degree to integers; tables[i][k] = num(x_i)^k den(x_i)^(degree - k)
+    tables = ([[x.numerator ** k * x.denominator ** (degree - k) for k in range(degree + 1)]
+               for x in pt] for pt in points)
+    basis = kernel_basis([prod(map(getitem, t, e)) for e in exps] for t in tables)
     return [MultiPoly(nvars, dict(zip(exps, vec))) for vec in basis]
 
 

@@ -211,6 +211,39 @@ def test_audit_height_bound_below_one_is_a_usage_error(tmp_path, capsys, bound):
     assert out == ""
 
 
+def test_audit_sample_count_below_zero_is_a_usage_error(tmp_path, capsys):
+    forms = tmp_path / "coords.txt"
+    forms.write_text("x0\nx1\nx2\n")
+    code, out, err = run(capsys, "audit", "subspace", "--forms", str(forms), "--samples", "-3")
+    assert (code, out) == (2, "")
+    assert "sample count must be >= 0" in err
+    code, out, _ = run(capsys, "audit", "subspace", "--forms", str(forms), "--samples", "0",
+                       "--format", "json")
+    assert code == 0
+    assert json.loads(out.splitlines()[-1]) == {
+        "max_defect": None, "on_support": 0, "samples": 0, "summary": True, "violators": 0}
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["audit", "subspace", "--forms", "{coords}", "--samples", "3"], "--epsilon", "-1/2"),
+    (["heights", "--form", "x0+x1"], "--point", "-1,2"),
+    (["heights", "--point", "1,2"], "--form", "-x0+x1"),
+    (["chow", "--config", "cyclic", "--n", "2", "--q", "6"], "--nef", "-D"),
+])
+def test_option_value_starting_with_a_dash(tmp_path, capsys, argv, option, value):
+    (tmp_path / "coords.txt").write_text("x0\nx1\nx2\n")
+    argv = [a.format(coords=tmp_path / "coords.txt") for a in argv]
+    joined = run(capsys, *argv, f"{option}={value}")
+    assert joined[0] == 0 and joined[1]
+    assert run(capsys, *argv, option, value) == joined
+
+
+def test_option_string_is_not_taken_as_a_value(capsys):
+    code, out, err = run(capsys, "heights", "--form", "x0", "--point", "--s", "inf")
+    assert (code, out) == (2, "")
+    assert "argument --point: expected one argument" in err
+
+
 def test_search_cor12_jsonl_and_reload(tmp_path, capsys):
     forms = tmp_path / "g.txt"
     forms.write_text("1\n")

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import betachow.linalg
 from betachow.linalg import kernel_basis, rank, rref
 
 
@@ -94,3 +95,60 @@ def test_kernel_basis_of_zero_matrices_is_identity():
         ident = [[Fraction(int(i == j)) for j in range(cols)] for i in range(cols)]
         assert kernel_basis(m) == ident
     assert kernel_basis([]) == []
+
+
+@st.composite
+def _rank_matrices(draw):
+    """Int and Fraction matrices with zero and repeated rows; [] and rows
+    of length 0 included."""
+    cols = draw(st.integers(0, 6))
+    entry = st.one_of(st.integers(-6, 6), _entry)
+    m = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols), max_size=8))
+    for i in draw(st.lists(st.integers(0, len(m) - 1), max_size=2)) if m else []:
+        m[i] = [0] * cols
+    if m and draw(st.booleans()):
+        m.append(list(draw(st.sampled_from(m))))
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rank_matrices())
+@example([])
+@example([[], []])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[1, 2], [1, 2], [2, 4]])
+def test_rank_matches_rref_pivots(m):
+    assert rank(m) == len(rref(m)[1])
+
+
+@settings(max_examples=100, deadline=None)
+@given(_matrices())
+def test_kernel_basis_of_an_iterator_matches_the_list(m):
+    assert kernel_basis(iter(m)) == kernel_basis(m)
+    assert kernel_basis(row for row in m) == kernel_basis(m)
+
+
+def test_rank_and_empty_kernel_build_no_fractions(count_fractions):
+    m = [[Fraction(1, 2), 3, Fraction(-5, 6)], [2, Fraction(-1, 3), 0],
+         [Fraction(7, 4), 1, 1], [1, 1, 1]]
+    built = count_fractions()
+    assert rank(m) == 3
+    assert kernel_basis(m) == []
+    assert built == []
+
+
+def test_kernel_basis_stops_at_full_rank(monkeypatch):
+    calls = []
+    real = betachow.linalg.rref
+    monkeypatch.setattr(betachow.linalg, "rref", lambda m: calls.append(m) or real(m))
+    pulled = []
+
+    def rows():
+        for row in ([1, 0], [1, 1], [5, 7], [2, 3]):
+            pulled.append(row)
+            yield row
+
+    assert kernel_basis(rows()) == []
+    assert (pulled, calls) == ([[1, 0], [1, 1]], [])
+    assert kernel_basis([[1, 2], [2, 4]]) == [[Fraction(2), Fraction(-1)]]
+    assert len(calls) == 1

@@ -1,8 +1,12 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from betachow.linalg import rref
 from betachow.poly import (
     MultiPoly,
     _int_evaluator,
@@ -110,6 +114,62 @@ def test_general_position_vandermonde():
                 det = (nodes[b] - nodes[a]) * (nodes[c] - nodes[a]) * (nodes[c] - nodes[b])
                 assert det != 0
     assert hyperplanes_general_position(forms)
+
+
+def _general_position_by_rref(forms) -> bool:
+    """The oracle: every subset of size min(#forms, nvars) of the Fraction
+    coefficient vectors has that many rref pivots."""
+    k = min(len(forms), forms[0].nvars)
+    return all(len(rref(sub)[1]) == k
+               for sub in combinations([f.linear_coefficients() for f in forms], k))
+
+
+def _linear(coeffs) -> MultiPoly:
+    n = len(coeffs)
+    return MultiPoly(n, {tuple(int(j == i) for j in range(n)): c for i, c in enumerate(coeffs)})
+
+
+_COEFF = st.one_of(st.integers(-3, 3), st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def _arrangements(draw):
+    """1-7 linear forms in 2-4 variables, sometimes with a form that is a
+    combination of the first two."""
+    nv = draw(st.integers(2, 4))
+    vecs = draw(st.lists(st.lists(_COEFF, min_size=nv, max_size=nv).filter(any),
+                         min_size=1, max_size=6))
+    a, b = draw(_COEFF), draw(_COEFF)
+    combo = [a * x + b * y for x, y in zip(vecs[0], vecs[-1])]
+    if len(vecs) > 1 and any(combo) and draw(st.booleans()):
+        vecs.append(combo)
+    return [_linear(v) for v in vecs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_arrangements())
+def test_general_position_matches_per_subset_rref(forms):
+    assert hyperplanes_general_position(forms) == _general_position_by_rref(forms)
+
+
+@pytest.mark.parametrize("texts, nvars, want", [
+    (["x0", "x1", "x0+x1"], 2, True),                               # P^1: three points
+    (["x0", "1/2*x0", "x1"], 2, False),                             # P^1: a repeated point
+    (["x0", "x1", "x2", "x3", "x0+x1+x2+x3"], 4, True),             # P^3
+    (["x0", "x1", "x2", "x3", "x0+2/3*x1"], 4, False),              # P^3: x0, x1, x2, x0+2/3*x1
+    ([f"x0+{i}*x1+{i * i}*x2" for i in range(5)] + ["2*x0+x1+x2"], 3, False),   # one dependent triple
+    (["1/2*x0+x1-x2", "x0-1/3*x1", "3/4*x2", "x0+x1+x2"], 3, True),  # Fraction coefficients
+])
+def test_general_position_cases_match_per_subset_rref(texts, nvars, want):
+    forms = [parse_poly(t, nvars) for t in texts]
+    assert hyperplanes_general_position(forms) == _general_position_by_rref(forms) == want
+
+
+def test_general_position_builds_no_fractions(count_fractions):
+    forms = [parse_poly(t, 3) for t in ("1/2*x0+x1-x2", "x0-1/3*x1", "3/4*x2", "x0+x1+x2")]
+    built = count_fractions()
+    assert hyperplanes_general_position(forms)
+    assert built == []
 
 
 def test_general_position_rejects_nonlinear():

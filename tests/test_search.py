@@ -674,6 +674,53 @@ def test_vanishing_forms_match_per_monomial_powers(points, degree, projective):
         _vanishing_forms_by_powers(points, degree, projective)
 
 
+class _CountingPoints(list):
+    """A point list that counts the points its iterator hands out."""
+    pulled = 0
+
+    def __iter__(self):
+        for pt in super().__iter__():
+            self.pulled += 1
+            yield pt
+
+
+def _growth_points() -> list:
+    """The 637 points of cor12 with g = 1, S = {2, 3}, cap 2, box 10."""
+    return search_cor12(parse_poly("1", 2), SearchBox(2, 10, 2), SRing((2, 3))).points
+
+
+def test_vanishing_forms_on_dense_sets_stop_at_full_rank(count_fractions):
+    rng = random.Random(5)
+    grid = [tuple(rng.randint(-9, 9) for _ in range(3)) for _ in range(200)]
+    for points, projective in ((_growth_points(), False), (grid, True)):
+        for degree in (1, 2, 3, 4):
+            monomials = len(monomial_exponents(len(points[0]), degree, projective))
+            counted = _CountingPoints(points)
+            built = count_fractions()
+            assert vanishing_forms(counted, degree, projective) == []
+            assert built == []
+            assert counted.pulled <= 2 * monomials
+
+
+@pytest.mark.parametrize("points, degree, projective, want", [
+    ([(Fraction(t, 2), t + 1) for t in range(-4, 5)], 1, False, ["2*x0 - x1 + 1"]),
+    ([(Fraction(t, 2), t + 1) for t in range(-4, 5)], 2, False,
+     ["2*x0 - x1 + 1", "2*x0^2 - x0*x1 + x0", "4*x0^2 - x1^2 + 4*x0 + 1"]),
+    ([(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25], 2, False,
+     ["-x0^2 - x1^2 + 25"]),
+    ([(x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25], 3, False,
+     ["-x0^2 - x1^2 + 25", "-x0^3 - x0*x1^2 + 25*x0", "-x0^2*x1 - x1^3 + 25*x1"]),
+    ([(a, b, a - 2 * b) for a in range(-2, 3) for b in range(-2, 3) if (a, b) != (0, 0)],
+     2, True, ["x0^2 - 2*x0*x1 - x0*x2", "x0*x1 - 2*x1^2 - x1*x2",
+               "x0^2 - 4*x0*x1 + 4*x1^2 - x2^2"]),
+])
+def test_vanishing_forms_on_degenerate_sets_use_every_point(points, degree, projective, want):
+    # collinear, conic and plane sets never reach full rank, so every row is read
+    counted = _CountingPoints(points)
+    assert [str(f) for f in vanishing_forms(counted, degree, projective)] == want
+    assert counted.pulled == len(points)
+
+
 # ---------------------------------------------------------------------------
 # the cor12 check against its Fraction formula
 # ---------------------------------------------------------------------------
@@ -735,28 +782,14 @@ def test_cor12_check_matches_fraction_formula(case):
     assert got == [v * k for v, k in zip(want, [d] * (n + 1) + [d ** (n + 1), c * d])]
 
 
-def _counting_fractions(monkeypatch) -> list:
-    """Every Fraction built from now on (by constructors and arithmetic
-    alike), as its constructor arguments."""
-    built = []
-    raw = Fraction.__dict__["__new__"].__func__
-
-    def counting(cls, *args, **kwargs):
-        built.append(args)
-        return raw(cls, *args, **kwargs)
-
-    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    return built
-
-
-def test_cor12_check_builds_no_fractions(monkeypatch):
+def test_cor12_check_builds_no_fractions(count_fractions):
     g = parse_poly("1/4*x0 + 3/2*x1 - 5/6", 2)
     s = SRing((2, 3))
     check = _cor12_spec(g, SearchBox(2, 0), s).check
     points = [(Fraction(1, 2), Fraction(-3, 4)), (Fraction(5, 9), 7), (Fraction(1, 6), -1)]
     wants = [_cor12_fraction_check(g, s, xs) for xs in points]
     assert any(wants) and not all(wants)
-    built = _counting_fractions(monkeypatch)
+    built = count_fractions()
     gots = [check(xs) for xs in points]
     assert built == []
     assert [got is None for got in gots] == [want is None for want in wants]
