@@ -9,14 +9,24 @@ across workers: rows are merged back in sample-index order so the output
 does not depend on the worker count.
 
 The forms are checked once per audit, before any row.  Each row evaluates
-every form once in integers and takes its local values from the integer
-kernel of :mod:`betachow.heights`: the subspace audit place by place, with
-None for the Archimedean place, and the Levin-Duke audit from the S-split
-m_S = h^d / r in one step.
+every form once in integers and builds at most its stored lhs and defect
+as Fractions: the subspace audit takes its finite local values from the
+integer kernel of :mod:`betachow.heights` place by place and the
+Archimedean values h/|F_i(P)| as ratios of ints, and the Levin-Duke audit
+takes each m_i from the S-split m_S = h^d / r in one step.
 
 The subspace audit takes only hyperplanes in general position, so each
 place's max over independent subsets and its defect are products of that
 place's sorted local values, with no subset enumerated.
+
+No row factors anything.  At a prime q outside S the defect of q forms
+in P^n is q^(sum of the q-n smallest v_q(F_i(P))), which is not 1 only
+when at least n+1 of the values are divisible by q.  Those n+1 forms are
+independent (general position), so their coefficient matrix M has
+M x = 0 (mod q) for the primitive coordinate vector x of P, which is not
+0 mod q; hence q divides det M.  So the finite places off S that can
+carry a defect are the primes of the maximal minors of the arrangement,
+factored once per audit; at every other prime the defect is 1.
 """
 
 from __future__ import annotations
@@ -25,21 +35,24 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from itertools import combinations
 from math import lcm, prod
 from typing import Sequence
 
+from .linalg import det
 from .poly import MultiPoly, _int_evaluator, hyperplanes_general_position
 from .heights import (
     PlaceSet,
     ProjPoint,
     _local_value,
     _log,
+    _ratio_text,
     _s_split,
     check_weil_form,
     finite_primes,
     height,
-    support_primes,
 )
+from .primes import factor
 from .sharding import sharded
 
 
@@ -94,10 +107,6 @@ class AuditReport:
         return max(defects) if defects else None
 
 
-def _place_name(prime: int | None) -> str:
-    return "inf" if prime is None else str(prime)
-
-
 def subspace_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
                    points: Sequence[ProjPoint], workers: int = 1) -> AuditReport:
     """Audit sum_{v in S} max_I sum_{i in I} lambda_i <= (n+1+eps) h(P).
@@ -114,41 +123,59 @@ def subspace_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
         check_weil_form(f)
     eps = Fraction(eps)
     s_primes = finite_primes(s)
-    params = (s_primes, frozenset(s_primes), eps, forms[0].nvars - 1)
+    n = forms[0].nvars - 1
+    params = ((*s_primes, *_minor_primes(forms, n, s_primes)), len(s_primes), eps, n)
     rows = _run_sharded(_subspace_row, forms, params, list(points), workers)
     return AuditReport("subspace", {"epsilon": str(eps), "forms": [str(f) for f in forms],
                                     "s": sorted(str(v) for v in s)}, rows)
 
 
+def _minor_primes(forms: Sequence[MultiPoly], n: int, s_primes: Sequence[int]) -> list[int]:
+    """Ascending primes outside S that divide a maximal minor of the
+    forms' integer coefficient vectors: the only finite places off S where
+    a row's defect can differ from 1 (module docstring).  Each minor is
+    nonzero by general position and is factored once."""
+    vectors = [[int(c) for c in f.linear_coefficients()] for f in forms]
+    primes = {q for subset in combinations(vectors, n + 1) for q in factor(det(subset))}
+    return sorted(primes.difference(s_primes))
+
+
 def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
-    s_primes, s_set, eps, n = params
+    primes, s_count, eps, n = params
     values = [ev(p.coords) for ev in evaluators]
     if any(v == 0 for v in values):
         return AuditRow(idx, p, on_support=True)
-    s_places = [None, *s_primes]
-    support = [q for q in support_primes(values + list(p.coords)) if q not in s_set]
-    # every form is linear, so each local value has degree 1; ascending
-    local = {v: sorted(_local_value(val, p.coords, 1, v) for val in values)
-             for v in s_places + support}
+    h = height(p)
+    # at infinity F_i has the value h/|F_i(P)|, so ascending |F_i(P)| lists
+    # those values in descending order, and each term is a power of h over
+    # a product of the |F_i(P)|
+    mags = sorted(abs(v) for v in values)
+    # every form is linear, so each finite value has degree 1; ascending
+    local = {q: sorted(_local_value(val, p.coords, 1, q) for val in values) for q in primes}
 
     # any n+1 forms are independent, so the best subset at v takes the
     # n+1 largest values that exceed 1 (the empty subset's term is 1)
-    best = {v: prod(x for x in local[v][-(n + 1):] if x > 1) for v in s_places}
-    lhs = Fraction(prod(best.values()))
-    per_place = {_place_name(v): str(b) for v, b in best.items()}
+    near = [a for a in mags[:n + 1] if a < h]
+    best = {q: prod(x for x in local[q][-(n + 1):] if x > 1) for q in primes[:s_count]}
+    lhs_num, lhs_den = h ** len(near) * prod(best.values()), prod(near)
+    per_place = {"inf": _ratio_text(h ** len(near), lhs_den)}
+    per_place |= {str(q): str(b) for q, b in best.items()}
 
-    h = height(p)
-    # lhs <= h^(n+1+eps), cross-powered to integer exponents
-    den, num = eps.denominator, eps.numerator
-    verdict = lhs ** den <= Fraction(h) ** ((n + 1) * den + num)
+    # lhs <= h^(n+1+eps) cross-powered to integer exponents, h^k on the
+    # side where k is not negative
+    den, k = eps.denominator, (n + 1) * eps.denominator + eps.numerator
+    verdict = lhs_num ** den * h ** max(-k, 0) <= lhs_den ** den * h ** max(k, 0)
     rhs = f"{h}^({n + 1}+{eps})"
 
     # the full product over the best size-n term (the n largest values)
     # leaves the q-n smallest; with fewer than n forms there is no defect
-    defects = {v: prod(local[v][:max(len(values) - n, 0)]) for v in local}
-    defect_by_place = {_place_name(v): str(d) for v, d in defects.items() if d != 1}
-    return AuditRow(idx, p, False, lhs, rhs, verdict, per_place,
-                    Fraction(prod(defects.values())), defect_by_place)
+    far = mags[n:]
+    inf_num, inf_den = h ** len(far), prod(far)
+    defects = {q: prod(local[q][:len(far)]) for q in primes}
+    texts = {"inf": _ratio_text(inf_num, inf_den), **{str(q): str(d) for q, d in defects.items()}}
+    return AuditRow(idx, p, False, Fraction(lhs_num, lhs_den), rhs, verdict, per_place,
+                    Fraction(inf_num * prod(defects.values()), inf_den),
+                    {v: d for v, d in texts.items() if d != "1"})
 
 
 def levin_duke_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
@@ -185,7 +212,7 @@ def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
         return AuditRow(idx, p, on_support=True)
     q, h = len(values), height(p)
     splits = [_s_split(val, h, d, s_primes) for val, d in zip(values, degrees)]
-    per_place = {f"m{i + 1}": str(m_i) for i, (m_i, _) in enumerate(splits)}
+    per_place = {f"m{i + 1}": _ratio_text(hd, r_i) for i, (hd, r_i) in enumerate(splits)}
     r_power = prod(r_i ** (lcm // d) for (_, r_i), d in zip(splits, degrees))
     # lhs = prod_i m_i^(lcm/d_i) = h^(q lcm) / r_power, so lhs^(1/lcm) >
     # h^(q-n-1-eps) cross-powered by lcm*den reads h^k > r_power^den; for

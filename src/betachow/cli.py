@@ -383,11 +383,12 @@ def cmd_audit(args) -> int:
                 rec |= {"defect": str(row.defect),
                         "defect_by_place": row.defect_by_place}
         records.append(rec)
+    max_defect = report.max_defect()
     records.append({
         "summary": True, "samples": len(report.rows),
         "violators": len(report.violators),
         "on_support": len(report.on_support_rows),
-        "max_defect": str(report.max_defect()) if report.max_defect() is not None else None,
+        "max_defect": None if max_defect is None else str(max_defect),
     })
     config = RunConfig("audit", {
         "kind": args.kind, "forms": args.forms, "s": args.s,
@@ -398,12 +399,22 @@ def cmd_audit(args) -> int:
     if args.format == "csv":
         fields = ["index", "point", "on_support", "lhs", "lhs_log", "verdict",
                   "defect", "summary", "violators", "max_defect"]
-        rows = [{k: rec.get(k, "") for k in fields} for rec in records]
+        rows = [{k: _audit_cell(k, rec.get(k, "")) for k in fields} for rec in records]
         content = render_csv(rows, fields, config, __version__)
     else:
         content = render_jsonl(records, config, __version__)
     write_output(args.out, content)
     return EXIT_OK
+
+
+def _audit_cell(key: str, value):
+    """An audit CSV cell: the flags on_support and summary read true/false
+    (fmt would render them as verdicts) and a missing value is empty."""
+    if value is None:
+        return ""
+    if key != "verdict" and isinstance(value, bool):
+        return "true" if value else "false"
+    return value
 
 
 # ---------------------------------------------------------------------------

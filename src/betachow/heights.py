@@ -108,8 +108,11 @@ class ProjPoint:
     @classmethod
     def normalize(cls, coords: Sequence[Fraction | int]) -> "ProjPoint":
         """The normalized point with these int or Fraction coordinates."""
-        denom = lcm(*(c.denominator for c in coords))
-        ints = [int(c * denom) for c in coords]
+        if all(type(c) is int for c in coords):
+            ints = list(coords)
+        else:
+            denom = lcm(*(c.denominator for c in coords))
+            ints = [int(c * denom) for c in coords]
         if all(c == 0 for c in ints):
             raise ValueError("projective point needs a nonzero coordinate")
         g = gcd(*ints)
@@ -191,14 +194,20 @@ def weil_local(f: MultiPoly, p: ProjPoint, v: Place) -> LocalHeight:
                                                 f.total_degree(), v.prime)))
 
 
-def _s_split(val: int, h: int, degree: int, s_primes: Iterable[int]) -> tuple[Fraction, int]:
-    """(m_S, N_S) from val = F(P) != 0, for an integer form F of the given
-    degree and a normalized point P of height h, with S the Archimedean
-    place and s_primes.  Off S only the primes dividing val count, so N_S is
-    r, the part of |val| prime to S; the values at all places multiply to
-    h^degree, so m_S = h^degree / r."""
-    r = abs(_prime_to(val, s_primes))
-    return Fraction(h ** degree, r), r
+def _s_split(val: int, h: int, degree: int, s_primes: Iterable[int]) -> tuple[int, int]:
+    """(h^degree, N_S) from val = F(P) != 0, for an integer form F of the
+    given degree and a normalized point P of height h, with S the
+    Archimedean place and s_primes.  Off S only the primes dividing val
+    count, so N_S is r, the part of |val| prime to S; the values at all
+    places multiply to h^degree, so m_S = h^degree / r."""
+    return h ** degree, abs(_prime_to(val, s_primes))
+
+
+def _ratio_text(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for positive ints, built from a gcd."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def weil_subscheme(generators: Sequence[tuple[MultiPoly, int]], p: ProjPoint,
@@ -254,8 +263,8 @@ def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecompo
         raise ValueError("point on support")
     check_weil_form(f)
     support = support_primes([val, *[c for c in p.coords if c != 0]])
-    m, n_part = _s_split(val.numerator, height(p), f.total_degree(), finite_primes(s))
-    return HeightDecomposition(m, n_part, m * n_part, support)
+    hd, n_part = _s_split(val.numerator, height(p), f.total_degree(), finite_primes(s))
+    return HeightDecomposition(Fraction(hd, n_part), n_part, Fraction(hd), support)
 
 
 def product_over_places(x: Fraction | int) -> Fraction:

@@ -38,6 +38,28 @@ def rank(m: Iterable[Sequence[Fraction | int]]) -> int:
     return len(_integer_row_basis(m))
 
 
+def det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, fraction-free (Bareiss): each
+    step's division by the previous pivot is exact, so no Fraction is built."""
+    a = [list(row) for row in m]
+    size = len(a)
+    if any(len(row) != size for row in a):
+        raise ValueError("determinant needs a square matrix")
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, size) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if size else 1
+
+
 def _integer_row_basis(m: Iterable[Sequence[Fraction | int]]) -> list[list[int]]:
     """Integer echelon basis of the row space of m: each row is scaled by
     the lcm of its denominators, reduced against the kept rows (one per

@@ -3,9 +3,13 @@ from itertools import combinations
 from math import lcm, prod
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import betachow.audits
+import betachow.heights
+import betachow.primes
 from betachow.audits import levin_duke_audit, sample_points, subspace_audit
 from betachow.heights import (
     ARCH,
@@ -18,6 +22,7 @@ from betachow.heights import (
 )
 from betachow.linalg import rank
 from betachow.poly import MultiPoly, hyperplanes_general_position, monomial_exponents, parse_poly
+from betachow.primes import FactorizationBoundError
 
 COORD = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
 FOUR = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")]
@@ -258,7 +263,9 @@ def _arrangements(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(_arrangements(), st.sampled_from([(), (2,), (2, 3), (5, 7)]),
-       st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-3)]),
+       # -10 makes the exponent (n+1)+eps of h negative
+       st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(7, 3), Fraction(-3),
+                        Fraction(-10)]),
        st.sampled_from([10, 10 ** 3, 10 ** 6, 10 ** 12]), st.integers(0, 10 ** 6))
 def test_subspace_rows_match_subset_enumeration(forms, s_primes, eps, height_bound, seed):
     s = make_place_set(s_primes)
@@ -270,3 +277,97 @@ def test_subspace_rows_match_subset_enumeration(forms, s_primes, eps, height_bou
             continue
         assert (row.lhs, row.verdict, row.per_place, row.defect, row.defect_by_place) == \
             _subspace_row_by_subsets(forms, s, eps, row.point)
+
+
+# ---------------------------------------------------------------------------
+# finite defect places from the maximal minors
+# ---------------------------------------------------------------------------
+
+FIVE = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+2*x1+3*x2", "5*x0-7*x1+11*x2")]
+
+
+def _maximal_minors(forms):
+    """|det| of every (n+1)-subset of the coefficient vectors, by sympy."""
+    vectors = [[int(c) for c in f.linear_coefficients()] for f in forms]
+    return [abs(int(sympy.Matrix(subset).det()))
+            for subset in combinations(vectors, forms[0].nvars)]
+
+
+def test_subspace_defect_at_a_minor_prime():
+    forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+2*x2")]
+    assert sorted(_maximal_minors(forms)) == [1, 1, 1, 2]
+    s, eps = make_place_set(), Fraction(1, 2)
+    p = ProjPoint.normalize([2, 4, 1])
+    row = subspace_audit(forms, s, eps, [p]).rows[0]
+    # F(P) = 2, 4, 1, 8: at 2 the q-n = 2 smallest values are 1 and 2
+    assert row.defect_by_place["2"] == "2"
+    assert (row.lhs, row.verdict, row.per_place, row.defect, row.defect_by_place) == \
+        _subspace_row_by_subsets(forms, s, eps, p)
+
+
+def test_subspace_audit_factors_only_maximal_minors(monkeypatch):
+    seen = []
+    real = betachow.primes.factor
+
+    def spy(n, *args, **kwargs):
+        seen.append(abs(n))
+        return real(n, *args, **kwargs)
+
+    for module in (betachow.primes, betachow.heights, betachow.audits):
+        monkeypatch.setattr(module, "factor", spy)
+    points = sample_points(2, 10 ** 12, 30, seed=3)
+    report = subspace_audit(FIVE, make_place_set([2]), Fraction(1, 2), points)
+    assert len(report.rows) == 30
+    assert seen == _maximal_minors(FIVE)
+
+
+@pytest.mark.parametrize("s_primes", [(), (2,), (7,)])
+def test_subspace_rows_past_the_factorization_bound(s_primes):
+    """At height 10^41 the values pass 2^128 and the oracle cannot factor
+    them; the Archimedean and S values, and the defect at every minor
+    prime, still match weil_local, and no other place carries a defect."""
+    s, eps = make_place_set(s_primes), Fraction(1, 2)
+    minor_primes = {q for d in _maximal_minors(FIVE) for q in sympy.factorint(d)}
+    places = sorted(s, key=lambda v: v.prime or 0) + \
+        [Place(q) for q in sorted(minor_primes) if q not in s_primes]
+    subsets = independent_subsets(FIVE)
+    points = sample_points(2, 10 ** 41, 25, seed=5)
+    assert any(abs(f.evaluate(p.coords)) > 2 ** 128 for p in points for f in FIVE)
+    for row in subspace_audit(FIVE, s, eps, points).rows:
+        if row.on_support:
+            continue
+        defect = Fraction(1)
+        for v in places:
+            vals = [weil_local(f, row.point, v).value for f in FIVE]
+            if v in s:
+                best = max(prod(vals[i] for i in subset) for subset in subsets)
+                assert row.per_place[str(v)] == str(best)
+            d = prod(vals) / max(prod(c) for c in combinations(vals, 2))
+            assert row.defect_by_place.get(str(v), "1") == str(d)
+            defect *= d
+        assert row.defect == defect
+
+
+def test_a_minor_past_the_factorization_bound_stops_before_any_row(monkeypatch):
+    forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2", f"x0+{3 ** 90}*x1+x2")]
+    assert max(_maximal_minors(forms)) == 3 ** 90 > 2 ** 128
+    monkeypatch.setattr(betachow.audits, "_subspace_row",
+                        lambda *args: pytest.fail("a row was built"))
+    with pytest.raises(FactorizationBoundError, match="factorization bound exceeded"):
+        subspace_audit(forms, make_place_set(), Fraction(1, 2), sample_points(2, 10, 3, seed=1))
+
+
+def test_levin_duke_rows_build_one_fraction_each(count_fractions):
+    points = sample_points(2, 10 ** 12, 20, seed=7)
+    forms = FIVE + [parse_poly("x0^2+x1*x2", 3)]
+    eps = Fraction(1, 2)
+    built = count_fractions()
+    levin_duke_audit(forms, make_place_set([2, 3]), eps, [], assert_general_position=True)
+    setup = len(built)
+    report = levin_duke_audit(forms, make_place_set([2, 3]), eps, points,
+                              assert_general_position=True)
+    # past the per-audit setup, only each row's lhs: no m_i is a Fraction
+    assert len(built) == 2 * setup + len(points)
+    for row in report.rows:
+        assert (row.lhs, row.per_place, row.verdict) == \
+            _levin_duke_per_place(forms, make_place_set([2, 3]), eps, row.point)

@@ -898,3 +898,66 @@ def test_checkpoint_from_an_earlier_version_resumes_to_the_plain_run(
         assert code == 0
         assert out.read_bytes() == plain
         assert hashlib.sha256(ck.read_bytes()).hexdigest() == full_sha
+
+
+# tests/data/audit_*.jsonl were written by an earlier commit (before the
+# subspace audit took its finite places from the maximal minors) from
+# tests/data/audit_forms.txt, run from tests/data; the audits must keep
+# reproducing them byte for byte
+@pytest.mark.parametrize("golden, argv", [
+    (f"audit_subspace_s{s}_h{e}.jsonl",
+     ["subspace", "--s", f"inf,{s}", "--height-bound", str(10 ** e)])
+    for s in (2, 7) for e in (3, 12)
+] + [("audit_levinduke.jsonl",
+      ["levinduke", "--s", "inf,2,3", "--height-bound", str(10 ** 6)])])
+def test_audit_reproduces_its_golden_output(tmp_path, capsys, monkeypatch, golden, argv):
+    monkeypatch.chdir(DATA)
+    out = tmp_path / golden
+    code, _, _ = run(capsys, "audit", argv[0], "--forms", "audit_forms.txt", *argv[1:],
+                     "--samples", "40", "--seed", "1", "--format", "json", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_audit_csv_flags_read_true_false(tmp_path, capsys):
+    forms = tmp_path / "coords.txt"
+    forms.write_text("x0\nx1\nx2\n")
+    # seed 1 at height 1 draws points on the coordinate lines and off them
+    code, out, _ = run(capsys, "audit", "levinduke", "--forms", str(forms),
+                       "--samples", "12", "--height-bound", "1", "--format", "csv")
+    assert code == 0
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    header = lines[0].split(",")
+    rows = [dict(zip(header, line.split(","))) for line in lines[1:]]
+    *points, summary = rows
+    assert {r["on_support"] for r in points} == {"true", "false"}
+    assert {r["verdict"] for r in points} <= {"pass", "FAIL", ""}
+    assert all(r["verdict"] == "" for r in points if r["on_support"] == "true")
+    assert all(r["summary"] == "" for r in points)
+    # the Levin-Duke audit has no defect: the summary's max_defect is empty
+    assert (summary["summary"], summary["max_defect"]) == ("true", "")
+    assert summary["on_support"] == str(sum(r["on_support"] == "true" for r in points))
+
+    code, out, _ = run(capsys, "audit", "levinduke", "--forms", str(forms),
+                       "--samples", "12", "--height-bound", "1", "--format", "json")
+    records = [json.loads(line) for line in out.splitlines()[1:]]
+    assert {r["on_support"] for r in records[:-1]} == {True, False}
+    assert (records[-1]["summary"], records[-1]["max_defect"]) == (True, None)
+
+
+def test_audit_runs_past_the_factorization_bound(tmp_path, capsys):
+    # values at height 10^41 pass 2^128; no row factors them
+    code, out, err = run(capsys, "audit", "subspace", "--forms", str(DATA / "audit_forms.txt"),
+                         "--s", "inf,2", "--samples", "10", "--height-bound", str(10 ** 41),
+                         "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out.splitlines()[-1])["samples"] == 10
+
+
+def test_audit_minor_past_the_factorization_bound_is_a_resource_error(tmp_path, capsys):
+    forms = tmp_path / "forms.txt"
+    forms.write_text(f"x0\nx1\nx2\nx0+{3 ** 90}*x1+x2\n")
+    # the minors are factored at the start, so even a run with no rows stops
+    code, out, err = run(capsys, "audit", "subspace", "--forms", str(forms), "--samples", "0")
+    assert (code, out) == (3, "")
+    assert "factorization bound exceeded" in err

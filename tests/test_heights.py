@@ -6,11 +6,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import betachow.heights
 from betachow.heights import (
     ARCH,
     MkConstant,
     Place,
     ProjPoint,
+    _ratio_text,
     abs_at,
     height,
     make_place_set,
@@ -141,6 +143,21 @@ def test_normalize_integer_coordinates_match_rational_path():
         assert all(type(c) is int for c in p.coords)
     with pytest.raises(ValueError, match="nonzero coordinate"):
         ProjPoint.normalize([0, 0])
+
+
+def test_normalize_integer_coordinates_take_no_lcm(monkeypatch, count_fractions):
+    monkeypatch.setattr(betachow.heights, "lcm", lambda *a: pytest.fail("lcm called"))
+    built = count_fractions()
+    assert ProjPoint.normalize([0, -4, 6]).coords == (0, 2, -3)
+    assert ProjPoint.normalize([-7, 14, 0]).coords == (1, -2, 0)
+    assert built == []
+    with pytest.raises(ValueError, match="nonzero coordinate"):
+        ProjPoint.normalize([0, 0])
+
+
+@given(st.integers(1, 10 ** 30), st.integers(1, 10 ** 30))
+def test_ratio_text_is_the_fraction_text(num, den):
+    assert _ratio_text(num, den) == str(Fraction(num, den))
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import betachow.linalg
-from betachow.linalg import kernel_basis, rank, rref
+from betachow.linalg import det, kernel_basis, rank, rref
 
 
 def _mat_vec(m, v) -> list[Fraction]:
@@ -152,3 +153,54 @@ def test_kernel_basis_stops_at_full_rank(monkeypatch):
     assert (pulled, calls) == ([[1, 0], [1, 1]], [])
     assert kernel_basis([[1, 2], [2, 4]]) == [[Fraction(2), Fraction(-1)]]
     assert len(calls) == 1
+
+
+def _fraction_det(m) -> Fraction:
+    """The oracle: Gaussian elimination in Fractions, the product of the
+    pivots with the sign of the row swaps."""
+    a = [[Fraction(x) for x in row] for row in m]
+    out = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            out = -out
+        out *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return out
+
+
+@st.composite
+def _square_int_matrices(draw):
+    size = draw(st.integers(0, 5))
+    entries = st.integers(-10 ** 6, 10 ** 6) | st.sampled_from([0, 1, -1])
+    m = [draw(st.lists(entries, min_size=size, max_size=size)) for _ in range(size)]
+    if size > 1 and draw(st.booleans()):
+        m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]   # a dependent row
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_square_int_matrices())
+@example([])
+@example([[0, 0], [0, 0]])
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[2, 4, 1], [1, 2, 7], [3, 5, 2]])
+def test_det_matches_fraction_elimination(m):
+    d = det(m)
+    assert type(d) is int
+    assert d == _fraction_det(m)
+    assert (d != 0) == (len(rref(m)[1]) == len(m))
+
+
+def test_det_builds_no_fractions_and_needs_a_square_matrix(count_fractions):
+    built = count_fractions()
+    assert det([[1, 0, 0], [0, 1, 0], [1, 1, 2]]) == 2
+    assert built == []
+    with pytest.raises(ValueError, match="square"):
+        det([[1, 2, 3], [4, 5, 6]])
