@@ -314,6 +314,8 @@ def _growth(text: str, search: Search, workers: int,
 
 
 def cmd_search(args) -> int:
+    if args.degeneracy is not None and args.degeneracy < 1:
+        raise ValueError("--degeneracy must be >= 1")
     if args.growth is not None and not args.degeneracy:
         raise ValueError("--growth needs --degeneracy")
     s_primes = ([int(p) for p in args.s_primes.split(",") if p.strip()]

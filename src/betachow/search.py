@@ -171,7 +171,9 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 # from a descriptor to a factory.  A check's values are exact up to S-units,
 # which no witness sees: cor12 runs in ints over one S-unit denominator per
 # point, thm11 in ints over forms scaled by S-units, and thm16 evaluates its
-# forms by _int_evaluator.
+# forms by _int_evaluator, unscaled: its right side sums n window minima, so
+# a constant factor off S would change the verdict.  No check factors: each
+# is gcds and S-unit tests, and only a solution's witness map factors.
 
 Check = Callable[[tuple], "list | None"]
 
@@ -307,27 +309,31 @@ def _thm16_hypotheses(forms: Sequence[MultiPoly]):
         raise ValueError("forms must be hyperplanes in general position")
 
 
-def _thm16_windows(coords: Sequence[int], values: Sequence, n: int,
-                   s: SRing) -> tuple[list[bool], list[int]]:
-    """Per-index verdicts of the window equality at every prime outside S
-    in the support, and those primes."""
-    primes = [p for p in support_primes([*values, *coords]) if p not in s.primes]
-    per_index = [True] * len(values)
-    for p in primes:
-        form_vps = [_vp(v, p) for v in values]
-        coord_min = min(_vp(c, p) for c in coords if c != 0)
-        lhs, rhs = ideal_window_sides(form_vps, n, coord_min)
-        for i in range(len(values)):
-            if lhs[i] != rhs[i]:
-                per_index[i] = False
-    return per_index, primes
+def _thm16_verdicts(values: Sequence, n: int, s: SRing) -> Iterator[bool]:
+    """Per-index verdicts of the window ideal equality at every prime outside
+    S, for the nonzero values F_i(x) (ints or Fractions) of a primitive point
+    x, so min_j v_p(x_j) = 0.  A min of valuations is the valuation of a gcd
+    and a sum that of a product: the values are in lowest terms, so window
+    j's min is v_p(g_j), g_j = gcd(its numerators) / lcm(its denominators),
+    and index i holds iff F_i / prod_{j=i-n+1..i} g_j is an S-unit."""
+    q = len(values)
+    nums = [v.numerator for v in values]
+    dens = [v.denominator for v in values]
+    win_nums = [gcd(*(nums[(j + t) % q] for t in range(n))) for j in range(q)]
+    win_dens = [lcm(*(dens[(j + t) % q] for t in range(n))) for j in range(q)]
+    for i in range(q):
+        windows = range(i - n + 1, i + 1)       # negative j wrap around
+        a = nums[i] * prod(win_dens[j] for j in windows)
+        b = dens[i] * prod(win_nums[j] for j in windows)
+        h = gcd(a, b)
+        yield s.is_unit(a // h) and s.is_unit(b // h)
 
 
 def _thm16_point(s: SRing, n: int, evaluators: list, xs: tuple) -> list | None:
     values = [ev(xs) for ev in evaluators]
     if any(v == 0 for v in values):
         return None
-    return values if all(_thm16_windows(xs, values, n, s)[0]) else None
+    return values if all(_thm16_verdicts(values, n, s)) else None
 
 
 def _thm16_spec(forms: Sequence[MultiPoly], box: SearchBox, s: SRing) -> Search:
@@ -570,28 +576,6 @@ def search_thm11(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str,
 # ideal equality of consecutive windows
 # ---------------------------------------------------------------------------
 
-def ideal_window_sides(form_vps: Sequence[int], n: int,
-                       coord_min_vp: int = 0) -> tuple[list[int], list[int]]:
-    """Single-prime window arithmetic behind the ideal-equality predicate.
-
-    Given the valuations of the q form values at one prime, returns for
-    each index i the two sides of
-
-      v(F_i(x)) + min_j v(x_j)  =  sum_{j=i-n+1..i} min_t v(F_{j+t}(x)),
-
-    with all indices cyclic mod q and t running over 0..n-1.
-    """
-    q = len(form_vps)
-    lhs, rhs = [], []
-    for i in range(q):
-        lhs.append(form_vps[i] + coord_min_vp)
-        total = 0
-        for j in range(i - n + 1, i + 1):
-            total += min(form_vps[(j + t) % q] for t in range(n))
-        rhs.append(total)
-    return lhs, rhs
-
-
 @dataclass(frozen=True)
 class Thm16Result:
     overall: bool
@@ -602,15 +586,19 @@ class Thm16Result:
 def ideal_equality_thm16(x: ProjPoint, forms: Sequence[MultiPoly],
                          s: SRing) -> Thm16Result:
     """Exact ideal-equality check for a cyclic family of q >= 3n linear
-    forms in general position, at every prime outside S in the support.
+    forms in general position, at every prime outside S.  The verdicts are
+    the searches' (gcds and S-unit tests, no factoring); only primes_checked,
+    the primes outside S dividing a value or coordinate, factors them, so
+    this wrapper keeps the factorization bound (2^128 by default).
     Validates the hypotheses on every call; searches validate once."""
     forms = list(forms)
     _thm16_hypotheses(forms)
     values = [f.evaluate(x.coords) for f in forms]
     if any(v == 0 for v in values):
         raise ValueError("point on a hyperplane of the family")
-    per_index, primes = _thm16_windows(x.coords, values, len(x.coords) - 1, s)
-    return Thm16Result(all(per_index), tuple(per_index), tuple(primes))
+    per_index = tuple(_thm16_verdicts(values, x.dim, s))
+    primes = tuple(p for p in support_primes([*values, *x.coords]) if p not in s.primes)
+    return Thm16Result(all(per_index), per_index, primes)
 
 
 # ---------------------------------------------------------------------------

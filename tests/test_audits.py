@@ -8,8 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betachow.audits
-import betachow.heights
-import betachow.primes
 from betachow.audits import levin_duke_audit, sample_points, subspace_audit
 from betachow.heights import (
     ARCH,
@@ -305,16 +303,8 @@ def test_subspace_defect_at_a_minor_prime():
         _subspace_row_by_subsets(forms, s, eps, p)
 
 
-def test_subspace_audit_factors_only_maximal_minors(monkeypatch):
-    seen = []
-    real = betachow.primes.factor
-
-    def spy(n, *args, **kwargs):
-        seen.append(abs(n))
-        return real(n, *args, **kwargs)
-
-    for module in (betachow.primes, betachow.heights, betachow.audits):
-        monkeypatch.setattr(module, "factor", spy)
+def test_subspace_audit_factors_only_maximal_minors(count_factor_calls):
+    seen = count_factor_calls()
     points = sample_points(2, 10 ** 12, 30, seed=3)
     report = subspace_audit(FIVE, make_place_set([2]), Fraction(1, 2), points)
     assert len(report.rows) == 30

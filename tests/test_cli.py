@@ -611,6 +611,19 @@ def test_growth_without_degeneracy_is_refused(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("degree", ["0", "-1"])
+@pytest.mark.parametrize("growth", [(), ("--growth", "1,2")])
+def test_degeneracy_below_one_is_refused(tmp_path, capsys, degree, growth):
+    forms = tmp_path / "g.txt"
+    forms.write_text("1\n")
+    out = tmp_path / "out.jsonl"
+    code, stdout, err = run(capsys, "search", "cor12", "--forms", str(forms), "--box", "3",
+                            "--dim", "2", f"--degeneracy={degree}", *growth, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "--degeneracy must be >= 1" in err
+    assert not out.exists()
+
+
 def test_cli_imports_no_private_search_name():
     tree = ast.parse(Path(betachow.cli.__file__).read_text())
     names = [alias.name for node in ast.walk(tree)
@@ -952,6 +965,17 @@ def test_audit_runs_past_the_factorization_bound(tmp_path, capsys):
                          "--format", "json")
     assert (code, err) == (0, "")
     assert json.loads(out.splitlines()[-1])["samples"] == 10
+
+
+def test_thm16_runs_past_the_factorization_bound(tmp_path, capsys):
+    # t = 2^70 + 1 puts most values past 2^128; the check factors none of
+    # them, and [1:0:0], whose values are all 1, has an empty witness map
+    forms = tmp_path / "forms.txt"
+    forms.write_text("".join(f"x0+{t}*x1+{t * t}*x2\n" for t in (2 ** 70 + 1, 3, 5, 7, 9, 11)))
+    code, out, err = run(capsys, "search", "thm16", "--forms", str(forms), "--box", "2",
+                         "--dim", "2", "--format", "json")
+    assert (code, err) == (0, "")
+    assert [json.loads(line)["point"] for line in out.splitlines()[1:]] == [["1", "0", "0"]]
 
 
 def test_audit_minor_past_the_factorization_bound_is_a_resource_error(tmp_path, capsys):

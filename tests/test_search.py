@@ -12,16 +12,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import betachow.search
-from betachow.heights import ProjPoint, make_place_set, theoremkey_condition
+from betachow.heights import ProjPoint, make_place_set, support_primes, theoremkey_condition
 from betachow.linalg import kernel_basis
-from betachow.poly import MultiPoly, monomial_exponents, parse_poly
+from betachow.poly import (
+    MultiPoly,
+    _int_evaluator,
+    hyperplanes_general_position,
+    monomial_exponents,
+    parse_poly,
+)
+from betachow.primes import vp
 from betachow.search import (
     SearchBox,
     SolutionSet,
     SRing,
     _cor12_spec,
     _thm11_spec,
+    _thm16_point,
     _thm16_spec,
+    _thm16_verdicts,
     _walk,
     _witness_map,
     run_search,
@@ -30,7 +39,6 @@ from betachow.search import (
     ideal_equality_thm16,
     _primitive_form,
     _rational_roots,
-    ideal_window_sides,
     linear_factors_2var,
     load_solution_set,
     search_cor12,
@@ -247,6 +255,40 @@ def test_thm11_divisibility_implies_key_condition():
         assert theoremkey_condition(p, [g_form, *forms], make_place_set(), mode="i")
 
 
+def ideal_window_sides(form_vps, n, coord_min_vp=0):
+    """The oracle's single-prime window arithmetic: given the valuations of
+    the q form values at one prime, the two sides at each index i of
+
+      v(F_i(x)) + min_j v(x_j)  =  sum_{j=i-n+1..i} min_t v(F_{j+t}(x)),
+
+    with all indices cyclic mod q and t running over 0..n-1."""
+    q = len(form_vps)
+    lhs, rhs = [], []
+    for i in range(q):
+        lhs.append(form_vps[i] + coord_min_vp)
+        total = 0
+        for j in range(i - n + 1, i + 1):
+            total += min(form_vps[(j + t) % q] for t in range(n))
+        rhs.append(total)
+    return lhs, rhs
+
+
+def _thm16_by_primes(coords, values, n, s):
+    """The oracle: the per-index verdicts of the window equality, prime by
+    prime over the factored support of the values and coordinates outside S."""
+    per_index = [True] * len(values)
+    for p in support_primes([*values, *coords]):
+        if p in s.primes:
+            continue
+        form_vps = [vp(v, p) for v in values]
+        coord_min = min(vp(c, p) for c in coords if c != 0)
+        lhs, rhs = ideal_window_sides(form_vps, n, coord_min)
+        for i in range(len(values)):
+            if lhs[i] != rhs[i]:
+                per_index[i] = False
+    return per_index
+
+
 def test_ideal_window_sides_synthetic():
     # hand table: v(F_1..F_4) = (1,0,0,0), n = 2, coprime coordinates
     lhs, rhs = ideal_window_sides([1, 0, 0, 0], 2)
@@ -270,7 +312,6 @@ def test_ideal_equality_failing_point():
     # at [1:2:1] the form values are (i+1)^2, with 2-adic valuations
     # (2, 0, 4, 0, 2, 0): the window sums cannot reach the lhs at index 1
     p = ProjPoint.normalize([1, 2, 1])
-    from betachow.primes import vp
     vals2 = [vp(f.evaluate(p.coords), 2) for f in forms]
     assert vals2 == [2, 0, 4, 0, 2, 0]
     lhs, rhs = ideal_window_sides(vals2, 2)
@@ -298,6 +339,75 @@ def test_search_thm16_runs():
     for pt in sols.points:
         p = ProjPoint(tuple(int(c) for c in pt))
         assert ideal_equality_thm16(p, forms, S_EMPTY).overall
+
+
+def _forms_of_rows(rows) -> list:
+    return [MultiPoly(len(row), {tuple(int(k == m) for m in range(len(row))): c
+                                 for k, c in enumerate(row)}) for row in rows]
+
+
+@st.composite
+def _thm16_cases(draw):
+    """Lines in general position in P^2 (q = 6..8) or planes in P^3
+    (q = 9, 10), with int or Fraction coefficients; a ring S; and points:
+    random ones, and ones where every form of a window is divisible by a
+    prime p, x = K + p^k y for K in the window's kernel, so that true
+    indices occur at primes outside S too."""
+    n = draw(st.sampled_from([2, 3]))
+    q = draw(st.integers(6, 8) if n == 2 else st.integers(9, 10))
+    denominators = draw(st.sampled_from([[1], [1, 2, 3, 5]]))
+    coefficient = st.builds(Fraction, st.integers(-6, 6), st.sampled_from(denominators))
+    rows = draw(st.lists(st.lists(coefficient, min_size=n + 1, max_size=n + 1),
+                         min_size=q, max_size=q))
+    assume(all(any(row) for row in rows))
+    forms = _forms_of_rows(rows)
+    assume(hyperplanes_general_position(forms))
+    s = draw(st.sampled_from([S_EMPTY, SRing((2,)), SRing((2, 3)), SRing((3, 5))]))
+    coords = st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1)
+    points = []
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            points.append(draw(coords))
+            continue
+        j = draw(st.integers(0, q - 1))
+        kernel = kernel_basis([rows[(j + t) % q] for t in range(n)])[0]
+        scale = lcm(*(c.denominator for c in kernel))
+        step = draw(st.sampled_from([2, 3, 5, 7, 11])) ** draw(st.integers(1, 3))
+        points.append([int(c * scale) + step * y for c, y in zip(kernel, draw(coords))])
+    return forms, s, points
+
+
+# F(x) at [0:1:1] is 2, 1, 1, 2, 1, 4: at 2, index 0 holds (its windows
+# {5, 0} and {0, 1} have minima 1 and 0), while indices 3 and 5 fail
+@example((_forms_of_rows([[1, 0, 2], [-1, 1, 0], [-2, 0, 1], [-1, 2, 0], [-3, 4, -3], [0, 1, 3]]),
+          S_EMPTY, [[0, 1, 1]]))
+@settings(max_examples=100, deadline=None)
+@given(_thm16_cases())
+def test_thm16_verdicts_match_the_per_prime_oracle(case):
+    forms, s, points = case
+    n = forms[0].nvars - 1
+    evaluators = [_int_evaluator(f) for f in forms]
+    for xs in points:
+        if gcd(*xs) != 1:
+            continue
+        x = ProjPoint.normalize(xs)
+        values = [ev(x.coords) for ev in evaluators]
+        if 0 in values:
+            continue
+        want = _thm16_by_primes(x.coords, values, n, s)
+        assert list(_thm16_verdicts(values, n, s)) == want
+        assert list(ideal_equality_thm16(x, forms, s).per_index) == want
+        assert (_thm16_point(s, n, evaluators, x.coords) is not None) == all(want)
+
+
+@pytest.mark.parametrize("s", [S_EMPTY, SRing((2,)), SRing((2, 3))])
+def test_thm16_check_factors_nothing(count_factor_calls, s):
+    search = _thm16_spec(SIX, SearchBox(2, 4), s)
+    rows = search.rows(search.box)
+    seen = count_factor_calls()
+    passed = [xs for xs in _walk(rows, rows.firsts) if search.check(xs) is not None]
+    assert seen == []
+    assert (1, 0, 0) in passed
 
 
 def test_persistence_round_trip(tmp_path):
