@@ -57,9 +57,7 @@ from .search import (
     SolutionSet,
     SRing,
     degeneracy_report,
-    divides_in_OS,
-    ideal_equality_thm16,
-    search_cor12,
-    search_thm11,
+    run_search,
+    search_spec,
     vanishing_forms,
 )

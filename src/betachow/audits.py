@@ -58,6 +58,8 @@ from .sharding import sharded
 
 def sample_points(dim: int, height_bound: int, count: int, seed: int) -> list[ProjPoint]:
     """Deterministic sample of normalized points with height <= bound."""
+    if dim < 0:
+        raise ValueError("sample dimension must be >= 0")
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     if count < 0:

@@ -64,18 +64,6 @@ class SRing:
         return self.strip_s_part(x.denominator) == 1
 
 
-def divides_in_OS(a: Fraction | int, b: Fraction | int, s: SRing) -> bool:
-    """Whether a divides b in the ring of S-integers: v_p(b) >= v_p(a) for
-    every prime p outside S, equivalently b/a is an S-integer."""
-    if a == 0:
-        raise ValueError("division by zero in the S-integer ring")
-    if not s.contains(a) or not s.contains(b):
-        raise ValueError("inputs outside the ring of S-integers")
-    # both denominators are S-units, so b/a is an S-integer exactly when the
-    # non-S part of a's numerator divides b's numerator
-    return b.numerator % s.strip_s_part(abs(a.numerator)) == 0
-
-
 def _divisors(n: int, bound: int = FACTOR_BOUND_DEFAULT) -> list[int]:
     """The positive divisors of n != 0, ascending; factor's bound applies."""
     divs = [1]
@@ -150,14 +138,11 @@ class SolutionSet:
 
 def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
     """Per-prime valuations of the checked values (null for a zero value),
-    over the support primes outside S."""
-    out: dict[str, list] = {}
-    nonzero = [v for v in values if v != 0]
-    for p in support_primes(nonzero):
-        if p in s.primes:
-            continue
-        out[str(p)] = [_vp(v, p) if v != 0 else None for v in values]
-    return out
+    over the primes outside S dividing one; each numerator and denominator
+    is stripped of its S part before it is factored."""
+    parts = [s.strip_s_part(k) for v in values if v != 0 for k in (v.numerator, v.denominator)]
+    return {str(p): [_vp(v, p) if v != 0 else None for v in values]
+            for p in support_primes(parts)}
 
 
 # ---------------------------------------------------------------------------
@@ -302,13 +287,6 @@ def _thm11_spec(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, box: S
     return Search(descriptor, box, s, check, _thm11_rows_rule(scaled, g_scaled, s))
 
 
-def _thm16_hypotheses(forms: Sequence[MultiPoly]):
-    if not forms or len(forms) < 3 * (forms[0].nvars - 1):
-        raise ValueError("need q >= 3n linear forms")
-    if not hyperplanes_general_position(forms):
-        raise ValueError("forms must be hyperplanes in general position")
-
-
 def _thm16_verdicts(values: Sequence, n: int, s: SRing) -> Iterator[bool]:
     """Per-index verdicts of the window ideal equality at every prime outside
     S, for the nonzero values F_i(x) (ints or Fractions) of a primitive point
@@ -340,7 +318,10 @@ def _thm16_spec(forms: Sequence[MultiPoly], box: SearchBox, s: SRing) -> Search:
     """The window ideal equality at every index; points on a hyperplane of
     the family fail."""
     forms = list(forms)
-    _thm16_hypotheses(forms)
+    if not forms or len(forms) < 3 * (forms[0].nvars - 1):
+        raise ValueError("need q >= 3n linear forms")
+    if not hyperplanes_general_position(forms):
+        raise ValueError("forms must be hyperplanes in general position")
     if box.dim != forms[0].nvars - 1:
         raise ValueError("box dimension must match the projective dimension")
     return Search(_descriptor("thm16", box, s, True, forms=[str(f) for f in forms]), box, s,
@@ -355,6 +336,13 @@ def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params)
             "projective": projective}
 
 
+def _required(descriptor: dict, key: str):
+    """descriptor[key]; a descriptor without the key is refused by name."""
+    if key not in descriptor:
+        raise ValueError(f"search descriptor lacks {key!r}")
+    return descriptor[key]
+
+
 def search_spec(descriptor: dict) -> Search:
     """The search a descriptor names, its hypotheses validated once and its
     polynomial texts parsed once.  The input names the kind, the box (dim,
@@ -362,23 +350,24 @@ def search_spec(descriptor: dict) -> Search:
     for thm11 "mode" and "assert_general_position"; a run's cor12 g may come
     as the one entry of "forms".  A canonical descriptor decodes to a Search
     holding itself."""
-    s = SRing(tuple(descriptor["s_primes"]))
-    box = SearchBox(descriptor["dim"], descriptor["bound"], descriptor["denom_cap"])
-    kind = descriptor["kind"]
+    need = partial(_required, descriptor)
+    s = SRing(tuple(need("s_primes")))
+    box = SearchBox(need("dim"), need("bound"), need("denom_cap"))
+    kind = need("kind")
     if kind == "cor12":
-        texts = descriptor["forms"] if "forms" in descriptor else [descriptor["g"]]
+        texts = descriptor["forms"] if "forms" in descriptor else [need("g")]
         if len(texts) != 1:
             raise ValueError("cor12 needs exactly one polynomial line (g)")
         return _cor12_spec(parse_poly(texts[0], box.dim), box, s)
     if kind not in ("thm11", "thm16"):
         raise ValueError(f"unknown predicate kind {kind!r}")
-    forms = [parse_poly(t, box.dim + 1) for t in descriptor["forms"]]
+    forms = [parse_poly(t, box.dim + 1) for t in need("forms")]
     if kind == "thm16":
         return _thm16_spec(forms, box, s)
     if descriptor.get("g") is None:
         raise ValueError("thm11 needs a 'G:' line in the forms file")
-    return _thm11_spec(forms, parse_poly(descriptor["g"], box.dim + 1), descriptor["mode"],
-                       box, s, descriptor["assert_general_position"])
+    return _thm11_spec(forms, parse_poly(descriptor["g"], box.dim + 1), need("mode"),
+                       box, s, need("assert_general_position"))
 
 
 # ---------------------------------------------------------------------------
@@ -547,61 +536,6 @@ def run_search(search: Search, workers: int = 1) -> SolutionSet:
 
 
 # ---------------------------------------------------------------------------
-# the searches: cor12 (affine, unit-equation generalization), thm11
-# ---------------------------------------------------------------------------
-
-def search_cor12(g: MultiPoly, box: SearchBox, s: SRing, workers: int = 1) -> SolutionSet:
-    """All tuples x in the box with (1 - sum x_i) * prod x_i dividing g(x)
-    in the S-integers.
-
-    g must have degree <= 1, S-integer coefficients, and be nonzero at the
-    origin and at each unit vector.
-    """
-    return run_search(_cor12_spec(g, box, s), workers)
-
-
-def search_thm11(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str,
-                 box: SearchBox, s: SRing,
-                 assert_general_position: bool = False, workers: int = 1) -> SolutionSet:
-    """Projective points with coprime coordinates where the divisibility
-    holds in the S-integers: mode 'i' asks F_i(x) | G(x) for every i,
-    mode 'ii' asks prod F_i(x) | G(x); points where any F_i or G vanishes
-    are excluded.
-    """
-    return run_search(_thm11_spec(forms, g_form, mode, box, s, assert_general_position),
-                      workers)
-
-
-# ---------------------------------------------------------------------------
-# ideal equality of consecutive windows
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Thm16Result:
-    overall: bool
-    per_index: tuple[bool, ...]
-    primes_checked: tuple[int, ...]
-
-
-def ideal_equality_thm16(x: ProjPoint, forms: Sequence[MultiPoly],
-                         s: SRing) -> Thm16Result:
-    """Exact ideal-equality check for a cyclic family of q >= 3n linear
-    forms in general position, at every prime outside S.  The verdicts are
-    the searches' (gcds and S-unit tests, no factoring); only primes_checked,
-    the primes outside S dividing a value or coordinate, factors them, so
-    this wrapper keeps the factorization bound (2^128 by default).
-    Validates the hypotheses on every call; searches validate once."""
-    forms = list(forms)
-    _thm16_hypotheses(forms)
-    values = [f.evaluate(x.coords) for f in forms]
-    if any(v == 0 for v in values):
-        raise ValueError("point on a hyperplane of the family")
-    per_index = tuple(_thm16_verdicts(values, x.dim, s))
-    primes = tuple(p for p in support_primes([*values, *x.coords]) if p not in s.primes)
-    return Thm16Result(all(per_index), per_index, primes)
-
-
-# ---------------------------------------------------------------------------
 # persistence with re-verification
 # ---------------------------------------------------------------------------
 
@@ -678,7 +612,7 @@ def _records_solution_set(descriptor: dict, records: Iterable[dict],
     values raise.  None skips the re-check; a coordinate that is not
     canonical text raises either way."""
     keys: dict = {}
-    projective = descriptor["projective"]
+    projective = _required(descriptor, "projective")
     if search is not None:
         box, s = search.box, search.s
         # coordinates of the box: |numerator| <= B and a denominator dividing
@@ -717,6 +651,8 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     header = json.loads(lines[0])
     if header.get("kind") != "solution-set":
         raise ValueError("not a solution-set file")
+    if "descriptor" not in header:
+        raise ValueError("solution file header lacks 'descriptor'")
     descriptor, search = header["descriptor"], None
     if reverify:
         search = search_spec(descriptor)

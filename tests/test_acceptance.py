@@ -30,7 +30,7 @@ from betachow.heights import (
     weil_local,
 )
 from betachow.poly import MultiPoly, parse_poly
-from betachow.search import SearchBox, SRing, search_cor12, search_thm11, vanishing_forms
+from betachow.search import SearchBox, SRing, _cor12_spec, _thm11_spec, run_search, vanishing_forms
 
 
 def report(number: int, label: str, ok: bool, started: float):
@@ -132,10 +132,10 @@ def test_criterion_6_cor12_desk_search():
     t0 = time.monotonic()
     g = parse_poly("1", 2)
     s = SRing(())
-    sols = search_cor12(g, SearchBox(2, 100), s)
+    sols = run_search(_cor12_spec(g, SearchBox(2, 100), s))
     expected = [(-1, 1), (1, -1), (1, 1)]
     ok = sols.points == [tuple(Fraction(c) for c in p) for p in expected]
-    counts = [search_cor12(g, SearchBox(2, b), s).count for b in (10, 100, 1000)]
+    counts = [run_search(_cor12_spec(g, SearchBox(2, b), s)).count for b in (10, 100, 1000)]
     ok = ok and counts == [3, 3, 3]
     ok = ok and vanishing_forms(sols.points, 1) == []
     report(6, "unit-equation search: exactly three solutions, no common line", ok, t0)
@@ -146,7 +146,7 @@ def test_criterion_7_divisibility_condition_bridge():
     s_places = make_place_set()
     ok = True
     # solutions of the affine search, moved to projective coordinates
-    cor_sols = search_cor12(parse_poly("1", 2), SearchBox(2, 100), SRing(()))
+    cor_sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 100), SRing(())))
     proj_forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0-x1-x2")]
     g_proj = parse_poly("x0", 3)
     ok = ok and cor_sols.count > 0
@@ -156,7 +156,7 @@ def test_criterion_7_divisibility_condition_bridge():
     # divisibility search with five hyperplanes in general position
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 6)]
     g_form = parse_poly("x0", 3)
-    sols = search_thm11(forms, g_form, "i", SearchBox(2, 50), SRing(()))
+    sols = run_search(_thm11_spec(forms, g_form, "i", SearchBox(2, 50), SRing(()), False))
     ok = ok and sols.count > 0
     for pt in sols.points:
         p = ProjPoint(tuple(int(c) for c in pt))

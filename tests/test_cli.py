@@ -224,6 +224,16 @@ def test_audit_sample_count_below_zero_is_a_usage_error(tmp_path, capsys):
         "max_defect": None, "on_support": 0, "samples": 0, "summary": True, "violators": 0}
 
 
+@pytest.mark.parametrize("kind", ["subspace", "levinduke"])
+def test_audit_of_constant_forms_is_a_usage_error(tmp_path, capsys, kind):
+    # forms in no variable leave points with no coordinate to draw
+    forms = tmp_path / "one.txt"
+    forms.write_text("1\n")
+    code, out, err = run(capsys, "audit", kind, "--forms", str(forms), "--samples", "1")
+    assert (code, out) == (2, "")
+    assert "sample dimension must be >= 0" in err
+
+
 @pytest.mark.parametrize("argv, option, value", [
     (["audit", "subspace", "--forms", "{coords}", "--samples", "3"], "--epsilon", "-1/2"),
     (["heights", "--form", "x0+x1"], "--point", "-1,2"),
@@ -976,6 +986,26 @@ def test_thm16_runs_past_the_factorization_bound(tmp_path, capsys):
                          "--dim", "2", "--format", "json")
     assert (code, err) == (0, "")
     assert [json.loads(line)["point"] for line in out.splitlines()[1:]] == [["1", "0", "0"]]
+
+
+def test_thm16_witnesses_factor_only_the_part_of_values_prime_to_s(tmp_path, capsys):
+    # at [1:0:0] the first form's value 2^130 is an S-unit past the
+    # factorization bound; with its S part stripped nothing is factored
+    forms = tmp_path / "forms.txt"
+    forms.write_text(f"{2 ** 130}*x0+{2 ** 130}*x1+{2 ** 130}*x2\n"
+                     + "".join(f"x0+{t}*x1+{t * t}*x2\n" for t in range(2, 7)))
+    argv = ["search", "thm16", "--forms", str(forms), "--s-primes", "2", "--box", "1",
+            "--dim", "2", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    records = [json.loads(line) for line in out.splitlines()[1:]]
+    assert [(r["point"], r["witnesses"]) for r in records] == [(["1", "0", "0"], {})]
+    path = tmp_path / "sols.jsonl"
+    path.write_text(out)
+    assert load_solution_set(str(path)).points == [(1, 0, 0)]
+    ck = tmp_path / "ck.jsonl"
+    for _ in range(2):                      # the second run resumes the checkpoint
+        assert run(capsys, *argv, "--checkpoint", str(ck)) == (0, out, "")
 
 
 def test_audit_minor_past_the_factorization_bound_is_a_resource_error(tmp_path, capsys):

@@ -28,22 +28,17 @@ from betachow.search import (
     SRing,
     _cor12_spec,
     _thm11_spec,
-    _thm16_point,
     _thm16_spec,
     _thm16_verdicts,
     _walk,
     _witness_map,
     run_search,
     degeneracy_report,
-    divides_in_OS,
-    ideal_equality_thm16,
     _primitive_form,
     _rational_roots,
     linear_factors_2var,
     load_solution_set,
-    search_cor12,
     search_spec,
-    search_thm11,
     solution_set_text,
     vanishing_forms,
 )
@@ -67,6 +62,18 @@ def test_strip_s_part_refuses_zero(primes, part):
     with pytest.raises(ValueError, match="no non-S part"):
         s.strip_s_part(0)
     assert s.strip_s_part(-360) == part
+
+
+def divides_in_OS(a: Fraction | int, b: Fraction | int, s: SRing) -> bool:
+    """The oracle: whether a divides b in the ring of S-integers, v_p(b) >=
+    v_p(a) for every prime p outside S, equivalently b/a is an S-integer."""
+    if a == 0:
+        raise ValueError("division by zero in the S-integer ring")
+    if not s.contains(a) or not s.contains(b):
+        raise ValueError("inputs outside the ring of S-integers")
+    # both denominators are S-units, so b/a is an S-integer exactly when the
+    # non-S part of a's numerator divides b's numerator
+    return b.numerator % s.strip_s_part(abs(a.numerator)) == 0
 
 
 def test_divides_examples():
@@ -136,14 +143,14 @@ def test_box_values():
 
 def test_cor12_frozen_solution_set():
     g = parse_poly("1", 2)
-    sols = search_cor12(g, SearchBox(2, 100), S_EMPTY)
+    sols = run_search(_cor12_spec(g, SearchBox(2, 100), S_EMPTY))
     assert sols.points == [(-1, 1), (1, -1), (1, 1)]
     # (-1,-1) excluded: the product is 3, which does not divide 1
     assert (Fraction(-1), Fraction(-1)) not in sols.points
 
 
 def test_points_keep_integral_coordinates_as_ints(tmp_path):
-    sols = search_cor12(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,)))
+    sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,))))
     path = tmp_path / "c.jsonl"
     path.write_text(solution_set_text(sols, "0.0-test"))
     for points in (sols.points, load_solution_set(str(path)).points):
@@ -156,7 +163,7 @@ def test_points_keep_integral_coordinates_as_ints(tmp_path):
 @pytest.mark.parametrize("reverify", [True, False])
 @pytest.mark.parametrize("coordinate", ["1/0", None, "1/1", "-0"])
 def test_load_refuses_coordinates_that_are_not_canonical_text(tmp_path, reverify, coordinate):
-    sols = search_cor12(parse_poly("1", 2), SearchBox(2, 6), S_EMPTY)
+    sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6), S_EMPTY))
     lines = solution_set_text(sols, "0.0-test").splitlines()
     rec = json.loads(lines[-1])
     rec["point"][0] = coordinate
@@ -169,35 +176,35 @@ def test_load_refuses_coordinates_that_are_not_canonical_text(tmp_path, reverify
 
 def test_cor12_empty_box():
     g = parse_poly("1", 2)
-    assert search_cor12(g, SearchBox(2, 0), S_EMPTY).points == []
+    assert run_search(_cor12_spec(g, SearchBox(2, 0), S_EMPTY)).points == []
 
 
 def test_cor12_degenerate_g_rejected():
     with pytest.raises(ValueError, match="degenerate g"):
-        search_cor12(parse_poly("x0", 2), SearchBox(2, 2), S_EMPTY)
+        _cor12_spec(parse_poly("x0", 2), SearchBox(2, 2), S_EMPTY)
     with pytest.raises(ValueError, match="degenerate g"):
-        search_cor12(parse_poly("1-x0", 2), SearchBox(2, 2), S_EMPTY)
+        _cor12_spec(parse_poly("1-x0", 2), SearchBox(2, 2), S_EMPTY)
     with pytest.raises(ValueError):
-        search_cor12(parse_poly("x0^2", 2), SearchBox(2, 2), S_EMPTY)
+        _cor12_spec(parse_poly("x0^2", 2), SearchBox(2, 2), S_EMPTY)
 
 
 def test_cor12_monotone_in_s():
     g = parse_poly("x0+1", 2)
-    base = search_cor12(g, SearchBox(2, 8), S_EMPTY)
-    bigger = search_cor12(g, SearchBox(2, 8), SRing((2,)))
+    base = run_search(_cor12_spec(g, SearchBox(2, 8), S_EMPTY))
+    bigger = run_search(_cor12_spec(g, SearchBox(2, 8), SRing((2,))))
     assert set(base.points) <= set(bigger.points)
 
 
 def test_cor12_workers_match_serial():
     g = parse_poly("1", 2)
-    serial = search_cor12(g, SearchBox(2, 40), S_EMPTY, workers=1)
-    parallel = search_cor12(g, SearchBox(2, 40), S_EMPTY, workers=3)
+    serial = run_search(_cor12_spec(g, SearchBox(2, 40), S_EMPTY), 1)
+    parallel = run_search(_cor12_spec(g, SearchBox(2, 40), S_EMPTY), 3)
     assert serial.points == parallel.points
 
 
 def test_cor12_witnesses_record_valuations():
     g = parse_poly("1", 2)
-    sols = search_cor12(g, SearchBox(2, 3), SRing((3,)))
+    sols = run_search(_cor12_spec(g, SearchBox(2, 3), SRing((3,))))
     for pt, wit in zip(sols.points, sols.witnesses):
         for prime in wit:
             assert int(prime) not in (3,)
@@ -207,7 +214,7 @@ def test_thm11_unit_coordinate_solutions():
     # coordinate forms against the constant G = 1 force unit coordinates
     forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
     g_form = parse_poly("1", 3)
-    sols = search_thm11(forms, g_form, "i", SearchBox(2, 2), S_EMPTY)
+    sols = run_search(_thm11_spec(forms, g_form, "i", SearchBox(2, 2), S_EMPTY, False))
     pts = {tuple(int(c) for c in p) for p in sols.points}
     assert pts == {(1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)}
 
@@ -215,13 +222,13 @@ def test_thm11_unit_coordinate_solutions():
 def test_thm11_empty_box():
     forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
     g_form = parse_poly("x0+x1+x2", 3)
-    assert search_thm11(forms, g_form, "i", SearchBox(2, 0), S_EMPTY).points == []
+    assert run_search(_thm11_spec(forms, g_form, "i", SearchBox(2, 0), S_EMPTY, False)).points == []
 
 
 def test_thm11_mode_ii_solutions_reverify():
     forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")]
     g_form = parse_poly("x0+2*x1+4*x2", 3)
-    sols = search_thm11(forms, g_form, "ii", SearchBox(2, 4), S_EMPTY)
+    sols = run_search(_thm11_spec(forms, g_form, "ii", SearchBox(2, 4), S_EMPTY, False))
     assert sols.count > 0
     for pt in sols.points:
         prod = Fraction(1)
@@ -232,23 +239,23 @@ def test_thm11_mode_ii_solutions_reverify():
 
 def test_thm11_degree_validation():
     with pytest.raises(ValueError, match="degree hypothesis"):
-        search_thm11([parse_poly("x0", 3), parse_poly("x1^2", 3)],
-                     parse_poly("x0", 3), "i", SearchBox(2, 1), S_EMPTY)
+        _thm11_spec([parse_poly("x0", 3), parse_poly("x1^2", 3)],
+                    parse_poly("x0", 3), "i", SearchBox(2, 1), S_EMPTY, False)
     with pytest.raises(ValueError, match="degree hypothesis"):
-        search_thm11([parse_poly("x0", 3)], parse_poly("x0^2", 3), "i",
-                     SearchBox(2, 1), S_EMPTY)
+        _thm11_spec([parse_poly("x0", 3)], parse_poly("x0^2", 3), "i",
+                    SearchBox(2, 1), S_EMPTY, False)
     with pytest.raises(ValueError, match="general position"):
-        search_thm11([parse_poly(t, 3) for t in ("x0", "x1", "x0+x1")],
-                     parse_poly("x2", 3), "i", SearchBox(2, 1), S_EMPTY)
+        _thm11_spec([parse_poly(t, 3) for t in ("x0", "x1", "x0+x1")],
+                    parse_poly("x2", 3), "i", SearchBox(2, 1), S_EMPTY, False)
     with pytest.raises(ValueError, match="asserted"):
-        search_thm11([parse_poly("x0^2+x1^2", 3), parse_poly("x1^2+x2^2", 3)],
-                     parse_poly("x0^2", 3), "i", SearchBox(2, 1), S_EMPTY)
+        _thm11_spec([parse_poly("x0^2+x1^2", 3), parse_poly("x1^2+x2^2", 3)],
+                    parse_poly("x0^2", 3), "i", SearchBox(2, 1), S_EMPTY, False)
 
 
 def test_thm11_divisibility_implies_key_condition():
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 6)]
     g_form = parse_poly("x0", 3)
-    sols = search_thm11(forms, g_form, "i", SearchBox(2, 12), S_EMPTY)
+    sols = run_search(_thm11_spec(forms, g_form, "i", SearchBox(2, 12), S_EMPTY, False))
     assert sols.count > 0
     for pt in sols.points:
         p = ProjPoint(tuple(int(c) for c in pt))
@@ -301,10 +308,9 @@ def test_ideal_window_sides_synthetic():
 
 def test_ideal_equality_all_units():
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 7)]
-    p = ProjPoint.normalize([1, 0, 0])  # every form value is 1
-    res = ideal_equality_thm16(p, forms, S_EMPTY)
-    assert res.overall and all(res.per_index)
-    assert res.primes_checked == ()
+    values = _thm16_spec(forms, SearchBox(2, 1), S_EMPTY).check((1, 0, 0))
+    assert values == [1] * 6                # every form value is 1
+    assert all(_thm16_verdicts(values, 2, S_EMPTY))
 
 
 def test_ideal_equality_failing_point():
@@ -312,33 +318,33 @@ def test_ideal_equality_failing_point():
     # at [1:2:1] the form values are (i+1)^2, with 2-adic valuations
     # (2, 0, 4, 0, 2, 0): the window sums cannot reach the lhs at index 1
     p = ProjPoint.normalize([1, 2, 1])
-    vals2 = [vp(f.evaluate(p.coords), 2) for f in forms]
+    values = [f.evaluate(p.coords) for f in forms]
+    vals2 = [vp(v, 2) for v in values]
     assert vals2 == [2, 0, 4, 0, 2, 0]
     lhs, rhs = ideal_window_sides(vals2, 2)
     assert lhs[0] == 2 and rhs[0] == 0  # hand check of the first window
-    res = ideal_equality_thm16(p, forms, S_EMPTY)
-    assert not res.overall
-    assert not res.per_index[0]
-    assert 2 in res.primes_checked
+    assert _thm16_spec(forms, SearchBox(2, 2), S_EMPTY).check(p.coords) is None
+    assert not list(_thm16_verdicts(values, 2, S_EMPTY))[0]
 
 
 def test_ideal_equality_validation():
     forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
     with pytest.raises(ValueError, match="3n"):
-        ideal_equality_thm16(ProjPoint.normalize([1, 1, 1]), forms, S_EMPTY)
+        _thm16_spec(forms, SearchBox(2, 1), S_EMPTY)
     six = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 7)]
-    with pytest.raises(ValueError, match="hyperplane"):
-        ideal_equality_thm16(ProjPoint.normalize([0, 1, -1]), six, S_EMPTY)
+    # [0:1:-1] lies on the first hyperplane, x0 + x1 + x2 = 0
+    assert _thm16_spec(six, SearchBox(2, 1), S_EMPTY).check((0, 1, -1)) is None
 
 
 def test_search_thm16_runs():
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 7)]
-    sols = run_search(_thm16_spec(forms, SearchBox(2, 2), S_EMPTY))
-    pts = {tuple(int(c) for c in p) for p in sols.points}
-    assert (1, 0, 0) in pts
+    search = _thm16_spec(forms, SearchBox(2, 2), S_EMPTY)
+    sols = run_search(search)
+    assert (1, 0, 0) in sols.points
     for pt in sols.points:
-        p = ProjPoint(tuple(int(c) for c in pt))
-        assert ideal_equality_thm16(p, forms, S_EMPTY).overall
+        values = search.check(pt)
+        assert values is not None
+        assert all(_thm16_by_primes(pt, values, 2, S_EMPTY))
 
 
 def _forms_of_rows(rows) -> list:
@@ -387,6 +393,7 @@ def test_thm16_verdicts_match_the_per_prime_oracle(case):
     forms, s, points = case
     n = forms[0].nvars - 1
     evaluators = [_int_evaluator(f) for f in forms]
+    check = _thm16_spec(forms, SearchBox(n, 0), s).check
     for xs in points:
         if gcd(*xs) != 1:
             continue
@@ -396,8 +403,9 @@ def test_thm16_verdicts_match_the_per_prime_oracle(case):
             continue
         want = _thm16_by_primes(x.coords, values, n, s)
         assert list(_thm16_verdicts(values, n, s)) == want
-        assert list(ideal_equality_thm16(x, forms, s).per_index) == want
-        assert (_thm16_point(s, n, evaluators, x.coords) is not None) == all(want)
+        # the same verdicts on the values evaluated in Fractions
+        assert list(_thm16_verdicts([f.evaluate(x.coords) for f in forms], n, s)) == want
+        assert (check(x.coords) is not None) == all(want)
 
 
 @pytest.mark.parametrize("s", [S_EMPTY, SRing((2,)), SRing((2, 3))])
@@ -412,7 +420,7 @@ def test_thm16_check_factors_nothing(count_factor_calls, s):
 
 def test_persistence_round_trip(tmp_path):
     g = parse_poly("1", 2)
-    sols = search_cor12(g, SearchBox(2, 30), SRing((2,)))
+    sols = run_search(_cor12_spec(g, SearchBox(2, 30), SRing((2,))))
     path = tmp_path / "sols.jsonl"
     path.write_text(solution_set_text(sols, "0.0-test"))
     loaded = load_solution_set(str(path))
@@ -531,7 +539,7 @@ def test_cor12_reverify_rejects_tampered_point(tmp_path):
         ("1", SearchBox(2, 6, 2), SRing((2,)), ["1/8", "-1/8"], "not a point of the search box"),
         ("1", SearchBox(2, 6, 2), SRing((2,)), ["1/3", "-1/3"], "not a point of the search box"),
     ]:
-        sols = search_cor12(parse_poly(g_text, 2), box, s)
+        sols = run_search(_cor12_spec(parse_poly(g_text, 2), box, s))
         path = tmp_path / "c.jsonl"
         path.write_text(solution_set_text(sols, "0.0-test"))
         lines = path.read_text().splitlines()
@@ -570,7 +578,7 @@ TAMPERED_WITNESSES = [
 
 @pytest.mark.parametrize("witnesses", TAMPERED_WITNESSES)
 def test_reverify_rejects_tampered_witnesses(tmp_path, witnesses):
-    sols = search_cor12(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,)))
+    sols = run_search(_cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,))))
     path = tmp_path / "c.jsonl"
     path.write_text(solution_set_text(sols, "0.0-test"))
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -587,16 +595,16 @@ def test_reverify_rejects_tampered_witnesses(tmp_path, witnesses):
 
 
 @pytest.mark.parametrize("search", [
-    lambda: search_cor12(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,))),
+    lambda: run_search(_cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,)))),
     lambda: run_search(_thm16_spec(SIX, SearchBox(2, 5), SRing((2, 3)))),
-    lambda: search_thm11([parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0 + x1 + x2")],
-                         parse_poly("1/2*x0 - 3*x1 + 5*x2", 3), "ii", SearchBox(2, 5),
-                         SRing((2,))),
+    lambda: run_search(_thm11_spec([parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0 + x1 + x2")],
+                                   parse_poly("1/2*x0 - 3*x1 + 5*x2", 3), "ii", SearchBox(2, 5),
+                                   SRing((2,)), False)),
     # forms with coefficients 1/2 and 3/2: the check scales them by S-units
-    lambda: search_thm11([parse_poly(t, 3) for t in ("1/2*x0 + x1", "x1 - 3/2*x2", "x2",
-                                                     "x0 + x1 + x2")],
-                         parse_poly("x0 + 3*x1 + 5*x2", 3), "ii", SearchBox(2, 6),
-                         SRing((2,))),
+    lambda: run_search(_thm11_spec([parse_poly(t, 3) for t in ("1/2*x0 + x1", "x1 - 3/2*x2", "x2",
+                                                               "x0 + x1 + x2")],
+                                   parse_poly("x0 + 3*x1 + 5*x2", 3), "ii", SearchBox(2, 6),
+                                   SRing((2,)), False)),
 ])
 def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatch, search):
     sols = search()
@@ -630,6 +638,42 @@ def test_reverify_rejects_a_non_canonical_descriptor(tmp_path, edit):
                             for rec in [header, *records]))
     with pytest.raises(ValueError, match="differs from its canonical form"):
         load_solution_set(str(path))
+
+
+DESCRIPTORS = {
+    "cor12": _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 2), S_EMPTY).descriptor,
+    "thm11": _thm11_spec(SIX[:5], parse_poly("x0", 3), "i", SearchBox(2, 2), S_EMPTY,
+                         False).descriptor,
+    "thm16": _thm16_spec(SIX, SearchBox(2, 2), S_EMPTY).descriptor,
+}
+
+
+@pytest.mark.parametrize("kind, key", [
+    *((kind, key) for kind in DESCRIPTORS
+      for key in ("kind", "dim", "bound", "denom_cap", "s_primes")),
+    ("cor12", "g"), ("thm11", "forms"), ("thm16", "forms"),
+    ("thm11", "mode"), ("thm11", "assert_general_position"),
+])
+def test_search_spec_names_a_missing_descriptor_key(kind, key):
+    descriptor = dict(DESCRIPTORS[kind])
+    assert search_spec(descriptor).descriptor == descriptor
+    del descriptor[key]
+    with pytest.raises(ValueError, match=f"search descriptor lacks '{key}'"):
+        search_spec(descriptor)
+
+
+# with reverify, a descriptor without "projective" is not canonical
+@pytest.mark.parametrize("key, reverify", [("descriptor", True), ("descriptor", False),
+                                           ("projective", False)])
+def test_load_names_a_missing_header_key(tmp_path, key, reverify):
+    sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
+    header, *records = solution_set_text(sols, "0.0-test").splitlines()
+    header = json.loads(header)
+    del (header if key == "descriptor" else header["descriptor"])[key]
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+    with pytest.raises(ValueError, match=f"lacks '{key}'"):
+        load_solution_set(str(path), reverify=reverify)
 
 
 # ---------------------------------------------------------------------------
@@ -796,7 +840,7 @@ class _CountingPoints(list):
 
 def _growth_points() -> list:
     """The 637 points of cor12 with g = 1, S = {2, 3}, cap 2, box 10."""
-    return search_cor12(parse_poly("1", 2), SearchBox(2, 10, 2), SRing((2, 3))).points
+    return run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 10, 2), SRing((2, 3)))).points
 
 
 def test_vanishing_forms_on_dense_sets_stop_at_full_rank(count_fractions):
@@ -1161,5 +1205,5 @@ def test_thm11_enumeration_checks_few_candidates():
     sols = run_search(replace(search, check=counting), workers=1)
     assert len(calls) < 50_000
     assert len(set(calls)) == len(calls)
-    assert sols.points == search_thm11(forms, g_form, "i", box, S_EMPTY).points
+    assert sols.points == run_search(_thm11_spec(forms, g_form, "i", box, S_EMPTY, False)).points
     assert sols.count == 15                     # the brute scan's count
