@@ -65,6 +65,8 @@ def autissier_input_marked(n: int, ell: int, index: int) -> AutissierInput:
     index is 1-based; indices <= n+1 hit strict transforms through a point,
     larger ones are pullback hyperplanes.
     """
+    if not 1 <= index <= 2 * n:
+        raise ValueError(f"index must be in 1..2n = 1..{2 * n}, got {index}")
     cfg = marked_config(n)
     classes = config_classes(cfg, ell)
     a = classes["A"]
@@ -84,22 +86,27 @@ def marked_target(n: int, ell: int, index: int) -> Fraction:
     return base - Fraction(ell, 2 * n * (n + 1) ** (n - 2))
 
 
-def beta_exact_cyclic(n: int, q: int) -> Fraction:
-    """Exact beta constant of the cyclic configuration."""
+def _cyclic_beta_terms(n: int, q: int) -> tuple[int, int]:
+    """Numerator and denominator (n+1)(q^n - n^n q) > 0 of the cyclic beta,
+    unreduced: beta > 1 iff num > den, and f = num - den."""
     if n < 2 or q < 3 * n:
         raise ValueError("cyclic beta needs n >= 2 and q >= 3n")
     num = q ** (n + 1) - (q - n) ** (n + 1) - n ** (n + 2) \
         - n ** (n + 1) * (n + 1) * (q - n)
-    den = (n + 1) * (q ** n - n ** n * q)
-    return Fraction(num, den)
+    return num, (n + 1) * (q ** n - n ** n * q)
 
 
-def f_poly(n: int, q: int) -> Fraction:
+def beta_exact_cyclic(n: int, q: int) -> Fraction:
+    """Exact beta constant of the cyclic configuration."""
+    return Fraction(*_cyclic_beta_terms(n, q))
+
+
+def f_poly(n: int, q: int) -> int:
     """Positivity polynomial (beta-1)(n+1)(q^n - n^n q) in expanded form."""
     if n < 2:
         raise ValueError("f_poly needs n >= 2")
-    return Fraction(q ** (n + 1) - (q - n) ** (n + 1) - (n + 1) * q ** n
-                    - (n * n - 1) * n ** n * (q - n) + n ** (n + 1))
+    return (q ** (n + 1) - (q - n) ** (n + 1) - (n + 1) * q ** n
+            - (n * n - 1) * n ** n * (q - n) + n ** (n + 1))
 
 
 def beta_numeric_cyclic(n: int, q: int, N: int) -> Fraction:
@@ -220,19 +227,21 @@ def marked_beta_report(n: int, ell: int, index: int) -> BetaReport:
 def scan_cyclic(n_lo: int = 2, n_hi: int = 8, q_hi_mult: int = 12) -> list[dict]:
     """Exact scan of beta > 1 and f > 0 over n in [n_lo, n_hi], q in [3n, q_hi_mult*n].
 
-    Each row also checks the defining identity f = (beta-1)(n+1)(q^n-n^nq).
+    Each row also checks the defining identity f = (beta-1)(n+1)(q^n-n^nq),
+    as f = num - den on the unreduced terms of beta; the printed beta is the
+    row's one Fraction.
     """
     rows = []
     for n in range(n_lo, n_hi + 1):
         for q in range(3 * n, q_hi_mult * n + 1):
-            beta = beta_exact_cyclic(n, q)
+            num, den = _cyclic_beta_terms(n, q)
             f = f_poly(n, q)
-            identity = f == (beta - 1) * (n + 1) * (q ** n - n ** n * q)
+            identity = f == num - den
             rows.append({
-                "n": n, "q": q, "beta": beta, "f": f,
-                "beta_gt_1": beta > 1, "f_gt_0": f > 0,
+                "n": n, "q": q, "beta": Fraction(num, den), "f": f,
+                "beta_gt_1": num > den, "f_gt_0": f > 0,
                 "identity": identity,
-                "ok": beta > 1 and f > 0 and identity,
+                "ok": num > den and f > 0 and identity,
             })
     return rows
 
@@ -241,9 +250,9 @@ def scan_f_monotone(n_lo: int = 2, n_hi: int = 8, q_hi_mult: int = 12) -> list[d
     """Exact finite differences of f over the scan grid (increasing in q)."""
     rows = []
     for n in range(n_lo, n_hi + 1):
-        for q in range(3 * n, q_hi_mult * n):
-            d = f_poly(n, q + 1) - f_poly(n, q)
-            rows.append({"n": n, "q": q, "difference": d, "ok": d > 0})
+        f = [f_poly(n, q) for q in range(3 * n, q_hi_mult * n + 1)]
+        for q, lo, hi in zip(range(3 * n, q_hi_mult * n), f, f[1:]):
+            rows.append({"n": n, "q": q, "difference": hi - lo, "ok": hi > lo})
     return rows
 
 

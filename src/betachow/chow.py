@@ -173,13 +173,13 @@ def top_intersection(classes: Sequence[DivisorClass]) -> Fraction:
     n, r = classes[0].n, classes[0].r
     if len(classes) != n:
         raise ValueError(f"top product needs exactly n = {n} classes")
-    for c in classes:
-        if (c.n, c.r) != (n, r):
-            raise ValueError("mismatched (n, r)")
-    total = prod(c._a for c in classes)
-    for i in min(classes, key=lambda c: len(c._b))._b:
-        total -= prod(c._b.get(i, 0) for c in classes)
-    return Fraction(total, prod(c._den for c in classes))
+    if any(c.n != n or c.r != r for c in classes):
+        raise ValueError("mismatched (n, r)")
+    total = prod([c._a for c in classes])
+    bs = [c._b for c in classes]
+    for i in min(bs, key=len):
+        total -= prod([b.get(i, 0) for b in bs])
+    return Fraction(total, prod([c._den for c in classes]))
 
 
 # ---------------------------------------------------------------------------

@@ -86,16 +86,17 @@ def verify_rows(n_hi_chow: int = 6, n_hi_beta: int = 8, q_mult: int = 12,
     rows: list[dict] = []
     for n in range(2, n_hi_chow + 1):
         for q in range(3 * n, 4 * n + 1):
-            cfg = cyclic_config(n, q)
-            cl = config_classes(cfg)
+            cl = config_classes(cyclic_config(n, q))
             d_cls = cl["D"]
+            hts = [cl[f"Ht{i}"] for i in range(1, q + 1)]
             dn = top_intersection([d_cls] * n)
-            expect_dn = Fraction(q ** n - n ** n * q)
+            expect_dn = q ** n - n ** n * q
             ok = dn == expect_dn
             for k in range(n):
-                expect = Fraction(q ** k - n ** (k + 1))
-                for i in range(1, q + 1):
-                    got = top_intersection([d_cls] * k + [cl[f"Ht{i}"]] * (n - k))
+                expect = q ** k - n ** (k + 1)
+                head = [d_cls] * k
+                for ht in hts:
+                    got = top_intersection(head + [ht] * (n - k))
                     ok = ok and got == expect
             rows.append({"section": "intersection", "n": n, "q_or_l": q,
                          "beta": "", "bound": dn, "target": expect_dn,
@@ -194,7 +195,7 @@ def cmd_beta(args) -> int:
         exact = beta_exact_cyclic(n, q)
         row = {"item": f"beta_cyclic n={n} q={q}", "exact": exact,
                "estimate": "", "claim": "beta > 1", "verdict": exact > 1}
-        if args.numeric_n:
+        if args.numeric_n is not None:
             est = beta_numeric_cyclic(n, q, args.numeric_n)
             row["estimate"] = est
         rows.append(row)
@@ -204,14 +205,14 @@ def cmd_beta(args) -> int:
         params |= {"cyclic": f"{n},{q}", "numeric_n": str(args.numeric_n)}
     if args.marked:
         n, ell = args.marked
-        for index in (args.index,) if args.index else (1, n + 2):
+        for index in (args.index,) if args.index is not None else (1, n + 2):
             rep = marked_beta_report(n, ell, index)
             rows.append({"item": f"beta_marked n={n} ell={ell} i={index}",
                          "exact": rep.lower_bound, "estimate": "",
                          "claim": f"bound > {marked_target(n, ell, index)}",
                          "verdict": rep.claim_holds})
         params |= {"marked": f"{n},{ell}", "index": str(args.index)}
-    if args.counting_l:
+    if args.counting_l is not None:
         iv = countinglambda_rhs(args.counting_l)
         rows.append({"item": f"counting bound l={args.counting_l}",
                      "exact": f"[{iv.lo}; {iv.hi}]",

@@ -13,7 +13,6 @@ import io
 import json
 import os
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -45,12 +44,15 @@ class RunConfig:
 
 
 def fmt(value) -> str:
-    """Canonical text for report cells: exact rationals stay exact."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool):
+    """Canonical text for report cells: exact rationals stay exact, verdicts
+    read pass/FAIL.  Dispatches on type(value), which is cheaper than
+    isinstance checks across the thousands of cells of a report."""
+    kind = type(value)
+    if kind is str:
+        return value
+    if kind is bool:
         return "pass" if value else "FAIL"
-    if isinstance(value, float):
+    if kind is float:
         return repr(value)
     return str(value)
 

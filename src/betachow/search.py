@@ -82,6 +82,9 @@ class SearchBox:
     denom_cap: int = 0
 
     def __post_init__(self):
+        if any(type(v) is bool or not isinstance(v, int)
+               for v in (self.dim, self.bound, self.denom_cap)):
+            raise ValueError("search box dim, bound and denom_cap must be ints")
         if self.dim < 1 or self.bound < 0 or self.denom_cap < 0:
             raise ValueError("invalid search box")
 
@@ -649,11 +652,13 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     if not lines:
         raise ValueError("empty solution file")
     header = json.loads(lines[0])
-    if header.get("kind") != "solution-set":
+    if not isinstance(header, dict) or header.get("kind") != "solution-set":
         raise ValueError("not a solution-set file")
     if "descriptor" not in header:
         raise ValueError("solution file header lacks 'descriptor'")
     descriptor, search = header["descriptor"], None
+    if not isinstance(descriptor, dict):
+        raise ValueError("solution file descriptor is not a JSON object")
     if reverify:
         search = search_spec(descriptor)
         if search.descriptor != descriptor:

@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 
+import betachow.beta
 from betachow.beta import (
     AutissierInput,
     autissier_h0_lower,
@@ -68,6 +69,46 @@ def test_positivity_scan():
 
 def test_f_monotone_scan():
     assert all(r["ok"] for r in scan_f_monotone(2, 8, 12))
+
+
+def _fraction_f(n, q):
+    """f in the Fraction form the scans used before they ran in ints."""
+    return Fraction(q ** (n + 1) - (q - n) ** (n + 1) - (n + 1) * q ** n
+                    - (n * n - 1) * n ** n * (q - n) + n ** (n + 1))
+
+
+def _fraction_scan_row(n, q):
+    """A cyclic scan row in Fractions: beta from its closed form, the
+    identity as the product (beta-1)(n+1)(q^n - n^n q)."""
+    beta = Fraction(q ** (n + 1) - (q - n) ** (n + 1) - n ** (n + 2)
+                    - n ** (n + 1) * (n + 1) * (q - n), (n + 1) * (q ** n - n ** n * q))
+    f = _fraction_f(n, q)
+    identity = (beta - 1) * (n + 1) * (q ** n - n ** n * q) == f
+    return {"n": n, "q": q, "beta": beta, "f": f, "beta_gt_1": beta > 1,
+            "f_gt_0": f > 0, "identity": identity,
+            "ok": beta > 1 and f > 0 and identity}
+
+
+def test_int_scans_match_their_fraction_forms():
+    rows = scan_cyclic(2, 12, 20)
+    assert [(r["n"], r["q"]) for r in rows] == [
+        (n, q) for n in range(2, 13) for q in range(3 * n, 20 * n + 1)]
+    for row in rows:
+        assert row == _fraction_scan_row(row["n"], row["q"])
+        assert type(row["f"]) is int and type(row["beta"]) is Fraction
+        assert row["identity"] is True and row["ok"] is True
+    assert scan_f_monotone(2, 12, 20) == [
+        {"n": n, "q": q, "difference": d, "ok": d > 0}
+        for n in range(2, 13) for q in range(3 * n, 20 * n)
+        for d in [_fraction_f(n, q + 1) - _fraction_f(n, q)]]
+
+
+def test_int_scan_catches_a_wrong_f(monkeypatch):
+    real = betachow.beta.f_poly
+    monkeypatch.setattr(betachow.beta, "f_poly", lambda n, q: real(n, q) + 1)
+    rows = scan_cyclic(2, 3, 4)
+    assert not any(r["identity"] or r["ok"] for r in rows)
+    assert all(r["beta_gt_1"] and r["f_gt_0"] for r in rows)
 
 
 def test_numeric_summands_nonnegative():

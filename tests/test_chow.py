@@ -2,6 +2,7 @@ import pickle
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod as product_of
 
 import pytest
 from hypothesis import given, settings
@@ -55,6 +56,24 @@ def dense_top(classes):
             prod *= c.b[i]
         total -= prod
     return total
+
+
+def generator_top(classes):
+    """top_intersection in the form it had before its products were list
+    comprehensions: a validation loop and generators inside prod."""
+    classes = list(classes)
+    if not classes:
+        raise ValueError("empty product")
+    n, r = classes[0].n, classes[0].r
+    if len(classes) != n:
+        raise ValueError(f"top product needs exactly n = {n} classes")
+    for c in classes:
+        if (c.n, c.r) != (n, r):
+            raise ValueError("mismatched (n, r)")
+    total = product_of(c._a for c in classes)
+    for i in min(classes, key=lambda c: len(c._b))._b:
+        total -= product_of(c._b.get(i, 0) for c in classes)
+    return Fraction(total, product_of(c._den for c in classes))
 
 
 def rand_class(rng, n, r):
@@ -356,3 +375,34 @@ def test_sparse_classes_match_fraction_classes_and_dense_products(case):
     value = top_intersection(classes)
     assert value == dense_top(classes) == brute_force_top(classes)
     assert value == top_intersection(classes[::-1])
+
+
+@st.composite
+def _class_lists(draw):
+    """0-4 random classes, most on one blow-up (n in 1..3, r in 0..3) and
+    some on another: valid products and every refusal of top_intersection."""
+    shape = st.tuples(st.integers(1, 3), st.integers(0, 3))
+    first = draw(shape)
+    classes = []
+    for _ in range(draw(st.integers(0, 4))):
+        n, r = first if draw(st.booleans()) else draw(shape)
+        b = draw(st.lists(FRACTIONS, min_size=r, max_size=r))
+        classes.append(DivisorClass(n, r, draw(FRACTIONS), b))
+    return classes
+
+
+def _outcome(top, classes):
+    try:
+        return top(classes)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_class_products().map(lambda case: [cls for cls, _ in case[2]]),
+                 _class_lists()))
+def test_top_intersection_matches_its_generator_form(classes):
+    value = _outcome(top_intersection, classes)
+    assert value == _outcome(generator_top, classes)
+    assert type(value) in (Fraction, str)
+    assert _outcome(top_intersection, iter(classes)) == value

@@ -59,26 +59,43 @@ def test_verify_intersection_mutation_detected(capsys, monkeypatch):
 
 def test_verify_builds_one_fraction_per_top_product(monkeypatch):
     # a dense per-entry product (or per-entry Fraction classes) builds
-    # thousands more Fractions here than there are top products
-    built, calls = [], {"cli": 0, "beta": 0}
+    # thousands more Fractions here than there are top products, and a
+    # Fraction beta scan several per row where the ints need none but the
+    # printed beta
+    built, beta_built, marked_built = [], [], []
+    calls = {"cli": 0, "beta": 0}
 
-    class Counting(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return Fraction(*args, **kwargs)
+    def counting(log):
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                log.append(args)
+                return Fraction(*args, **kwargs)
+        return Counting
 
-    monkeypatch.setattr(betachow.chow, "Fraction", Counting)
+    monkeypatch.setattr(betachow.chow, "Fraction", counting(built))
+    monkeypatch.setattr(betachow.beta, "Fraction", counting(beta_built))
     for name, module in (("cli", betachow.cli), ("beta", betachow.beta)):
         def counted(classes, real=module.top_intersection, name=name):
             calls[name] += 1
             return real(classes)
 
         monkeypatch.setattr(module, "top_intersection", counted)
+
+    def counted_marked(*args, real=betachow.cli.scan_marked):
+        before = len(beta_built)
+        rows = real(*args)
+        marked_built.append(len(beta_built) - before)
+        return rows
+
+    monkeypatch.setattr(betachow.cli, "scan_marked", counted_marked)
     rows = verify_rows(4, 3, 4)
     assert all(row["verdict"] for row in rows)
     # every identity is checked: 1 + n*q products per (n, q), n = 2..4, q = 3n..4n
     assert calls["cli"] == sum(1 + n * q for n in range(2, 5) for q in range(3 * n, 4 * n + 1))
     assert len(built) <= 2 * (calls["cli"] + calls["beta"])
+    cyclic_rows = sum(row["section"] == "beta_cyclic" for row in rows)
+    assert cyclic_rows == sum(n + 1 for n in range(2, 4))         # q = 3n..4n
+    assert len(beta_built) <= cyclic_rows + sum(marked_built)
 
 
 def test_verify_benchmark_panel(tmp_path, capsys):
@@ -164,6 +181,61 @@ def test_beta_command(capsys):
     assert "661/84" in out
     code, out, _ = run(capsys, "beta", "--counting-l", "4")
     assert "9/32" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--marked", "2", "10", "--index", "9"], "index must be in 1..2n = 1..4, got 9"),
+    (["--marked", "2", "10", "--index", "5"], "index must be in 1..2n = 1..4, got 5"),
+    (["--marked", "2", "10", "--index", "-1"], "index must be in 1..2n = 1..4, got -1"),
+    (["--marked", "2", "10", "--index", "0"], "index must be in 1..2n = 1..4, got 0"),
+    (["--cyclic", "2", "6", "--numeric-N", "0"], "cutoff N must be >= 1"),
+    (["--cyclic", "2", "6", "--numeric-N", "-1"], "cutoff N must be >= 1"),
+    (["--counting-l", "0"], "ell must be >= 1"),
+    (["--counting-l", "-1"], "ell must be >= 1"),
+])
+def test_beta_option_out_of_range_exits_2(capsys, argv, message):
+    code, out, err = run(capsys, "beta", *argv)
+    assert code == 2
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert out == ""
+
+
+def test_beta_marked_index_picks_one_row(capsys):
+    for index in ("1", "4"):
+        code, out, _ = run(capsys, "beta", "--marked", "2", "10", "--index", index)
+        assert code == 0
+        rows = [line for line in out.splitlines() if line.startswith("beta_marked")]
+        assert len(rows) == 1 and f"i={index}," in rows[0]
+
+
+# sha256 of each command's output bytes at an earlier commit, before verify's
+# scans ran in ints and fmt dispatched on the exact type of a cell
+OUTPUT_PINS = [
+    (["verify", "--chow-n-hi", "7", "--beta-n-hi", "12", "--q-mult", "20"],
+     "680b2a1aa9b9c15d373055a4788d53bcb56c3c880e2562f351f608c5453b33df",
+     "7070c36799ad899e208b6a3f970b8643a965e28c9518233efb7c294ab1511af6"),
+    (["beta", "--cyclic", "3", "10", "--numeric-N", "5", "--marked", "3", "100",
+      "--counting-l", "7"],
+     "94663658d9841dd53643d546ef89de2eb43b6df84752727ad3ff1295e70c5f17",
+     "3cad9ad9424a5523f74da034743b53905d29a75c113035a02a8d398a97e1f87d"),
+    (["chow", "--config", "cyclic", "--n", "3", "--q", "9", "--power", "D,n",
+      "--nef", "D - 2*Ht1", "--classes"],
+     "26df90c0635292f46a1af85fc55e6171bddeb3d69c2643f32bf392b964315d75",
+     "5dee0b479cc881bb0ae78769699fb700a9f5b66f173d86742655c3f4369fee5d"),
+    (["heights", "--form", "x0+2*x1", "--point", "3,5", "--s", "inf,2"],
+     "9f63e09030b4b6bd0e77e5f1b919aff655ffe37b0940b3b6394fa46a5aa6b5b1",
+     "8edb4c7f6b9c735d1178e0083a84c2d199b9030dd814513331142ce8b6f9e2e9"),
+]
+
+
+@pytest.mark.parametrize("argv, csv_sha, json_sha", OUTPUT_PINS,
+                         ids=[argv[0] for argv, _, _ in OUTPUT_PINS])
+def test_rendered_output_matches_its_pinned_bytes(tmp_path, capsys, argv, csv_sha, json_sha):
+    for extra, sha in (([], csv_sha), (["--json"], json_sha)):
+        out = tmp_path / "out.txt"
+        code, printed, err = run(capsys, *argv, *extra, "--out", str(out))
+        assert (code, printed, err) == (0, "", "")
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == sha
 
 
 def test_heights_command(capsys):

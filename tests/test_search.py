@@ -676,6 +676,38 @@ def test_load_names_a_missing_header_key(tmp_path, key, reverify):
         load_solution_set(str(path), reverify=reverify)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda header: [1], "not a solution-set file"),
+    (lambda header: "solution-set", "not a solution-set file"),
+    (lambda header: {**header, "descriptor": [1]}, "descriptor is not a JSON object"),
+    (lambda header: {**header, "descriptor": None}, "descriptor is not a JSON object"),
+])
+@pytest.mark.parametrize("reverify", [True, False])
+def test_load_refuses_a_header_that_is_not_an_object(tmp_path, edit, message, reverify):
+    sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
+    header, *records = solution_set_text(sols, "0.0-test").splitlines()
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join([json.dumps(edit(json.loads(header))), *records]) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_solution_set(str(path), reverify=reverify)
+
+
+@pytest.mark.parametrize("key, value", [(key, value)
+                                        for key in ("dim", "bound", "denom_cap")
+                                        for value in ("2", 2.0, True, None)])
+def test_load_refuses_a_box_field_that_is_not_an_int(tmp_path, key, value):
+    sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
+    header, *records = solution_set_text(sols, "0.0-test").splitlines()
+    header = json.loads(header)
+    header["descriptor"][key] = value
+    path = tmp_path / "t.jsonl"
+    path.write_text("\n".join([json.dumps(header), *records]) + "\n")
+    with pytest.raises(ValueError, match="must be ints"):
+        load_solution_set(str(path))
+    with pytest.raises(ValueError, match="must be ints"):
+        SearchBox(**{"dim": 2, "bound": 2, "denom_cap": 0, key: value})
+
+
 # ---------------------------------------------------------------------------
 # sharded searches against serial ones
 # ---------------------------------------------------------------------------
