@@ -32,13 +32,13 @@ factored once per audit; at every other prime the defect is 1.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import lcm, prod
 from typing import Sequence
 
+from ._records import Record
 from .linalg import det
 from .poly import MultiPoly, _int_evaluator, hyperplanes_general_position
 from .heights import (
@@ -74,27 +74,39 @@ def sample_points(dim: int, height_bound: int, count: int, seed: int) -> list[Pr
     return out
 
 
-@dataclass
-class AuditRow:
-    index: int
-    point: ProjPoint
-    on_support: bool
-    lhs: Fraction | None = None
-    rhs: str | None = None                   # height with its exponent, rendered
-    verdict: bool | None = None
-    per_place: dict = field(default_factory=dict)
-    defect: Fraction | None = None           # multiplicative total over places
-    defect_by_place: dict = field(default_factory=dict)
+class AuditRow(Record):
+    """One sample's row: rhs is the height with its exponent, rendered, and
+    defect the multiplicative total over places; per_place and
+    defect_by_place default to a fresh dict."""
+
+    __slots__ = ("index", "point", "on_support", "lhs", "rhs", "verdict", "per_place",
+                 "defect", "defect_by_place")
+
+    def __init__(self, index: int, point: ProjPoint, on_support: bool,
+                 lhs: Fraction | None = None, rhs: str | None = None,
+                 verdict: bool | None = None, per_place: dict | None = None,
+                 defect: Fraction | None = None, defect_by_place: dict | None = None):
+        self.index = index
+        self.point = point
+        self.on_support = on_support
+        self.lhs = lhs
+        self.rhs = rhs
+        self.verdict = verdict
+        self.per_place = {} if per_place is None else per_place
+        self.defect = defect
+        self.defect_by_place = {} if defect_by_place is None else defect_by_place
 
     def lhs_log(self) -> float | None:
         return None if self.lhs is None else _log(self.lhs)
 
 
-@dataclass
-class AuditReport:
-    kind: str
-    descriptor: dict
-    rows: list[AuditRow]
+class AuditReport(Record):
+    __slots__ = ("kind", "descriptor", "rows")
+
+    def __init__(self, kind: str, descriptor: dict, rows: list[AuditRow]):
+        self.kind = kind
+        self.descriptor = descriptor
+        self.rows = rows
 
     @property
     def violators(self) -> list[AuditRow]:

@@ -13,10 +13,10 @@ enclosures, never as floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, isqrt
 
+from ._records import Frozen, Record
 from .chow import config_classes, marked_config, top_intersection
 
 
@@ -28,27 +28,22 @@ def g_aut(x: Fraction) -> Fraction:
     return x ** 3 / 3 if x <= 1 else x - Fraction(2, 3)
 
 
-@dataclass(frozen=True)
-class AutissierInput:
+class AutissierInput(Frozen):
     """Intersection data (A^n, A^(n-1).B, A^(n-2).B^2) for the bound."""
 
-    n: int
-    a_top: Fraction        # A^n
-    a_b: Fraction          # A^(n-1).B
-    a_b2: Fraction         # A^(n-2).B^2
+    __slots__ = ("n", "a_top", "a_b", "a_b2")
 
-    def __post_init__(self):
-        object.__setattr__(self, "a_top", Fraction(self.a_top))
-        object.__setattr__(self, "a_b", Fraction(self.a_b))
-        object.__setattr__(self, "a_b2", Fraction(self.a_b2))
-        if self.n < 2:
+    def __init__(self, n: int, a_top: Fraction, a_b: Fraction, a_b2: Fraction):
+        a_top, a_b, a_b2 = Fraction(a_top), Fraction(a_b), Fraction(a_b2)
+        if n < 2:
             raise ValueError("dimension must be >= 2")
-        if self.a_top <= 0:
+        if a_top <= 0:
             raise ValueError("A^n must be positive (A big and nef)")
-        if self.a_b == 0:
+        if a_b == 0:
             raise ValueError("zero A^(n-1).B")
-        if self.a_b < 0:
+        if a_b < 0:
             raise ValueError("A^(n-1).B must be positive")
+        self._assign(n, a_top, a_b, a_b2)
 
 
 def beta_autissier_lower(inp: AutissierInput) -> Fraction:
@@ -128,14 +123,15 @@ def beta_numeric_cyclic(n: int, q: int, N: int) -> Fraction:
     return Fraction(total, N ** (n + 1) * (q ** n - n ** n * q))
 
 
-@dataclass(frozen=True)
-class H0LowerBound:
+class H0LowerBound(Frozen):
     """Exact main term of the section-count lower bound plus the symbolic
     error order, which is reported but never folded into exact verdicts."""
 
-    value: Fraction
-    error_order: str
-    note: str = "implicit constant depends on the slope cap delta"
+    __slots__ = ("value", "error_order", "note")
+
+    def __init__(self, value: Fraction, error_order: str,
+                 note: str = "implicit constant depends on the slope cap delta"):
+        self._assign(value, error_order, note)
 
 
 def autissier_h0_lower(n: int, a_top: Fraction, a_b: Fraction, a_b2: Fraction,
@@ -156,14 +152,13 @@ def autissier_h0_lower(n: int, a_top: Fraction, a_b: Fraction, a_b2: Fraction,
 # interval arithmetic for the single square root in the artifact
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RationalInterval:
-    lo: Fraction
-    hi: Fraction
+class RationalInterval(Frozen):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
+    def __init__(self, lo: Fraction, hi: Fraction):
+        if lo > hi:
             raise ValueError("empty interval")
+        self._assign(lo, hi)
 
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -205,14 +200,17 @@ def countinglambda_rhs(ell: int, max_width: Fraction = Fraction(1, 10 ** 9)) -> 
 # reports and scans
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BetaReport:
+class BetaReport(Record):
     """One beta computation with every exact verdict spelled out."""
 
-    descriptor: dict
-    lower_bound: Fraction | None = None
-    claim: str = ""
-    claim_holds: bool | None = None
+    __slots__ = ("descriptor", "lower_bound", "claim", "claim_holds")
+
+    def __init__(self, descriptor: dict, lower_bound: Fraction | None = None,
+                 claim: str = "", claim_holds: bool | None = None):
+        self.descriptor = descriptor
+        self.lower_bound = lower_bound
+        self.claim = claim
+        self.claim_holds = claim_holds
 
 
 def marked_beta_report(n: int, ell: int, index: int) -> BetaReport:

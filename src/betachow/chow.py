@@ -29,11 +29,12 @@ b_i.  Strict transforms d*H - sum m_i*E_i therefore store b = m >= 0.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Sequence
+
+from ._records import Frozen
 
 
 def _rational(x):
@@ -41,7 +42,7 @@ def _rational(x):
     return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
 
-class DivisorClass:
+class DivisorClass(Frozen):
     """Class a*H - sum_i b_i*E_i on the blow-up of P^n at r points.
 
     Immutable.  Built from numbers (ints, Fractions, or anything Fraction
@@ -73,15 +74,7 @@ class DivisorClass:
         if n < 1 or r < 0:
             raise ValueError("invalid (n, r)")
         g = gcd(den, a, *b.values())
-        for name, value in (("n", n), ("r", r), ("_a", a // g), ("_den", den // g),
-                            ("_b", {i: v // g for i, v in b.items() if v})):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        self._assign(n, r, a // g, {i: v // g for i, v in b.items() if v}, den // g)
 
     @property
     def a(self) -> Fraction:
@@ -186,38 +179,36 @@ def top_intersection(classes: Sequence[DivisorClass]) -> Fraction:
 # configurations
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlowupConfig:
+class BlowupConfig(Frozen):
     """Combinatorial incidence of blown-up points on a hyperplane family.
 
-    incidence[i] is the (0-based) set of point indices on hyperplane i.
+    kind is "cyclic" or "marked"; incidence[i] is the (0-based) frozenset
+    of point indices on hyperplane i.
     """
 
-    n: int
-    kind: str  # "cyclic" | "marked"
-    q: int
-    r: int
-    incidence: tuple[frozenset[int], ...]
+    __slots__ = ("n", "kind", "q", "r", "incidence")
 
-    def __post_init__(self):
-        if self.kind not in ("cyclic", "marked"):
-            raise ValueError(f"unknown configuration kind {self.kind!r}")
-        if len(self.incidence) != self.q:
+    def __init__(self, n: int, kind: str, q: int, r: int,
+                 incidence: tuple[frozenset[int], ...]):
+        if kind not in ("cyclic", "marked"):
+            raise ValueError(f"unknown configuration kind {kind!r}")
+        if len(incidence) != q:
             raise ValueError("incidence must list every hyperplane")
-        if self.kind == "cyclic":
-            if self.q < 3 * self.n or self.r != self.q:
+        if kind == "cyclic":
+            if q < 3 * n or r != q:
                 raise ValueError("cyclic configuration needs q >= 3n and r = q")
-            for i, pts in enumerate(self.incidence):
-                expect = frozenset((i - j) % self.q for j in range(self.n))
+            for i, pts in enumerate(incidence):
+                expect = frozenset((i - j) % q for j in range(n))
                 if pts != expect:
                     raise ValueError("cyclic incidence must be the window of n points")
         else:
-            if self.q != 2 * self.n or self.r != self.n + 1:
+            if q != 2 * n or r != n + 1:
                 raise ValueError("marked configuration needs q = 2n and r = n+1")
-            for i, pts in enumerate(self.incidence):
-                expect = frozenset({i}) if i < self.n + 1 else frozenset()
+            for i, pts in enumerate(incidence):
+                expect = frozenset({i}) if i < n + 1 else frozenset()
                 if pts != expect:
                     raise ValueError("marked incidence must be P_i on H_i only")
+        self._assign(n, kind, q, r, incidence)
 
 
 def cyclic_config(n: int, q: int) -> BlowupConfig:
@@ -262,14 +253,16 @@ def config_classes(cfg: BlowupConfig, ell: int | None = None) -> dict[str, Divis
 # curves and nef testing
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CurveClass:
+class CurveClass(Frozen):
     """Test curve: a line in one E_i, or the strict transform of a line
     through a set of blown-up points (multiplicity 1 at each)."""
 
-    kind: str  # "exceptional-line" | "line-through-point-set"
-    points: tuple[int, ...]  # 0-based point indices
-    image_degree: int
+    __slots__ = ("kind", "points", "image_degree")
+
+    def __init__(self, kind: str, points: tuple[int, ...], image_degree: int):
+        # kind is "exceptional-line" or "line-through-point-set"; points are
+        # 0-based point indices
+        self._assign(kind, points, image_degree)
 
     def describe(self) -> str:
         if self.kind == "exceptional-line":
@@ -301,12 +294,13 @@ def curve_family(cfg: BlowupConfig) -> tuple[CurveClass, ...]:
     return tuple(fam)
 
 
-@dataclass(frozen=True)
-class NefResult:
-    status: str  # "certified-nef" | "fails-witness" | "inconclusive"
-    witness: CurveClass | None
-    certificate: str | None
-    min_value: Fraction
+class NefResult(Frozen):
+    __slots__ = ("status", "witness", "certificate", "min_value")
+
+    def __init__(self, status: str, witness: CurveClass | None, certificate: str | None,
+                 min_value: Fraction):
+        # status is "certified-nef", "fails-witness" or "inconclusive"
+        self._assign(status, witness, certificate, min_value)
 
     def describe(self) -> str:
         if self.status == "fails-witness":

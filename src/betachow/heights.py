@@ -27,24 +27,25 @@ silently dropping a prime.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm, log, prod
 from typing import Iterable, Mapping, Sequence
 
+from ._records import Frozen
 from .poly import MultiPoly
 from .primes import _prime_to, _vp_int, factor, is_prime, vp
 
 
-@dataclass(frozen=True)
-class Place:
-    """The Archimedean place (prime None) or a finite place of Q."""
+class Place(Frozen):
+    """The Archimedean place (prime None) or a finite place of Q, whose
+    prime is an int (not a bool or a float)."""
 
-    prime: int | None = None
+    __slots__ = ("prime",)
 
-    def __post_init__(self):
-        if self.prime is not None and not is_prime(self.prime):
-            raise ValueError(f"{self.prime} is not prime")
+    def __init__(self, prime: int | None = None):
+        if prime is not None and (type(prime) is not int or not is_prime(prime)):
+            raise ValueError(f"{prime} is not prime")
+        self._assign(prime)
 
     @property
     def is_finite(self) -> bool:
@@ -89,25 +90,26 @@ def abs_at(x: Fraction | int, v: Place) -> Fraction:
     return abs(x)
 
 
-@dataclass(frozen=True)
-class ProjPoint:
+class ProjPoint(Frozen):
     """Point of P^n(Q) in normalized coordinates: coprime integers, first
     nonzero coordinate positive."""
 
-    coords: tuple[int, ...]
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        if not self.coords or all(c == 0 for c in self.coords):
+    def __init__(self, coords: tuple[int, ...]):
+        if not coords or all(c == 0 for c in coords):
             raise ValueError("projective point needs a nonzero coordinate")
-        if gcd(*self.coords) != 1:
+        if gcd(*coords) != 1:
             raise ValueError("coordinates must be coprime")
-        first = next(c for c in self.coords if c != 0)
+        first = next(c for c in coords if c != 0)
         if first < 0:
             raise ValueError("first nonzero coordinate must be positive")
+        self._assign(coords)
 
     @classmethod
     def normalize(cls, coords: Sequence[Fraction | int]) -> "ProjPoint":
-        """The normalized point with these int or Fraction coordinates."""
+        """The normalized point with these int or Fraction coordinates,
+        built without the constructor's checks, which it satisfies."""
         if all(type(c) is int for c in coords):
             ints = list(coords)
         else:
@@ -119,7 +121,7 @@ class ProjPoint:
         ints = [c // g for c in ints]
         if next(c for c in ints if c != 0) < 0:
             ints = [-c for c in ints]
-        return cls(tuple(ints))
+        return cls._make(tuple(ints))
 
     @property
     def dim(self) -> int:
@@ -144,16 +146,15 @@ def _log(x: Fraction | int) -> float:
         return log(x.numerator) - log(x.denominator)
 
 
-@dataclass(frozen=True)
-class LocalHeight:
+class LocalHeight(Frozen):
     """Multiplicative local Weil value at one place (lambda = log value)."""
 
-    place: Place
-    value: Fraction
+    __slots__ = ("place", "value")
 
-    def __post_init__(self):
-        if self.value <= 0:
+    def __init__(self, place: Place, value: Fraction):
+        if value <= 0:
             raise ValueError("multiplicative local height must be positive")
+        self._assign(place, value)
 
     @property
     def log_value(self) -> float:
@@ -235,14 +236,17 @@ def support_primes(values: Iterable[Fraction | int]) -> tuple[int, ...]:
     return tuple(sorted(primes))
 
 
-@dataclass(frozen=True)
-class HeightDecomposition:
-    """Multiplicative proximity / counting split of a divisor height."""
+class HeightDecomposition(Frozen):
+    """Multiplicative proximity / counting split of a divisor height:
+    proximity the product over v in S, counting the product over v outside
+    S, total their product, and support the finite primes carrying the
+    counting part."""
 
-    proximity: Fraction          # product over v in S
-    counting: int                # product over v outside S
-    total: Fraction              # proximity * counting
-    support: tuple[int, ...]     # finite primes carrying the counting part
+    __slots__ = ("proximity", "counting", "total", "support")
+
+    def __init__(self, proximity: Fraction, counting: int, total: Fraction,
+                 support: tuple[int, ...]):
+        self._assign(proximity, counting, total, support)
 
     @property
     def log_rows(self) -> dict[str, float]:
@@ -278,16 +282,16 @@ def product_over_places(x: Fraction | int) -> Fraction:
     return total
 
 
-@dataclass(frozen=True)
-class MkConstant:
+class MkConstant(Frozen):
     """Finitely-supported multiplicative slack per place (default 1)."""
 
-    entries: tuple[tuple[Place, Fraction], ...] = ()
+    __slots__ = ("entries",)
 
-    def __post_init__(self):
-        for _, g in self.entries:
+    def __init__(self, entries: tuple[tuple[Place, Fraction], ...] = ()):
+        for _, g in entries:
             if g <= 0:
                 raise ValueError("multiplicative slack must be positive")
+        self._assign(entries)
 
     @classmethod
     def trivial(cls) -> "MkConstant":

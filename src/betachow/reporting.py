@@ -12,7 +12,8 @@ from __future__ import annotations
 import io
 import json
 import os
-from dataclasses import dataclass, field
+
+from ._records import Record
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -22,12 +23,14 @@ EXIT_RESOURCE = 3
 WORKERS_ENV = "BETACHOW_WORKERS"
 
 
-@dataclass
-class RunConfig:
+class RunConfig(Record):
     """Command name plus every parameter that shaped the run."""
 
-    command: str
-    params: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("command", "params")
+
+    def __init__(self, command: str, params: dict[str, str] | None = None):
+        self.command = command
+        self.params = {} if params is None else params
 
     def sorted_params(self) -> list[tuple[str, str]]:
         return sorted(self.params.items())

@@ -16,7 +16,6 @@ degree cutoff, and nothing more is claimed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -24,6 +23,7 @@ from math import gcd, lcm, prod
 from operator import getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from ._records import Frozen, Record
 from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
 from .poly import (
@@ -37,17 +37,18 @@ from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _prime_to, _v
 from .sharding import sharded
 
 
-@dataclass(frozen=True)
-class SRing:
-    """Ring of S-integers: denominators restricted to the listed primes."""
+class SRing(Frozen):
+    """Ring of S-integers: denominators restricted to the listed primes,
+    which are ints (not bools or floats)."""
 
-    primes: tuple[int, ...] = ()
+    __slots__ = ("primes",)
 
-    def __post_init__(self):
-        ps = tuple(self.primes)
-        if list(ps) != sorted(set(ps)) or not all(is_prime(p) for p in ps):
+    def __init__(self, primes: tuple[int, ...] = ()):
+        ps = tuple(primes)
+        if not all(type(p) is int for p in ps) or list(ps) != sorted(set(ps)) \
+                or not all(is_prime(p) for p in ps):
             raise ValueError("S must be a strictly ascending list of primes")
-        object.__setattr__(self, "primes", ps)
+        self._assign(ps)
 
     def strip_s_part(self, n: int) -> int:
         return _prime_to(n, self.primes)
@@ -72,21 +73,18 @@ def _divisors(n: int, bound: int = FACTOR_BOUND_DEFAULT) -> list[int]:
     return sorted(divs)
 
 
-@dataclass(frozen=True)
-class SearchBox:
+class SearchBox(Frozen):
     """Truncation of O_S^n: numerators in [-B, B], denominators products
     of S-primes with exponent at most denom_cap each."""
 
-    dim: int
-    bound: int
-    denom_cap: int = 0
+    __slots__ = ("dim", "bound", "denom_cap")
 
-    def __post_init__(self):
-        if any(type(v) is bool or not isinstance(v, int)
-               for v in (self.dim, self.bound, self.denom_cap)):
+    def __init__(self, dim: int, bound: int, denom_cap: int = 0):
+        if any(type(v) is bool or not isinstance(v, int) for v in (dim, bound, denom_cap)):
             raise ValueError("search box dim, bound and denom_cap must be ints")
-        if self.dim < 1 or self.bound < 0 or self.denom_cap < 0:
+        if dim < 1 or bound < 0 or denom_cap < 0:
             raise ValueError("invalid search box")
+        self._assign(dim, bound, denom_cap)
 
     def coordinate_values(self, s: SRing) -> list:
         """Sorted coordinate values, the integral ones as ints."""
@@ -111,14 +109,18 @@ def _grade_key(point: tuple) -> tuple:
 # solution sets and persistence
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SolutionSet:
+class SolutionSet(Record):
     """Deterministically ordered solutions of one predicate over one box;
-    a point's coordinates are ints when integral, else Fractions."""
+    a point's coordinates are ints when integral, else Fractions.  points
+    and witnesses default to a fresh list."""
 
-    descriptor: dict
-    points: list[tuple] = field(default_factory=list)
-    witnesses: list[dict] = field(default_factory=list)
+    __slots__ = ("descriptor", "points", "witnesses")
+
+    def __init__(self, descriptor: dict, points: list[tuple] | None = None,
+                 witnesses: list[dict] | None = None):
+        self.descriptor = descriptor
+        self.points = [] if points is None else points
+        self.witnesses = [] if witnesses is None else witnesses
 
     @property
     def count(self) -> int:
@@ -166,23 +168,23 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 Check = Callable[[tuple], "list | None"]
 
 
-@dataclass(frozen=True)
-class Search:
+class Search(Frozen):
     """One validated search, decoded once: the canonical descriptor, its box
     and ring, the per-point check, and rows, a picklable rule building the
     candidate rows of a box from the data the factory parsed and scaled.
     Runs, shard workers, checkpoints, growth and reverify all take it."""
 
-    descriptor: dict
-    box: SearchBox
-    s: SRing
-    check: Check
-    rows: Callable[[SearchBox], "_Rows"]
+    __slots__ = ("descriptor", "box", "s", "check", "rows")
+
+    def __init__(self, descriptor: dict, box: SearchBox, s: SRing, check: Check,
+                 rows: Callable[[SearchBox], "_Rows"]):
+        self._assign(descriptor, box, s, check, rows)
 
     def with_bound(self, bound: int) -> "Search":
         """The same search over the box with numerator bound `bound`."""
-        return replace(self, descriptor={**self.descriptor, "bound": bound},
-                       box=SearchBox(self.box.dim, bound, self.box.denom_cap))
+        return Search({**self.descriptor, "bound": bound},
+                      SearchBox(self.box.dim, bound, self.box.denom_cap),
+                      self.s, self.check, self.rows)
 
 
 def _scaled(f: MultiPoly) -> MultiPoly:
@@ -346,30 +348,43 @@ def _required(descriptor: dict, key: str):
     return descriptor[key]
 
 
+def _poly_texts(texts) -> list:
+    """texts, a descriptor's list of polynomial texts; anything but a list
+    of strings is refused."""
+    if type(texts) is not list or not all(type(t) is str for t in texts):
+        raise ValueError(f"search descriptor polynomial texts {texts!r} are not strings")
+    return texts
+
+
 def search_spec(descriptor: dict) -> Search:
     """The search a descriptor names, its hypotheses validated once and its
     polynomial texts parsed once.  The input names the kind, the box (dim,
     bound, denom_cap), s_primes, the polynomial texts "forms" and "g", and
     for thm11 "mode" and "assert_general_position"; a run's cor12 g may come
     as the one entry of "forms".  A canonical descriptor decodes to a Search
-    holding itself."""
+    holding itself.  s_primes must be a list of int primes and every
+    polynomial text a string."""
     need = partial(_required, descriptor)
-    s = SRing(tuple(need("s_primes")))
+    s_primes = need("s_primes")
+    if type(s_primes) is not list:
+        raise ValueError(f"search descriptor s_primes {s_primes!r} is not a list")
+    s = SRing(tuple(s_primes))
     box = SearchBox(need("dim"), need("bound"), need("denom_cap"))
     kind = need("kind")
     if kind == "cor12":
-        texts = descriptor["forms"] if "forms" in descriptor else [need("g")]
+        texts = _poly_texts(descriptor["forms"] if "forms" in descriptor else [need("g")])
         if len(texts) != 1:
             raise ValueError("cor12 needs exactly one polynomial line (g)")
         return _cor12_spec(parse_poly(texts[0], box.dim), box, s)
     if kind not in ("thm11", "thm16"):
         raise ValueError(f"unknown predicate kind {kind!r}")
-    forms = [parse_poly(t, box.dim + 1) for t in need("forms")]
+    forms = [parse_poly(t, box.dim + 1) for t in _poly_texts(need("forms"))]
     if kind == "thm16":
         return _thm16_spec(forms, box, s)
     if descriptor.get("g") is None:
         raise ValueError("thm11 needs a 'G:' line in the forms file")
-    return _thm11_spec(forms, parse_poly(descriptor["g"], box.dim + 1), need("mode"),
+    g_form = parse_poly(_poly_texts([descriptor["g"]])[0], box.dim + 1)
+    return _thm11_spec(forms, g_form, need("mode"),
                        box, s, need("assert_general_position"))
 
 
@@ -393,18 +408,17 @@ def _row_divisors(h: Fraction | int, s: SRing) -> list[int] | None:
         return None
 
 
-@dataclass(frozen=True)
-class _Rows:
+class _Rows(Frozen):
     """A search's candidate rows, built once per run and handed to every
     part: the first coordinate runs over firsts (0..B when projective), the
     others but the last over values, and the last one over lasts(prefix),
     a picklable rule for the values that can pass the check."""
 
-    ncoords: int
-    firsts: Sequence
-    values: Sequence
-    lasts: Callable[[tuple], Iterable]
-    projective: bool
+    __slots__ = ("ncoords", "firsts", "values", "lasts", "projective")
+
+    def __init__(self, ncoords: int, firsts: Sequence, values: Sequence,
+                 lasts: Callable[[tuple], Iterable], projective: bool):
+        self._assign(ncoords, firsts, values, lasts, projective)
 
 
 def _whole_row(values: Sequence, prefix: tuple) -> Sequence:
@@ -481,8 +495,9 @@ def _thm11_lasts(f: list, g: list, g_const: int, units: list, top: int, values: 
 def _thm11_rows(s: SRing, f: list[int], g: list[int], g_const: int, box: SearchBox) -> _Rows:
     rows = _projective_rows(box)
     top = sum(map(abs, f)) * box.bound
-    return replace(rows, lasts=partial(_thm11_lasts, f, g, g_const, _s_units(s, top), top,
-                                       rows.values, s))
+    return _Rows(rows.ncoords, rows.firsts, rows.values,
+                 partial(_thm11_lasts, f, g, g_const, _s_units(s, top), top, rows.values, s),
+                 rows.projective)
 
 
 def _thm11_rows_rule(forms: Sequence[MultiPoly], g: MultiPoly, s: SRing):
@@ -905,15 +920,24 @@ def plane_linear_factors(f: MultiPoly, projective: bool) -> list[MultiPoly]:
     return factors
 
 
-@dataclass
-class DegeneracyReport:
-    descriptor: dict
-    n_points: int
-    kernel_dims: dict[int, int]
-    kernel_forms: dict[int, list[MultiPoly]]
-    line_components: list[dict]      # {"line": str, "count": int}
-    splits_linearly: dict[int, list[bool]]
-    growth: list[tuple[int, int]] | None = None
+class DegeneracyReport(Record):
+    """Kernel data per degree; each line component is {"line": str,
+    "count": int}."""
+
+    __slots__ = ("descriptor", "n_points", "kernel_dims", "kernel_forms", "line_components",
+                 "splits_linearly", "growth")
+
+    def __init__(self, descriptor: dict, n_points: int, kernel_dims: dict[int, int],
+                 kernel_forms: dict[int, list[MultiPoly]], line_components: list[dict],
+                 splits_linearly: dict[int, list[bool]],
+                 growth: list[tuple[int, int]] | None = None):
+        self.descriptor = descriptor
+        self.n_points = n_points
+        self.kernel_dims = kernel_dims
+        self.kernel_forms = kernel_forms
+        self.line_components = line_components
+        self.splits_linearly = splits_linearly
+        self.growth = growth
 
     def to_json(self) -> dict:
         return {

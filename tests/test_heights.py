@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import betachow.heights
+from betachow.audits import sample_points
 from betachow.heights import (
     ARCH,
     MkConstant,
@@ -65,12 +66,46 @@ def test_projpoint_validation():
         ProjPoint((-1, 2))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(COORD, min_size=1, max_size=4), st.integers(2, 10 ** 3),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1000))
+def test_normalize_builds_the_point_the_constructor_accepts(coords, k, scale):
+    # normalize trusts its own result; the public constructor still checks
+    assume(any(coords))
+    g = gcd(*coords)
+    sign = 1 if next(c for c in coords if c) > 0 else -1
+    expected = tuple(sign * c // g for c in coords)
+    assert ProjPoint.normalize(coords) == ProjPoint(expected)
+    assert ProjPoint.normalize([c * scale for c in coords]) == ProjPoint(expected)
+    with pytest.raises(ValueError, match="coprime"):
+        ProjPoint(tuple(k * c for c in expected))
+    with pytest.raises(ValueError, match="positive"):
+        ProjPoint(tuple(-c for c in expected))
+    with pytest.raises(ValueError, match="nonzero"):
+        ProjPoint((0,) * len(coords))
+
+
+def test_sampled_points_skip_the_validating_constructor(monkeypatch):
+    # each sampled point is checked once, by normalize's own arithmetic
+    calls = []
+    real = ProjPoint.__init__
+    monkeypatch.setattr(ProjPoint, "__init__",
+                        lambda self, coords: calls.append(coords) or real(self, coords))
+    points = sample_points(2, 100, 50, seed=5)
+    assert calls == [] and len(points) == 50
+    assert all(ProjPoint(p.coords) == p for p in points)
+    assert len(calls) == 50
+
+
 def test_places():
     s = parse_places("inf,2,3")
     assert ARCH in s and Place(2) in s and len(s) == 3
     assert parse_places("inf") == make_place_set()
     with pytest.raises(ValueError):
         Place(6)
+    for prime in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="is not prime"):
+            Place(prime)
     assert abs_at(Fraction(12), Place(2)) == Fraction(1, 4)
     assert abs_at(Fraction(-3, 8), ARCH) == Fraction(3, 8)
 

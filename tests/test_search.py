@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from functools import partial
@@ -23,6 +22,7 @@ from betachow.poly import (
 )
 from betachow.primes import vp
 from betachow.search import (
+    Search,
     SearchBox,
     SolutionSet,
     SRing,
@@ -708,6 +708,27 @@ def test_load_refuses_a_box_field_that_is_not_an_int(tmp_path, key, value):
         SearchBox(**{"dim": 2, "bound": 2, "denom_cap": 0, key: value})
 
 
+@pytest.mark.parametrize("kind, key, value, message", [
+    ("cor12", "s_primes", "2", "is not a list"),
+    ("cor12", "s_primes", 2, "is not a list"),
+    ("thm16", "s_primes", [2.0], "list of primes"),
+    ("thm16", "s_primes", [True], "list of primes"),
+    ("cor12", "g", 5, "are not strings"),
+    ("thm11", "g", 5, "are not strings"),
+    ("thm16", "forms", [5], "are not strings"),
+    ("thm11", "forms", "x0", "are not strings"),
+])
+def test_a_malformed_descriptor_field_is_a_value_error(tmp_path, kind, key, value, message):
+    descriptor = {**DESCRIPTORS[kind], key: value}
+    with pytest.raises(ValueError, match=message):
+        search_spec(descriptor)
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps({"artifact": "betachow", "kind": "solution-set",
+                                "descriptor": descriptor}) + "\n")
+    with pytest.raises(ValueError, match=message):
+        load_solution_set(str(path))
+
+
 # ---------------------------------------------------------------------------
 # sharded searches against serial ones
 # ---------------------------------------------------------------------------
@@ -1045,7 +1066,8 @@ def test_cor12_search_matches_fraction_check_search(case, workers):
     g, box, s = case
     search = _cor12_spec(g, box, s)
     got = run_search(search, workers)
-    want = run_search(replace(search, check=partial(_cor12_fraction_check, g, s)), workers)
+    want = run_search(Search(search.descriptor, search.box, search.s,
+                             partial(_cor12_fraction_check, g, s), search.rows), workers)
     assert got.points == want.points
     assert got.witnesses == want.witnesses
 
@@ -1184,7 +1206,8 @@ def test_thm11_search_matches_fraction_check_search(search, workers):
     oracle = partial(_thm11_fraction_check, forms, parse_poly(d["g"], d["dim"] + 1), d["mode"],
                      search.s)
     got = run_search(search, workers)
-    want = run_search(replace(search, check=oracle), workers)
+    want = run_search(Search(search.descriptor, search.box, search.s, oracle, search.rows),
+                      workers)
     assert got.points == want.points
     assert got.witnesses == want.witnesses
 
@@ -1234,7 +1257,8 @@ def test_thm11_enumeration_checks_few_candidates():
         calls.append(xs)
         return search.check(xs)
 
-    sols = run_search(replace(search, check=counting), workers=1)
+    sols = run_search(Search(search.descriptor, search.box, search.s, counting, search.rows),
+                      workers=1)
     assert len(calls) < 50_000
     assert len(set(calls)) == len(calls)
     assert sols.points == run_search(_thm11_spec(forms, g_form, "i", box, S_EMPTY, False)).points
