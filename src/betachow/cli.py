@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from bisect import bisect_right
 from fractions import Fraction
 
 from . import __version__
@@ -25,7 +26,6 @@ from .beta import (
     countinglambda_rhs,
     f_poly,
     marked_beta_report,
-    marked_target,
     scan_cyclic,
     scan_f_monotone,
     scan_marked,
@@ -65,7 +65,6 @@ from .reporting import (
     write_output,
 )
 from .search import (
-    Search,
     SolutionSet,
     degeneracy_report,
     run_search,
@@ -209,7 +208,7 @@ def cmd_beta(args) -> int:
             rep = marked_beta_report(n, ell, index)
             rows.append({"item": f"beta_marked n={n} ell={ell} i={index}",
                          "exact": rep.lower_bound, "estimate": "",
-                         "claim": f"bound > {marked_target(n, ell, index)}",
+                         "claim": rep.claim,
                          "verdict": rep.claim_holds})
         params |= {"marked": f"{n},{ell}", "index": str(args.index)}
     if args.counting_l is not None:
@@ -300,37 +299,35 @@ def _read_forms_file(path: str) -> tuple[list[str], str | None]:
     return forms, g_text
 
 
-def _growth(text: str, search: Search, workers: int,
-            sols: SolutionSet) -> list[tuple[int, int]]:
-    """Solution counts per growth bound.  Boxes nest and the predicates do
-    not depend on the bound, so the count at b is the number of solutions
-    of height (max |numerator|) <= b in one search at the largest bound."""
-    bounds = [int(t) for t in text.split(",")]
-    if min(bounds) < 0:
-        raise ValueError("invalid search box")
-    if max(bounds) > search.box.bound:
-        sols = run_search(search.with_bound(max(bounds)), workers)
-    heights = [max(abs(c.numerator) for c in pt) for pt in sols.points]
-    return [(b, sum(1 for h in heights if h <= b)) for b in bounds]
-
-
 def cmd_search(args) -> int:
     if args.degeneracy is not None and args.degeneracy < 1:
         raise ValueError("--degeneracy must be >= 1")
     if args.growth is not None and not args.degeneracy:
         raise ValueError("--growth needs --degeneracy")
+    try:
+        bounds = [int(t) for t in args.growth.split(",")] if args.growth else []
+    except ValueError:
+        raise ValueError(f"--growth takes a comma list of ints, got {args.growth!r}") from None
+    if min([args.box, *bounds]) < 0:
+        raise ValueError("invalid search box")
+    workers = worker_count(args.workers)
     s_primes = ([int(p) for p in args.s_primes.split(",") if p.strip()]
                 if args.s_primes not in (None, "", "none") else [])
     form_texts, g_text = _read_forms_file(args.forms)
+    # boxes nest and no check depends on the bound: one search at the top
+    # bound holds each box's solutions as a prefix (they sort by height)
     search = search_spec({
-        "kind": args.kind, "dim": args.dim, "bound": args.box, "denom_cap": args.denom_cap,
-        "s_primes": s_primes, "forms": form_texts, "g": g_text, "mode": args.mode,
-        "assert_general_position": args.assert_general_position})
-    workers = worker_count(args.workers)
+        "kind": args.kind, "dim": args.dim, "bound": max([args.box, *bounds]),
+        "denom_cap": args.denom_cap, "s_primes": s_primes, "forms": form_texts,
+        "g": g_text, "mode": args.mode, "assert_general_position": args.assert_general_position})
     if args.checkpoint:
-        sols = search_with_checkpoint(args.checkpoint, search, __version__, workers)
+        found = search_with_checkpoint(args.checkpoint, search, __version__, workers)
     else:
-        sols = run_search(search, workers)
+        found = run_search(search, workers)
+    heights = [max(abs(c.numerator) for c in pt) for pt in found.points]
+    cut = bisect_right(heights, args.box)
+    sols = SolutionSet({**search.descriptor, "bound": args.box},
+                       found.points[:cut], found.witnesses[:cut])
 
     config = RunConfig("search", {
         "kind": args.kind, "forms": args.forms, "mode": args.mode or "",
@@ -348,7 +345,7 @@ def cmd_search(args) -> int:
     write_output(args.out, content)
 
     if args.degeneracy:
-        growth = _growth(args.growth, search, workers, sols) if args.growth else None
+        growth = [(b, bisect_right(heights, b)) for b in bounds] if bounds else None
         rep = degeneracy_report(sols.points, args.degeneracy,
                                 projective=sols.descriptor.get("projective", False),
                                 growth=growth, descriptor=sols.descriptor)
@@ -361,6 +358,7 @@ def cmd_search(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_audit(args) -> int:
+    workers = worker_count(args.workers)
     s = parse_places(args.s)
     form_texts, _ = _read_forms_file(args.forms)
     if not form_texts:
@@ -369,7 +367,6 @@ def cmd_audit(args) -> int:
     forms = [parse_poly(t, nvars) for t in form_texts]
     eps = _rational(args.epsilon)
     points = sample_points(nvars - 1, args.height_bound, args.samples, args.seed)
-    workers = worker_count(args.workers)
     if args.kind == "subspace":
         report = subspace_audit(forms, s, eps, points, workers=workers)
     else:

@@ -102,9 +102,13 @@ def parse_config_file(path: str) -> dict[str, str]:
 
 
 def worker_count(cli_value: int | None) -> int:
+    """--workers, else BETACHOW_WORKERS, else 1; a count below 1, or a
+    variable that is not an int, is refused by name."""
     if cli_value is not None:
-        return max(1, cli_value)
-    env = os.environ.get(WORKERS_ENV)
-    if env:
-        return max(1, int(env))
-    return 1
+        if cli_value < 1:
+            raise ValueError(f"--workers must be >= 1, got {cli_value}")
+        return cli_value
+    env = os.environ.get(WORKERS_ENV) or "1"
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ValueError(f"{WORKERS_ENV} must be an int >= 1, got {env!r}")
+    return int(env)

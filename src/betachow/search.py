@@ -16,6 +16,7 @@ degree cutoff, and nothing more is claimed.
 from __future__ import annotations
 
 import json
+import os
 from fractions import Fraction
 from functools import partial
 from itertools import product
@@ -172,19 +173,13 @@ class Search(Frozen):
     """One validated search, decoded once: the canonical descriptor, its box
     and ring, the per-point check, and rows, a picklable rule building the
     candidate rows of a box from the data the factory parsed and scaled.
-    Runs, shard workers, checkpoints, growth and reverify all take it."""
+    Runs, shard workers, checkpoints and reverify all take it."""
 
     __slots__ = ("descriptor", "box", "s", "check", "rows")
 
     def __init__(self, descriptor: dict, box: SearchBox, s: SRing, check: Check,
                  rows: Callable[[SearchBox], "_Rows"]):
         self._assign(descriptor, box, s, check, rows)
-
-    def with_bound(self, bound: int) -> "Search":
-        """The same search over the box with numerator bound `bound`."""
-        return Search({**self.descriptor, "bound": bound},
-                      SearchBox(self.box.dim, bound, self.box.denom_cap),
-                      self.s, self.check, self.rows)
 
 
 def _scaled(f: MultiPoly) -> MultiPoly:
@@ -685,26 +680,27 @@ def _open_checkpoint(path: str, search: Search, version: str) -> tuple[SolutionS
     """The re-verified solutions and the completed first-coordinate ranges
     of the checkpoint at path.
 
-    A torn final line (no trailing newline, or not JSON) is cut off; an
-    absent or empty file is started with the header line.  A checkpoint
-    whose header differs (another search, or another version), a malformed
-    or failing record, a point stored under another first coordinate, or a
+    A torn final line (no trailing newline, or not JSON) is cut off in
+    place, by truncating the file after its last complete line; an absent
+    or empty file is started with the header line.  A checkpoint whose
+    header differs (another search, or another version), a malformed or
+    failing record, a point stored under another first coordinate, or a
     point stored twice raises, and leaves the file as it was.
     """
     try:
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except FileNotFoundError:
-        text = ""
+        data = b""
     header = _header("checkpoint", search.descriptor, version)
-    lines = [line for line in text.split("\n")[:-1] if line.strip()]
-    if lines:
-        try:
-            json.loads(lines[-1])
-        except ValueError:
-            lines.pop()
-    lines = lines or [header]
-    if json.loads(lines[0]) != json.loads(header):
+    body = data[:data.rfind(b"\n") + 1].rstrip()      # complete lines, trailing blanks cut
+    last = body.rpartition(b"\n")[2]
+    try:
+        json.loads(last)
+    except ValueError:                                 # a torn last line: not JSON
+        body = body[:len(body) - len(last)].rstrip()
+    lines = [line for line in body.split(b"\n") if line.strip()]
+    if lines and json.loads(lines[0]) != json.loads(header):
         raise ValueError(f"checkpoint {path} was written for another search or version")
     ranges = [json.loads(line) for line in lines[1:]]
     if not all(isinstance(r, dict) and {"first", "records"} <= r.keys() for r in ranges):
@@ -718,10 +714,12 @@ def _open_checkpoint(path: str, search: Search, version: str) -> tuple[SolutionS
             where = "twice" if str(point[0]) == first else f"under first coordinate {first}"
             raise ValueError(f"checkpoint {path} stores point {[str(c) for c in point]} {where}")
         seen.add(point)
-    kept = "".join(line + "\n" for line in lines)
-    if kept != text:
-        with open(path, "w") as fh:
-            fh.write(kept)
+    kept = data.index(b"\n", len(body)) + 1 if body else 0
+    if kept < len(data):
+        os.truncate(path, kept)
+    if not kept:
+        with open(path, "a") as fh:
+            fh.write(header + "\n")
     return merged, {r["first"] for r in ranges}
 
 
@@ -831,22 +829,17 @@ def _restrict(f: MultiPoly, fixed_var: int, value: Fraction) -> list[Fraction]:
 
 def linear_factors_2var(f: MultiPoly) -> list[MultiPoly]:
     """Linear factors (with multiplicity) of a 2-variable polynomial over Q,
-    found by exact rational root extraction on 1-variable restrictions."""
+    found by exact rational root extraction on 1-variable restrictions.
+    The candidates are taken once, from f: every linear factor of a
+    quotient divides f, so it is one of them."""
     if f.nvars != 2:
         raise ValueError("linear factor extraction works in 2 variables")
     factors: list[MultiPoly] = []
     rem = f
-    while rem.total_degree() >= 1:
-        hit = None
-        for cand in _linear_factor_candidates(rem):
-            quot = rem.divide_by_linear(cand)
-            if quot is not None:
-                hit = cand
-                rem = quot
-                break
-        if hit is None:
-            break
-        factors.append(hit)
+    for cand in _linear_factor_candidates(f) if f.total_degree() >= 1 else ():
+        while (quot := rem.divide_by_linear(cand)) is not None:
+            factors.append(cand)
+            rem = quot
     return factors
 
 

@@ -667,7 +667,7 @@ def _count(capsys, tmp_path, kind, bound, extra=()):
     ("thm16", SIX_LINES, ()),
 ])
 def test_growth_matches_independent_searches(tmp_path, capsys, kind, forms_text, extra):
-    # 5 lies above --box 4: one extra search at 5, filtered by height
+    # 5 lies above --box 4: the one search runs at 5, its counts cut by height
     growth = _growth_counts(capsys, tmp_path, kind, forms_text, 4, "0,1,3,4,5", extra)
     assert growth == [(b, _count(capsys, tmp_path, kind, b, extra)) for b in (0, 1, 3, 4, 5)]
     assert growth[-1][1] > growth[2][1] > 0
@@ -704,6 +704,161 @@ def test_degeneracy_below_one_is_refused(tmp_path, capsys, degree, growth):
     assert (code, stdout) == (2, "")
     assert "--degeneracy must be >= 1" in err
     assert not out.exists()
+
+
+GROWTH_PREFIX_CASES = [
+    *((f"cor12-cap{cap}-dim{dim}", "cor12", "1\n" if dim == 2 else "1/2*x0+x1+x2+3\n",
+       ("--dim", str(dim), "--s-primes", "2,3", "--denom-cap", str(cap)), 1)
+      for cap in (1, 2) for dim in (2, 3)),
+    *((f"thm11-{mode}", "thm11", "x0\nx1\nx2\nx0+x1+x2\nG: x0+2*x1+3*x2\n",
+       ("--dim", "2", "--mode", mode, "--s-primes", "2"), 3) for mode in ("i", "ii")),
+    ("thm16", "thm16", SIX_LINES, ("--dim", "2", "--s-primes", "2,3"), 3),
+]
+
+
+def _search_calls(monkeypatch) -> dict:
+    """Counts of the searches the CLI builds and runs from now on."""
+    calls = {"search_spec": 0, "runs": 0}
+
+    def counting(name, key):
+        real = getattr(betachow.cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(betachow.cli, name, wrapper)
+
+    counting("search_spec", "search_spec")
+    counting("run_search", "runs")
+    counting("search_with_checkpoint", "runs")
+    return calls
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("kind, forms_text, extra, box",
+                         [case[1:] for case in GROWTH_PREFIX_CASES],
+                         ids=[case[0] for case in GROWTH_PREFIX_CASES])
+def test_growth_run_writes_the_plain_box_output(tmp_path, capsys, monkeypatch, kind,
+                                                forms_text, extra, box, workers):
+    # one search at the top growth bound: its points of height <= --box are
+    # the --box output, plain, checkpointed and resumed alike
+    forms = tmp_path / "forms.txt"
+    forms.write_text(forms_text)
+    argv = ["search", kind, "--forms", str(forms), "--box", str(box), *extra,
+            "--format", "json", "--workers", workers]
+    code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "plain.jsonl"))
+    assert code == 0
+    plain = (tmp_path / "plain.jsonl").read_bytes()
+    n_plain = len(load_solution_set(str(tmp_path / "plain.jsonl")).points)
+    calls = _search_calls(monkeypatch)
+    ck = tmp_path / "ck.jsonl"
+    growth = ["--degeneracy", "1", "--growth", f"0,{box},{box + 1}"]
+    for name in ("plain", "checkpointed", "resumed"):
+        more = () if name == "plain" else ("--checkpoint", str(ck))
+        if name == "resumed":
+            lines = ck.read_text().splitlines(keepends=True)
+            ck.write_text("".join(lines[:len(lines) // 2]))
+        calls.update(search_spec=0, runs=0)
+        out = tmp_path / f"{name}.jsonl"
+        code, stdout, _ = run(capsys, *argv, *growth, *more, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == plain
+        assert calls == {"search_spec": 1, "runs": 1}
+        counts = json.loads(stdout.strip().splitlines()[-1])["growth"]
+        assert counts[:2] == [[0, 0], [box, n_plain]] and counts[2][0] == box + 1
+        assert counts[2][1] > n_plain > 0
+    assert json.loads(ck.read_text().splitlines()[0])["descriptor"]["bound"] == box + 1
+
+
+@pytest.mark.parametrize("args, message", [
+    (("--box", "3", "--growth", "2,x"), "--growth takes a comma list of ints, got '2,x'"),
+    (("--box", "3", "--growth", "2,,4"), "--growth takes a comma list of ints, got '2,,4'"),
+    (("--box", "3", "--growth", "2,-1"), "invalid search box"),
+    (("--box=-1", "--growth", "2,4"), "invalid search box"),
+])
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_bad_growth_or_box_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch,
+                                                           args, message, checkpoint):
+    forms = tmp_path / "g.txt"
+    forms.write_text("1\n")
+    out, ck = tmp_path / "o.jsonl", tmp_path / "ck.jsonl"
+    calls = _search_calls(monkeypatch)
+    more = ("--checkpoint", str(ck)) if checkpoint else ()
+    code, stdout, err = run(capsys, "search", "cor12", "--forms", str(forms), *args,
+                            "--dim", "2", "--degeneracy", "1", *more, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert message in err
+    assert calls == {"search_spec": 0, "runs": 0}
+    assert not out.exists() and not ck.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("search", "cor12", "--forms", "{forms}", "--box", "2", "--dim", "2"),
+    ("audit", "subspace", "--forms", "{forms}", "--samples", "3"),
+])
+@pytest.mark.parametrize("workers, env, message", [
+    ("0", None, "--workers must be >= 1, got 0"),
+    ("-4", None, "--workers must be >= 1, got -4"),
+    (None, "abc", "BETACHOW_WORKERS must be an int >= 1, got 'abc'"),
+    (None, "0", "BETACHOW_WORKERS must be an int >= 1, got '0'"),
+    (None, "-2", "BETACHOW_WORKERS must be an int >= 1, got '-2'"),
+    (None, "1.5", "BETACHOW_WORKERS must be an int >= 1, got '1.5'"),
+])
+def test_bad_worker_count_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch,
+                                                          command, workers, env, message):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("x0\nx1\nx2\nx0+x1+x2\n" if command[0] == "audit" else "1\n")
+    if env is None:
+        monkeypatch.delenv("BETACHOW_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("BETACHOW_WORKERS", env)
+    ran = []
+    for name in ("search_spec", "sample_points", "subspace_audit"):
+        monkeypatch.setattr(betachow.cli, name, lambda *a, **k: ran.append(a))
+    out = tmp_path / "out.txt"
+    argv = [a.format(forms=forms) for a in command]
+    more = ("--workers", workers) if workers is not None else ()
+    code, stdout, err = run(capsys, *argv, *more, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert message in err
+    assert ran == [] and not out.exists()
+
+
+def test_non_integer_workers_flag_is_refused(tmp_path, capsys):
+    forms = tmp_path / "g.txt"
+    forms.write_text("1\n")
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, "search", "cor12", "--forms", str(forms), "--box", "2",
+                            "--workers", "two", "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "--workers" in err and not out.exists()
+
+
+def test_checkpoint_is_never_opened_for_writing_from_scratch(tmp_path, capsys, monkeypatch):
+    # a torn tail is truncated in place: a crash can never find the
+    # checkpoint emptied by a rewrite
+    import builtins
+    import betachow.search
+    modes = []
+
+    def recording_open(file, mode="r", *args, **kwargs):
+        modes.append(mode)
+        return builtins.open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(betachow.search, "open", recording_open, raising=False)
+    ck = tmp_path / "ck.jsonl"
+    code, ref, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "ref.jsonl")
+    assert code == 0
+    full = ck.read_bytes()
+    lines = full.splitlines(keepends=True)
+    for torn in (lines[:8] + [lines[8].rstrip(b"\n")], lines[:8] + [lines[8][:10] + b"\n"],
+                 [lines[0][:10]], [b"\n", b"  \n"]):
+        ck.write_bytes(b"".join(torn))
+        code, out, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "out.jsonl")
+        assert code == 0
+        assert out.read_bytes() == ref.read_bytes()
+        assert ck.read_bytes() == full
+    assert modes and all("w" not in m for m in modes)
 
 
 def test_cli_imports_no_private_search_name():
@@ -862,15 +1017,14 @@ def test_growth_search_checks_its_hypotheses_once_per_run(tmp_path, capsys, monk
     work = _rows_work(monkeypatch)
     growth = _growth_counts(capsys, tmp_path, "thm16", SIX_LINES, 4, "3,5")
     assert calls == [6] and work["parse"] == 6
-    assert growth[1][1] > growth[0][1]          # the extra search at 5 ran
-    # the search at the extra bound reuses the texts parsed for the first one
+    assert growth[1][1] > growth[0][1]          # the one search ran at 5
     calls.clear()
     work.update(values=0, parse=0)
     _growth_counts(capsys, tmp_path, "thm11", "x0\nx1\nx2\nG: 1\n", 4, "3,5")
     assert calls == [3] and work == {"values": 0, "parse": 4}
     work.update(values=0, parse=0)
     growth = _growth_counts(capsys, tmp_path, "cor12", "3-x0+x1\n", 4, "3,5")
-    assert work == {"values": 2, "parse": 1}    # one coordinate list per box
+    assert work == {"values": 1, "parse": 1}    # one coordinate list, at the top bound
     assert growth[1][1] > growth[0][1]
 
 

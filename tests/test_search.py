@@ -456,6 +456,23 @@ def test_linear_factors():
     assert len(sq) == 2 and sq[0].divide_by_linear(sq[1]) is not None
 
 
+def test_linear_factor_candidates_are_taken_once_per_form(monkeypatch):
+    calls = []
+    real = betachow.search._linear_factor_candidates
+    monkeypatch.setattr(betachow.search, "_linear_factor_candidates",
+                        lambda f: calls.append(str(f)) or real(f))
+    f = prod((parse_poly(t, 2) for t in ("x0 - 1", "x0 - 1", "x0 + x1", "2*x0 - x1 + 3",
+                                         "x0^2 + x1^2 + 1")), start=MultiPoly.constant(1, 2))
+    got = sorted(str(_primitive_form(lf.terms, 2)) for lf in linear_factors_2var(f))
+    assert got == ["2*x0 - x1 + 3", "x0 + x1", "x0 - 1", "x0 - 1"]
+    assert calls == [str(f)]
+    # the degeneracy report splits each kernel form once: four points on
+    # two lines leave two conics, each factored from one candidate list
+    calls.clear()
+    rep = degeneracy_report([(0, 0), (1, 0), (0, 1), (0, 2)], 2)
+    assert len(calls) == rep.kernel_dims[2] == 2
+
+
 def test_degeneracy_report_examples():
     pts = [(1, 1), (1, -1), (-1, 1)]
     rep = degeneracy_report(pts, 2)
@@ -783,22 +800,6 @@ def test_sharded_search_equals_serial(search, workers):
     assert sharded.descriptor == serial.descriptor
     assert sharded.points == serial.points
     assert sharded.witnesses == serial.witnesses
-
-
-@pytest.mark.parametrize("search", [
-    _cor12_spec(parse_poly("1/2*x0 - x1 + 3", 2), SearchBox(2, 2, 1), SRing((2, 3))),
-    _thm11_spec([parse_poly(t, 3) for t in ("1/2*x0 + x1", "x1", "x2", "x0 + x1 + x2")],
-                parse_poly("x0 + 3*x1 + 5*x2", 3), "ii", SearchBox(2, 3), SRing((2,)), False),
-    _thm16_spec(SIX, SearchBox(2, 2), SRing((2, 3))),
-])
-def test_with_bound_is_the_search_decoded_at_that_bound(search):
-    grown = search.with_bound(6)
-    decoded = search_spec({**search.descriptor, "bound": 6})
-    assert (grown.descriptor, grown.box, grown.s) == (decoded.descriptor, decoded.box, decoded.s)
-    sols = run_search(grown)
-    assert sols.descriptor == decoded.descriptor
-    assert sols.records() == run_search(decoded).records()
-    assert sols.count > run_search(search).count
 
 
 # ---------------------------------------------------------------------------
