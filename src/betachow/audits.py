@@ -4,9 +4,12 @@ Both audits evaluate exact per-sample verdicts; claims that only hold "up
 to a bounded function" are reported as boundedness data (the defect of the
 max-term decomposition), never asserted as exact inequalities.
 
-Sampling is seeded and deterministic, and sample batches can be sharded
-across workers: rows are merged back in sample-index order so the output
-does not depend on the worker count.
+Sampling is seeded and deterministic.  An audit is a pipeline over
+blocks of BLOCK samples: each block's points are drawn, its rows computed
+(sharded over workers, one block per task) and handed on in sample-index
+order before the next block is drawn, so the output does not depend on
+the worker count and a caller that writes each block as it comes holds
+a bounded number of rows whatever the sample count.
 
 The forms are checked once per audit, before any row.  Each row evaluates
 every form once in integers and builds at most its stored lhs and defect
@@ -36,7 +39,7 @@ from fractions import Fraction
 from functools import partial
 from itertools import combinations
 from math import lcm, prod
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from ._records import Record
 from .linalg import det
@@ -56,22 +59,34 @@ from .primes import factor
 from .sharding import sharded
 
 
+# samples per block of the audit pipeline
+BLOCK = 256
+
+
 def sample_points(dim: int, height_bound: int, count: int, seed: int) -> list[ProjPoint]:
     """Deterministic sample of normalized points with height <= bound."""
+    return list(iter_sample_points(dim, height_bound, count, seed))
+
+
+def iter_sample_points(dim: int, height_bound: int, count: int,
+                       seed: int) -> Iterator[ProjPoint]:
+    """sample_points, drawn lazily; the arguments are checked on the call."""
     if dim < 0:
         raise ValueError("sample dimension must be >= 0")
     if height_bound < 1:
         raise ValueError("height bound must be >= 1")
     if count < 0:
         raise ValueError("sample count must be >= 0")
-    rng = random.Random(seed)
-    out: list[ProjPoint] = []
-    while len(out) < count:
+    return _draw(dim, height_bound, count, random.Random(seed))
+
+
+def _draw(dim: int, height_bound: int, count: int, rng: random.Random) -> Iterator[ProjPoint]:
+    while count:
         coords = [rng.randint(-height_bound, height_bound) for _ in range(dim + 1)]
         if all(c == 0 for c in coords):
             continue
-        out.append(ProjPoint.normalize(coords))
-    return out
+        count -= 1
+        yield ProjPoint.normalize(coords)
 
 
 class AuditRow(Record):
@@ -112,24 +127,29 @@ class AuditReport(Record):
     def violators(self) -> list[AuditRow]:
         return [r for r in self.rows if r.verdict is False]
 
-    @property
-    def on_support_rows(self) -> list[AuditRow]:
-        return [r for r in self.rows if r.on_support]
-
     def max_defect(self) -> Fraction | None:
         defects = [r.defect for r in self.rows if r.defect is not None]
         return max(defects) if defects else None
 
 
 def subspace_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
-                   points: Sequence[ProjPoint], workers: int = 1) -> AuditReport:
-    """Audit sum_{v in S} max_I sum_{i in I} lambda_i <= (n+1+eps) h(P).
+                   points: Iterable[ProjPoint], workers: int = 1) -> AuditReport:
+    """The rows of subspace_rows as one report."""
+    rows = [row for block in subspace_rows(forms, s, eps, points, workers) for row in block]
+    return AuditReport("subspace", _descriptor(forms, s, eps), rows)
+
+
+def subspace_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
+                  points: Iterable[ProjPoint], workers: int = 1) -> Iterator[list[AuditRow]]:
+    """Audit sum_{v in S} max_I sum_{i in I} lambda_i <= (n+1+eps) h(P),
+    one block of rows at a time (module docstring).
 
     The max runs over linearly independent index subsets.  Each row also
     records the defect of the full sum against the best size-n term at
     every contributing place; per the decomposition lemma this defect
     should stay bounded as the height grows, which the caller checks
-    empirically across height brackets.
+    empirically across height brackets.  The forms are checked and the
+    minors factored on the call; each block is computed only when taken.
     """
     if not hyperplanes_general_position(forms):
         raise ValueError("non-general-position input")
@@ -139,9 +159,7 @@ def subspace_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
     s_primes = finite_primes(s)
     n = forms[0].nvars - 1
     params = ((*s_primes, *_minor_primes(forms, n, s_primes)), len(s_primes), eps, n)
-    rows = _run_sharded(_subspace_row, forms, params, list(points), workers)
-    return AuditReport("subspace", {"epsilon": str(eps), "forms": [str(f) for f in forms],
-                                    "s": sorted(str(v) for v in s)}, rows)
+    return _blocks(_subspace_row, forms, params, points, workers)
 
 
 def _minor_primes(forms: Sequence[MultiPoly], n: int, s_primes: Sequence[int]) -> list[int]:
@@ -193,12 +211,23 @@ def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
 
 
 def levin_duke_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
-                     points: Sequence[ProjPoint], workers: int = 1,
+                     points: Iterable[ProjPoint], workers: int = 1,
                      assert_general_position: bool = False) -> AuditReport:
-    """Audit sum_i (1/d_i) m_{D_i,S}(P) > (q-n-1-eps) h(P) per sample.
+    """The rows of levin_duke_rows as one report."""
+    rows = [row for block in levin_duke_rows(forms, s, eps, points, workers,
+                                             assert_general_position) for row in block]
+    return AuditReport("levin-duke", _descriptor(forms, s, eps), rows)
+
+
+def levin_duke_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
+                    points: Iterable[ProjPoint], workers: int = 1,
+                    assert_general_position: bool = False) -> Iterator[list[AuditRow]]:
+    """Audit sum_i (1/d_i) m_{D_i,S}(P) > (q-n-1-eps) h(P) per sample, one
+    block of rows at a time (module docstring).
 
     General position is verified exactly in the hyperplane case; for
-    higher-degree divisors the caller must assert it.
+    higher-degree divisors the caller must assert it.  The forms are
+    checked on the call; each block is computed only when taken.
     """
     eps = Fraction(eps)
     degrees = [f.total_degree() for f in forms]
@@ -214,9 +243,7 @@ def levin_duke_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
         check_weil_form(f)
     n = forms[0].nvars - 1
     params = (degrees, lcm(*degrees), finite_primes(s), eps, n)
-    rows = _run_sharded(_levin_duke_row, forms, params, list(points), workers)
-    return AuditReport("levin-duke", {"epsilon": str(eps), "forms": [str(f) for f in forms],
-                                      "s": sorted(str(v) for v in s)}, rows)
+    return _blocks(_levin_duke_row, forms, params, points, workers)
 
 
 def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
@@ -239,15 +266,20 @@ def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
 
 
 # ---------------------------------------------------------------------------
-# sharding
+# the block pipeline
 # ---------------------------------------------------------------------------
 
-def _run_sharded(row_fn, forms: Sequence[MultiPoly], params, points: list[ProjPoint],
-                 workers: int) -> list[AuditRow]:
+def _descriptor(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction) -> dict:
+    return {"epsilon": str(Fraction(eps)), "forms": [str(f) for f in forms],
+            "s": sorted(str(v) for v in s)}
+
+
+def _blocks(row_fn, forms: Sequence[MultiPoly], params, points: Iterable[ProjPoint],
+            workers: int) -> Iterator[list[AuditRow]]:
+    """The rows of each block of BLOCK indexed points, in sample order."""
     evaluators = [_int_evaluator(f) for f in forms]
-    parts = sharded(partial(_rows, row_fn, evaluators, params),
-                    list(enumerate(points)), workers)
-    return [row for part in parts for row in part]
+    return sharded(partial(_rows, row_fn, evaluators, params), enumerate(points),
+                   workers, BLOCK)
 
 
 def _rows(row_fn, evaluators, params, indexed: list[tuple[int, ProjPoint]]) -> list[AuditRow]:

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from . import __version__
-from .audits import levin_duke_audit, sample_points, subspace_audit
+from .audits import iter_sample_points, levin_duke_rows, subspace_rows
 from .beta import (
     beta_exact_cyclic,
     beta_numeric_cyclic,
@@ -57,12 +57,16 @@ from .reporting import (
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
     RunConfig,
+    csv_head,
+    csv_lines,
     fmt,
+    jsonl_lines,
     parse_config_file,
     render_csv,
     render_jsonl,
     worker_count,
     write_output,
+    write_stream,
 )
 from .search import (
     SolutionSet,
@@ -237,8 +241,16 @@ def _rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from None
 
 
+def _places(text: str):
+    """parse_places of --s, a bad place named with the flag."""
+    try:
+        return parse_places(text)
+    except ValueError as exc:
+        raise ValueError(f"--s: {exc}") from None
+
+
 def cmd_heights(args) -> int:
-    s = parse_places(args.s)
+    s = _places(args.s)
     point = ProjPoint.normalize([_rational(c) for c in args.point.split(",")])
     form = parse_poly(args.form, len(point.coords))
     gens = [(form, form.total_degree())]
@@ -310,9 +322,13 @@ def cmd_search(args) -> int:
         raise ValueError(f"--growth takes a comma list of ints, got {args.growth!r}") from None
     if min([args.box, *bounds]) < 0:
         raise ValueError("invalid search box")
-    workers = worker_count(args.workers)
-    s_primes = ([int(p) for p in args.s_primes.split(",") if p.strip()]
-                if args.s_primes not in (None, "", "none") else [])
+    s_primes = []
+    if args.s_primes not in (None, "", "none"):
+        for token in filter(None, (t.strip() for t in args.s_primes.split(","))):
+            try:
+                s_primes.append(int(token))
+            except ValueError:
+                raise ValueError(f"--s-primes: {token!r} is not an int") from None
     form_texts, g_text = _read_forms_file(args.forms)
     # boxes nest and no check depends on the bound: one search at the top
     # bound holds each box's solutions as a prefix (they sort by height)
@@ -321,9 +337,9 @@ def cmd_search(args) -> int:
         "denom_cap": args.denom_cap, "s_primes": s_primes, "forms": form_texts,
         "g": g_text, "mode": args.mode, "assert_general_position": args.assert_general_position})
     if args.checkpoint:
-        found = search_with_checkpoint(args.checkpoint, search, __version__, workers)
+        found = search_with_checkpoint(args.checkpoint, search, __version__, args.workers)
     else:
-        found = run_search(search, workers)
+        found = run_search(search, args.workers)
     heights = [max(abs(c.numerator) for c in pt) for pt in found.points]
     cut = bisect_right(heights, args.box)
     sols = SolutionSet({**search.descriptor, "bound": args.box},
@@ -357,54 +373,71 @@ def cmd_search(args) -> int:
 # audit
 # ---------------------------------------------------------------------------
 
+AUDIT_FIELDS = ["index", "point", "on_support", "lhs", "lhs_log", "verdict",
+                "defect", "summary", "violators", "max_defect"]
+
+
 def cmd_audit(args) -> int:
-    workers = worker_count(args.workers)
-    s = parse_places(args.s)
+    s = _places(args.s)
     form_texts, _ = _read_forms_file(args.forms)
     if not form_texts:
         raise ValueError("audit needs at least one form")
     nvars = max(parse_poly(t).nvars for t in form_texts)
     forms = [parse_poly(t, nvars) for t in form_texts]
     eps = _rational(args.epsilon)
-    points = sample_points(nvars - 1, args.height_bound, args.samples, args.seed)
-    if args.kind == "subspace":
-        report = subspace_audit(forms, s, eps, points, workers=workers)
-    else:
-        report = levin_duke_audit(forms, s, eps, points, workers=workers)
-    records = []
-    for row in report.rows:
-        rec = {"index": row.index, "point": str(row.point),
-               "on_support": row.on_support}
-        if not row.on_support:
-            rec |= {"lhs": str(row.lhs), "lhs_log": row.lhs_log(),
-                    "rhs": row.rhs, "verdict": row.verdict,
-                    "per_place": row.per_place}
-            if row.defect is not None:
-                rec |= {"defect": str(row.defect),
-                        "defect_by_place": row.defect_by_place}
-        records.append(rec)
-    max_defect = report.max_defect()
-    records.append({
-        "summary": True, "samples": len(report.rows),
-        "violators": len(report.violators),
-        "on_support": len(report.on_support_rows),
-        "max_defect": None if max_defect is None else str(max_defect),
-    })
+    # every check runs here, before the first byte: the sampler and the
+    # audit check their arguments on the call and draw nothing until written
+    points = iter_sample_points(nvars - 1, args.height_bound, args.samples, args.seed)
+    audit_rows = subspace_rows if args.kind == "subspace" else levin_duke_rows
+    blocks = audit_rows(forms, s, eps, points, args.workers)
     config = RunConfig("audit", {
         "kind": args.kind, "forms": args.forms, "s": args.s,
         "epsilon": args.epsilon, "samples": str(args.samples),
         "seed": str(args.seed), "height_bound": str(args.height_bound),
         "format": args.format,
     })
-    if args.format == "csv":
-        fields = ["index", "point", "on_support", "lhs", "lhs_log", "verdict",
-                  "defect", "summary", "violators", "max_defect"]
-        rows = [{k: _audit_cell(k, rec.get(k, "")) for k in fields} for rec in records]
-        content = render_csv(rows, fields, config, __version__)
-    else:
-        content = render_jsonl(records, config, __version__)
-    write_output(args.out, content)
+    write_stream(args.out, _audit_report(blocks, config, args.format == "csv"))
     return EXIT_OK
+
+
+def _audit_report(blocks, config: RunConfig, csv: bool):
+    """The report's text: its header, then the lines of each block of rows
+    as the block is taken, then the summary line accumulated on the way."""
+    yield (csv_head(AUDIT_FIELDS, config, __version__) if csv
+           else config.header_json(__version__) + "\n")
+    samples = violators = on_support = 0
+    max_defect = None
+    for block in blocks:
+        records = []
+        for row in block:
+            rec = {"index": row.index, "point": str(row.point), "on_support": row.on_support}
+            if row.on_support:
+                on_support += 1
+            else:
+                rec |= {"lhs": str(row.lhs), "lhs_log": row.lhs_log(),
+                        "rhs": row.rhs, "verdict": row.verdict,
+                        "per_place": row.per_place}
+                violators += row.verdict is False
+                if row.defect is not None:
+                    rec |= {"defect": str(row.defect),
+                            "defect_by_place": row.defect_by_place}
+                    if max_defect is None or row.defect > max_defect:
+                        max_defect = row.defect
+            records.append(rec)
+        samples += len(block)
+        yield _audit_lines(records, csv)
+    yield _audit_lines([{
+        "summary": True, "samples": samples, "violators": violators,
+        "on_support": on_support,
+        "max_defect": None if max_defect is None else str(max_defect),
+    }], csv)
+
+
+def _audit_lines(records: list[dict], csv: bool) -> str:
+    if not csv:
+        return jsonl_lines(records)
+    return csv_lines([{k: _audit_cell(k, rec.get(k, "")) for k in AUDIT_FIELDS}
+                      for rec in records], AUDIT_FIELDS)
 
 
 def _audit_cell(key: str, value):
@@ -556,6 +589,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        args.workers = worker_count(args.workers)
         return args.func(args)
     except FactorizationBoundError as exc:
         print(f"error: resource bound: {exc}", file=sys.stderr)

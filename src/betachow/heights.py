@@ -72,7 +72,10 @@ def parse_places(text: str) -> PlaceSet:
         token = token.strip()
         if token in ("", "inf", "oo", "none"):
             continue
-        primes.append(int(token))
+        try:
+            primes.append(int(token))
+        except ValueError:
+            raise ValueError(f"{token!r} is neither 'inf' nor an int") from None
     return make_place_set(primes)
 
 

@@ -3,15 +3,26 @@
 Every output file begins with a header embedding the artifact version and
 the full run configuration, and contains nothing time- or path-dependent:
 re-running a command with the parameters echoed in a header reproduces the
-file byte for byte.  Files are rendered fully in memory and written in one
-shot, so a failing command never leaves a partial file behind.
+file byte for byte.
+
+Every report goes through one writer, write_stream, as a sequence of text
+chunks.  To stdout the chunks are printed as they come.  An --out file is
+written as a temp sibling in the same directory, which replaces the file
+(os.replace) only after the last chunk: a command that fails or is killed
+midway leaves the previous file, or no file, and no temp sibling unless it
+was killed.  The audits hand over one block of rows per chunk, so their
+memory does not grow with the sample count; the other commands render
+their report in memory and hand it over as one chunk (write_output).
+There is no fsync: the rename survives a crash of the program, not a loss
+of power.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import sys
+from typing import Iterable
 
 from ._records import Record
 
@@ -60,30 +71,62 @@ def fmt(value) -> str:
     return str(value)
 
 
+def csv_head(fieldnames: list[str], config: RunConfig, version: str) -> str:
+    """The header comment lines and the field-name line of a CSV report."""
+    lines = [*config.header_comment_lines(version), ",".join(fieldnames)]
+    return "".join(line + "\n" for line in lines)
+
+
+def csv_lines(rows: list[dict], fieldnames: list[str]) -> str:
+    return "".join(",".join(fmt(row.get(k, "")) for k in fieldnames) + "\n" for row in rows)
+
+
+def jsonl_lines(records: list[dict]) -> str:
+    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
 def render_csv(rows: list[dict], fieldnames: list[str], config: RunConfig,
                version: str) -> str:
-    out = io.StringIO()
-    for line in config.header_comment_lines(version):
-        out.write(line + "\n")
-    out.write(",".join(fieldnames) + "\n")
-    for row in rows:
-        out.write(",".join(fmt(row.get(k, "")) for k in fieldnames) + "\n")
-    return out.getvalue()
+    return csv_head(fieldnames, config, version) + csv_lines(rows, fieldnames)
 
 
 def render_jsonl(records: list[dict], config: RunConfig, version: str) -> str:
-    lines = [config.header_json(version)]
-    lines += [json.dumps(rec, sort_keys=True) for rec in records]
-    return "\n".join(lines) + "\n"
+    return config.header_json(version) + "\n" + jsonl_lines(records)
 
 
 def write_output(path: str | None, content: str):
-    """Print to stdout or write the fully rendered content in one shot."""
+    """write_stream of one fully rendered report."""
+    write_stream(path, (content,))
+
+
+def write_stream(path: str | None, chunks: Iterable[str]):
+    """Print the chunks to stdout in order, or write them to path through a
+    temp sibling that replaces path after the last chunk (module
+    docstring); a symlink is followed, and a path that is neither a file
+    nor absent (a device, a pipe) is written in place.  Whatever the chunks
+    raise propagates, after the temp sibling is removed."""
     if path is None:
-        print(content, end="")
-    else:
-        with open(path, "w") as fh:
-            fh.write(content)
+        sys.stdout.writelines(chunks)
+        return
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        # a device or a pipe (/dev/null, a fifo) cannot be replaced
+        with open(target, "w") as fh:
+            fh.writelines(chunks)
+        return
+    head, name = os.path.split(target)
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        fh = open(tmp, "w")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def parse_config_file(path: str) -> dict[str, str]:

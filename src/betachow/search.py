@@ -756,7 +756,8 @@ def search_with_checkpoint(path: str, search: Search, version: str,
     with open(path, "a") as ck:
         for a, b in zip(cuts, cuts[1:]):
             batch = pending[a:b]
-            chunks = sharded(partial(_search_ranges, search, rows), batch, workers)
+            # taken whole, so the batch's pool is gone before its lines are appended
+            chunks = list(sharded(partial(_search_ranges, search, rows), batch, workers))
             for v, part in zip(batch, (part for chunk in chunks for part in chunk)):
                 part.sort()
                 ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")

@@ -775,6 +775,7 @@ def test_growth_run_writes_the_plain_box_output(tmp_path, capsys, monkeypatch, k
     (("--box", "3", "--growth", "2,,4"), "--growth takes a comma list of ints, got '2,,4'"),
     (("--box", "3", "--growth", "2,-1"), "invalid search box"),
     (("--box=-1", "--growth", "2,4"), "invalid search box"),
+    (("--box", "3", "--s-primes", "2,x"), "--s-primes: 'x' is not an int"),
 ])
 @pytest.mark.parametrize("checkpoint", [False, True])
 def test_bad_growth_or_box_is_refused_before_anything_runs(tmp_path, capsys, monkeypatch,
@@ -795,6 +796,10 @@ def test_bad_growth_or_box_is_refused_before_anything_runs(tmp_path, capsys, mon
 @pytest.mark.parametrize("command", [
     ("search", "cor12", "--forms", "{forms}", "--box", "2", "--dim", "2"),
     ("audit", "subspace", "--forms", "{forms}", "--samples", "3"),
+    ("verify", "--chow-n-hi", "2", "--beta-n-hi", "2", "--q-mult", "3"),
+    ("chow", "--config", "cyclic", "--n", "2", "--q", "6", "--power", "D,n"),
+    ("beta", "--cyclic", "2", "6"),
+    ("heights", "--form", "x0", "--point", "2,3"),
 ])
 @pytest.mark.parametrize("workers, env, message", [
     ("0", None, "--workers must be >= 1, got 0"),
@@ -813,7 +818,8 @@ def test_bad_worker_count_is_refused_before_anything_runs(tmp_path, capsys, monk
     else:
         monkeypatch.setenv("BETACHOW_WORKERS", env)
     ran = []
-    for name in ("search_spec", "sample_points", "subspace_audit"):
+    for name in ("search_spec", "iter_sample_points", "subspace_rows", "verify_rows",
+                 "config_classes", "beta_exact_cyclic", "proximity_counting"):
         monkeypatch.setattr(betachow.cli, name, lambda *a, **k: ran.append(a))
     out = tmp_path / "out.txt"
     argv = [a.format(forms=forms) for a in command]
@@ -929,6 +935,24 @@ def test_audit_rejects_bad_forms(tmp_path, capsys, kind, lines, message, workers
                        "--out", str(out))
     assert code == 2
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["audit", "subspace", "--forms", "{forms}", "--samples", "3", "--s", "inf,x"],
+     "--s: 'x' is neither 'inf' nor an int"),
+    (["audit", "levinduke", "--forms", "{forms}", "--samples", "3", "--s", "inf,4"],
+     "--s: 4 is not prime"),
+    (["heights", "--form", "x0", "--point", "2,3", "--s", "2,x"],
+     "--s: 'x' is neither 'inf' nor an int"),
+])
+def test_bad_place_is_refused_by_its_flag(tmp_path, capsys, argv, message):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("x0\nx1\nx2\n")
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, *[a.format(forms=forms) for a in argv], "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert message in err and "invalid literal" not in err
     assert not out.exists()
 
 
