@@ -63,14 +63,10 @@ from .sharding import sharded
 BLOCK = 256
 
 
-def sample_points(dim: int, height_bound: int, count: int, seed: int) -> list[ProjPoint]:
-    """Deterministic sample of normalized points with height <= bound."""
-    return list(iter_sample_points(dim, height_bound, count, seed))
-
-
 def iter_sample_points(dim: int, height_bound: int, count: int,
                        seed: int) -> Iterator[ProjPoint]:
-    """sample_points, drawn lazily; the arguments are checked on the call."""
+    """A deterministic, lazily drawn sample of count normalized points with
+    height <= height_bound; the arguments are checked on the call."""
     if dim < 0:
         raise ValueError("sample dimension must be >= 0")
     if height_bound < 1:
@@ -113,30 +109,6 @@ class AuditRow(Record):
 
     def lhs_log(self) -> float | None:
         return None if self.lhs is None else _log(self.lhs)
-
-
-class AuditReport(Record):
-    __slots__ = ("kind", "descriptor", "rows")
-
-    def __init__(self, kind: str, descriptor: dict, rows: list[AuditRow]):
-        self.kind = kind
-        self.descriptor = descriptor
-        self.rows = rows
-
-    @property
-    def violators(self) -> list[AuditRow]:
-        return [r for r in self.rows if r.verdict is False]
-
-    def max_defect(self) -> Fraction | None:
-        defects = [r.defect for r in self.rows if r.defect is not None]
-        return max(defects) if defects else None
-
-
-def subspace_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
-                   points: Iterable[ProjPoint], workers: int = 1) -> AuditReport:
-    """The rows of subspace_rows as one report."""
-    rows = [row for block in subspace_rows(forms, s, eps, points, workers) for row in block]
-    return AuditReport("subspace", _descriptor(forms, s, eps), rows)
 
 
 def subspace_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
@@ -210,15 +182,6 @@ def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
                     {v: d for v, d in texts.items() if d != "1"})
 
 
-def levin_duke_audit(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
-                     points: Iterable[ProjPoint], workers: int = 1,
-                     assert_general_position: bool = False) -> AuditReport:
-    """The rows of levin_duke_rows as one report."""
-    rows = [row for block in levin_duke_rows(forms, s, eps, points, workers,
-                                             assert_general_position) for row in block]
-    return AuditReport("levin-duke", _descriptor(forms, s, eps), rows)
-
-
 def levin_duke_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
                     points: Iterable[ProjPoint], workers: int = 1,
                     assert_general_position: bool = False) -> Iterator[list[AuditRow]]:
@@ -268,11 +231,6 @@ def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
 # ---------------------------------------------------------------------------
 # the block pipeline
 # ---------------------------------------------------------------------------
-
-def _descriptor(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction) -> dict:
-    return {"epsilon": str(Fraction(eps)), "forms": [str(f) for f in forms],
-            "s": sorted(str(v) for v in s)}
-
 
 def _blocks(row_fn, forms: Sequence[MultiPoly], params, points: Iterable[ProjPoint],
             workers: int) -> Iterator[list[AuditRow]]:

@@ -62,10 +62,7 @@ from .reporting import (
     fmt,
     jsonl_lines,
     parse_config_file,
-    render_csv,
-    render_jsonl,
     worker_count,
-    write_output,
     write_stream,
 )
 from .search import (
@@ -162,7 +159,11 @@ def cmd_chow(args) -> int:
         factors = []
         for token in args.power:
             name, _, exp_text = token.partition(",")
-            exp = cfg.n if exp_text == "n" else int(exp_text)
+            try:
+                exp = cfg.n if exp_text == "n" else int(exp_text)
+            except ValueError:
+                raise ValueError(f"--power: {token!r} is not NAME,EXP with EXP an int "
+                                 "or n") from None
             if name not in classes:
                 raise ValueError(f"unknown class {name!r}")
             if exp < 0:
@@ -355,10 +356,11 @@ def cmd_search(args) -> int:
         rows = [{"point": ":".join(str(c) for c in pt),
                  "witnesses": json.dumps(wit, sort_keys=True)}
                 for pt, wit in zip(sols.points, sols.witnesses)]
-        content = render_csv(rows, ["point", "witnesses"], config, __version__)
+        fields = ["point", "witnesses"]
+        chunks = (csv_head(fields, config, __version__), csv_lines(rows, fields))
     else:
-        content = solution_set_text(sols, __version__)
-    write_output(args.out, content)
+        chunks = (solution_set_text(sols, __version__),)
+    write_stream(args.out, chunks)
 
     if args.degeneracy:
         growth = [(b, bisect_right(heights, b)) for b in bounds] if bounds else None
@@ -457,10 +459,10 @@ def _audit_cell(key: str, value):
 def _emit(rows: list[dict], fields: list[str], config: RunConfig, args):
     if args.format == "json":
         records = [{k: fmt(row.get(k, "")) for k in fields} for row in rows]
-        content = render_jsonl(records, config, __version__)
+        chunks = (config.header_json(__version__) + "\n", jsonl_lines(records))
     else:
-        content = render_csv(rows, fields, config, __version__)
-    write_output(args.out, content)
+        chunks = (csv_head(fields, config, __version__), csv_lines(rows, fields))
+    write_stream(args.out, chunks)
 
 
 def _add_common(p: argparse.ArgumentParser):

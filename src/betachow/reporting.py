@@ -10,9 +10,9 @@ chunks.  To stdout the chunks are printed as they come.  An --out file is
 written as a temp sibling in the same directory, which replaces the file
 (os.replace) only after the last chunk: a command that fails or is killed
 midway leaves the previous file, or no file, and no temp sibling unless it
-was killed.  The audits hand over one block of rows per chunk, so their
-memory does not grow with the sample count; the other commands render
-their report in memory and hand it over as one chunk (write_output).
+was killed.  A report's chunks are its head, then its lines; the audits
+hand over one block of rows per chunk, so their memory does not grow with
+the sample count.
 There is no fsync: the rename survives a crash of the program, not a loss
 of power.
 """
@@ -83,20 +83,6 @@ def csv_lines(rows: list[dict], fieldnames: list[str]) -> str:
 
 def jsonl_lines(records: list[dict]) -> str:
     return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
-
-
-def render_csv(rows: list[dict], fieldnames: list[str], config: RunConfig,
-               version: str) -> str:
-    return csv_head(fieldnames, config, version) + csv_lines(rows, fieldnames)
-
-
-def render_jsonl(records: list[dict], config: RunConfig, version: str) -> str:
-    return config.header_json(version) + "\n" + jsonl_lines(records)
-
-
-def write_output(path: str | None, content: str):
-    """write_stream of one fully rendered report."""
-    write_stream(path, (content,))
 
 
 def write_stream(path: str | None, chunks: Iterable[str]):

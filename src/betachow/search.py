@@ -19,7 +19,7 @@ import json
 import os
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import chain, product
 from math import gcd, lcm, prod
 from operator import getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
@@ -407,12 +407,15 @@ class _Rows(Frozen):
     """A search's candidate rows, built once per run and handed to every
     part: the first coordinate runs over firsts (0..B when projective), the
     others but the last over values, and the last one over lasts(prefix),
-    a picklable rule for the values that can pass the check."""
+    a rule for the values that can pass the check.  With one coordinate the
+    prefix is always empty, so that row is computed here, once, as a set."""
 
     __slots__ = ("ncoords", "firsts", "values", "lasts", "projective")
 
     def __init__(self, ncoords: int, firsts: Sequence, values: Sequence,
                  lasts: Callable[[tuple], Iterable], projective: bool):
+        if ncoords == 1:
+            lasts = partial(_whole_row, frozenset(lasts(())))
         self._assign(ncoords, firsts, values, lasts, projective)
 
 
@@ -514,8 +517,8 @@ def _walk(rows: _Rows, firsts: Iterable) -> Iterator[tuple]:
     """The candidate points whose first coordinate is in firsts; projective
     points only when coprime with first nonzero coordinate positive."""
     if rows.ncoords == 1:
-        keep = set(firsts)
-        yield from ((t,) for t in rows.lasts(()) if t in keep)
+        row = rows.lasts(())
+        yield from ((t,) for t in firsts if t in row)
         return
     for prefix in product(firsts, *[rows.values] * (rows.ncoords - 2)):
         for t in rows.lasts(prefix):
@@ -525,14 +528,34 @@ def _walk(rows: _Rows, firsts: Iterable) -> Iterator[tuple]:
                 yield xs
 
 
-def _search_part(search: Search, rows: _Rows, firsts: list) -> SolutionSet:
-    out = SolutionSet(search.descriptor)
-    for xs in _walk(rows, firsts):
-        values = search.check(xs)
-        if values is not None:
-            out.points.append(xs)
-            out.witnesses.append(_witness_map(values, search.s))
-    return out
+def _search_part(search: Search, rows: _Rows, firsts: list) -> list[SolutionSet]:
+    """The solutions with each first coordinate of firsts, in order."""
+    parts = []
+    for v in firsts:
+        out = SolutionSet(search.descriptor)
+        for xs in _walk(rows, (v,)):
+            values = search.check(xs)
+            if values is not None:
+                out.points.append(xs)
+                out.witnesses.append(_witness_map(values, search.s))
+        parts.append(out)
+    return parts
+
+
+# A part of a search holds the first coordinates of about this many rows of
+# len(values) candidates: 32 for points of two coordinates, one for three or
+# more once there are 32 values, and all of them for one.  Each part costs
+# a pool task, ~0.1 ms of the parent's time.
+_PART_ROWS = 32
+
+
+def _by_first(search: Search, rows: _Rows, firsts: list, workers: int) -> Iterator:
+    """(v, solutions with first coordinate v) for each v of firsts,
+    in order, from parts of about _PART_ROWS rows sharded over one pool."""
+    n = len(rows.values)
+    parts = sharded(partial(_search_part, search, rows), firsts, workers,
+                    max(1, _PART_ROWS * n // n ** (rows.ncoords - 1)))
+    return zip(firsts, chain.from_iterable(parts))
 
 
 def run_search(search: Search, workers: int = 1) -> SolutionSet:
@@ -542,7 +565,7 @@ def run_search(search: Search, workers: int = 1) -> SolutionSet:
     sorted once."""
     rows = search.rows(search.box)
     out = SolutionSet(search.descriptor)
-    for part in sharded(partial(_search_part, search, rows), rows.firsts, workers):
+    for _, part in _by_first(search, rows, rows.firsts, workers):
         out.extend(part)
     out.sort()
     return out
@@ -723,46 +746,23 @@ def _open_checkpoint(path: str, search: Search, version: str) -> tuple[SolutionS
     return merged, {r["first"] for r in ranges}
 
 
-# With several workers, a checkpointed run searches at most this many first
-# coordinates per worker between two appends to the checkpoint; a crash
-# loses at most one such batch.  The pending coordinates are cut into
-# near-equal batches, each holding at least half this many per worker when
-# there are more than that many pending.  sharding.sharded runs a batch with
-# fewer than 2 items per worker in one process, so this must stay >= 4 for
-# every batch to be sharded whenever 2 per worker are pending.  Each batch
-# forks a new pool (~10 ms for 2 workers on a 2-vCPU host).
-_CHECKPOINT_BATCH_PER_WORKER = 4
-
-
-def _search_ranges(search: Search, rows: _Rows, firsts: list) -> list[SolutionSet]:
-    """One solution set per first coordinate."""
-    return [_search_part(search, rows, [v]) for v in firsts]
-
-
 def search_with_checkpoint(path: str, search: Search, version: str,
                            workers: int = 1) -> SolutionSet:
     """run_search, resumable: the checkpoint at path holds a header line
     (version and descriptor) and one line per completed first coordinate.
     Resumed records re-verify through the search's check.  The missing
-    first coordinates are searched in near-equal batches sharded over
-    workers (one coordinate at a time with one worker), and each batch is
-    appended one line per coordinate, in order."""
+    first coordinates go through _by_first's one pool, and each one's line
+    is appended and flushed, in order, as its part arrives, so a crash
+    loses only the coordinates not yet appended."""
     merged, done = _open_checkpoint(path, search, version)
     rows = search.rows(search.box)
     pending = [v for v in rows.firsts if str(v) not in done]
-    step = 1 if workers <= 1 else _CHECKPOINT_BATCH_PER_WORKER * workers
-    batches = max(1, -(-len(pending) // step))
-    cuts = [len(pending) * i // batches for i in range(batches + 1)]
     with open(path, "a") as ck:
-        for a, b in zip(cuts, cuts[1:]):
-            batch = pending[a:b]
-            # taken whole, so the batch's pool is gone before its lines are appended
-            chunks = list(sharded(partial(_search_ranges, search, rows), batch, workers))
-            for v, part in zip(batch, (part for chunk in chunks for part in chunk)):
-                part.sort()
-                ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")
-                merged.extend(part)
+        for v, part in _by_first(search, rows, pending, workers):
+            part.sort()
+            ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")
             ck.flush()
+            merged.extend(part)
     merged.sort()
     return merged
 

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from betachow.audits import levin_duke_audit, sample_points, subspace_audit
+from betachow.audits import iter_sample_points, levin_duke_rows, subspace_rows
 from betachow.beta import (
     beta_autissier_lower,
     autissier_input_marked,
@@ -181,27 +181,35 @@ def test_criterion_8_nef_certificates():
     report(8, "nef family certified, negative class rejected by a fiber line", ok, t0)
 
 
+def _audit_rows(audit, forms, s, eps, points):
+    """The audit's blocks of rows flattened into one list."""
+    return [row for block in audit(forms, s, eps, points) for row in block]
+
+
+def _max_defect(rows):
+    return max((row.defect for row in rows if row.defect is not None), default=None)
+
+
 def test_criterion_9_audit_boundedness():
     t0 = time.monotonic()
     eps = Fraction(1, 2)
     s = make_place_set()
     arrangement = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")]
-    low = subspace_audit(arrangement, s, eps,
-                         sample_points(2, 10 ** 3, 1000, seed=101))
-    high = subspace_audit(arrangement, s, eps,
-                          sample_points(2, 10 ** 6, 1000, seed=202))
-    max_low, max_high = low.max_defect(), high.max_defect()
+    low = _audit_rows(subspace_rows, arrangement, s, eps,
+                      iter_sample_points(2, 10 ** 3, 1000, seed=101))
+    high = _audit_rows(subspace_rows, arrangement, s, eps,
+                       iter_sample_points(2, 10 ** 6, 1000, seed=202))
+    max_low, max_high = _max_defect(low), _max_defect(high)
     # "within 2x" in the logarithmic scale, compared multiplicatively
     ok = max_low > 1 and max_high <= max_low * max_low
     # violator lists are reported; for the coordinate arrangement every
     # failing sample must lie on a coordinate hyperplane
     coords = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
-    pts = sample_points(2, 10 ** 6, 1000, seed=303)
-    sub = subspace_audit(coords, s, eps, pts)
-    lev = levin_duke_audit(coords, s, eps, pts)
-    for rep in (sub, lev):
-        ok = ok and isinstance(rep.violators, list)
-        ok = ok and all(row.on_support for row in rep.rows if row.verdict is False)
-    ok = ok and not sub.violators and not lev.violators
+    pts = list(iter_sample_points(2, 10 ** 6, 1000, seed=303))
+    sub = _audit_rows(subspace_rows, coords, s, eps, pts)
+    lev = _audit_rows(levin_duke_rows, coords, s, eps, pts)
+    violators = [[row for row in rows if row.verdict is False] for rows in (sub, lev)]
+    ok = ok and all(row.on_support for rows in violators for row in rows)
+    ok = ok and violators == [[], []]
     report(9, "defect bounded across height brackets; violators on support only",
            ok, t0)

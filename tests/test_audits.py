@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betachow.audits
-from betachow.audits import levin_duke_audit, sample_points, subspace_audit
+from betachow.audits import iter_sample_points, levin_duke_rows, subspace_rows
 from betachow.heights import (
     ARCH,
     Place,
@@ -24,6 +24,15 @@ from betachow.primes import FactorizationBoundError
 
 COORD = [parse_poly(t, 3) for t in ("x0", "x1", "x2")]
 FOUR = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")]
+
+
+def _rows(audit, *args, **kwargs):
+    """The audit's blocks of rows flattened into one list."""
+    return [row for block in audit(*args, **kwargs) for row in block]
+
+
+def _violators(rows):
+    return [r for r in rows if r.verdict is False]
 
 
 def independent_subsets(forms):
@@ -65,17 +74,17 @@ def _subspace_row_by_subsets(forms, s, eps, p):
 
 
 def test_sample_points_deterministic():
-    a = sample_points(2, 100, 20, seed=5)
-    b = sample_points(2, 100, 20, seed=5)
+    a = list(iter_sample_points(2, 100, 20, seed=5))
+    b = list(iter_sample_points(2, 100, 20, seed=5))
     assert a == b
     assert all(1 <= max(abs(c) for c in p.coords) <= 100 for p in a)
-    assert sample_points(2, 100, 5, seed=6) != a[:5]
+    assert list(iter_sample_points(2, 100, 5, seed=6)) != a[:5]
 
 
 @pytest.mark.parametrize("bound", [0, -2])
 def test_sample_points_refuses_a_height_bound_below_one(bound):
     with pytest.raises(ValueError, match="height bound must be >= 1"):
-        sample_points(2, bound, 3, seed=1)
+        list(iter_sample_points(2, bound, 3, seed=1))
 
 
 def test_independent_subsets():
@@ -89,38 +98,37 @@ def test_independent_subsets():
 
 def test_subspace_audit_exact_row():
     p = ProjPoint.normalize([1, 2, 3])
-    report = subspace_audit(COORD, make_place_set(), Fraction(1, 2), [p])
-    row = report.rows[0]
+    rows = _rows(subspace_rows, COORD, make_place_set(), Fraction(1, 2), [p])
+    row = rows[0]
     # best independent subset at infinity: all three forms, value 3^3/(1*2*3)
     assert row.lhs == Fraction(27, 6)
     assert row.verdict is True
-    assert not report.violators
+    assert not _violators(rows)
 
 
 def test_subspace_audit_far_points_contribute_nothing_at_finite_places():
     p = ProjPoint.normalize([1, 2, 3])  # all coordinate values are 6-units
-    report = subspace_audit(COORD, make_place_set([5]), Fraction(1, 2), [p])
-    assert report.rows[0].per_place["5"] == "1"
+    rows = _rows(subspace_rows, COORD, make_place_set([5]), Fraction(1, 2), [p])
+    assert rows[0].per_place["5"] == "1"
 
 
 def test_subspace_audit_flags_support():
     p = ProjPoint.normalize([0, 1, 5])
-    report = subspace_audit(COORD, make_place_set(), Fraction(1, 2), [p])
-    assert report.rows[0].on_support
-    assert not report.violators
+    rows = _rows(subspace_rows, COORD, make_place_set(), Fraction(1, 2), [p])
+    assert rows[0].on_support
+    assert not _violators(rows)
 
 
 def test_subspace_audit_rejects_degenerate_arrangement():
     with pytest.raises(ValueError, match="non-general-position"):
-        subspace_audit([parse_poly(t, 3) for t in ("x0", "x1", "x0+x1")],
-                       make_place_set(), Fraction(1, 2),
-                       [ProjPoint.normalize([1, 2, 3])])
+        _rows(subspace_rows, [parse_poly(t, 3) for t in ("x0", "x1", "x0+x1")],
+              make_place_set(), Fraction(1, 2), [ProjPoint.normalize([1, 2, 3])])
 
 
 def test_defect_zero_at_finite_places_for_coprime_points():
-    pts = sample_points(2, 500, 60, seed=11)
-    report = subspace_audit(FOUR, make_place_set(), Fraction(1, 2), pts)
-    for row in report.rows:
+    pts = list(iter_sample_points(2, 500, 60, seed=11))
+    rows = _rows(subspace_rows, FOUR, make_place_set(), Fraction(1, 2), pts)
+    for row in rows:
         if row.on_support:
             continue
         for place, val in row.defect_by_place.items():
@@ -130,37 +138,36 @@ def test_defect_zero_at_finite_places_for_coprime_points():
 
 def test_levin_duke_vacuous_for_coordinate_arrangement():
     # q = n+1 makes the target coefficient negative: everything passes
-    pts = sample_points(2, 10 ** 4, 50, seed=13)
-    report = levin_duke_audit(COORD, make_place_set(), Fraction(1, 2), pts)
-    assert not report.violators
-    assert all(r.on_support or r.verdict for r in report.rows)
+    pts = list(iter_sample_points(2, 10 ** 4, 50, seed=13))
+    rows = _rows(levin_duke_rows, COORD, make_place_set(), Fraction(1, 2), pts)
+    assert not _violators(rows)
+    assert all(r.on_support or r.verdict for r in rows)
 
 
 def test_levin_duke_enlarged_s_passes():
     # with S covering the whole support, m = h and the sum is q*h
     pts = [ProjPoint.normalize([2, 3, 5]), ProjPoint.normalize([4, 9, 1])]
-    report = levin_duke_audit(FOUR + [parse_poly("x0+2*x1+3*x2", 3)],
-                              make_place_set([2, 3, 5, 7, 11, 13]),
-                              Fraction(1, 2), pts)
-    assert all(r.verdict for r in report.rows if not r.on_support)
+    rows = _rows(levin_duke_rows, FOUR + [parse_poly("x0+2*x1+3*x2", 3)],
+                 make_place_set([2, 3, 5, 7, 11, 13]), Fraction(1, 2), pts)
+    assert all(r.verdict for r in rows if not r.on_support)
 
 
 def test_worker_sharding_matches_serial():
-    pts = sample_points(2, 200, 24, seed=17)
-    serial = subspace_audit(FOUR, make_place_set(), Fraction(1, 2), pts, workers=1)
-    parallel = subspace_audit(FOUR, make_place_set(), Fraction(1, 2), pts, workers=3)
-    assert [(r.index, r.lhs, r.verdict, r.defect) for r in serial.rows] == \
-        [(r.index, r.lhs, r.verdict, r.defect) for r in parallel.rows]
+    pts = list(iter_sample_points(2, 200, 24, seed=17))
+    serial = _rows(subspace_rows, FOUR, make_place_set(), Fraction(1, 2), pts, workers=1)
+    parallel = _rows(subspace_rows, FOUR, make_place_set(), Fraction(1, 2), pts, workers=3)
+    assert [(r.index, r.lhs, r.verdict, r.defect) for r in serial] == \
+        [(r.index, r.lhs, r.verdict, r.defect) for r in parallel]
 
 
 def test_audit_rows_match_weil_local():
     """The audits' integer local values against public weil_local, place by place."""
     s = make_place_set([2, 3])
     places = [ARCH, Place(2), Place(3)]
-    pts = sample_points(2, 10 ** 4, 40, seed=23)
-    sub = subspace_audit(FOUR, s, Fraction(1, 2), pts)
+    pts = list(iter_sample_points(2, 10 ** 4, 40, seed=23))
+    sub = _rows(subspace_rows, FOUR, s, Fraction(1, 2), pts)
     subsets = independent_subsets(FOUR)
-    for row in sub.rows:
+    for row in sub:
         p = row.point
         if row.on_support:
             assert any(f.evaluate(p.coords) == 0 for f in FOUR)
@@ -177,8 +184,8 @@ def test_audit_rows_match_weil_local():
         assert row.defect == defect
 
     mixed = [parse_poly(t, 3) for t in ("x0^2+x1^2+x0*x2", "x1", "x2", "x0+x1+x2")]
-    ld = levin_duke_audit(mixed, s, Fraction(1, 2), pts, assert_general_position=True)
-    for row in ld.rows:
+    ld = _rows(levin_duke_rows, mixed, s, Fraction(1, 2), pts, assert_general_position=True)
+    for row in ld:
         if row.on_support:
             continue
         for i, f in enumerate(mixed):
@@ -186,10 +193,11 @@ def test_audit_rows_match_weil_local():
             assert row.per_place[f"m{i + 1}"] == str(m_i)
 
 
-@pytest.mark.parametrize("audit", [subspace_audit, levin_duke_audit])
+@pytest.mark.parametrize("audit", [subspace_rows, levin_duke_rows])
 def test_audits_reject_rational_coefficients_before_any_row(audit):
     forms = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "1/2*x0+x1+x2")]
     # a point on x0 = 0 is on the support, so no row ever computes a value
+    # the forms are checked on the call, before any block is taken
     with pytest.raises(ValueError, match="weil_local needs integer coefficients"):
         audit(forms, make_place_set(), Fraction(1, 2), [ProjPoint.normalize([0, 1, 1])])
 
@@ -230,9 +238,9 @@ def test_levin_duke_rows_match_per_place_row(forms, s_primes, eps, height_bound,
     if all(f.total_degree() == 1 for f in forms):
         assume(hyperplanes_general_position(forms))
     s = make_place_set(s_primes)
-    points = sample_points(2, height_bound, 6, seed)
-    report = levin_duke_audit(forms, s, eps, points, assert_general_position=True)
-    for row in report.rows:
+    points = list(iter_sample_points(2, height_bound, 6, seed))
+    rows = _rows(levin_duke_rows, forms, s, eps, points, assert_general_position=True)
+    for row in rows:
         if row.on_support:
             assert any(f.evaluate(row.point.coords) == 0 for f in forms)
             continue
@@ -267,9 +275,9 @@ def _arrangements(draw):
        st.sampled_from([10, 10 ** 3, 10 ** 6, 10 ** 12]), st.integers(0, 10 ** 6))
 def test_subspace_rows_match_subset_enumeration(forms, s_primes, eps, height_bound, seed):
     s = make_place_set(s_primes)
-    points = sample_points(forms[0].nvars - 1, height_bound, 6, seed)
-    report = subspace_audit(forms, s, eps, points)
-    for row in report.rows:
+    points = list(iter_sample_points(forms[0].nvars - 1, height_bound, 6, seed))
+    rows = _rows(subspace_rows, forms, s, eps, points)
+    for row in rows:
         if row.on_support:
             assert any(f.evaluate(row.point.coords) == 0 for f in forms)
             continue
@@ -296,7 +304,7 @@ def test_subspace_defect_at_a_minor_prime():
     assert sorted(_maximal_minors(forms)) == [1, 1, 1, 2]
     s, eps = make_place_set(), Fraction(1, 2)
     p = ProjPoint.normalize([2, 4, 1])
-    row = subspace_audit(forms, s, eps, [p]).rows[0]
+    row = _rows(subspace_rows, forms, s, eps, [p])[0]
     # F(P) = 2, 4, 1, 8: at 2 the q-n = 2 smallest values are 1 and 2
     assert row.defect_by_place["2"] == "2"
     assert (row.lhs, row.verdict, row.per_place, row.defect, row.defect_by_place) == \
@@ -305,9 +313,9 @@ def test_subspace_defect_at_a_minor_prime():
 
 def test_subspace_audit_factors_only_maximal_minors(count_factor_calls):
     seen = count_factor_calls()
-    points = sample_points(2, 10 ** 12, 30, seed=3)
-    report = subspace_audit(FIVE, make_place_set([2]), Fraction(1, 2), points)
-    assert len(report.rows) == 30
+    points = list(iter_sample_points(2, 10 ** 12, 30, seed=3))
+    rows = _rows(subspace_rows, FIVE, make_place_set([2]), Fraction(1, 2), points)
+    assert len(rows) == 30
     assert seen == _maximal_minors(FIVE)
 
 
@@ -321,9 +329,9 @@ def test_subspace_rows_past_the_factorization_bound(s_primes):
     places = sorted(s, key=lambda v: v.prime or 0) + \
         [Place(q) for q in sorted(minor_primes) if q not in s_primes]
     subsets = independent_subsets(FIVE)
-    points = sample_points(2, 10 ** 41, 25, seed=5)
+    points = list(iter_sample_points(2, 10 ** 41, 25, seed=5))
     assert any(abs(f.evaluate(p.coords)) > 2 ** 128 for p in points for f in FIVE)
-    for row in subspace_audit(FIVE, s, eps, points).rows:
+    for row in _rows(subspace_rows, FIVE, s, eps, points):
         if row.on_support:
             continue
         defect = Fraction(1)
@@ -344,20 +352,21 @@ def test_a_minor_past_the_factorization_bound_stops_before_any_row(monkeypatch):
     monkeypatch.setattr(betachow.audits, "_subspace_row",
                         lambda *args: pytest.fail("a row was built"))
     with pytest.raises(FactorizationBoundError, match="factorization bound exceeded"):
-        subspace_audit(forms, make_place_set(), Fraction(1, 2), sample_points(2, 10, 3, seed=1))
+        _rows(subspace_rows, forms, make_place_set(), Fraction(1, 2),
+              list(iter_sample_points(2, 10, 3, seed=1)))
 
 
 def test_levin_duke_rows_build_one_fraction_each(count_fractions):
-    points = sample_points(2, 10 ** 12, 20, seed=7)
+    points = list(iter_sample_points(2, 10 ** 12, 20, seed=7))
     forms = FIVE + [parse_poly("x0^2+x1*x2", 3)]
     eps = Fraction(1, 2)
     built = count_fractions()
-    levin_duke_audit(forms, make_place_set([2, 3]), eps, [], assert_general_position=True)
+    _rows(levin_duke_rows, forms, make_place_set([2, 3]), eps, [], assert_general_position=True)
     setup = len(built)
-    report = levin_duke_audit(forms, make_place_set([2, 3]), eps, points,
-                              assert_general_position=True)
+    rows = _rows(levin_duke_rows, forms, make_place_set([2, 3]), eps, points,
+                 assert_general_position=True)
     # past the per-audit setup, only each row's lhs: no m_i is a Fraction
     assert len(built) == 2 * setup + len(points)
-    for row in report.rows:
+    for row in rows:
         assert (row.lhs, row.per_place, row.verdict) == \
             _levin_duke_per_place(forms, make_place_set([2, 3]), eps, row.point)

@@ -2,6 +2,10 @@ import ast
 import hashlib
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -945,6 +949,10 @@ def test_audit_rejects_bad_forms(tmp_path, capsys, kind, lines, message, workers
      "--s: 4 is not prime"),
     (["heights", "--form", "x0", "--point", "2,3", "--s", "2,x"],
      "--s: 'x' is neither 'inf' nor an int"),
+    *((["chow", "--config", "cyclic", "--n", "2", "--q", "6", "--power", *power],
+      f"--power: {token!r} is not NAME,EXP with EXP an int or n")
+      for power, token in [(["D,x"], "D,x"), (["D"], "D"), (["D,"], "D,"),
+                           (["Ht1,2", "D,1.5"], "D,1.5")]),
 ])
 def test_bad_place_is_refused_by_its_flag(tmp_path, capsys, argv, message):
     forms = tmp_path / "forms.txt"
@@ -1091,21 +1099,19 @@ def test_checkpoint_and_resume_match_plain_run_for_any_workers(tmp_path, capsys,
     import betachow.search
     forms = tmp_path / "forms.txt"
     forms.write_text(forms_text)
-    # box 7: 8 first coordinates, enough to shard over 4 workers
+    # box 7: 8 first coordinates in 4 parts, enough to shard over 4 workers
     argv = ["search", kind, "--forms", str(forms), "--box", "7", "--dim", "2",
             "--format", "json", *extra]
     code, _, _ = run(capsys, *argv, "--out", str(tmp_path / "plain.jsonl"))
     assert code == 0
     plain = (tmp_path / "plain.jsonl").read_bytes()
-    # 2 first coordinates per worker and batch: workers=2 forks twice, on 4 each
-    monkeypatch.setattr(betachow.search, "_CHECKPOINT_BATCH_PER_WORKER", 2)
-    batches = []     # (workers, first coordinates) of each checkpoint batch
+    calls = []     # (workers, part size, first coordinates) of each checkpointed sharded call
     real = betachow.search.sharded
 
-    def spy(fn, items, n):
-        if fn.func is betachow.search._search_ranges:
-            batches.append((n, [str(v) for v in items]))
-        return real(fn, items, n)
+    def spy(fn, items, n, size):
+        if fn.func is betachow.search._search_part:
+            calls.append((n, size, [str(v) for v in items]))
+        return real(fn, items, n, size)
 
     monkeypatch.setattr(betachow.search, "sharded", spy)
     checkpoints = []
@@ -1115,22 +1121,110 @@ def test_checkpoint_and_resume_match_plain_run_for_any_workers(tmp_path, capsys,
             if name == "resumed":
                 lines = ck.read_text().splitlines(keepends=True)
                 ck.write_text("".join(lines[:len(lines) // 2]))
-            batches.clear()
+            calls.clear()
             out = tmp_path / f"{name}{workers}.jsonl"
             code, _, _ = run(capsys, *argv, "--checkpoint", str(ck), "--workers",
                              str(workers), "--out", str(out))
             assert code == 0
             assert out.read_bytes() == plain
+            # one pool for the run, the pending first coordinates ascending,
+            # 2 per part: each holds 15 rows (x1 in -7..7), about 32 a part
             firsts = [str(v) for v in range(8)][0 if name == "full" else 3:]
-            assert [v for _, batch in batches for v in batch] == firsts
-            assert all(n == workers and len(batch) <= max(1, 2 * workers)
-                       for n, batch in batches)
-            if name == "full":
-                assert len(batches) == {1: 8, 2: 2, 3: 2, 4: 1}[workers]
+            assert calls == [(workers, 2, firsts)]
         checkpoints.append(ck.read_bytes())
     assert len(set(checkpoints)) == 1
     assert len(checkpoints[0].splitlines()) == 9     # header and 8 first coordinates
     assert len(load_solution_set(str(tmp_path / "plain.jsonl")).points) >= 3
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# Runs a checkpointed search that is killed at its die_at-th write to the
+# checkpoint (the header is write 1), after writing the first `keep`
+# characters of it straight to the file.  The child leads its own process
+# group, and SIGKILL to that group takes its pool workers down with it;
+# exiting the child alone would orphan them, and a pool replaces workers
+# killed one by one.
+CHECKPOINT_CHILD = """
+import os, signal, sys
+import betachow.search
+from betachow.cli import main
+writes = 0
+
+
+class Dying:
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def flush(self):
+        self.fh.flush()
+
+    def write(self, text):
+        global writes
+        writes += 1
+        if writes == {die_at}:
+            # past the file's buffer: a line the run left unflushed is lost
+            os.write(self.fh.fileno(), text[:{keep}].encode())
+            os.killpg(os.getpid(), signal.SIGKILL)
+        return self.fh.write(text)
+
+
+def dying_open(path, mode="r", *args, **kwargs):
+    fh = open(path, mode, *args, **kwargs)
+    return Dying(fh) if mode == "a" else fh
+
+
+betachow.search.open = dying_open
+sys.exit(main({argv!r}))
+"""
+
+
+# k coordinate lines survive the crash, the first part's and one more:
+# thm16 at box 7 has 8 first coordinates in parts of 2, this cor12 37 in
+# parts of 32, so the crash hits the second line of the second part
+@pytest.mark.parametrize("kind, forms_text, args, k", [
+    ("thm16", SIX_LINES, ("--box", "7"), 3),
+    ("cor12", "1/2*x0 - x1 + 3\n", ("--box", "4", "--s-primes", "2,3", "--denom-cap", "2"), 33),
+])
+def test_a_killed_checkpointed_search_resumes_to_the_plain_run(tmp_path, capsys, monkeypatch,
+                                                               kind, forms_text, args, k):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "forms.txt").write_text(forms_text)
+    argv = ["search", kind, "--forms", "forms.txt", *args, "--dim", "2", "--format", "json"]
+    assert run(capsys, *argv, "--out", "plain.jsonl")[0] == 0
+    plain = (tmp_path / "plain.jsonl").read_bytes()
+    assert run(capsys, *argv, "--checkpoint", "full.ckpt", "--out", "full.jsonl")[0] == 0
+    full = (tmp_path / "full.ckpt").read_bytes()
+    lines = full.splitlines(keepends=True)
+    assert len(lines) > k + 2 and len(lines[k + 1]) > 2
+    torn_header = lines[0][:len(lines[0]) // 2]
+    # (workers, checkpoint at the start, write to die at, characters of it
+    # written): after the header and k lines; after k lines and half of the
+    # next; half of the header; and after a resume has cut a torn header
+    # off, before it writes the header
+    crashes = [(workers, b"", k + 2, keep) for workers in ("1", "2")
+               for keep in (0, len(lines[k + 1]) // 2)]
+    crashes += [("1", b"", 1, len(torn_header)), ("2", torn_header, 1, 0)]
+    ck = tmp_path / "ck.ckpt"
+    for workers, start, die_at, keep in crashes:
+        ck.write_bytes(start)
+        more = ["--checkpoint", "ck.ckpt", "--workers", workers, "--out", "out.jsonl"]
+        child = CHECKPOINT_CHILD.format(die_at=die_at, keep=keep, argv=[*argv, *more])
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(SRC)}, start_new_session=True)
+        assert proc.returncode == -signal.SIGKILL, proc.stderr
+        assert ck.read_bytes() == b"".join(lines[:die_at - 1]) + lines[die_at - 1][:keep]
+        assert not (tmp_path / "out.jsonl").exists()
+        assert run(capsys, *argv, *more)[0] == 0
+        assert (tmp_path / "out.jsonl").read_bytes() == plain
+        assert ck.read_bytes() == full
+        (tmp_path / "out.jsonl").unlink()
 
 
 DATA = Path(__file__).parent / "data"

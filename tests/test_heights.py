@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import betachow.heights
-from betachow.audits import sample_points
+from betachow.audits import iter_sample_points
 from betachow.heights import (
     ARCH,
     MkConstant,
@@ -91,7 +91,7 @@ def test_sampled_points_skip_the_validating_constructor(monkeypatch):
     real = ProjPoint.__init__
     monkeypatch.setattr(ProjPoint, "__init__",
                         lambda self, coords: calls.append(coords) or real(self, coords))
-    points = sample_points(2, 100, 50, seed=5)
+    points = list(iter_sample_points(2, 100, 50, seed=5))
     assert calls == [] and len(points) == 50
     assert all(ProjPoint(p.coords) == p for p in points)
     assert len(calls) == 50

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from betachow.audits import AuditReport, AuditRow
+from betachow.audits import AuditRow
 from betachow.beta import AutissierInput, BetaReport, H0LowerBound, RationalInterval
 from betachow.chow import BlowupConfig, CurveClass, NefResult, cyclic_config
 from betachow.heights import (
@@ -139,8 +139,6 @@ def test_defaults_are_fresh_per_instance():
 def test_constructors_keep_their_keyword_arguments():
     row = AuditRow(index=0, point=ProjPoint((1,)), on_support=False, verdict=True)
     assert (row.lhs, row.verdict, row.per_place) == (None, True, {})
-    report = AuditReport(kind="subspace", descriptor={}, rows=[row])
-    assert report.violators == []
     beta = BetaReport(descriptor={}, claim="x")
     assert (beta.lower_bound, beta.claim_holds) == (None, None)
     degeneracy = DegeneracyReport({}, 0, {}, {}, [], {})

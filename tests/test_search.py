@@ -761,14 +761,14 @@ def _vandermonde(ts) -> list:
 @st.composite
 def _searches(draw):
     """A search: a random cor12 g, or random thm11/thm16 forms; boxes with
-    at least 8 first coordinates."""
+    at least 4 parts of first coordinates, so sharded runs use a pool."""
     kind = draw(st.sampled_from(["cor12", "thm11", "thm16"]))
     s = draw(S_RINGS)
     if kind == "cor12":
         a, b = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
         c = draw(st.integers(-6, 6).filter(lambda c: c not in (0, -a, -b)))
         g = MultiPoly(2, {(1, 0): a, (0, 1): b, (0, 0): c})
-        box = SearchBox(2, draw(st.integers(4, 7)), draw(st.integers(0, 1)))
+        box = SearchBox(2, draw(st.integers(64, 70)), draw(st.integers(0, 1)))
         return _cor12_spec(g, box, s)
     ts = draw(st.lists(st.integers(-5, 5), min_size=7, max_size=7, unique=True))
     box = SearchBox(2, draw(st.integers(7, 9)))
@@ -785,9 +785,9 @@ def test_sharded_search_equals_serial(search, workers):
     seen = []
     real = betachow.search.sharded
 
-    def spy(fn, items, n):
-        seen.append(n)
-        return real(fn, items, n)
+    def spy(fn, items, n, size):
+        seen.append((n, size))
+        return real(fn, items, n, size)
 
     serial = run_search(search)
     # patched by hand: a function-scoped monkeypatch would span all examples
@@ -796,10 +796,25 @@ def test_sharded_search_equals_serial(search, workers):
         sharded = run_search(search, workers)
     finally:
         betachow.search.sharded = real
-    assert seen == [workers]
+    rows = search.rows(search.box)
+    # one coordinate holds one row affine in dim 2, len(values) rows projective
+    per_first = 1 if search.descriptor["kind"] == "cor12" else len(rows.values)
+    assert seen == [(workers, max(1, 32 // per_first))]
     assert sharded.descriptor == serial.descriptor
     assert sharded.points == serial.points
     assert sharded.witnesses == serial.witnesses
+
+
+def test_sharded_dim1_search_equals_serial():
+    # one row, built once as a set; 91 first coordinates in 3 parts of 32
+    search = _cor12_spec(parse_poly("1/2*x0 + 3", 1), SearchBox(1, 30, 1), SRing((2,)))
+    assert len(search.rows(search.box).firsts) == 91
+    serial = run_search(search)
+    for workers in (2, 3):
+        sharded = run_search(search, workers)
+        assert sharded.points == serial.points
+        assert sharded.witnesses == serial.witnesses
+    assert len(serial.points) > 3
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ import betachow.audits
 import betachow.cli
 from betachow.audits import BLOCK
 from betachow.cli import main
-from betachow.reporting import write_output, write_stream
+from betachow.reporting import write_stream
+from betachow.sharding import sharded
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LINES = "x0\nx1\nx2\nx0+x1+x2\n"
@@ -96,18 +97,18 @@ def test_write_stream_replaces_the_file_only_after_the_last_chunk(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
 
-def test_write_output_follows_a_symlink(tmp_path):
+def test_write_stream_follows_a_symlink(tmp_path):
     target, link = tmp_path / "target.txt", tmp_path / "link.txt"
     target.write_text("old\n")
     link.symlink_to(target)
-    write_output(str(link), "new\n")
+    write_stream(str(link), ["new\n"])
     assert link.is_symlink() and target.read_text() == "new\n"
 
 
-def test_write_output_names_the_path_when_its_directory_is_missing(tmp_path):
+def test_write_stream_names_the_path_when_its_directory_is_missing(tmp_path):
     path = str(tmp_path / "missing" / "out.txt")
     with pytest.raises(FileNotFoundError, match="missing/out.txt'"):
-        write_output(path, "x\n")
+        write_stream(path, ["x\n"])
 
 
 def test_reporting_never_truncates_an_out_file(monkeypatch, tmp_path):
@@ -122,7 +123,7 @@ def test_reporting_never_truncates_an_out_file(monkeypatch, tmp_path):
     monkeypatch.setattr(betachow.reporting, "open", recording_open, raising=False)
     out = tmp_path / "out.txt"
     out.write_text("old\n")
-    write_output(str(out), "new\n")
+    write_stream(str(out), ["new\n"])
     assert out.read_text() == "new\n"
     assert opened == [(f".out.txt.{os.getpid()}.tmp", "w")]
 
@@ -225,6 +226,14 @@ def test_no_pool_child_outlives_a_run(tmp_path, capsys, monkeypatch):
         assert lines == [BLOCK, BLOCK]
         assert multiprocessing.active_children() == []
     assert not (tmp_path / "out.txt").exists()
+
+
+def test_sharded_hands_fn_to_its_workers_once():
+    # fn reaches the workers when they are forked, not with each part: a
+    # closure, which pickle refuses, still runs, and the parts come in order
+    offset = 10
+    parts = sharded(lambda part: [v + offset for v in part], range(9), 2, 2)
+    assert list(parts) == [[10, 11], [12, 13], [14, 15], [16, 17], [18]]
 
 
 # ---------------------------------------------------------------------------
