@@ -127,11 +127,11 @@ class H0LowerBound(Frozen):
     """Exact main term of the section-count lower bound plus the symbolic
     error order, which is reported but never folded into exact verdicts."""
 
-    __slots__ = ("value", "error_order", "note")
+    # the error term's implicit constant depends on the slope cap delta
+    __slots__ = ("value", "error_order")
 
-    def __init__(self, value: Fraction, error_order: str,
-                 note: str = "implicit constant depends on the slope cap delta"):
-        self._assign(value, error_order, note)
+    def __init__(self, value: Fraction, error_order: str):
+        self._assign(value, error_order)
 
 
 def autissier_h0_lower(n: int, a_top: Fraction, a_b: Fraction, a_b2: Fraction,
@@ -162,9 +162,6 @@ class RationalInterval(Frozen):
 
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo <= Fraction(x) <= self.hi
 
 
 def sqrt_enclosure(x: Fraction, max_width: Fraction = Fraction(1, 10 ** 12)) -> RationalInterval:
@@ -203,11 +200,10 @@ def countinglambda_rhs(ell: int, max_width: Fraction = Fraction(1, 10 ** 9)) -> 
 class BetaReport(Record):
     """One beta computation with every exact verdict spelled out."""
 
-    __slots__ = ("descriptor", "lower_bound", "claim", "claim_holds")
+    __slots__ = ("lower_bound", "claim", "claim_holds")
 
-    def __init__(self, descriptor: dict, lower_bound: Fraction | None = None,
-                 claim: str = "", claim_holds: bool | None = None):
-        self.descriptor = descriptor
+    def __init__(self, lower_bound: Fraction | None = None, claim: str = "",
+                 claim_holds: bool | None = None):
         self.lower_bound = lower_bound
         self.claim = claim
         self.claim_holds = claim_holds
@@ -216,21 +212,19 @@ class BetaReport(Record):
 def marked_beta_report(n: int, ell: int, index: int) -> BetaReport:
     bound = beta_autissier_lower(autissier_input_marked(n, ell, index))
     target = marked_target(n, ell, index)
-    return BetaReport(
-        descriptor={"config": "marked", "n": n, "ell": ell, "index": index},
-        lower_bound=bound,
-        claim=f"bound > {target}", claim_holds=bound > target)
+    return BetaReport(lower_bound=bound, claim=f"bound > {target}",
+                      claim_holds=bound > target)
 
 
-def scan_cyclic(n_lo: int = 2, n_hi: int = 8, q_hi_mult: int = 12) -> list[dict]:
-    """Exact scan of beta > 1 and f > 0 over n in [n_lo, n_hi], q in [3n, q_hi_mult*n].
+def scan_cyclic(n_hi: int = 8, q_hi_mult: int = 12) -> list[dict]:
+    """Exact scan of beta > 1 and f > 0 over n in [2, n_hi], q in [3n, q_hi_mult*n].
 
     Each row also checks the defining identity f = (beta-1)(n+1)(q^n-n^nq),
     as f = num - den on the unreduced terms of beta; the printed beta is the
     row's one Fraction.
     """
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(2, n_hi + 1):
         for q in range(3 * n, q_hi_mult * n + 1):
             num, den = _cyclic_beta_terms(n, q)
             f = f_poly(n, q)
@@ -244,25 +238,27 @@ def scan_cyclic(n_lo: int = 2, n_hi: int = 8, q_hi_mult: int = 12) -> list[dict]
     return rows
 
 
-def scan_f_monotone(n_lo: int = 2, n_hi: int = 8, q_hi_mult: int = 12) -> list[dict]:
-    """Exact finite differences of f over the scan grid (increasing in q)."""
+def scan_f_monotone(n_hi: int = 8, q_hi_mult: int = 12) -> list[dict]:
+    """Exact finite differences of f over scan_cyclic's grid, n in [2, n_hi]
+    and q in [3n, q_hi_mult*n] (increasing in q)."""
     rows = []
-    for n in range(n_lo, n_hi + 1):
+    for n in range(2, n_hi + 1):
         f = [f_poly(n, q) for q in range(3 * n, q_hi_mult * n + 1)]
         for q, lo, hi in zip(range(3 * n, q_hi_mult * n), f, f[1:]):
             rows.append({"n": n, "q": q, "difference": hi - lo, "ok": hi > lo})
     return rows
 
 
-def scan_marked(n_values=(2, 3, 4), ell_values=(10, 100, 1000)) -> list[dict]:
-    """Exact scan of the marked bound against its per-index target.
+def scan_marked() -> list[dict]:
+    """Exact scan of the marked bound against its per-index target, for
+    n in (2, 3, 4) and ell in (10, 100, 1000).
 
     One low index (through a point) and one high index (pullback) suffice:
     the intersection data is identical within each group.
     """
     rows = []
-    for n in n_values:
-        for ell in ell_values:
+    for n in (2, 3, 4):
+        for ell in (10, 100, 1000):
             for index in (1, n + 2):
                 rep = marked_beta_report(n, ell, index)
                 rows.append({

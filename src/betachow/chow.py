@@ -18,8 +18,8 @@ factor is 0.  That is integer arithmetic and one Fraction per product.
 Two point/hyperplane configurations are built in: the cyclic one (q >= 3n
 hyperplanes, each consecutive window of n of them meeting in a blown-up
 point) and the marked one (2n hyperplanes, n+1 points with P_i on H_i
-only).  Incidence is declared combinatorially; intersection numbers depend
-on nothing else.
+only).  Incidence is combinatorial, fixed by the kind; intersection numbers
+depend on nothing else.
 
 Sign convention: the named basis class E_i carries a unit b-vector, and a
 class meets the fiber line inside the i-th exceptional locus in exactly
@@ -43,7 +43,7 @@ def _rational(x):
 
 
 class DivisorClass(Frozen):
-    """Class a*H - sum_i b_i*E_i on the blow-up of P^n at r points.
+    """Class a*H - sum_i b_i*E_i on the blow-up of P^n at r = len(b) points.
 
     Immutable.  Built from numbers (ints, Fractions, or anything Fraction
     accepts); held as integer numerators ``_a`` and ``_b`` (index ->
@@ -53,12 +53,10 @@ class DivisorClass(Frozen):
 
     __slots__ = ("n", "r", "_a", "_b", "_den")
 
-    def __init__(self, n: int, r: int, a, b: Sequence):
+    def __init__(self, n: int, a, b: Sequence):
         a, b = _rational(a), tuple(_rational(x) for x in b)
-        if len(b) != r:
-            raise ValueError("b must have length r")
         den = lcm(a.denominator, *(x.denominator for x in b))
-        self._set(n, r, a.numerator * (den // a.denominator),
+        self._set(n, len(b), a.numerator * (den // a.denominator),
                   {i: x.numerator * (den // x.denominator) for i, x in enumerate(b)},
                   den)
 
@@ -96,10 +94,10 @@ class DivisorClass(Frozen):
         return hash(self._key())
 
     def __repr__(self) -> str:
-        return f"DivisorClass(n={self.n!r}, r={self.r!r}, a={self.a!r}, b={self.b!r})"
+        return f"DivisorClass(n={self.n!r}, a={self.a!r}, b={self.b!r})"
 
     def __reduce__(self):
-        return DivisorClass, (self.n, self.r, self.a, self.b)
+        return DivisorClass, (self.n, self.a, self.b)
 
     def _combine(self, other: "DivisorClass", sign: int) -> "DivisorClass":
         if (self.n, self.r) != (other.n, other.r):
@@ -125,16 +123,15 @@ class DivisorClass(Frozen):
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "DivisorClass":
-        return self * -1
-
     def to_json(self) -> dict:
         return {"n": self.n, "r": self.r, "a": str(self.a),
                 "b": [str(x) for x in self.b]}
 
     @classmethod
     def from_json(cls, d: dict) -> "DivisorClass":
-        return cls(d["n"], d["r"], d["a"], d["b"])
+        if d["r"] != len(d["b"]):
+            raise ValueError("b must have length r")
+        return cls(d["n"], d["a"], d["b"])
 
 
 def pullback_hyperplane(n: int, r: int) -> DivisorClass:
@@ -152,7 +149,7 @@ def strict_transform(n: int, degree: int, mults: Sequence[Fraction | int]) -> Di
     if degree < 1:
         raise ValueError("degree must be >= 1")
     mults = tuple(mults)
-    cls = DivisorClass(n, len(mults), degree, mults)
+    cls = DivisorClass(n, degree, mults)
     if any(m < 0 for m in cls._b.values()):
         raise ValueError("multiplicities must be >= 0")
     return cls
@@ -182,50 +179,41 @@ def top_intersection(classes: Sequence[DivisorClass]) -> Fraction:
 class BlowupConfig(Frozen):
     """Combinatorial incidence of blown-up points on a hyperplane family.
 
-    kind is "cyclic" or "marked"; incidence[i] is the (0-based) frozenset
-    of point indices on hyperplane i.
+    kind is "cyclic" (q >= 3n hyperplanes and r = q points, P_i the
+    intersection of the window H_{i-n+1..i}) or "marked" (q = 2n
+    hyperplanes and r = n+1 points, P_i on H_i only), with n >= 2; r and
+    incidence are derived.  incidence[i] is the (0-based) frozenset of
+    point indices on hyperplane i.
     """
 
     __slots__ = ("n", "kind", "q", "r", "incidence")
 
-    def __init__(self, n: int, kind: str, q: int, r: int,
-                 incidence: tuple[frozenset[int], ...]):
+    def __init__(self, n: int, kind: str, q: int):
         if kind not in ("cyclic", "marked"):
             raise ValueError(f"unknown configuration kind {kind!r}")
-        if len(incidence) != q:
-            raise ValueError("incidence must list every hyperplane")
+        if n < 2:
+            raise ValueError("n must be >= 2")
         if kind == "cyclic":
-            if q < 3 * n or r != q:
-                raise ValueError("cyclic configuration needs q >= 3n and r = q")
-            for i, pts in enumerate(incidence):
-                expect = frozenset((i - j) % q for j in range(n))
-                if pts != expect:
-                    raise ValueError("cyclic incidence must be the window of n points")
+            if q < 3 * n:
+                raise ValueError("cyclic configuration needs q >= 3n")
+            r = q
+            incidence = tuple(frozenset((i - j) % q for j in range(n)) for i in range(q))
         else:
-            if q != 2 * n or r != n + 1:
-                raise ValueError("marked configuration needs q = 2n and r = n+1")
-            for i, pts in enumerate(incidence):
-                expect = frozenset({i}) if i < n + 1 else frozenset()
-                if pts != expect:
-                    raise ValueError("marked incidence must be P_i on H_i only")
+            if q != 2 * n:
+                raise ValueError("marked configuration needs q = 2n")
+            r = n + 1
+            incidence = tuple(frozenset({i}) if i < r else frozenset() for i in range(q))
         self._assign(n, kind, q, r, incidence)
 
 
 def cyclic_config(n: int, q: int) -> BlowupConfig:
     """q >= 3n hyperplanes, point P_i = intersection of window H_{i-n+1..i}."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    incidence = tuple(frozenset((i - j) % q for j in range(n)) for i in range(q))
-    return BlowupConfig(n, "cyclic", q, q, incidence)
+    return BlowupConfig(n, "cyclic", q)
 
 
 def marked_config(n: int) -> BlowupConfig:
     """2n hyperplanes, n+1 points with P_i on H_i only."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    incidence = tuple(frozenset({i}) if i < n + 1 else frozenset()
-                      for i in range(2 * n))
-    return BlowupConfig(n, "marked", 2 * n, n + 1, incidence)
+    return BlowupConfig(n, "marked", 2 * n)
 
 
 def config_classes(cfg: BlowupConfig, ell: int | None = None) -> dict[str, DivisorClass]:
@@ -257,12 +245,17 @@ class CurveClass(Frozen):
     """Test curve: a line in one E_i, or the strict transform of a line
     through a set of blown-up points (multiplicity 1 at each)."""
 
-    __slots__ = ("kind", "points", "image_degree")
+    __slots__ = ("kind", "points")
 
-    def __init__(self, kind: str, points: tuple[int, ...], image_degree: int):
+    def __init__(self, kind: str, points: tuple[int, ...]):
         # kind is "exceptional-line" or "line-through-point-set"; points are
         # 0-based point indices
-        self._assign(kind, points, image_degree)
+        self._assign(kind, points)
+
+    @property
+    def image_degree(self) -> int:
+        """Degree of the curve's image in P^n: 0 for an exceptional line."""
+        return 0 if self.kind == "exceptional-line" else 1
 
     def describe(self) -> str:
         if self.kind == "exceptional-line":
@@ -286,10 +279,10 @@ def curve_family(cfg: BlowupConfig) -> tuple[CurveClass, ...]:
     strict transforms of lines through every 1- and 2-point subset (lines
     inside an H_i through its point set have the same classes)."""
     r = cfg.r
-    fam = [CurveClass("exceptional-line", (i,), 0) for i in range(r)]
-    fam.append(CurveClass("line-through-point-set", (), 1))
-    fam.extend(CurveClass("line-through-point-set", (i,), 1) for i in range(r))
-    fam.extend(CurveClass("line-through-point-set", pair, 1)
+    fam = [CurveClass("exceptional-line", (i,)) for i in range(r)]
+    fam.append(CurveClass("line-through-point-set", ()))
+    fam.extend(CurveClass("line-through-point-set", (i,)) for i in range(r))
+    fam.extend(CurveClass("line-through-point-set", pair)
                for pair in combinations(range(r), 2))
     return tuple(fam)
 

@@ -81,8 +81,7 @@ VERIFY_FIELDS = ["section", "n", "q_or_l", "beta", "bound", "target", "verdict"]
 # verify
 # ---------------------------------------------------------------------------
 
-def verify_rows(n_hi_chow: int = 6, n_hi_beta: int = 8, q_mult: int = 12,
-                marked_n=(2, 3, 4), marked_ell=(10, 100, 1000)) -> list[dict]:
+def verify_rows(n_hi_chow: int = 6, n_hi_beta: int = 8, q_mult: int = 12) -> list[dict]:
     rows: list[dict] = []
     for n in range(2, n_hi_chow + 1):
         for q in range(3 * n, 4 * n + 1):
@@ -101,15 +100,15 @@ def verify_rows(n_hi_chow: int = 6, n_hi_beta: int = 8, q_mult: int = 12,
             rows.append({"section": "intersection", "n": n, "q_or_l": q,
                          "beta": "", "bound": dn, "target": expect_dn,
                          "verdict": ok})
-    for r in scan_cyclic(2, n_hi_beta, q_mult):
+    for r in scan_cyclic(n_hi_beta, q_mult):
         rows.append({"section": "beta_cyclic", "n": r["n"], "q_or_l": r["q"],
                      "beta": r["beta"], "bound": r["f"], "target": "beta>1,f>0",
                      "verdict": r["ok"]})
-    for r in scan_f_monotone(2, n_hi_beta, q_mult):
+    for r in scan_f_monotone(n_hi_beta, q_mult):
         rows.append({"section": "f_monotone", "n": r["n"], "q_or_l": r["q"],
                      "beta": "", "bound": r["difference"], "target": ">0",
                      "verdict": r["ok"]})
-    for r in scan_marked(marked_n, marked_ell):
+    for r in scan_marked():
         rows.append({"section": "autissier_marked", "n": r["n"],
                      "q_or_l": r["ell"], "beta": f"i={r['index']}",
                      "bound": r["bound"], "target": r["target"],
@@ -254,10 +253,7 @@ def cmd_heights(args) -> int:
     s = _places(args.s)
     point = ProjPoint.normalize([_rational(c) for c in args.point.split(",")])
     form = parse_poly(args.form, len(point.coords))
-    gens = [(form, form.total_degree())]
-    for text in args.subscheme or []:
-        f = parse_poly(text, len(point.coords))
-        gens.append((f, f.total_degree()))
+    gens = [form, *(parse_poly(text, len(point.coords)) for text in args.subscheme or [])]
     dec = proximity_counting(form, point, s)
     places = [ARCH] + [Place(p) for p in sorted(set(finite_primes(s))
                                                 | set(dec.support))]
@@ -338,7 +334,7 @@ def cmd_search(args) -> int:
         "denom_cap": args.denom_cap, "s_primes": s_primes, "forms": form_texts,
         "g": g_text, "mode": args.mode, "assert_general_position": args.assert_general_position})
     if args.checkpoint:
-        found = search_with_checkpoint(args.checkpoint, search, __version__, args.workers)
+        found = search_with_checkpoint(args.checkpoint, search, args.workers)
     else:
         found = run_search(search, args.workers)
     heights = [max(abs(c.numerator) for c in pt) for pt in found.points]
@@ -357,9 +353,9 @@ def cmd_search(args) -> int:
                  "witnesses": json.dumps(wit, sort_keys=True)}
                 for pt, wit in zip(sols.points, sols.witnesses)]
         fields = ["point", "witnesses"]
-        chunks = (csv_head(fields, config, __version__), csv_lines(rows, fields))
+        chunks = (csv_head(fields, config), csv_lines(rows, fields))
     else:
-        chunks = (solution_set_text(sols, __version__),)
+        chunks = (solution_set_text(sols),)
     write_stream(args.out, chunks)
 
     if args.degeneracy:
@@ -405,8 +401,7 @@ def cmd_audit(args) -> int:
 def _audit_report(blocks, config: RunConfig, csv: bool):
     """The report's text: its header, then the lines of each block of rows
     as the block is taken, then the summary line accumulated on the way."""
-    yield (csv_head(AUDIT_FIELDS, config, __version__) if csv
-           else config.header_json(__version__) + "\n")
+    yield csv_head(AUDIT_FIELDS, config) if csv else config.header_json() + "\n"
     samples = violators = on_support = 0
     max_defect = None
     for block in blocks:
@@ -459,9 +454,9 @@ def _audit_cell(key: str, value):
 def _emit(rows: list[dict], fields: list[str], config: RunConfig, args):
     if args.format == "json":
         records = [{k: fmt(row.get(k, "")) for k in fields} for row in rows]
-        chunks = (config.header_json(__version__) + "\n", jsonl_lines(records))
+        chunks = (config.header_json() + "\n", jsonl_lines(records))
     else:
-        chunks = (csv_head(fields, config, __version__), csv_lines(rows, fields))
+        chunks = (csv_head(fields, config), csv_lines(rows, fields))
     write_stream(args.out, chunks)
 
 
@@ -576,7 +571,7 @@ def main(argv: list[str] | None = None) -> int:
         i = argv.index("--config-file")
         try:
             extra = parse_config_file(argv[i + 1])
-        except (IndexError, OSError) as exc:
+        except (IndexError, OSError, ValueError) as exc:
             print(f"error: cannot read config file: {exc}", file=sys.stderr)
             return EXIT_USAGE
         flags: list[str] = []

@@ -126,10 +126,6 @@ class ProjPoint(Frozen):
             ints = [-c for c in ints]
         return cls._make(tuple(ints))
 
-    @property
-    def dim(self) -> int:
-        return len(self.coords) - 1
-
     def __str__(self) -> str:
         return "[" + ":".join(str(c) for c in self.coords) + "]"
 
@@ -214,18 +210,13 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def weil_subscheme(generators: Sequence[tuple[MultiPoly, int]], p: ProjPoint,
-                   v: Place) -> LocalHeight:
+def weil_subscheme(generators: Sequence[MultiPoly], p: ProjPoint, v: Place) -> LocalHeight:
     """Local value of the subscheme cut out by several forms: the minimum
-    of the component values (each form taken with its own degree)."""
+    of the component values (each form taken with its own degree,
+    f.total_degree())."""
     if not generators:
         raise ValueError("subscheme needs at least one generator")
-    values = []
-    for f, deg in generators:
-        if f.total_degree() != deg:
-            raise ValueError("declared degree does not match the form")
-        values.append(weil_local(f, p, v).value)
-    return LocalHeight(v, min(values))
+    return LocalHeight(v, min(weil_local(f, p, v).value for f in generators))
 
 
 def support_primes(values: Iterable[Fraction | int]) -> tuple[int, ...]:
@@ -367,6 +358,5 @@ def strict_transform_local(f_d: MultiPoly, f_w: MultiPoly, p: ProjPoint,
     dominated by W at v.
     """
     val_d = weil_local(f_d, p, v).value
-    val_y = weil_subscheme([(f_d, f_d.total_degree()), (f_w, f_w.total_degree())],
-                           p, v).value
+    val_y = weil_subscheme([f_d, f_w], p, v).value
     return val_d / val_y, val_y

@@ -59,9 +59,9 @@ class MultiPoly:
         return cls(nvars, {exps: Fraction(1)})
 
     @classmethod
-    def monomial(cls, exps: Sequence[int], coeff, nvars: int | None = None) -> "MultiPoly":
+    def monomial(cls, exps: Sequence[int], coeff) -> "MultiPoly":
         exps = tuple(exps)
-        return cls(len(exps) if nvars is None else nvars, {exps: Fraction(coeff)})
+        return cls(len(exps), {exps: Fraction(coeff)})
 
     # -- ring operations -------------------------------------------------
 
@@ -87,9 +87,6 @@ class MultiPoly:
     def __sub__(self, other) -> "MultiPoly":
         return self + (-self._coerce(other))
 
-    def __rsub__(self, other) -> "MultiPoly":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             c = Fraction(other)
@@ -103,18 +100,6 @@ class MultiPoly:
         return MultiPoly(self.nvars, terms)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power")
-        out = MultiPoly.constant(1, self.nvars)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, MultiPoly) and other.nvars == self.nvars

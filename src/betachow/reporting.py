@@ -24,6 +24,7 @@ import os
 import sys
 from typing import Iterable
 
+from . import __version__
 from ._records import Record
 
 EXIT_OK = 0
@@ -46,13 +47,13 @@ class RunConfig(Record):
     def sorted_params(self) -> list[tuple[str, str]]:
         return sorted(self.params.items())
 
-    def header_comment_lines(self, version: str) -> list[str]:
-        lines = [f"# betachow {version}", f"# command={self.command}"]
+    def header_comment_lines(self) -> list[str]:
+        lines = [f"# betachow {__version__}", f"# command={self.command}"]
         lines += [f"# {k}={v}" for k, v in self.sorted_params()]
         return lines
 
-    def header_json(self, version: str) -> str:
-        return json.dumps({"artifact": "betachow", "version": version,
+    def header_json(self) -> str:
+        return json.dumps({"artifact": "betachow", "version": __version__,
                            "command": self.command,
                            "params": dict(self.sorted_params())}, sort_keys=True)
 
@@ -71,9 +72,9 @@ def fmt(value) -> str:
     return str(value)
 
 
-def csv_head(fieldnames: list[str], config: RunConfig, version: str) -> str:
+def csv_head(fieldnames: list[str], config: RunConfig) -> str:
     """The header comment lines and the field-name line of a CSV report."""
-    lines = [*config.header_comment_lines(version), ",".join(fieldnames)]
+    lines = [*config.header_comment_lines(), ",".join(fieldnames)]
     return "".join(line + "\n" for line in lines)
 
 

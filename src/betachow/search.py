@@ -24,6 +24,7 @@ from math import gcd, lcm, prod
 from operator import getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
+from . import __version__
 from ._records import Frozen, Record
 from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
@@ -575,17 +576,17 @@ def run_search(search: Search, workers: int = 1) -> SolutionSet:
 # persistence with re-verification
 # ---------------------------------------------------------------------------
 
-def _header(kind: str, descriptor: dict, version: str) -> str:
+def _header(kind: str, descriptor: dict) -> str:
     """The first line of a solution file or checkpoint."""
-    return json.dumps({"artifact": "betachow", "version": version, "kind": kind,
+    return json.dumps({"artifact": "betachow", "version": __version__, "kind": kind,
                        "descriptor": descriptor}, sort_keys=True)
 
 
-def solution_set_text(sols: SolutionSet, version: str) -> str:
+def solution_set_text(sols: SolutionSet) -> str:
     """A solution file: the header line, then one line per solution."""
     predicate = sols.descriptor["kind"]
     records = (json.dumps({**rec, "predicate": predicate}, sort_keys=True) for rec in sols.records())
-    return "\n".join([_header("solution-set", sols.descriptor, version), *records]) + "\n"
+    return "\n".join([_header("solution-set", sols.descriptor), *records]) + "\n"
 
 
 def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
@@ -699,7 +700,7 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
     return _records_solution_set(descriptor, map(json.loads, lines[1:]), search)
 
 
-def _open_checkpoint(path: str, search: Search, version: str) -> tuple[SolutionSet, set[str]]:
+def _open_checkpoint(path: str, search: Search) -> tuple[SolutionSet, set[str]]:
     """The re-verified solutions and the completed first-coordinate ranges
     of the checkpoint at path.
 
@@ -715,7 +716,7 @@ def _open_checkpoint(path: str, search: Search, version: str) -> tuple[SolutionS
             data = fh.read()
     except FileNotFoundError:
         data = b""
-    header = _header("checkpoint", search.descriptor, version)
+    header = _header("checkpoint", search.descriptor)
     body = data[:data.rfind(b"\n") + 1].rstrip()      # complete lines, trailing blanks cut
     last = body.rpartition(b"\n")[2]
     try:
@@ -746,15 +747,14 @@ def _open_checkpoint(path: str, search: Search, version: str) -> tuple[SolutionS
     return merged, {r["first"] for r in ranges}
 
 
-def search_with_checkpoint(path: str, search: Search, version: str,
-                           workers: int = 1) -> SolutionSet:
+def search_with_checkpoint(path: str, search: Search, workers: int = 1) -> SolutionSet:
     """run_search, resumable: the checkpoint at path holds a header line
     (version and descriptor) and one line per completed first coordinate.
     Resumed records re-verify through the search's check.  The missing
     first coordinates go through _by_first's one pool, and each one's line
     is appended and flushed, in order, as its part arrives, so a crash
     loses only the coordinates not yet appended."""
-    merged, done = _open_checkpoint(path, search, version)
+    merged, done = _open_checkpoint(path, search)
     rows = search.rows(search.box)
     pending = [v for v in rows.firsts if str(v) not in done]
     with open(path, "a") as ck:
@@ -857,19 +857,15 @@ def _linear_factor_candidates(f: MultiPoly) -> list[MultiPoly]:
     x = MultiPoly.variable(0, 2)
     cands: list[MultiPoly] = []
     deg_y = max(e[1] for e in f.terms)
-    if deg_y == 0:
-        # univariate in x0: factors x0 - root
-        for root in _rational_roots(_restrict(f, 1, Fraction(0))):
-            cands.append(x - MultiPoly.constant(root, 2))
-        return cands
-    # vertical factors x0 - c force the top x1-coefficient to vanish at c
+    # vertical factors x0 - c force the top x1-coefficient to vanish at c;
+    # when f is free of x1 that coefficient is f, and each test line below
+    # restricts f to a nonzero constant, which adds no candidate
     lead = [Fraction(0)] * (max(e[0] for e in f.terms) + 1)
     for e, c in f.terms.items():
         if e[1] == deg_y:
             lead[e[0]] += c
-    if any(c != 0 for c in lead):
-        for root in _rational_roots(lead):
-            cands.append(x - MultiPoly.constant(root, 2))
+    for root in _rational_roots(lead):
+        cands.append(x - MultiPoly.constant(root, 2))
     # non-vertical factors hit rational points on two test lines x0 = t
     tests: list[tuple[Fraction, list[Fraction]]] = []
     t = Fraction(0)
@@ -889,10 +885,11 @@ def _linear_factor_candidates(f: MultiPoly) -> list[MultiPoly]:
     return cands
 
 
-def plane_linear_factors(f: MultiPoly, projective: bool) -> list[MultiPoly]:
-    """Linear factors of a plane form; projective input is dehomogenized at
-    x2 = 1 (powers of x2 split off first) and the factors rehomogenized."""
-    if not projective:
+def plane_linear_factors(f: MultiPoly) -> list[MultiPoly]:
+    """Linear factors of a plane form: affine in 2 variables, or projective
+    (homogeneous in 3), which is dehomogenized at x2 = 1 (powers of x2 split
+    off first) and its factors rehomogenized."""
+    if f.nvars == 2:
         return linear_factors_2var(f)
     if f.nvars != 3 or not f.is_homogeneous():
         raise ValueError("projective factor extraction works on homogeneous P^2 forms")
@@ -971,7 +968,7 @@ def degeneracy_report(points: Sequence[tuple], max_degree: int,
         if plane:
             per_form = []
             for f in forms:
-                factors = plane_linear_factors(f, projective)
+                factors = plane_linear_factors(f)
                 per_form.append(sum(lf.total_degree() for lf in factors)
                                 == f.total_degree())
                 for lf in factors:

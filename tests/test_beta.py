@@ -62,13 +62,13 @@ def test_f_at_three_n_closed_form():
 
 
 def test_positivity_scan():
-    rows = scan_cyclic(2, 8, 12)
+    rows = scan_cyclic(8, 12)
     assert all(r["ok"] for r in rows)
     assert len(rows) == sum(12 * n - 3 * n + 1 for n in range(2, 9))
 
 
 def test_f_monotone_scan():
-    assert all(r["ok"] for r in scan_f_monotone(2, 8, 12))
+    assert all(r["ok"] for r in scan_f_monotone(8, 12))
 
 
 def _fraction_f(n, q):
@@ -90,14 +90,14 @@ def _fraction_scan_row(n, q):
 
 
 def test_int_scans_match_their_fraction_forms():
-    rows = scan_cyclic(2, 12, 20)
+    rows = scan_cyclic(12, 20)
     assert [(r["n"], r["q"]) for r in rows] == [
         (n, q) for n in range(2, 13) for q in range(3 * n, 20 * n + 1)]
     for row in rows:
         assert row == _fraction_scan_row(row["n"], row["q"])
         assert type(row["f"]) is int and type(row["beta"]) is Fraction
         assert row["identity"] is True and row["ok"] is True
-    assert scan_f_monotone(2, 12, 20) == [
+    assert scan_f_monotone(12, 20) == [
         {"n": n, "q": q, "difference": d, "ok": d > 0}
         for n in range(2, 13) for q in range(3 * n, 20 * n)
         for d in [_fraction_f(n, q + 1) - _fraction_f(n, q)]]
@@ -106,7 +106,7 @@ def test_int_scans_match_their_fraction_forms():
 def test_int_scan_catches_a_wrong_f(monkeypatch):
     real = betachow.beta.f_poly
     monkeypatch.setattr(betachow.beta, "f_poly", lambda n, q: real(n, q) + 1)
-    rows = scan_cyclic(2, 3, 4)
+    rows = scan_cyclic(3, 4)
     assert not any(r["identity"] or r["ok"] for r in rows)
     assert all(r["beta_gt_1"] and r["f_gt_0"] for r in rows)
 
@@ -171,7 +171,7 @@ def test_autissier_input_validation():
 
 
 def test_marked_targets_scan():
-    rows = scan_marked((2, 3, 4), (10, 100, 1000))
+    rows = scan_marked()
     assert all(r["ok"] for r in rows)
     assert marked_target(2, 10, 1) == Fraction(15, 2)
     assert marked_target(2, 10, 4) == Fraction(5)

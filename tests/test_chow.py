@@ -77,7 +77,7 @@ def generator_top(classes):
 
 
 def rand_class(rng, n, r):
-    return DivisorClass(n, r, Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
+    return DivisorClass(n, Fraction(rng.randint(-6, 6), rng.randint(1, 3)),
                         tuple(Fraction(rng.randint(-4, 4)) for _ in range(r)))
 
 
@@ -102,7 +102,7 @@ def test_top_intersection_validation():
     cl = config_classes(cfg)
     with pytest.raises(ValueError):
         top_intersection([cl["D"]])  # needs n classes
-    other = DivisorClass(2, 3, 1, (0, 0, 0))
+    other = DivisorClass(2, 1, (0, 0, 0))
     with pytest.raises(ValueError, match="mismatched"):
         top_intersection([cl["D"], other])
 
@@ -160,9 +160,9 @@ def test_strict_transform():
 
 def test_config_classes_examples():
     cl = config_classes(cyclic_config(2, 6))
-    assert cl["D"] == DivisorClass(2, 6, 6, (2,) * 6)
+    assert cl["D"] == DivisorClass(2, 6, (2,) * 6)
     marked = config_classes(marked_config(2), ell=10)
-    assert marked["A"] == DivisorClass(2, 3, 31, (10, 10, 10))
+    assert marked["A"] == DivisorClass(2, 31, (10, 10, 10))
     assert top_intersection([marked["A"]] * 2) == 661
     with pytest.raises(ValueError):
         config_classes(marked_config(2))  # ell required
@@ -184,10 +184,50 @@ def test_marked_leading_terms():
 def test_config_validation():
     with pytest.raises(ValueError):
         cyclic_config(2, 5)  # q < 3n
-    with pytest.raises(ValueError):
-        BlowupConfig(2, "cyclic", 6, 5, tuple(frozenset() for _ in range(6)))
-    with pytest.raises(ValueError):
-        BlowupConfig(2, "weird", 6, 6, tuple(frozenset() for _ in range(6)))
+    with pytest.raises(ValueError, match="unknown configuration kind"):
+        BlowupConfig(2, "weird", 6)
+
+
+@pytest.mark.parametrize("n, kind, q, message", [
+    (1, "cyclic", 3, "n must be >= 2"),
+    (1, "marked", 2, "n must be >= 2"),
+    (2, "cyclic", 5, "q >= 3n"),
+    (3, "cyclic", 8, "q >= 3n"),
+    (2, "marked", 5, "q = 2n"),
+    (2, "marked", 6, "q = 2n"),
+])
+def test_blowup_config_refuses_bad_shapes(n, kind, q, message):
+    with pytest.raises(ValueError, match=message):
+        BlowupConfig(n, kind, q)
+
+
+def test_blowup_config_derives_points_and_incidence():
+    cyclic = BlowupConfig(2, "cyclic", 7)
+    assert cyclic == cyclic_config(2, 7)
+    assert cyclic.r == 7
+    assert cyclic.incidence[0] == frozenset({0, 6})
+    assert cyclic.incidence[3] == frozenset({2, 3})
+    marked = BlowupConfig(3, "marked", 6)
+    assert marked == marked_config(3)
+    assert marked.r == 4
+    assert marked.incidence == (frozenset({0}), frozenset({1}), frozenset({2}),
+                                frozenset({3}), frozenset(), frozenset())
+
+
+def test_nef_inconclusive_when_no_certified_family_matches():
+    # H meets every witness curve nonnegatively but is no multiple of D - m*Ht_i
+    res = nef_test(pullback_hyperplane(2, 6), cyclic_config(2, 6))
+    assert (res.status, res.witness, res.certificate, res.min_value) == \
+        ("inconclusive", None, None, 0)
+    assert res.describe().startswith("inconclusive: ")
+
+
+def test_from_json_refuses_a_record_whose_r_is_not_len_b():
+    record = DivisorClass(2, 1, (1, 0, 0)).to_json()
+    assert record["r"] == 3 and DivisorClass.from_json(record) == DivisorClass(2, 1, (1, 0, 0))
+    for r in (2, 4):
+        with pytest.raises(ValueError, match="length r"):
+            DivisorClass.from_json({**record, "r": r})
 
 
 def test_nef_certified_family():
@@ -224,7 +264,7 @@ def test_nef_marked_classes():
     assert nef_test(cl["A"], cfg).status == "certified-nef"
     for i in range(1, 5):
         assert nef_test(cl[f"Ht{i}"], cfg).status == "certified-nef"
-    bad = DivisorClass(2, 3, 1, (1, 1, 0))  # line through two points: 1-1-1 < 0
+    bad = DivisorClass(2, 1, (1, 1, 0))  # line through two points: 1-1-1 < 0
     assert nef_test(bad, cfg).status == "fails-witness"
 
 
@@ -242,7 +282,7 @@ def test_nef_never_certified_with_negative_witness():
 
 
 def test_json_round_trip():
-    cls = DivisorClass(2, 3, Fraction(7, 2), (Fraction(1), Fraction(-2, 3), Fraction(0)))
+    cls = DivisorClass(2, Fraction(7, 2), (Fraction(1), Fraction(-2, 3), Fraction(0)))
     assert DivisorClass.from_json(cls.to_json()) == cls
     assert cls.to_json()["a"] == "7/2"
 
@@ -274,14 +314,14 @@ def test_parse_class_expr_refuses_malformed_expressions():
 
 
 def test_divisor_class_is_immutable_and_canonical():
-    cls = DivisorClass(2, 3, Fraction(1, 2), (1, 0, Fraction(3, 2)))
-    assert cls == DivisorClass(2, 3, "1/2", (1.0, "0", "3/2"))
-    assert cls == Fraction(1, 2) * DivisorClass(2, 3, 1, (2, 0, 3))
+    cls = DivisorClass(2, Fraction(1, 2), (1, 0, Fraction(3, 2)))
+    assert cls == DivisorClass(2, "1/2", (1.0, "0", "3/2"))
+    assert cls == Fraction(1, 2) * DivisorClass(2, 1, (2, 0, 3))
     assert cls.b == (Fraction(1), Fraction(0), Fraction(3, 2))
-    assert repr(cls) == ("DivisorClass(n=2, r=3, a=Fraction(1, 2), "
+    assert repr(cls) == ("DivisorClass(n=2, a=Fraction(1, 2), "
                          "b=(Fraction(1, 1), Fraction(0, 1), Fraction(3, 2)))")
     assert pickle.loads(pickle.dumps(cls)) == cls
-    assert cls - cls == 0 * cls == DivisorClass(2, 3, 0, (0, 0, 0))
+    assert cls - cls == 0 * cls == DivisorClass(2, 0, (0, 0, 0))
     for field in ("n", "a", "b", "_den"):
         with pytest.raises(AttributeError):
             setattr(cls, field, 1)
@@ -336,7 +376,7 @@ def _class_products(draw):
         b = tuple(draw(st.lists(FRACTIONS, min_size=r, max_size=r)))
         if draw(st.booleans()):
             b = (Fraction(0),) * r
-        pool.append((DivisorClass(n, r, a, b), (a, b)))
+        pool.append((DivisorClass(n, a, b), (a, b)))
     picked = []
     for _ in range(n):
         cls, (a, b) = draw(st.sampled_from(pool))
@@ -360,16 +400,16 @@ def _class_products(draw):
 def test_sparse_classes_match_fraction_classes_and_dense_products(case):
     n, r, picked = case
     for cls, (a, b) in picked:
-        twin = DivisorClass(n, r, a, b)
+        twin = DivisorClass(n, a, b)
         assert cls.a == a and cls.b == b
         assert cls == twin and hash(cls) == hash(twin)
         assert cls.to_json() == twin.to_json() == {
             "n": n, "r": r, "a": str(a), "b": [str(x) for x in b]}
         assert DivisorClass.from_json(cls.to_json()) == cls
         for i in range(r):
-            assert curve_value(cls, CurveClass("exceptional-line", (i,), 0)) == b[i]
+            assert curve_value(cls, CurveClass("exceptional-line", (i,))) == b[i]
         for pts in [(), *combinations(range(r), 1), *combinations(range(r), 2)]:
-            curve = CurveClass("line-through-point-set", pts, 1)
+            curve = CurveClass("line-through-point-set", pts)
             assert curve_value(cls, curve) == a - sum(b[i] for i in pts)
     classes = [cls for cls, _ in picked]
     value = top_intersection(classes)
@@ -387,7 +427,7 @@ def _class_lists(draw):
     for _ in range(draw(st.integers(0, 4))):
         n, r = first if draw(st.booleans()) else draw(shape)
         b = draw(st.lists(FRACTIONS, min_size=r, max_size=r))
-        classes.append(DivisorClass(n, r, draw(FRACTIONS), b))
+        classes.append(DivisorClass(n, draw(FRACTIONS), b))
     return classes
 
 

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import betachow
 import betachow.beta
 import betachow.chow
 import betachow.cli
@@ -251,6 +252,17 @@ def test_heights_command(capsys):
     assert "height_check,,pass," in out
 
 
+def test_heights_subscheme_column(capsys):
+    code, out, _ = run(capsys, "heights", "--form", "x0", "--point", "4,6",
+                       "--subscheme", "x1")
+    assert code == 0
+    lines = out.splitlines()
+    fields = "place,in_s,value,lambda,subscheme_value"
+    assert lines[lines.index(fields) + 1:][:3] == [
+        "inf,yes,3/2,0.4054651081081644,1", "2,no,2,0.6931471805599453,1", "3,no,1,0.0,1"]
+    assert "# subscheme=x1" in lines
+
+
 def test_heights_resource_bound(capsys):
     big = str(2 ** 140 + 1)
     code, _, err = run(capsys, "heights", "--form", "x0", "--point", f"{big},3",
@@ -328,6 +340,26 @@ def test_option_string_is_not_taken_as_a_value(capsys):
     code, out, err = run(capsys, "heights", "--form", "x0", "--point", "--s", "inf")
     assert (code, out) == (2, "")
     assert "argument --point: expected one argument" in err
+
+
+def test_every_header_writer_carries_the_package_version(tmp_path, capsys):
+    version = betachow.__version__
+    forms = tmp_path / "g.txt"
+    forms.write_text("1\n")
+    sol, ck = tmp_path / "sol.jsonl", tmp_path / "run.ckpt"
+    code, _, _ = run(capsys, "search", "cor12", "--forms", str(forms), "--box", "1",
+                     "--dim", "2", "--checkpoint", str(ck), "--json", "--out", str(sol))
+    assert code == 0
+    for path, kind in ((sol, "solution-set"), (ck, "checkpoint")):
+        header = json.loads(path.read_text().splitlines()[0])
+        assert (header["artifact"], header["kind"], header["version"]) == \
+            ("betachow", kind, version)
+    grid = ["verify", "--chow-n-hi", "2", "--beta-n-hi", "2", "--q-mult", "4"]
+    code, out, _ = run(capsys, *grid)
+    assert code == 0 and out.splitlines()[0] == f"# betachow {version}"
+    code, out, _ = run(capsys, *grid, "--json")
+    header = json.loads(out.splitlines()[0])
+    assert code == 0 and (header["artifact"], header["version"]) == ("betachow", version)
 
 
 def test_search_cor12_jsonl_and_reload(tmp_path, capsys):
@@ -443,6 +475,41 @@ def test_config_file(tmp_path, capsys):
     assert "1:1" in out
     parsed = parse_config_file(str(cfg))
     assert parsed["box"] == "5"
+
+
+def test_config_file_skips_comments_and_names_a_malformed_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# verify on a small grid\n\nchow-n-hi=2  # trailing comment\n"
+                   "   \nbeta-n-hi=2\nq-mult=4\n")
+    code, out, _ = run(capsys, "verify", "--config-file", str(cfg))
+    assert code == 0 and "# chow_n_hi=2" in out and "FAIL" not in out
+    cfg.write_text("# verify\n\nchow-n-hi=2\nq-mult 4\n")
+    code, out, err = run(capsys, "verify", "--config-file", str(cfg))
+    assert (code, out) == (2, "")
+    assert "malformed config line: 'q-mult 4'" in err and "Traceback" not in err
+
+
+def test_out_to_a_device_is_written_in_place(capsys):
+    code, out, err = run(capsys, "verify", "--chow-n-hi", "2", "--beta-n-hi", "2",
+                         "--q-mult", "4", "--out", os.devnull)
+    assert (code, out, err) == (0, "", "")
+
+
+def test_forms_file_declaring_g_twice_is_a_usage_error(tmp_path, capsys):
+    forms = tmp_path / "forms.txt"
+    forms.write_text("x0\nx1\nx2\nG: 1\nG: x0\n")
+    code, out, err = run(capsys, "search", "thm11", "--forms", str(forms),
+                         "--box", "1", "--dim", "2")
+    assert (code, out) == (2, "")
+    assert "forms file declares G twice" in err
+
+
+def test_chow_inconclusive_nef_verdict(capsys):
+    code, out, _ = run(capsys, "chow", "--config", "cyclic", "--n", "2", "--q", "6",
+                       "--nef", "H")
+    assert code == 0
+    assert out.splitlines()[-1] == ("nef H,inconclusive: witness family nonnegative but "
+                                    "the class matches no certified family")
 
 
 def test_usage_errors(capsys):

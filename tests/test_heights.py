@@ -231,11 +231,8 @@ def test_product_formula_random():
 def test_weil_subscheme():
     f0, f1 = parse_poly("x0", 2), parse_poly("x1", 2)
     p = ProjPoint.normalize([2, 3])
-    pair = [(f0, 1), (f1, 1)]
-    assert weil_subscheme(pair, p, Place(2)).value == 1  # min(2, 1)
-    assert weil_subscheme([(f0, 1)], p, ARCH).value == weil_local(f0, p, ARCH).value
-    with pytest.raises(ValueError):
-        weil_subscheme([(f0, 2)], p, ARCH)  # degree mismatch
+    assert weil_subscheme([f0, f1], p, Place(2)).value == 1  # min(2, 1)
+    assert weil_subscheme([f0], p, ARCH).value == weil_local(f0, p, ARCH).value
 
 
 def test_weil_subscheme_monotone_under_refinement():
@@ -248,10 +245,9 @@ def test_weil_subscheme_monotone_under_refinement():
                                  rng.randint(-20, 20) or 3])
         if any(f.evaluate(p.coords) == 0 for f in fs):
             continue
-        gens = [(f, 1) for f in fs]
         for v in (ARCH, Place(2), Place(3), Place(5)):
-            big = weil_subscheme(gens, p, v).value
-            small = weil_subscheme(gens[:2], p, v).value
+            big = weil_subscheme(fs, p, v).value
+            small = weil_subscheme(fs[:2], p, v).value
             assert big <= small
 
 

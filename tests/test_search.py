@@ -152,7 +152,7 @@ def test_cor12_frozen_solution_set():
 def test_points_keep_integral_coordinates_as_ints(tmp_path):
     sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,))))
     path = tmp_path / "c.jsonl"
-    path.write_text(solution_set_text(sols, "0.0-test"))
+    path.write_text(solution_set_text(sols))
     for points in (sols.points, load_solution_set(str(path)).points):
         assert points == sols.points
         assert any(type(c) is Fraction for pt in points for c in pt)
@@ -164,7 +164,7 @@ def test_points_keep_integral_coordinates_as_ints(tmp_path):
 @pytest.mark.parametrize("coordinate", ["1/0", None, "1/1", "-0"])
 def test_load_refuses_coordinates_that_are_not_canonical_text(tmp_path, reverify, coordinate):
     sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6), S_EMPTY))
-    lines = solution_set_text(sols, "0.0-test").splitlines()
+    lines = solution_set_text(sols).splitlines()
     rec = json.loads(lines[-1])
     rec["point"][0] = coordinate
     lines[-1] = json.dumps(rec, sort_keys=True)
@@ -422,7 +422,7 @@ def test_persistence_round_trip(tmp_path):
     g = parse_poly("1", 2)
     sols = run_search(_cor12_spec(g, SearchBox(2, 30), SRing((2,))))
     path = tmp_path / "sols.jsonl"
-    path.write_text(solution_set_text(sols, "0.0-test"))
+    path.write_text(solution_set_text(sols))
     loaded = load_solution_set(str(path))
     assert loaded.points == sols.points
     assert loaded.witnesses == sols.witnesses
@@ -508,7 +508,7 @@ def test_thm16_hypotheses_checked_once_per_search_and_per_file(tmp_path, monkeyp
     sols = run_search(_thm16_spec(SIX, SearchBox(2, 3), S_EMPTY))
     assert sols.count >= 1 and calls == [6]
     path = tmp_path / "t.jsonl"
-    path.write_text(solution_set_text(sols, "0.0-test"))
+    path.write_text(solution_set_text(sols))
     assert load_solution_set(str(path)).points == sols.points
     assert calls == [6, 6]
 
@@ -534,7 +534,7 @@ def test_search_thm16_rejects_bad_hypotheses_up_front():
 def test_thm16_reverify_rejects_tampered_point(tmp_path, bad_point, message):
     sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
     path = tmp_path / "t.jsonl"
-    path.write_text(solution_set_text(sols, "0.0-test"))
+    path.write_text(solution_set_text(sols))
     lines = path.read_text().splitlines()
     rec = json.loads(lines[-1])
     rec["point"] = bad_point
@@ -558,7 +558,7 @@ def test_cor12_reverify_rejects_tampered_point(tmp_path):
     ]:
         sols = run_search(_cor12_spec(parse_poly(g_text, 2), box, s))
         path = tmp_path / "c.jsonl"
-        path.write_text(solution_set_text(sols, "0.0-test"))
+        path.write_text(solution_set_text(sols))
         lines = path.read_text().splitlines()
         rec = json.loads(lines[-1])
         rec["point"] = bad_point
@@ -597,7 +597,7 @@ TAMPERED_WITNESSES = [
 def test_reverify_rejects_tampered_witnesses(tmp_path, witnesses):
     sols = run_search(_cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,))))
     path = tmp_path / "c.jsonl"
-    path.write_text(solution_set_text(sols, "0.0-test"))
+    path.write_text(solution_set_text(sols))
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
     i = next(k for k, rec in enumerate(records) if rec["point"] == ["1/2", "-5/2"])
     assert records[i]["witnesses"] == WIT
@@ -628,7 +628,7 @@ def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatc
     keys = {k for wit in sols.witnesses for k in wit}
     assert sols.count > 1 and keys
     path = tmp_path / "w.jsonl"
-    path.write_text(solution_set_text(sols, "0.0-test"))
+    path.write_text(solution_set_text(sols))
     calls = []
     real = betachow.search.is_prime
     monkeypatch.setattr(betachow.search, "is_prime", lambda p: calls.append(p) or real(p))
@@ -647,7 +647,7 @@ def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatc
 def test_reverify_rejects_a_non_canonical_descriptor(tmp_path, edit):
     sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
     path = tmp_path / "t.jsonl"
-    path.write_text(solution_set_text(sols, "0.0-test"))
+    path.write_text(solution_set_text(sols))
     header, *records = [json.loads(line) for line in path.read_text().splitlines()]
     header["descriptor"] |= edit
     records.append({**records[-1], "point": ["-2", "0", "0"]})
@@ -684,7 +684,7 @@ def test_search_spec_names_a_missing_descriptor_key(kind, key):
                                            ("projective", False)])
 def test_load_names_a_missing_header_key(tmp_path, key, reverify):
     sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
-    header, *records = solution_set_text(sols, "0.0-test").splitlines()
+    header, *records = solution_set_text(sols).splitlines()
     header = json.loads(header)
     del (header if key == "descriptor" else header["descriptor"])[key]
     path = tmp_path / "t.jsonl"
@@ -702,7 +702,7 @@ def test_load_names_a_missing_header_key(tmp_path, key, reverify):
 @pytest.mark.parametrize("reverify", [True, False])
 def test_load_refuses_a_header_that_is_not_an_object(tmp_path, edit, message, reverify):
     sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
-    header, *records = solution_set_text(sols, "0.0-test").splitlines()
+    header, *records = solution_set_text(sols).splitlines()
     path = tmp_path / "t.jsonl"
     path.write_text("\n".join([json.dumps(edit(json.loads(header))), *records]) + "\n")
     with pytest.raises(ValueError, match=message):
@@ -714,7 +714,7 @@ def test_load_refuses_a_header_that_is_not_an_object(tmp_path, edit, message, re
                                         for value in ("2", 2.0, True, None)])
 def test_load_refuses_a_box_field_that_is_not_an_int(tmp_path, key, value):
     sols = run_search(_thm16_spec(SIX, SearchBox(2, 2), S_EMPTY))
-    header, *records = solution_set_text(sols, "0.0-test").splitlines()
+    header, *records = solution_set_text(sols).splitlines()
     header = json.loads(header)
     header["descriptor"][key] = value
     path = tmp_path / "t.jsonl"
@@ -848,6 +848,9 @@ def _linear_forms(draw):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(_linear_forms(), min_size=1, max_size=4),
        st.sampled_from([None, *QUADRATICS]), RATIONALS.filter(lambda c: c != 0))
+# (2x0 - 1)^2 (x0 + 3): every factor misses x1, and one repeats
+@example([MultiPoly(2, {(1, 0): 2, (0, 0): -1}), MultiPoly(2, {(1, 0): 2, (0, 0): -1}),
+          MultiPoly(2, {(1, 0): 1, (0, 0): 3})], None, Fraction(1))
 def test_linear_factors_match_sympy(lines, quadratic, scale):
     f = MultiPoly.constant(scale, 2)
     for factor in lines + ([parse_poly(quadratic, 2)] if quadratic else []):
