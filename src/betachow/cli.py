@@ -31,9 +31,9 @@ from .beta import (
     scan_marked,
 )
 from .chow import (
+    BlowupConfig,
     config_classes,
     cyclic_config,
-    marked_config,
     nef_test,
     parse_class_expr,
     top_intersection,
@@ -143,7 +143,7 @@ def _build_config(args):
         if args.q is None:
             raise ValueError("cyclic configuration needs --q")
         return cyclic_config(args.n, args.q)
-    return marked_config(args.n)
+    return BlowupConfig(args.n, "marked", 2 * args.n if args.q is None else args.q)
 
 
 def cmd_chow(args) -> int:
@@ -352,18 +352,15 @@ def cmd_search(args) -> int:
         rows = [{"point": ":".join(str(c) for c in pt),
                  "witnesses": json.dumps(wit, sort_keys=True)}
                 for pt, wit in zip(sols.points, sols.witnesses)]
-        fields = ["point", "witnesses"]
-        chunks = (csv_head(fields, config), csv_lines(rows, fields))
+        _emit(rows, ["point", "witnesses"], config, args)
     else:
-        chunks = (solution_set_text(sols),)
-    write_stream(args.out, chunks)
+        write_stream(args.out, (solution_set_text(sols),))
 
     if args.degeneracy:
-        growth = [(b, bisect_right(heights, b)) for b in bounds] if bounds else None
-        rep = degeneracy_report(sols.points, args.degeneracy,
-                                projective=sols.descriptor.get("projective", False),
-                                growth=growth, descriptor=sols.descriptor)
-        print(json.dumps(rep.to_json(), sort_keys=True))
+        rep = degeneracy_report(sols.points, args.degeneracy, sols.descriptor["projective"])
+        rep["descriptor"] = sols.descriptor
+        rep["growth"] = [(b, bisect_right(heights, b)) for b in bounds] if bounds else None
+        print(json.dumps(rep, sort_keys=True))
     return EXIT_OK
 
 

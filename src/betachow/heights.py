@@ -213,10 +213,20 @@ def _ratio_text(num: int, den: int) -> str:
 def weil_subscheme(generators: Sequence[MultiPoly], p: ProjPoint, v: Place) -> LocalHeight:
     """Local value of the subscheme cut out by several forms: the minimum
     of the component values (each form taken with its own degree,
-    f.total_degree())."""
+    f.total_degree()).  A form vanishing at P has value +infinity there and
+    drops out of the minimum; P is on the subscheme, an error, only when
+    every form vanishes.  Every form is checked, vanishing or not."""
     if not generators:
         raise ValueError("subscheme needs at least one generator")
-    return LocalHeight(v, min(weil_local(f, p, v).value for f in generators))
+    values = []
+    for f in generators:
+        check_weil_form(f)
+        val = f.evaluate(p.coords)
+        if val != 0:
+            values.append(_local_value(val.numerator, p.coords, f.total_degree(), v.prime))
+    if not values:
+        raise ValueError("point on support")
+    return LocalHeight(v, Fraction(min(values)))
 
 
 def support_primes(values: Iterable[Fraction | int]) -> tuple[int, ...]:

@@ -818,20 +818,20 @@ def _rational_roots(coeffs: Sequence[Fraction]) -> list[Fraction]:
     return sorted(roots)
 
 
-def _restrict(f: MultiPoly, fixed_var: int, value: Fraction) -> list[Fraction]:
-    """Coefficient list of f with x_fixed := value, in the other variable."""
-    other = 1 - fixed_var
-    deg = max(e[other] for e in f.terms)
+def _restrict(f: MultiPoly, value: Fraction) -> list[Fraction]:
+    """Coefficient list of f with x0 := value, in x1."""
+    deg = max(e[1] for e in f.terms)
     out = [Fraction(0)] * (deg + 1)
     for e, c in f.terms.items():
-        out[e[other]] += c * value ** e[fixed_var]
+        out[e[1]] += c * value ** e[0]
     return out
 
 
 def linear_factors_2var(f: MultiPoly) -> list[MultiPoly]:
     """Linear factors (with multiplicity) of a 2-variable polynomial over Q,
     found by exact rational root extraction on 1-variable restrictions.
-    The candidates are taken once, from f: every linear factor of a
+    Each factor is primitive (see _primitive_form), so its str names its
+    line.  The candidates are taken once, from f: every linear factor of a
     quotient divides f, so it is one of them."""
     if f.nvars != 2:
         raise ValueError("linear factor extraction works in 2 variables")
@@ -845,8 +845,11 @@ def linear_factors_2var(f: MultiPoly) -> list[MultiPoly]:
 
 
 def _primitive_form(terms: dict, nvars: int) -> MultiPoly:
+    """The form with these terms (zeros dropped) scaled to coprime integer
+    coefficients, the leading one (highest degree, then largest exponents
+    first) positive: one form for each line."""
     denom = lcm(*(c.denominator for c in terms.values()))
-    ints = {e: int(c * denom) for e, c in terms.items()}
+    ints = {e: int(c * denom) for e, c in terms.items() if c != 0}
     g = gcd(*ints.values())
     lead = min(ints, key=lambda e: (-sum(e), tuple(-x for x in e)))
     sign = 1 if ints[lead] > 0 else -1
@@ -854,7 +857,6 @@ def _primitive_form(terms: dict, nvars: int) -> MultiPoly:
 
 
 def _linear_factor_candidates(f: MultiPoly) -> list[MultiPoly]:
-    x = MultiPoly.variable(0, 2)
     cands: list[MultiPoly] = []
     deg_y = max(e[1] for e in f.terms)
     # vertical factors x0 - c force the top x1-coefficient to vanish at c;
@@ -865,12 +867,12 @@ def _linear_factor_candidates(f: MultiPoly) -> list[MultiPoly]:
         if e[1] == deg_y:
             lead[e[0]] += c
     for root in _rational_roots(lead):
-        cands.append(x - MultiPoly.constant(root, 2))
+        cands.append(_primitive_form({(1, 0): Fraction(1), (0, 0): -root}, 2))
     # non-vertical factors hit rational points on two test lines x0 = t
     tests: list[tuple[Fraction, list[Fraction]]] = []
     t = Fraction(0)
     while len(tests) < 2:
-        coeffs = _restrict(f, 0, t)
+        coeffs = _restrict(f, t)
         if any(c != 0 for c in coeffs):
             tests.append((t, _rational_roots(coeffs)))
         t += 1
@@ -881,14 +883,15 @@ def _linear_factor_candidates(f: MultiPoly) -> list[MultiPoly]:
             slope = (r2 - r1) / (t2 - t1)
             terms = {(1, 0): -slope, (0, 1): Fraction(1),
                      (0, 0): slope * t1 - r1}
-            cands.append(_primitive_form({e: c for e, c in terms.items() if c != 0}, 2))
+            cands.append(_primitive_form(terms, 2))
     return cands
 
 
 def plane_linear_factors(f: MultiPoly) -> list[MultiPoly]:
-    """Linear factors of a plane form: affine in 2 variables, or projective
-    (homogeneous in 3), which is dehomogenized at x2 = 1 (powers of x2 split
-    off first) and its factors rehomogenized."""
+    """Primitive linear factors of a plane form: affine in 2 variables, or
+    projective (homogeneous in 3), which is dehomogenized at x2 = 1 (powers
+    of x2 split off first) and its factors rehomogenized.  Only the plane
+    splits into lines; other forms are refused."""
     if f.nvars == 2:
         return linear_factors_2var(f)
     if f.nvars != 3 or not f.is_homogeneous():
@@ -896,91 +899,36 @@ def plane_linear_factors(f: MultiPoly) -> list[MultiPoly]:
     factors: list[MultiPoly] = []
     x2 = MultiPoly.variable(2, 3)
     rem = f
-    while True:
-        quot = rem.divide_by_linear(x2)
-        if quot is None:
-            break
+    while (quot := rem.divide_by_linear(x2)) is not None:
         factors.append(x2)
         rem = quot
     affine = MultiPoly(2, {(e[0], e[1]): c for e, c in rem.terms.items()})
-    for lf in linear_factors_2var(affine):
-        terms = {}
-        for e, c in lf.terms.items():
-            terms[(e[0], e[1], 1 - e[0] - e[1])] = c
-        factors.append(MultiPoly(3, terms))
-    return factors
-
-
-class DegeneracyReport(Record):
-    """Kernel data per degree; each line component is {"line": str,
-    "count": int}."""
-
-    __slots__ = ("descriptor", "n_points", "kernel_dims", "kernel_forms", "line_components",
-                 "splits_linearly", "growth")
-
-    def __init__(self, descriptor: dict, n_points: int, kernel_dims: dict[int, int],
-                 kernel_forms: dict[int, list[MultiPoly]], line_components: list[dict],
-                 splits_linearly: dict[int, list[bool]],
-                 growth: list[tuple[int, int]] | None = None):
-        self.descriptor = descriptor
-        self.n_points = n_points
-        self.kernel_dims = kernel_dims
-        self.kernel_forms = kernel_forms
-        self.line_components = line_components
-        self.splits_linearly = splits_linearly
-        self.growth = growth
-
-    def to_json(self) -> dict:
-        return {
-            "descriptor": self.descriptor,
-            "n_points": self.n_points,
-            "kernel_dims": {str(d): k for d, k in self.kernel_dims.items()},
-            "kernel_forms": {str(d): [str(f) for f in fs]
-                             for d, fs in self.kernel_forms.items()},
-            "line_components": self.line_components,
-            "splits_linearly": {str(d): v for d, v in self.splits_linearly.items()},
-            "growth": self.growth,
-        }
+    return factors + [MultiPoly(3, {(a, b, 1 - a - b): c for (a, b), c in lf.terms.items()})
+                      for lf in linear_factors_2var(affine)]
 
 
 def degeneracy_report(points: Sequence[tuple], max_degree: int,
-                      projective: bool = False,
-                      growth: Sequence[tuple[int, int]] | None = None,
-                      descriptor: dict | None = None) -> DegeneracyReport:
-    """Vanishing-ideal kernel dimensions per degree, linear components with
-    per-line point counts (plane case, via exact linear-factor extraction
-    of the kernel forms), and the solution-count growth curve when the
-    caller supplies counts per box bound."""
-    kernel_dims: dict[int, int] = {}
-    kernel_forms: dict[int, list[MultiPoly]] = {}
-    splits: dict[int, list[bool]] = {}
-    components: list[dict] = []
-    if not points:
-        return DegeneracyReport(descriptor or {}, 0, kernel_dims, kernel_forms,
-                                components, splits,
-                                list(growth) if growth is not None else None)
-    plane = len(points[0]) == (3 if projective else 2)
-    seen_lines: dict[str, MultiPoly] = {}
-    for d in range(1, max_degree + 1):
+                      projective: bool = False) -> dict:
+    """The degeneracy report as a JSON-ready dict: per degree d in
+    1..max_degree (text keys), the dimension and a basis of the forms
+    vanishing on the points, and whether each form splits into lines; and
+    the lines found, each {"line": its primitive form, "count": the points on
+    it}, most points first.  Lines are split off only in the plane (affine
+    in 2 variables, or projective in 3); elsewhere no form splits."""
+    plane = bool(points) and len(points[0]) == (3 if projective else 2)
+    kernel_dims, kernel_forms, splits = {}, {}, {}
+    lines: dict[str, MultiPoly] = {}
+    for d in range(1, max_degree + 1) if points else ():
         forms = vanishing_forms(points, d, projective)
-        kernel_dims[d] = len(forms)
-        kernel_forms[d] = forms
-        if plane:
-            per_form = []
-            for f in forms:
-                factors = plane_linear_factors(f)
-                per_form.append(sum(lf.total_degree() for lf in factors)
-                                == f.total_degree())
-                for lf in factors:
-                    key = str(_primitive_form(lf.terms, lf.nvars))
-                    seen_lines.setdefault(key, lf)
-            splits[d] = per_form
-        else:
-            splits[d] = [False] * len(forms)
-    for key, lf in seen_lines.items():
-        count = sum(1 for p in points if lf.evaluate(p) == 0)
-        components.append({"line": key, "count": count})
+        factored = [plane_linear_factors(f) if plane else [] for f in forms]
+        kernel_dims[str(d)] = len(forms)
+        kernel_forms[str(d)] = [str(f) for f in forms]
+        splits[str(d)] = [plane and sum(lf.total_degree() for lf in lfs) == f.total_degree()
+                          for f, lfs in zip(forms, factored)]
+        lines.update((str(lf), lf) for lfs in factored for lf in lfs)
+    components = [{"line": key, "count": sum(1 for p in points if lf.evaluate(p) == 0)}
+                  for key, lf in lines.items()]
     components.sort(key=lambda rec: (-rec["count"], rec["line"]))
-    return DegeneracyReport(descriptor or {}, len(points), kernel_dims,
-                            kernel_forms, components, splits,
-                            list(growth) if growth is not None else None)
+    return {"n_points": len(points), "kernel_dims": kernel_dims,
+            "kernel_forms": kernel_forms, "splits_linearly": splits,
+            "line_components": components}

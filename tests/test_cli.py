@@ -156,6 +156,19 @@ def test_chow_usage_error(capsys):
     assert "nothing to do" in err
 
 
+def test_chow_marked_refuses_a_q_other_than_2n(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    marked = ("chow", "--config", "marked", "--n", "2", "--ell", "10", "--classes")
+    code, printed, err = run(capsys, *marked, "--q", "7", "--out", str(out))
+    assert (code, printed) == (2, "")
+    assert "marked configuration needs q = 2n" in err
+    assert not out.exists()
+    for q in (["--q", "4"], []):
+        code, printed, _ = run(capsys, *marked, *q)
+        assert code == 0
+    assert "# q=None" in printed.splitlines()
+
+
 @pytest.mark.parametrize("expr, message", [
     ("1/0*D", "zero denominator"),
     ("D + ", "ends with an operator"),
@@ -261,6 +274,17 @@ def test_heights_subscheme_column(capsys):
     assert lines[lines.index(fields) + 1:][:3] == [
         "inf,yes,3/2,0.4054651081081644,1", "2,no,2,0.6931471805599453,1", "3,no,1,0.0,1"]
     assert "# subscheme=x1" in lines
+
+
+def test_heights_subscheme_generator_vanishing_at_the_point(capsys):
+    # x1 vanishes at [1:0], so its local value is +infinity and the
+    # subscheme's minimum is the form's own value at every place
+    code, out, err = run(capsys, "heights", "--form", "x0+x1", "--point", "1,0",
+                         "--subscheme", "x1", "--json")
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()[1:]]
+    places = [r for r in rows if r["subscheme_value"] != ""]
+    assert places and all(r["subscheme_value"] == r["value"] for r in places)
 
 
 def test_heights_resource_bound(capsys):
@@ -405,6 +429,56 @@ def test_search_degeneracy_and_growth(tmp_path, capsys):
     rep = json.loads(out.strip().splitlines()[-1])
     assert rep["growth"] == [[5, 3], [10, 3]]
     assert rep["kernel_dims"] == {"1": 0, "2": 3}
+
+
+_LINES = [f"x0+{i}*x1+{i * i}*x2\n" for i in range(1, 7)]
+# sha256 of the degeneracy report's JSON line, pinned before the report was
+# built as a plain dict: (kind, forms file, flags, sha256)
+DEGENERACY_PINS = [
+    ("cor12", "1\n", "--dim 2 --box 10 --degeneracy 3 --growth 5,10",
+     "934d206a66ce25e70126fe063f06e6d3f572b5b18be552a6a8a62a3569ade3b0"),
+    ("cor12", "1\n", "--dim 2 --box 10 --degeneracy 10 --growth 5,10",
+     "c16d95a190e076fc807e01c2bdb4e217a759d25eb3b2cde03a42ab2bfe827211"),
+    ("cor12", "x0+2*x1+6\n", "--dim 2 --box 1 --degeneracy 4",
+     "ad1745e270e98a06c474a78b83af7379d4b5b1fe801a2f456ca6a41c6add8f90"),
+    ("cor12", "x0+2*x1+6\n", "--dim 2 --box 2 --degeneracy 4",
+     "2214549393394e8ff5540f0c3f583965106745861cc86eb4e5c8d414305a7286"),
+    ("cor12", "x0+2*x1+6\n", "--dim 2 --box 3 --degeneracy 4",
+     "0a1313fd4cd7a06d32b8a0caa626d6aa302508b71c520609444d4eca80145ea5"),
+    ("cor12", "x0+2*x1+6\n", "--dim 2 --box 4 --degeneracy 4",
+     "cd5881d2142358730bdebe9d83b8ec612cf90028787e869ea4fe0fed3aaac4b9"),
+    ("cor12", "x0+2*x1+6\n", "--dim 2 --box 6 --degeneracy 4",
+     "27411968b3c857d817069e60b27591233bfefffa5658125e5c67580324032869"),
+    ("cor12", "1\n", "--s-primes 2,3 --denom-cap 1 --box 6 --degeneracy 4 --growth 1,3,6",
+     "52bc8d5fecba4849274126666350b97fd499e4a66a1f8194f7b74e59123d26e7"),
+    ("cor12", "x0+2*x1+3*x2+7\n", "--dim 3 --box 8 --degeneracy 2",
+     "7170b2a0ef372841e43a9f9168f7b0ea75e7e25d43d865f2b3e1ef82b966d0ff"),
+    ("cor12", "x0+2*x1+6\n", "--dim 2 --box 0 --degeneracy 4",
+     "d7ac8c0d1c338328fb7d042f376eb9c6ffeb6f2caccfc302c54dbc70bd54dfb9"),
+    ("thm16", "".join(_LINES), "--box 2 --degeneracy 3",
+     "23fb4cb94e7ed19721135e53ae6d7705936fa63623bddd8bc63673e9ff5ffe28"),
+    ("thm16", "".join(_LINES), "--box 4 --degeneracy 3",
+     "6252462c65636cf5f2b878dc37798ca066c6f9ce32796562cf39d04f013fd4cb"),
+    ("thm16", "".join(_LINES), "--box 6 --degeneracy 3",
+     "224b963b03f797f2b96dbd6ff4cdf2056d60ecb6fe5a2c9e2c4ffbd751d1f1b8"),
+    ("thm11", "".join(_LINES[:5]) + "G: x0\n", "--box 3 --degeneracy 3",
+     "0172c40d61b2a74fdb592b0e2944794d23d4f33c73660f2f29480904cee288f8"),
+    ("thm11", "".join(_LINES[:5]) + "G: x0\n", "--box 6 --degeneracy 3",
+     "a779ccaf65ab8d1a39dc3f0f949ae8647158624f362233886159d3dc244df4b9"),
+    ("thm11", "".join(_LINES[:5]) + "G: x0\n", "--box 12 --degeneracy 3",
+     "d9bdb7c720e32a0b8ba7bbc7409661b78d678255616bd6ddb15a59af14a93213"),
+]
+
+
+@pytest.mark.parametrize("kind, forms, flags, sha", DEGENERACY_PINS,
+                         ids=[f"{kind}-{flags}" for kind, _, flags, _ in DEGENERACY_PINS])
+def test_degeneracy_report_matches_its_pinned_bytes(tmp_path, capsys, kind, forms, flags, sha):
+    path = tmp_path / "forms.txt"
+    path.write_text(forms)
+    code, out, err = run(capsys, "search", kind, "--forms", str(path), *flags.split(),
+                         "--out", str(tmp_path / "s.txt"))
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
 def test_search_cor12_s_primes_and_denominators(tmp_path, capsys):

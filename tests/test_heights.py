@@ -235,6 +235,19 @@ def test_weil_subscheme():
     assert weil_subscheme([f0], p, ARCH).value == weil_local(f0, p, ARCH).value
 
 
+def test_strict_transform_local_where_w_vanishes():
+    # W = x1 vanishes at [3:0:1], so lambda_W is +infinity: the subscheme
+    # value is lambda_D and the strict transform is 1 at every place
+    f_d, f_w = parse_poly("x0+x2", 3), parse_poly("x1", 3)
+    p = ProjPoint.normalize([3, 0, 1])
+    for v in (ARCH, Place(2), Place(3)):
+        assert strict_transform_local(f_d, f_w, p, v) == (1, weil_local(f_d, p, v).value)
+    with pytest.raises(ValueError, match="point on support"):
+        weil_subscheme([f_w, parse_poly("x1^2", 3)], p, ARCH)
+    with pytest.raises(ValueError, match="homogeneous"):
+        weil_subscheme([f_d, parse_poly("x1^2+x1", 3)], p, ARCH)
+
+
 def test_weil_subscheme_monotone_under_refinement():
     # more generators cut a smaller subscheme: the min can only drop
     rng = random.Random(41)

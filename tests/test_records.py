@@ -25,7 +25,6 @@ from betachow.heights import (
 )
 from betachow.reporting import RunConfig
 from betachow.search import (
-    DegeneracyReport,
     Search,
     SearchBox,
     SolutionSet,
@@ -141,8 +140,6 @@ def test_constructors_keep_their_keyword_arguments():
     assert (row.lhs, row.verdict, row.per_place) == (None, True, {})
     beta = BetaReport(claim="x")
     assert (beta.lower_bound, beta.claim_holds) == (None, None)
-    degeneracy = DegeneracyReport({}, 0, {}, {}, [], {})
-    assert degeneracy.to_json()["growth"] is None
     assert BlowupConfig(n=2, kind="cyclic", q=6) == cyclic_config(2, 6)
 
 

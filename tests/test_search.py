@@ -463,28 +463,30 @@ def test_linear_factor_candidates_are_taken_once_per_form(monkeypatch):
                         lambda f: calls.append(str(f)) or real(f))
     f = prod((parse_poly(t, 2) for t in ("x0 - 1", "x0 - 1", "x0 + x1", "2*x0 - x1 + 3",
                                          "x0^2 + x1^2 + 1")), start=MultiPoly.constant(1, 2))
-    got = sorted(str(_primitive_form(lf.terms, 2)) for lf in linear_factors_2var(f))
+    got = sorted(str(lf) for lf in linear_factors_2var(f))
     assert got == ["2*x0 - x1 + 3", "x0 + x1", "x0 - 1", "x0 - 1"]
     assert calls == [str(f)]
     # the degeneracy report splits each kernel form once: four points on
     # two lines leave two conics, each factored from one candidate list
     calls.clear()
     rep = degeneracy_report([(0, 0), (1, 0), (0, 1), (0, 2)], 2)
-    assert len(calls) == rep.kernel_dims[2] == 2
+    assert len(calls) == rep["kernel_dims"]["2"] == 2
 
 
 def test_degeneracy_report_examples():
     pts = [(1, 1), (1, -1), (-1, 1)]
     rep = degeneracy_report(pts, 2)
-    assert rep.kernel_dims == {1: 0, 2: 3}
-    assert all(rep.splits_linearly[2])
+    assert rep["kernel_dims"] == {"1": 0, "2": 3}
+    assert all(rep["splits_linearly"]["2"])
     empty = degeneracy_report([], 2)
-    assert empty.n_points == 0 and empty.kernel_dims == {}
-    grown = degeneracy_report(pts, 1, growth=[(10, 3), (100, 3), (1000, 3)])
-    assert grown.growth == [(10, 3), (100, 3), (1000, 3)]
+    assert empty == {"n_points": 0, "kernel_dims": {}, "kernel_forms": {},
+                     "splits_linearly": {}, "line_components": []}
     collinear = degeneracy_report([(0, 0), (1, 1), (2, 2)], 1)
-    assert collinear.kernel_dims[1] == 1
-    assert collinear.line_components[0]["count"] == 3
+    assert collinear["kernel_dims"]["1"] == 1
+    assert collinear["line_components"][0] == {"line": "x0 - x1", "count": 3}
+    # vertical lines come out primitive too: x0 = 1/2 is 2*x0 - 1
+    halves = degeneracy_report([(Fraction(1, 2), 0), (Fraction(1, 2), 1)], 1)
+    assert halves["line_components"] == [{"line": "2*x0 - 1", "count": 2}]
 
 
 SIX = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 7)]
