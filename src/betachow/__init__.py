@@ -31,7 +31,6 @@ from .chow import (
 )
 from .beta import (
     AutissierInput,
-    BetaReport,
     autissier_h0_lower,
     beta_autissier_lower,
     beta_exact_cyclic,

@@ -11,6 +11,12 @@ order before the next block is drawn, so the output does not depend on
 the worker count and a caller that writes each block as it comes holds
 a bounded number of rows whatever the sample count.
 
+Each row is the report record that ``audit --format json`` prints: a
+dict with index, point and on_support, and for a point off the support
+lhs, lhs_log, rhs, verdict and per_place, plus defect and defect_by_place
+in the subspace audit.  point stays a ProjPoint and lhs and defect exact
+Fractions; the writer renders each as its str.
+
 The forms are checked once per audit, before any row.  Each row evaluates
 every form once in integers and builds at most its stored lhs and defect
 as Fractions: the subspace audit takes its finite local values from the
@@ -41,7 +47,6 @@ from itertools import combinations
 from math import lcm, prod
 from typing import Iterable, Iterator, Sequence
 
-from ._records import Record
 from .linalg import det
 from .poly import MultiPoly, _int_evaluator, hyperplanes_general_position
 from .heights import (
@@ -85,34 +90,8 @@ def _draw(dim: int, height_bound: int, count: int, rng: random.Random) -> Iterat
         yield ProjPoint.normalize(coords)
 
 
-class AuditRow(Record):
-    """One sample's row: rhs is the height with its exponent, rendered, and
-    defect the multiplicative total over places; per_place and
-    defect_by_place default to a fresh dict."""
-
-    __slots__ = ("index", "point", "on_support", "lhs", "rhs", "verdict", "per_place",
-                 "defect", "defect_by_place")
-
-    def __init__(self, index: int, point: ProjPoint, on_support: bool,
-                 lhs: Fraction | None = None, rhs: str | None = None,
-                 verdict: bool | None = None, per_place: dict | None = None,
-                 defect: Fraction | None = None, defect_by_place: dict | None = None):
-        self.index = index
-        self.point = point
-        self.on_support = on_support
-        self.lhs = lhs
-        self.rhs = rhs
-        self.verdict = verdict
-        self.per_place = {} if per_place is None else per_place
-        self.defect = defect
-        self.defect_by_place = {} if defect_by_place is None else defect_by_place
-
-    def lhs_log(self) -> float | None:
-        return None if self.lhs is None else _log(self.lhs)
-
-
 def subspace_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
-                  points: Iterable[ProjPoint], workers: int = 1) -> Iterator[list[AuditRow]]:
+                  points: Iterable[ProjPoint], workers: int = 1) -> Iterator[list[dict]]:
     """Audit sum_{v in S} max_I sum_{i in I} lambda_i <= (n+1+eps) h(P),
     one block of rows at a time (module docstring).
 
@@ -144,11 +123,11 @@ def _minor_primes(forms: Sequence[MultiPoly], n: int, s_primes: Sequence[int]) -
     return sorted(primes.difference(s_primes))
 
 
-def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
+def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> dict:
     primes, s_count, eps, n = params
     values = [ev(p.coords) for ev in evaluators]
     if any(v == 0 for v in values):
-        return AuditRow(idx, p, on_support=True)
+        return {"index": idx, "point": p, "on_support": True}
     h = height(p)
     # at infinity F_i has the value h/|F_i(P)|, so ascending |F_i(P)| lists
     # those values in descending order, and each term is a power of h over
@@ -177,14 +156,14 @@ def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
     inf_num, inf_den = h ** len(far), prod(far)
     defects = {q: prod(local[q][:len(far)]) for q in primes}
     texts = {"inf": _ratio_text(inf_num, inf_den), **{str(q): str(d) for q, d in defects.items()}}
-    return AuditRow(idx, p, False, Fraction(lhs_num, lhs_den), rhs, verdict, per_place,
-                    Fraction(inf_num * prod(defects.values()), inf_den),
-                    {v: d for v, d in texts.items() if d != "1"})
+    return _record(idx, p, Fraction(lhs_num, lhs_den), rhs, verdict, per_place,
+                   defect=Fraction(inf_num * prod(defects.values()), inf_den),
+                   defect_by_place={v: d for v, d in texts.items() if d != "1"})
 
 
 def levin_duke_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
                     points: Iterable[ProjPoint], workers: int = 1,
-                    assert_general_position: bool = False) -> Iterator[list[AuditRow]]:
+                    assert_general_position: bool = False) -> Iterator[list[dict]]:
     """Audit sum_i (1/d_i) m_{D_i,S}(P) > (q-n-1-eps) h(P) per sample, one
     block of rows at a time (module docstring).
 
@@ -209,11 +188,11 @@ def levin_duke_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
     return _blocks(_levin_duke_row, forms, params, points, workers)
 
 
-def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
+def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> dict:
     degrees, lcm, s_primes, eps, n = params
     values = [ev(p.coords) for ev in evaluators]
     if any(v == 0 for v in values):
-        return AuditRow(idx, p, on_support=True)
+        return {"index": idx, "point": p, "on_support": True}
     q, h = len(values), height(p)
     splits = [_s_split(val, h, d, s_primes) for val, d in zip(values, degrees)]
     per_place = {f"m{i + 1}": _ratio_text(hd, r_i) for i, (hd, r_i) in enumerate(splits)}
@@ -225,7 +204,15 @@ def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
     k = lcm * ((n + 1) * den + num)
     verdict = k >= 0 and h ** k > r_power ** den
     rhs = f"{h}^({q - n - 1}-{eps})"
-    return AuditRow(idx, p, False, Fraction(h ** (q * lcm), r_power), rhs, verdict, per_place)
+    return _record(idx, p, Fraction(h ** (q * lcm), r_power), rhs, verdict, per_place)
+
+
+def _record(idx: int, p: ProjPoint, lhs: Fraction, rhs: str, verdict: bool,
+            per_place: dict, **extra) -> dict:
+    """An off-support row's record; rhs is the height with its exponent,
+    rendered, and extra the subspace row's defect and defect_by_place."""
+    return {"index": idx, "point": p, "on_support": False, "lhs": lhs, "lhs_log": _log(lhs),
+            "rhs": rhs, "verdict": verdict, "per_place": per_place, **extra}
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +220,12 @@ def _levin_duke_row(evaluators, params, idx: int, p: ProjPoint) -> AuditRow:
 # ---------------------------------------------------------------------------
 
 def _blocks(row_fn, forms: Sequence[MultiPoly], params, points: Iterable[ProjPoint],
-            workers: int) -> Iterator[list[AuditRow]]:
+            workers: int) -> Iterator[list[dict]]:
     """The rows of each block of BLOCK indexed points, in sample order."""
     evaluators = [_int_evaluator(f) for f in forms]
     return sharded(partial(_rows, row_fn, evaluators, params), enumerate(points),
                    workers, BLOCK)
 
 
-def _rows(row_fn, evaluators, params, indexed: list[tuple[int, ProjPoint]]) -> list[AuditRow]:
+def _rows(row_fn, evaluators, params, indexed: list[tuple[int, ProjPoint]]) -> list[dict]:
     return [row_fn(evaluators, params, i, p) for i, p in indexed]

@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, isqrt
 
-from ._records import Frozen, Record
+from ._records import Frozen
 from .chow import config_classes, marked_config, top_intersection
 
 
@@ -194,27 +194,8 @@ def countinglambda_rhs(ell: int, max_width: Fraction = Fraction(1, 10 ** 9)) -> 
 
 
 # ---------------------------------------------------------------------------
-# reports and scans
+# scans
 # ---------------------------------------------------------------------------
-
-class BetaReport(Record):
-    """One beta computation with every exact verdict spelled out."""
-
-    __slots__ = ("lower_bound", "claim", "claim_holds")
-
-    def __init__(self, lower_bound: Fraction | None = None, claim: str = "",
-                 claim_holds: bool | None = None):
-        self.lower_bound = lower_bound
-        self.claim = claim
-        self.claim_holds = claim_holds
-
-
-def marked_beta_report(n: int, ell: int, index: int) -> BetaReport:
-    bound = beta_autissier_lower(autissier_input_marked(n, ell, index))
-    target = marked_target(n, ell, index)
-    return BetaReport(lower_bound=bound, claim=f"bound > {target}",
-                      claim_holds=bound > target)
-
 
 def scan_cyclic(n_hi: int = 8, q_hi_mult: int = 12) -> list[dict]:
     """Exact scan of beta > 1 and f > 0 over n in [2, n_hi], q in [3n, q_hi_mult*n].
@@ -260,11 +241,8 @@ def scan_marked() -> list[dict]:
     for n in (2, 3, 4):
         for ell in (10, 100, 1000):
             for index in (1, n + 2):
-                rep = marked_beta_report(n, ell, index)
-                rows.append({
-                    "n": n, "ell": ell, "index": index,
-                    "bound": rep.lower_bound,
-                    "target": marked_target(n, ell, index),
-                    "ok": rep.claim_holds,
-                })
+                bound = beta_autissier_lower(autissier_input_marked(n, ell, index))
+                target = marked_target(n, ell, index)
+                rows.append({"n": n, "ell": ell, "index": index, "bound": bound,
+                             "target": target, "ok": bound > target})
     return rows

@@ -219,11 +219,14 @@ def marked_config(n: int) -> BlowupConfig:
 def config_classes(cfg: BlowupConfig, ell: int | None = None) -> dict[str, DivisorClass]:
     """Named classes of a configuration.
 
-    Cyclic: D = q*H - n*sum(E) plus the strict transforms Ht1..Htq.
+    Cyclic: takes no ell and yields D = q*H - n*sum(E) plus the strict
+    transforms Ht1..Htq.
     Marked: needs ell >= 1 and yields A = (ell(n+1)+1)*H - ell*sum(E)
     plus Ht1..Ht2n.
     """
     n, q, r = cfg.n, cfg.q, cfg.r
+    if cfg.kind == "cyclic" and ell is not None:
+        raise ValueError("cyclic configuration takes no ell")
     out: dict[str, DivisorClass] = {}
     for i, points in enumerate(cfg.incidence):
         out[f"Ht{i + 1}"] = DivisorClass._exact(n, r, 1, dict.fromkeys(sorted(points), 1))

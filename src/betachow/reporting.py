@@ -83,7 +83,9 @@ def csv_lines(rows: list[dict], fieldnames: list[str]) -> str:
 
 
 def jsonl_lines(records: list[dict]) -> str:
-    return "".join(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+    """One JSON line per record; a value JSON has no type for (a Fraction,
+    a point) is written as its str."""
+    return "".join(json.dumps(rec, sort_keys=True, default=str) + "\n" for rec in records)
 
 
 def write_stream(path: str | None, chunks: Iterable[str]):

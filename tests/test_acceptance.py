@@ -187,7 +187,7 @@ def _audit_rows(audit, forms, s, eps, points):
 
 
 def _max_defect(rows):
-    return max((row.defect for row in rows if row.defect is not None), default=None)
+    return max((row["defect"] for row in rows if row.get("defect") is not None), default=None)
 
 
 def test_criterion_9_audit_boundedness():
@@ -208,8 +208,8 @@ def test_criterion_9_audit_boundedness():
     pts = list(iter_sample_points(2, 10 ** 6, 1000, seed=303))
     sub = _audit_rows(subspace_rows, coords, s, eps, pts)
     lev = _audit_rows(levin_duke_rows, coords, s, eps, pts)
-    violators = [[row for row in rows if row.verdict is False] for rows in (sub, lev)]
-    ok = ok and all(row.on_support for rows in violators for row in rows)
+    violators = [[row for row in rows if row.get("verdict") is False] for rows in (sub, lev)]
+    ok = ok and all(row["on_support"] for rows in violators for row in rows)
     ok = ok and violators == [[], []]
     report(9, "defect bounded across height brackets; violators on support only",
            ok, t0)

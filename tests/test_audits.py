@@ -32,7 +32,7 @@ def _rows(audit, *args, **kwargs):
 
 
 def _violators(rows):
-    return [r for r in rows if r.verdict is False]
+    return [r for r in rows if r.get("verdict") is False]
 
 
 def independent_subsets(forms):
@@ -101,21 +101,21 @@ def test_subspace_audit_exact_row():
     rows = _rows(subspace_rows, COORD, make_place_set(), Fraction(1, 2), [p])
     row = rows[0]
     # best independent subset at infinity: all three forms, value 3^3/(1*2*3)
-    assert row.lhs == Fraction(27, 6)
-    assert row.verdict is True
+    assert row["lhs"] == Fraction(27, 6)
+    assert row["verdict"] is True
     assert not _violators(rows)
 
 
 def test_subspace_audit_far_points_contribute_nothing_at_finite_places():
     p = ProjPoint.normalize([1, 2, 3])  # all coordinate values are 6-units
     rows = _rows(subspace_rows, COORD, make_place_set([5]), Fraction(1, 2), [p])
-    assert rows[0].per_place["5"] == "1"
+    assert rows[0]["per_place"]["5"] == "1"
 
 
 def test_subspace_audit_flags_support():
     p = ProjPoint.normalize([0, 1, 5])
     rows = _rows(subspace_rows, COORD, make_place_set(), Fraction(1, 2), [p])
-    assert rows[0].on_support
+    assert rows[0]["on_support"]
     assert not _violators(rows)
 
 
@@ -129,9 +129,9 @@ def test_defect_zero_at_finite_places_for_coprime_points():
     pts = list(iter_sample_points(2, 500, 60, seed=11))
     rows = _rows(subspace_rows, FOUR, make_place_set(), Fraction(1, 2), pts)
     for row in rows:
-        if row.on_support:
+        if row["on_support"]:
             continue
-        for place, val in row.defect_by_place.items():
+        for place, val in row["defect_by_place"].items():
             if place != "inf":
                 assert Fraction(val) == 1
 
@@ -141,7 +141,7 @@ def test_levin_duke_vacuous_for_coordinate_arrangement():
     pts = list(iter_sample_points(2, 10 ** 4, 50, seed=13))
     rows = _rows(levin_duke_rows, COORD, make_place_set(), Fraction(1, 2), pts)
     assert not _violators(rows)
-    assert all(r.on_support or r.verdict for r in rows)
+    assert all(r["on_support"] or r["verdict"] for r in rows)
 
 
 def test_levin_duke_enlarged_s_passes():
@@ -149,15 +149,15 @@ def test_levin_duke_enlarged_s_passes():
     pts = [ProjPoint.normalize([2, 3, 5]), ProjPoint.normalize([4, 9, 1])]
     rows = _rows(levin_duke_rows, FOUR + [parse_poly("x0+2*x1+3*x2", 3)],
                  make_place_set([2, 3, 5, 7, 11, 13]), Fraction(1, 2), pts)
-    assert all(r.verdict for r in rows if not r.on_support)
+    assert all(r["verdict"] for r in rows if not r["on_support"])
 
 
 def test_worker_sharding_matches_serial():
     pts = list(iter_sample_points(2, 200, 24, seed=17))
     serial = _rows(subspace_rows, FOUR, make_place_set(), Fraction(1, 2), pts, workers=1)
     parallel = _rows(subspace_rows, FOUR, make_place_set(), Fraction(1, 2), pts, workers=3)
-    assert [(r.index, r.lhs, r.verdict, r.defect) for r in serial] == \
-        [(r.index, r.lhs, r.verdict, r.defect) for r in parallel]
+    assert [(r["index"], r.get("lhs"), r.get("verdict"), r.get("defect")) for r in serial] == \
+        [(r["index"], r.get("lhs"), r.get("verdict"), r.get("defect")) for r in parallel]
 
 
 def test_audit_rows_match_weil_local():
@@ -168,29 +168,29 @@ def test_audit_rows_match_weil_local():
     sub = _rows(subspace_rows, FOUR, s, Fraction(1, 2), pts)
     subsets = independent_subsets(FOUR)
     for row in sub:
-        p = row.point
-        if row.on_support:
+        p = row["point"]
+        if row["on_support"]:
             assert any(f.evaluate(p.coords) == 0 for f in FOUR)
             continue
         for v in places:
             vals = [weil_local(f, p, v).value for f in FOUR]
             best = max(prod(vals[i] for i in subset) for subset in subsets)
-            assert row.per_place[str(v)] == str(best)
+            assert row["per_place"][str(v)] == str(best)
         support = support_primes([*(f.evaluate(p.coords) for f in FOUR), *p.coords])
         defect = Fraction(1)
         for v in places + [Place(q) for q in support if q not in (2, 3)]:
             vals = [weil_local(f, p, v).value for f in FOUR]
             defect *= prod(vals) / max(prod(c) for c in combinations(vals, 2))
-        assert row.defect == defect
+        assert row["defect"] == defect
 
     mixed = [parse_poly(t, 3) for t in ("x0^2+x1^2+x0*x2", "x1", "x2", "x0+x1+x2")]
     ld = _rows(levin_duke_rows, mixed, s, Fraction(1, 2), pts, assert_general_position=True)
     for row in ld:
-        if row.on_support:
+        if row["on_support"]:
             continue
         for i, f in enumerate(mixed):
-            m_i = prod(weil_local(f, row.point, v).value for v in places)
-            assert row.per_place[f"m{i + 1}"] == str(m_i)
+            m_i = prod(weil_local(f, row["point"], v).value for v in places)
+            assert row["per_place"][f"m{i + 1}"] == str(m_i)
 
 
 @pytest.mark.parametrize("audit", [subspace_rows, levin_duke_rows])
@@ -241,11 +241,11 @@ def test_levin_duke_rows_match_per_place_row(forms, s_primes, eps, height_bound,
     points = list(iter_sample_points(2, height_bound, 6, seed))
     rows = _rows(levin_duke_rows, forms, s, eps, points, assert_general_position=True)
     for row in rows:
-        if row.on_support:
-            assert any(f.evaluate(row.point.coords) == 0 for f in forms)
+        if row["on_support"]:
+            assert any(f.evaluate(row["point"].coords) == 0 for f in forms)
             continue
-        assert (row.lhs, row.per_place, row.verdict) == \
-            _levin_duke_per_place(forms, s, eps, row.point)
+        assert (row["lhs"], row["per_place"], row["verdict"]) == \
+            _levin_duke_per_place(forms, s, eps, row["point"])
 
 
 # ---------------------------------------------------------------------------
@@ -278,11 +278,11 @@ def test_subspace_rows_match_subset_enumeration(forms, s_primes, eps, height_bou
     points = list(iter_sample_points(forms[0].nvars - 1, height_bound, 6, seed))
     rows = _rows(subspace_rows, forms, s, eps, points)
     for row in rows:
-        if row.on_support:
-            assert any(f.evaluate(row.point.coords) == 0 for f in forms)
+        if row["on_support"]:
+            assert any(f.evaluate(row["point"].coords) == 0 for f in forms)
             continue
-        assert (row.lhs, row.verdict, row.per_place, row.defect, row.defect_by_place) == \
-            _subspace_row_by_subsets(forms, s, eps, row.point)
+        assert (row["lhs"], row["verdict"], row["per_place"], row["defect"],
+                row["defect_by_place"]) == _subspace_row_by_subsets(forms, s, eps, row["point"])
 
 
 # ---------------------------------------------------------------------------
@@ -306,9 +306,9 @@ def test_subspace_defect_at_a_minor_prime():
     p = ProjPoint.normalize([2, 4, 1])
     row = _rows(subspace_rows, forms, s, eps, [p])[0]
     # F(P) = 2, 4, 1, 8: at 2 the q-n = 2 smallest values are 1 and 2
-    assert row.defect_by_place["2"] == "2"
-    assert (row.lhs, row.verdict, row.per_place, row.defect, row.defect_by_place) == \
-        _subspace_row_by_subsets(forms, s, eps, p)
+    assert row["defect_by_place"]["2"] == "2"
+    assert (row["lhs"], row["verdict"], row["per_place"], row["defect"],
+            row["defect_by_place"]) == _subspace_row_by_subsets(forms, s, eps, p)
 
 
 def test_subspace_audit_factors_only_maximal_minors(count_factor_calls):
@@ -332,18 +332,18 @@ def test_subspace_rows_past_the_factorization_bound(s_primes):
     points = list(iter_sample_points(2, 10 ** 41, 25, seed=5))
     assert any(abs(f.evaluate(p.coords)) > 2 ** 128 for p in points for f in FIVE)
     for row in _rows(subspace_rows, FIVE, s, eps, points):
-        if row.on_support:
+        if row["on_support"]:
             continue
         defect = Fraction(1)
         for v in places:
-            vals = [weil_local(f, row.point, v).value for f in FIVE]
+            vals = [weil_local(f, row["point"], v).value for f in FIVE]
             if v in s:
                 best = max(prod(vals[i] for i in subset) for subset in subsets)
-                assert row.per_place[str(v)] == str(best)
+                assert row["per_place"][str(v)] == str(best)
             d = prod(vals) / max(prod(c) for c in combinations(vals, 2))
-            assert row.defect_by_place.get(str(v), "1") == str(d)
+            assert row["defect_by_place"].get(str(v), "1") == str(d)
             defect *= d
-        assert row.defect == defect
+        assert row["defect"] == defect
 
 
 def test_a_minor_past_the_factorization_bound_stops_before_any_row(monkeypatch):
@@ -368,5 +368,5 @@ def test_levin_duke_rows_build_one_fraction_each(count_fractions):
     # past the per-audit setup, only each row's lhs: no m_i is a Fraction
     assert len(built) == 2 * setup + len(points)
     for row in rows:
-        assert (row.lhs, row.per_place, row.verdict) == \
-            _levin_duke_per_place(forms, make_place_set([2, 3]), eps, row.point)
+        assert (row["lhs"], row["per_place"], row["verdict"]) == \
+            _levin_duke_per_place(forms, make_place_set([2, 3]), eps, row["point"])

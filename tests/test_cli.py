@@ -169,6 +169,18 @@ def test_chow_marked_refuses_a_q_other_than_2n(tmp_path, capsys):
     assert "# q=None" in printed.splitlines()
 
 
+def test_chow_cyclic_refuses_an_ell(tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    cyclic = ("chow", "--config", "cyclic", "--n", "2", "--q", "6", "--power", "D,n")
+    code, printed, err = run(capsys, *cyclic, "--ell", "3", "--out", str(out))
+    assert (code, printed) == (2, "")
+    assert "cyclic configuration takes no ell" in err
+    assert not out.exists()
+    code, printed, _ = run(capsys, *cyclic)
+    assert code == 0
+    assert "# ell=None" in printed.splitlines()
+
+
 @pytest.mark.parametrize("expr, message", [
     ("1/0*D", "zero denominator"),
     ("D + ", "ends with an operator"),

@@ -11,8 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from betachow.audits import AuditRow
-from betachow.beta import AutissierInput, BetaReport, H0LowerBound, RationalInterval
+from betachow.beta import AutissierInput, H0LowerBound, RationalInterval
 from betachow.chow import BlowupConfig, CurveClass, NefResult, cyclic_config
 from betachow.heights import (
     ARCH,
@@ -61,10 +60,8 @@ def test_a_search_and_its_rows_survive_pickling():
 
 def test_values_and_mutable_records_survive_pickling():
     p = ProjPoint.normalize([2, -4, 6])
-    row = AuditRow(3, p, False, Fraction(1, 2), "7^(3+1/2)", True, {"inf": "1/2"},
-                   Fraction(3), {"5": "3"})
     sols = run_search(search_spec(THM11))
-    for value in (SRing((2, 3)), SearchBox(2, 5, 1), p, row, sols):
+    for value in (SRing((2, 3)), SearchBox(2, 5, 1), p, sols):
         copy = _round_trip(value)
         assert type(copy) is type(value) and copy == value and copy is not value
 
@@ -121,11 +118,6 @@ def test_frozen_records_refuse_assignment_and_deletion(value):
 
 
 def test_defaults_are_fresh_per_instance():
-    p = ProjPoint((1,))
-    a, b = AuditRow(0, p, True), AuditRow(1, p, True)
-    a.per_place["inf"] = "2"
-    a.defect_by_place["inf"] = "2"
-    assert b.per_place == {} and b.defect_by_place == {}
     s, t = SolutionSet({}), SolutionSet({})
     s.points.append((1,))
     s.witnesses.append({})
@@ -136,10 +128,6 @@ def test_defaults_are_fresh_per_instance():
 
 
 def test_constructors_keep_their_keyword_arguments():
-    row = AuditRow(index=0, point=ProjPoint((1,)), on_support=False, verdict=True)
-    assert (row.lhs, row.verdict, row.per_place) == (None, True, {})
-    beta = BetaReport(claim="x")
-    assert (beta.lower_bound, beta.claim_holds) == (None, None)
     assert BlowupConfig(n=2, kind="cyclic", q=6) == cyclic_config(2, 6)
 
 

@@ -7,15 +7,18 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import betachow.audits
 import betachow.cli
-from betachow.audits import BLOCK
+from betachow.audits import BLOCK, iter_sample_points, levin_duke_rows, subspace_rows
 from betachow.cli import main
-from betachow.reporting import write_stream
+from betachow.heights import parse_places
+from betachow.poly import parse_poly
+from betachow.reporting import jsonl_lines, write_stream
 from betachow.sharding import sharded
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -72,6 +75,22 @@ def test_audit_bytes_match_their_pins_for_every_worker_count(tmp_path, capsys, m
     assert len(set(outputs)) == 1
     assert hashlib.sha256(outputs[0]).hexdigest() == AUDIT_PINS[kind, fmt, samples]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["lines.txt", "out.txt"]
+
+
+@pytest.mark.parametrize("kind", ["subspace", "levinduke"])
+def test_the_library_records_are_the_printed_lines(tmp_path, capsys, monkeypatch, kind):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lines.txt").write_text(LINES)
+    code, printed, _ = run(capsys, "audit", kind, "--forms", "lines.txt", "--samples", "300",
+                           "--seed", "5", "--height-bound", str(10 ** 6), "--s", "inf,2",
+                           "--format", "json")
+    assert code == 0
+    forms = [parse_poly(t, 3) for t in LINES.split()]
+    audit = subspace_rows if kind == "subspace" else levin_duke_rows
+    blocks = audit(forms, parse_places("inf,2"), Fraction(1, 2),
+                   iter_sample_points(2, 10 ** 6, 300, 5))
+    body = "".join(printed.splitlines(keepends=True)[1:-1])
+    assert body == "".join(jsonl_lines(block) for block in blocks)
 
 
 # ---------------------------------------------------------------------------
