@@ -193,6 +193,10 @@ def cmd_chow(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_beta(args) -> int:
+    if args.index is not None and not args.marked:
+        raise ValueError("--index needs --marked")
+    if args.numeric_n is not None and not args.cyclic:
+        raise ValueError("--numeric-N needs --cyclic")
     rows = []
     params = {"format": args.format}
     if args.cyclic:

@@ -235,16 +235,22 @@ def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> Search:
 
 def _thm11_point(s: SRing, mode: str, evaluators: list, g_eval, xs: tuple) -> list | None:
     """The thm11 check in ints, on integer points and the forms scaled by
-    S-units: F | G in O_S iff F / gcd(F, G) is an S-unit."""
+    S-units: F | G in O_S iff F / gcd(F, G) is an S-unit.  It stops at the
+    first F_i that vanishes or, in mode i, does not divide G."""
     gval = g_eval(xs)
     if gval == 0:
         return None
-    fvals = [ev(xs) for ev in evaluators]
-    if any(v == 0 for v in fvals):
-        return None
-    divisors = fvals if mode == "i" else [prod(fvals)]
-    ok = all(s.is_unit(f // gcd(f, gval)) for f in divisors)
-    return [*fvals, gval] if ok else None
+    fvals = []
+    for ev in evaluators:
+        f = ev(xs)
+        if f == 0 or mode == "i" and not s.is_unit(f // gcd(f, gval)):
+            return None
+        fvals.append(f)
+    if mode == "ii":
+        f = prod(fvals)
+        if not s.is_unit(f // gcd(f, gval)):
+            return None
+    return [*fvals, gval]
 
 
 def _thm11_spec(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, box: SearchBox,
@@ -424,27 +430,49 @@ def _whole_row(values: Sequence, prefix: tuple) -> Sequence:
     return values
 
 
-def _cor12_lasts(const: int, linear: list[int], by_part: dict, values: list, s: SRing,
-                 prefix: tuple) -> list:
+def _cor12_lasts(const: int, linear: list[int], parts: dict, by_part: dict, values: list,
+                 s: SRing, prefix: tuple) -> list:
     """The last coordinates t after the prefix x' that can pass the cor12
-    check.  Write c = g(x', 0), so g(x) = c + g_t t (g has degree <= 1).  If
-    a = prod x_i (1 - sum x_i) != 0, then t | a | g(x), so t | c in O_S; if
-    a = 0, then g(x) = 0 forces t | c or c = 0.  So t runs over the values
-    whose numerator's non-S part (by_part's key) divides c's numerator.  c
-    comes times an S-unit, from g's integer-scaled coefficients const, linear."""
-    # map stops at the prefix, so x_{n-1}'s coefficient is left out
-    divs = _row_divisors(const + sum(map(mul, linear, prefix)), s)
-    return values if divs is None else [v for d in divs for v in by_part.get(d, ())]
+    check.  A passing point has a = prod x_i * u | g(x) with u = 1 - sum x_i,
+    so each of t, u and the x_i of x' divides g(x) in O_S (if a = 0, then
+    g(x) = 0, which they all divide).  Write c = g(x', 0) and r = 1 - sum x',
+    so g(x) = c + g_t t (g has degree <= 1), u = r - t, and g(x) = K - g_t u
+    with K = c + g_t r free of t.  Then:
+    - t | c, or c = 0: t runs over the values whose numerator's non-S part
+      (by_part's key) divides c's numerator, or over the whole row;
+    - the lcm m of the non-S parts (parts' values) of the nonzero x_i of x'
+      divides g(x)'s numerator;
+    - u | K in O_S, and K = 0 when u = 0.
+    All three run in ints over the prefix's common denominator d, an S-unit,
+    with c times an S-unit, from g's integer-scaled coefficients const, linear."""
+    d = lcm(*[x.denominator for x in prefix])
+    big = [x.numerator * (d // x.denominator) for x in prefix]
+    g_t = linear[-1]
+    c = const * d + sum(map(mul, linear, big))      # d g(x', 0): map stops at the prefix
+    r = d - sum(big)                                # d (1 - sum x')
+    k = c + g_t * r                                 # d K
+    m = lcm(*[parts[x] for x in prefix if x])
+    if g_t == 0 and c % m:                          # g(x) = c on the whole row
+        return []
+    divs = _row_divisors(c, s)
+    lasts = []
+    for t in values if divs is None else [v for dv in divs for v in by_part.get(dv, ())]:
+        num, den = t.numerator, t.denominator
+        u = r * den - num * d                       # d den u
+        if (c * den + g_t * num * d) % m == 0 \
+                and (s.is_unit(u // gcd(u, k)) if u else k == 0):
+            lasts.append(t)
+    return lasts
 
 
 def _cor12_rows(s: SRing, const: int, linear: list[int], box: SearchBox) -> _Rows:
     values = box.coordinate_values(s)
+    parts = {v: s.strip_s_part(abs(v.numerator)) for v in values if v != 0}
     by_part: dict[int, list] = {}
-    for v in values:
-        if v != 0:
-            by_part.setdefault(s.strip_s_part(abs(v.numerator)), []).append(v)
+    for v, part in parts.items():
+        by_part.setdefault(part, []).append(v)
     return _Rows(box.dim, values, values,
-                 partial(_cor12_lasts, const, linear, by_part, values, s), False)
+                 partial(_cor12_lasts, const, linear, parts, by_part, values, s), False)
 
 
 def _projective_rows(box: SearchBox) -> _Rows:

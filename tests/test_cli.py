@@ -230,6 +230,18 @@ def test_beta_option_out_of_range_exits_2(capsys, argv, message):
     assert out == ""
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--cyclic", "2", "6", "--index", "3"], "--index needs --marked"),
+    (["--marked", "2", "10", "--numeric-N", "50"], "--numeric-N needs --cyclic"),
+])
+def test_beta_refuses_a_flag_of_the_other_mode(tmp_path, capsys, argv, message):
+    out = tmp_path / "out.txt"
+    code, printed, err = run(capsys, "beta", *argv, "--out", str(out))
+    assert (code, printed) == (2, "")
+    assert f"error: {message}" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_beta_marked_index_picks_one_row(capsys):
     for index in ("1", "4"):
         code, out, _ = run(capsys, "beta", "--marked", "2", "10", "--index", index)

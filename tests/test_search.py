@@ -1103,6 +1103,18 @@ def test_cor12_search_matches_fraction_check_search(case, workers):
     (f"{10 ** 20 + 1} + x0 + x1", SearchBox(2, 5), S_EMPTY),
     # coefficient denominators 2 and 3: the rows need c*g with c = 6
     ("1/2*x0 + x1 + 1/3", SearchBox(2, 6, 1), SRing((2, 3))),
+    # g free of the last coordinate: g_t = 0, so a row whose prefix's non-S
+    # part does not divide g(x', 0) is empty
+    ("2 + x0", SearchBox(2, 8), S_EMPTY),
+    ("2 + x0", SearchBox(2, 4, 1), SRing((2,))),
+    # u = 1 - sum x_i = 0 with K = g(x', 1 - sum x') = 0 at (-1, 2), and
+    # with K != 0 elsewhere
+    ("3 - x0 - 2*x1", SearchBox(2, 6), S_EMPTY),
+    ("3 - x0 - 2*x1 + x2", SearchBox(3, 3), S_EMPTY),
+    # prefix coordinates such as 3 and 9 share a factor with g_t = 6
+    ("5 + x0 + 6*x1", SearchBox(2, 9, 1), SRing((2,))),
+    # dim 3 over S = {2, 3} with S-fraction coefficients and coordinates
+    ("1/2*x0 - 1/3*x1 + x2 + 5/6", SearchBox(3, 3, 1), SRing((2, 3))),
 ])
 def test_cor12_enumeration_explicit_cases(g_text, box, s):
     sols = _assert_matches_brute(parse_poly(g_text, box.dim), box, s)
@@ -1114,12 +1126,41 @@ def test_cor12_enumeration_explicit_cases(g_text, box, s):
 def test_cor12_candidates_visit_divisors_only():
     g = parse_poly("1", 2)
     search = _cor12_spec(g, SearchBox(2, 50), S_EMPTY)
-    # g(x', 0) = 1 on every row: the last coordinate is a unit
-    assert sorted(_walk(search.rows(search.box), range(-50, 51))) == \
-        [(x0, t) for x0 in range(-50, 51) for t in (-1, 1)]
+    # g(x', 0) = 1 on every row, so t = +-1; x0 | g(x) = 1 leaves x0 in
+    # {-1, 0, 1}; u = 1 - x0 - t must divide K = g(x', 1 - x0) = 1:
+    # x0 = 0 gives u in {0, 2}, x0 = 1 gives u = -t, x0 = -1 gives u = 2 - t
+    candidates = sorted(_walk(search.rows(search.box), range(-50, 51)))
+    assert candidates == [(-1, 1), (1, -1), (1, 1)]
+    assert set(run_search(search).points) <= set(candidates)
     search = _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 5), S_EMPTY)
     rows = {x0: sorted(t for _, t in _walk(search.rows(search.box), [x0])) for x0 in (0, 2, 3)}
-    assert rows == {0: [-3, -1, 1, 3], 2: [-1, 1], 3: list(range(-5, 6))}
+    # x0 = 0: t | 3, and u = 1 - t | K = 4 drops t = 1 (u = 0, K != 0);
+    # x0 = 2: t | 1, 2 | g(x) = 1 + t for both, and K = 0;
+    # x0 = 3: g(3, 0) = 0, so the whole row, then 3 | g(x) = t leaves
+    #   t in {-3, 0, 3}, and u = -2 - t | K = -2 drops t = 3 (u = -5)
+    assert rows == {0: [-3, -1, 3], 2: [-1, 1], 3: [-3, 0]}
+    sols = run_search(search)
+    for x0, row in rows.items():
+        assert {t for y0, t in sols.points if y0 == x0} <= set(row)
+
+
+def test_cor12_enumeration_checks_few_candidates():
+    # g = 1 over S = {2, 3} with denominators up to 2^2 3^2: the rows of
+    # t | g(x', 0) alone check 4 650 points for these 637 solutions
+    box, s = SearchBox(2, 10, 2), SRing((2, 3))
+    search = _cor12_spec(parse_poly("1", 2), box, s)
+    calls = []
+
+    def counting(xs):
+        calls.append(xs)
+        return search.check(xs)
+
+    sols = run_search(Search(search.descriptor, search.box, search.s, counting, search.rows),
+                      workers=1)
+    assert len(calls) < 700
+    assert len(set(calls)) == len(calls)
+    assert sols.points == _brute_cor12(search).points
+    assert sols.count == 637
 
 
 # ---------------------------------------------------------------------------
@@ -1247,6 +1288,10 @@ BENCH_FORMS = ["-2*x0 - x1 - x2", "x0 + 2*x1 - x2", "-x0 - 2*x1 - 2*x2", "2*x0 -
     (["x2", "x0+x1+x2"], f"{10 ** 20}*x0 + x1 + x2", "i", 4, S_EMPTY),
     # every form misses the last coordinate: the full scan
     (["x0", "x1"], "x0 + x1 + x2", "i", 8, SRing((2,))),
+    # mode ii where x0 or x1 vanishes on whole rows: those points fail
+    # before the product is formed
+    (["x0", "x1", "x0 + x1 + x2"], "x0 + 2*x1 + 3*x2", "ii", 8, S_EMPTY),
+    (["x0", "x1", "x0 + x1 + x2"], "x0 + 2*x1 + 3*x2", "ii", 8, SRing((2,))),
 ])
 def test_thm11_enumeration_explicit_cases(forms, g_text, mode, bound, s):
     sols = _assert_projective_matches_brute(_thm11_spec(
@@ -1263,6 +1308,24 @@ def test_thm11_enumeration_explicit_cases(forms, g_text, mode, bound, s):
 def test_thm16_enumeration_matches_brute_box(ts, q, s, bound, workers):
     spec = _thm16_spec(_vandermonde(ts[:q]), SearchBox(2, bound), s)
     _assert_projective_matches_brute(spec, workers)
+
+
+@pytest.mark.parametrize("mode, want", [("i", [2]), ("ii", [2, 5, 0])])
+def test_thm11_check_stops_at_its_first_failing_form(mode, want):
+    # G = 3: F_0 = 2 does not divide it, and F_2 = 0; mode i stops at F_0,
+    # mode ii at F_2, and neither evaluates F_3
+    evaluated = []
+
+    def form(value):
+        def evaluate(xs):
+            evaluated.append(value)
+            return value
+        return evaluate
+
+    check = partial(betachow.search._thm11_point, S_EMPTY, mode,
+                    [form(2), form(5), form(0), form(7)], lambda xs: 3)
+    assert check((1, 0, 0)) is None
+    assert evaluated == want
 
 
 def test_thm11_enumeration_checks_few_candidates():
