@@ -35,6 +35,7 @@ from math import gcd, lcm, prod
 from typing import Sequence
 
 from ._records import Frozen
+from .poly import _signed_terms
 
 
 def _rational(x):
@@ -400,21 +401,10 @@ def parse_class_expr(expr: str, cfg: BlowupConfig, ell: int | None = None) -> Di
     """Evaluate expressions like 'D - 2*Ht1', '-E1', '3*H' over a config."""
     classes = config_classes(cfg, ell)
     total: DivisorClass | None = None
-    sign, buf = 1, []
-    chunks: list[tuple[int, str]] = []
-    for ch in expr:
-        if ch in "+-":
-            if buf and "".join(buf).strip():
-                chunks.append((sign, "".join(buf).strip()))
-                sign, buf = 1, []
-            sign *= -1 if ch == "-" else 1
-        else:
-            buf.append(ch)
-    if buf and "".join(buf).strip():
-        chunks.append((sign, "".join(buf).strip()))
+    chunks = [(sign, body.strip()) for sign, body in _signed_terms(expr)]
     if expr.rstrip().endswith(("+", "-")):
         raise ValueError(f"class expression {expr!r} ends with an operator")
-    if not chunks:
+    if not chunks[-1][1]:                           # not ending with a sign: blank
         raise ValueError(f"empty class expression {expr!r}")
     for sign, chunk in chunks:
         m = _CLASS_TERM.match(chunk)

@@ -266,10 +266,10 @@ def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecompo
     """
     if ARCH not in s:
         raise ValueError("the place set must contain the Archimedean place")
+    check_weil_form(f)
     val = f.evaluate(p.coords)
     if val == 0:
         raise ValueError("point on support")
-    check_weil_form(f)
     support = support_primes([val, *[c for c in p.coords if c != 0]])
     hd, n_part = _s_split(val.numerator, height(p), f.total_degree(), finite_primes(s))
     return HeightDecomposition(Fraction(hd, n_part), n_part, Fraction(hd), support)

@@ -205,6 +205,25 @@ class MultiPoly:
 _TOKEN = re.compile(r"\s*(?:(?P<num>\d+(?:/\d+)?)|(?P<var>x\d+)(?:\^(?P<exp>\d+))?)\s*")
 
 
+def _signed_terms(text: str) -> list[tuple[int, str]]:
+    """The terms of a sum, split at its + and - signs: (sign, body) for each
+    run of text between them, with the signs before it multiplied into one.
+    The last body, the text after the last sign, is blank when the text is
+    blank or ends with a sign; no other body is."""
+    terms: list[tuple[int, str]] = []
+    sign, buf = 1, []
+    for ch in text:
+        if ch in "+-":
+            if "".join(buf).strip():
+                terms.append((sign, "".join(buf)))
+                sign, buf = 1, []
+            sign *= -1 if ch == "-" else 1
+        else:
+            buf.append(ch)
+    terms.append((sign, "".join(buf)))
+    return terms
+
+
 def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     """Parse the plain-text polynomial grammar into a MultiPoly.
 
@@ -214,20 +233,9 @@ def parse_poly(text: str, nvars: int | None = None) -> MultiPoly:
     text = text.strip()
     if not text:
         raise ValueError("empty polynomial")
-    # split into signed terms
-    terms: list[tuple[int, str]] = []
-    sign, buf = 1, []
-    for ch in text:
-        if ch in "+-":
-            if buf and "".join(buf).strip():
-                terms.append((sign, "".join(buf)))
-                sign, buf = 1, []
-            sign *= -1 if ch == "-" else 1
-        else:
-            buf.append(ch)
-    if not buf or not "".join(buf).strip():
+    terms = _signed_terms(text)
+    if not terms[-1][1].strip():
         raise ValueError(f"malformed polynomial: {text!r}")
-    terms.append((sign, "".join(buf)))
 
     parsed: list[tuple[Fraction, dict[int, int]]] = []
     maxvar = -1

@@ -95,12 +95,12 @@ class SearchBox(Frozen):
         dens = [1]
         for p in s.primes:
             dens = [d * p ** e for d in dens for e in range(self.denom_cap + 1)]
-        values = set()
-        for den in dens:
-            for num in range(-self.bound, self.bound + 1):
-                if gcd(num, den) == 1:
-                    values.add(Fraction(num, den) if den > 1 else num)
-        return sorted(values)
+        # each value once, in lowest terms, keyed by its numerator over the
+        # common denominator dens[-1]: an exact int sort key
+        keyed = [(num * (dens[-1] // den), Fraction(num, den) if den > 1 else num)
+                 for den in dens for num in range(-self.bound, self.bound + 1)
+                 if gcd(num, den) == 1]
+        return [v for _, v in sorted(keyed)]
 
 
 def _grade_key(point: tuple) -> tuple:
@@ -172,15 +172,22 @@ Check = Callable[[tuple], "list | None"]
 
 class Search(Frozen):
     """One validated search, decoded once: the canonical descriptor, its box
-    and ring, the per-point check, and rows, a picklable rule building the
-    candidate rows of a box from the data the factory parsed and scaled.
-    Runs, shard workers, checkpoints and reverify all take it."""
+    and ring, the per-point check, and its candidate rows, built once from
+    the box: the first coordinate runs over firsts, the others but the last
+    over values, and the last one over lasts(prefix), a picklable rule for
+    the values after the prefix that can pass the check.  Runs, shard
+    workers, checkpoints and reverify all take it."""
 
-    __slots__ = ("descriptor", "box", "s", "check", "rows")
+    __slots__ = ("descriptor", "box", "s", "check", "values", "lasts")
 
     def __init__(self, descriptor: dict, box: SearchBox, s: SRing, check: Check,
-                 rows: Callable[[SearchBox], "_Rows"]):
-        self._assign(descriptor, box, s, check, rows)
+                 values: Sequence, lasts: Callable[[tuple], Iterable]):
+        self._assign(descriptor, box, s, check, values, lasts)
+
+    @property
+    def firsts(self) -> Sequence:
+        """The first coordinates: 0..B when projective, else values."""
+        return range(self.box.bound + 1) if self.descriptor["projective"] else self.values
 
 
 def _scaled(f: MultiPoly) -> MultiPoly:
@@ -229,8 +236,16 @@ def _cor12_spec(g: MultiPoly, box: SearchBox, s: SRing) -> Search:
     exps = [(0,) * n, *(tuple(int(i == j) for j in range(n)) for i in range(n))]
     scaled = _scaled(g).terms
     const, *linear = [int(scaled.get(e, 0)) for e in exps]
+    values = box.coordinate_values(s)
+    parts = {v: s.strip_s_part(abs(v.numerator)) for v in values if v != 0}
+    by_part: dict[int, list] = {}
+    for v, part in parts.items():
+        by_part.setdefault(part, []).append(v)
+    lasts = partial(_cor12_lasts, const, linear, parts, by_part, values, s)
+    if n == 1:          # the prefix is always empty: the one row, once, as a set
+        lasts = partial(_whole_row, frozenset(lasts(())))
     return Search(_descriptor("cor12", box, s, False, g=str(g)), box, s,
-                  partial(_cor12_point, s, const, linear), partial(_cor12_rows, s, const, linear))
+                  partial(_cor12_point, s, const, linear), values, lasts)
 
 
 def _thm11_point(s: SRing, mode: str, evaluators: list, g_eval, xs: tuple) -> list | None:
@@ -291,7 +306,9 @@ def _thm11_spec(forms: Sequence[MultiPoly], g_form: MultiPoly, mode: str, box: S
     scaled, g_scaled = [_scaled(f) for f in forms], _scaled(g_form)
     check = partial(_thm11_point, s, mode, [_int_evaluator(f) for f in scaled],
                     _int_evaluator(g_scaled))
-    return Search(descriptor, box, s, check, _thm11_rows_rule(scaled, g_scaled, s))
+    values = range(-box.bound, box.bound + 1)
+    return Search(descriptor, box, s, check, values,
+                  _thm11_rows_rule(scaled, g_scaled, s, values))
 
 
 def _thm16_verdicts(values: Sequence, n: int, s: SRing) -> Iterator[bool]:
@@ -331,9 +348,10 @@ def _thm16_spec(forms: Sequence[MultiPoly], box: SearchBox, s: SRing) -> Search:
         raise ValueError("forms must be hyperplanes in general position")
     if box.dim != forms[0].nvars - 1:
         raise ValueError("box dimension must match the projective dimension")
+    values = range(-box.bound, box.bound + 1)
     return Search(_descriptor("thm16", box, s, True, forms=[str(f) for f in forms]), box, s,
                   partial(_thm16_point, s, box.dim, [_int_evaluator(f) for f in forms]),
-                  _projective_rows)
+                  values, partial(_whole_row, values))
 
 
 def _descriptor(kind: str, box: SearchBox, s: SRing, projective: bool, **params) -> dict:
@@ -364,8 +382,9 @@ def search_spec(descriptor: dict) -> Search:
     bound, denom_cap), s_primes, the polynomial texts "forms" and "g", and
     for thm11 "mode" and "assert_general_position"; a run's cor12 g may come
     as the one entry of "forms".  A canonical descriptor decodes to a Search
-    holding itself.  s_primes must be a list of int primes and every
-    polynomial text a string."""
+    holding itself.  s_primes must be a list of int primes, every
+    polynomial text a string, and a projective box's denom_cap 0: it holds
+    integer points only."""
     need = partial(_required, descriptor)
     s_primes = need("s_primes")
     if type(s_primes) is not list:
@@ -380,6 +399,8 @@ def search_spec(descriptor: dict) -> Search:
         return _cor12_spec(parse_poly(texts[0], box.dim), box, s)
     if kind not in ("thm11", "thm16"):
         raise ValueError(f"unknown predicate kind {kind!r}")
+    if box.denom_cap:
+        raise ValueError(f"{kind} searches integer points of P^n: denom_cap must be 0")
     forms = [parse_poly(t, box.dim + 1) for t in _poly_texts(need("forms"))]
     if kind == "thm16":
         return _thm16_spec(forms, box, s)
@@ -408,22 +429,6 @@ def _row_divisors(h: Fraction | int, s: SRing) -> list[int] | None:
         return _divisors(s.strip_s_part(abs(h.numerator)), _ROW_FACTOR_BOUND)
     except FactorizationBoundError:
         return None
-
-
-class _Rows(Frozen):
-    """A search's candidate rows, built once per run and handed to every
-    part: the first coordinate runs over firsts (0..B when projective), the
-    others but the last over values, and the last one over lasts(prefix),
-    a rule for the values that can pass the check.  With one coordinate the
-    prefix is always empty, so that row is computed here, once, as a set."""
-
-    __slots__ = ("ncoords", "firsts", "values", "lasts", "projective")
-
-    def __init__(self, ncoords: int, firsts: Sequence, values: Sequence,
-                 lasts: Callable[[tuple], Iterable], projective: bool):
-        if ncoords == 1:
-            lasts = partial(_whole_row, frozenset(lasts(())))
-        self._assign(ncoords, firsts, values, lasts, projective)
 
 
 def _whole_row(values: Sequence, prefix: tuple) -> Sequence:
@@ -465,23 +470,6 @@ def _cor12_lasts(const: int, linear: list[int], parts: dict, by_part: dict, valu
     return lasts
 
 
-def _cor12_rows(s: SRing, const: int, linear: list[int], box: SearchBox) -> _Rows:
-    values = box.coordinate_values(s)
-    parts = {v: s.strip_s_part(abs(v.numerator)) for v in values if v != 0}
-    by_part: dict[int, list] = {}
-    for v, part in parts.items():
-        by_part.setdefault(part, []).append(v)
-    return _Rows(box.dim, values, values,
-                 partial(_cor12_lasts, const, linear, parts, by_part, values, s), False)
-
-
-def _projective_rows(box: SearchBox) -> _Rows:
-    """Every row whole: thm16, and thm11 without a linear F_i that meets the
-    last coordinate."""
-    values = range(-box.bound, box.bound + 1)
-    return _Rows(box.dim + 1, range(box.bound + 1), values, partial(_whole_row, values), True)
-
-
 def _s_units(s: SRing, bound: int) -> list[int]:
     """The positive S-units (products of S-primes) up to bound, ascending."""
     units = [1] if bound >= 1 else []
@@ -519,50 +507,45 @@ def _thm11_lasts(f: list, g: list, g_const: int, units: list, top: int, values: 
     return lasts
 
 
-def _thm11_rows(s: SRing, f: list[int], g: list[int], g_const: int, box: SearchBox) -> _Rows:
-    rows = _projective_rows(box)
-    top = sum(map(abs, f)) * box.bound
-    return _Rows(rows.ncoords, rows.firsts, rows.values,
-                 partial(_thm11_lasts, f, g, g_const, _s_units(s, top), top, rows.values, s),
-                 rows.projective)
-
-
-def _thm11_rows_rule(forms: Sequence[MultiPoly], g: MultiPoly, s: SRing):
-    """thm11's rows rule from the first linear F with a_t != 0, for F and G
-    with integer coefficients; every row whole for forms of degree >= 2 or
-    linear forms that all miss the last coordinate."""
+def _thm11_rows_rule(forms: Sequence[MultiPoly], g: MultiPoly, s: SRing, values: range):
+    """thm11's last coordinates over values from the first linear F with
+    a_t != 0, for F and G with integer coefficients; every row whole for
+    forms of degree >= 2 or linear forms that all miss the last coordinate."""
     ncoords = g.nvars
     linear = [f.linear_coefficients() for f in forms if f.total_degree() == 1]
     fs = next((c for c in linear if c[-1] != 0), None)
     if fs is None:
-        return _projective_rows
+        return partial(_whole_row, values)
+    f = [int(c) for c in fs]
+    top = sum(map(abs, f)) * values[-1]
     # G is homogeneous of degree <= 1: a linear form or a nonzero constant
     gs = g.linear_coefficients() if g.total_degree() == 1 else (0,) * ncoords
-    return partial(_thm11_rows, s, [int(c) for c in fs], [int(c) for c in gs],
-                   int(g.terms.get((0,) * ncoords, 0)))
+    return partial(_thm11_lasts, f, [int(c) for c in gs], int(g.terms.get((0,) * ncoords, 0)),
+                   _s_units(s, top), top, values, s)
 
 
-def _walk(rows: _Rows, firsts: Iterable) -> Iterator[tuple]:
+def _walk(search: Search, firsts: Iterable) -> Iterator[tuple]:
     """The candidate points whose first coordinate is in firsts; projective
     points only when coprime with first nonzero coordinate positive."""
-    if rows.ncoords == 1:
-        row = rows.lasts(())
+    projective = search.descriptor["projective"]
+    ncoords = search.box.dim + projective
+    if ncoords == 1:
+        row = search.lasts(())
         yield from ((t,) for t in firsts if t in row)
         return
-    for prefix in product(firsts, *[rows.values] * (rows.ncoords - 2)):
-        for t in rows.lasts(prefix):
+    for prefix in product(firsts, *[search.values] * (ncoords - 2)):
+        for t in search.lasts(prefix):
             xs = (*prefix, t)
-            if not rows.projective or (gcd(*xs) == 1
-                                       and (xs[0] or next(c for c in xs if c)) > 0):
+            if not projective or (gcd(*xs) == 1 and (xs[0] or next(c for c in xs if c)) > 0):
                 yield xs
 
 
-def _search_part(search: Search, rows: _Rows, firsts: list) -> list[SolutionSet]:
+def _search_part(search: Search, firsts: list) -> list[SolutionSet]:
     """The solutions with each first coordinate of firsts, in order."""
     parts = []
     for v in firsts:
         out = SolutionSet(search.descriptor)
-        for xs in _walk(rows, (v,)):
+        for xs in _walk(search, (v,)):
             values = search.check(xs)
             if values is not None:
                 out.points.append(xs)
@@ -578,23 +561,22 @@ def _search_part(search: Search, rows: _Rows, firsts: list) -> list[SolutionSet]
 _PART_ROWS = 32
 
 
-def _by_first(search: Search, rows: _Rows, firsts: list, workers: int) -> Iterator:
+def _by_first(search: Search, firsts: Sequence, workers: int) -> Iterator:
     """(v, solutions with first coordinate v) for each v of firsts,
     in order, from parts of about _PART_ROWS rows sharded over one pool."""
-    n = len(rows.values)
-    parts = sharded(partial(_search_part, search, rows), firsts, workers,
-                    max(1, _PART_ROWS * n // n ** (rows.ncoords - 1)))
+    n = len(search.values)
+    ncoords = search.box.dim + search.descriptor["projective"]
+    parts = sharded(partial(_search_part, search), firsts, workers,
+                    max(1, _PART_ROWS * n // n ** (ncoords - 1)))
     return zip(firsts, chain.from_iterable(parts))
 
 
 def run_search(search: Search, workers: int = 1) -> SolutionSet:
     """The points of the search's box that pass its check, with their
-    witnesses, in graded order.  The rows are built once; the first
-    coordinates are sharded over workers, and the parts are merged and
-    sorted once."""
-    rows = search.rows(search.box)
+    witnesses, in graded order.  The first coordinates are sharded over
+    workers, and the parts are merged and sorted once."""
     out = SolutionSet(search.descriptor)
-    for _, part in _by_first(search, rows, rows.firsts, workers):
+    for _, part in _by_first(search, search.firsts, workers):
         out.extend(part)
     out.sort()
     return out
@@ -706,7 +688,8 @@ def _records_solution_set(descriptor: dict, records: Iterable[dict],
 
 
 def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
-    """Load a saved solution set; by default the stored descriptor must be
+    """Load a saved solution set; each record must name the descriptor's
+    kind as its predicate.  By default the stored descriptor must also be
     canonical and every stored point re-verifies its predicate (a mismatch
     raises)."""
     with open(path) as fh:
@@ -725,7 +708,13 @@ def load_solution_set(path: str, reverify: bool = True) -> SolutionSet:
         search = search_spec(descriptor)
         if search.descriptor != descriptor:
             raise ValueError("stored descriptor differs from its canonical form")
-    return _records_solution_set(descriptor, map(json.loads, lines[1:]), search)
+    kind = _required(descriptor, "kind")
+    records = [json.loads(line) for line in lines[1:]]
+    for rec in records:
+        if isinstance(rec, dict) and rec.get("predicate") != kind:
+            raise ValueError(f"stored point {rec.get('point')} is a solution of predicate "
+                             f"{rec.get('predicate')!r}, not {kind!r}")
+    return _records_solution_set(descriptor, records, search)
 
 
 def _open_checkpoint(path: str, search: Search) -> tuple[SolutionSet, set[str]]:
@@ -783,10 +772,9 @@ def search_with_checkpoint(path: str, search: Search, workers: int = 1) -> Solut
     is appended and flushed, in order, as its part arrives, so a crash
     loses only the coordinates not yet appended."""
     merged, done = _open_checkpoint(path, search)
-    rows = search.rows(search.box)
-    pending = [v for v in rows.firsts if str(v) not in done]
+    pending = [v for v in search.firsts if str(v) not in done]
     with open(path, "a") as ck:
-        for v, part in _by_first(search, rows, pending, workers):
+        for v, part in _by_first(search, pending, workers):
             part.sort()
             ck.write(json.dumps({"first": str(v), "records": part.records()}) + "\n")
             ck.flush()

@@ -311,6 +311,14 @@ def test_heights_subscheme_generator_vanishing_at_the_point(capsys):
     assert places and all(r["subscheme_value"] == r["value"] for r in places)
 
 
+@pytest.mark.parametrize("point", ["1,-1", "1,2"])
+def test_heights_refuses_a_non_homogeneous_form_at_its_zero_too(capsys, point):
+    # x0^2 + x1 vanishes at [1:-1]: the form is checked before it is evaluated
+    code, out, err = run(capsys, "heights", "--form", "x0^2 + x1", "--point", point)
+    assert (code, out) == (2, "")
+    assert "nonconstant homogeneous form" in err and "point on support" not in err
+
+
 def test_heights_resource_bound(capsys):
     big = str(2 ** 140 + 1)
     code, _, err = run(capsys, "heights", "--form", "x0", "--point", f"{big},3",
@@ -810,6 +818,26 @@ def test_checkpoint_record_with_tampered_witnesses_is_refused(tmp_path, capsys):
 
 
 SIX_LINES = "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6))
+
+
+@pytest.mark.parametrize("kind, lines, extra", [
+    ("thm16", SIX_LINES, ()),
+    ("thm11", "x0\nx1\nx2\nx0+x1+x2\nG: x0+2*x1+3*x2\n", ("--mode", "ii")),
+], ids=["thm16", "thm11"])
+@pytest.mark.parametrize("checkpoint", [False, True])
+def test_projective_search_refuses_a_denominator_cap(tmp_path, capsys, kind, lines, extra,
+                                                     checkpoint):
+    # a projective box holds integer points only: a cap would be echoed, unused
+    forms = tmp_path / "forms.txt"
+    forms.write_text(lines)
+    out, ck = tmp_path / "o.jsonl", tmp_path / "ck.jsonl"
+    more = ("--checkpoint", str(ck)) if checkpoint else ()
+    code, stdout, err = run(capsys, "search", kind, "--forms", str(forms), "--box", "3",
+                            "--dim", "2", "--s-primes", "2", "--denom-cap", "2",
+                            "--format", "json", *extra, *more, "--out", str(out))
+    assert (code, stdout) == (2, "")
+    assert "denom_cap must be 0" in err
+    assert not out.exists() and not ck.exists()
 
 
 def _growth_counts(capsys, tmp_path, kind, forms_text, box, growth, extra=()):

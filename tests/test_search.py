@@ -411,9 +411,8 @@ def test_thm16_verdicts_match_the_per_prime_oracle(case):
 @pytest.mark.parametrize("s", [S_EMPTY, SRing((2,)), SRing((2, 3))])
 def test_thm16_check_factors_nothing(count_factor_calls, s):
     search = _thm16_spec(SIX, SearchBox(2, 4), s)
-    rows = search.rows(search.box)
     seen = count_factor_calls()
-    passed = [xs for xs in _walk(rows, rows.firsts) if search.check(xs) is not None]
+    passed = [xs for xs in _walk(search, search.firsts) if search.check(xs) is not None]
     assert seen == []
     assert (1, 0, 0) in passed
 
@@ -545,6 +544,20 @@ def test_thm16_reverify_rejects_tampered_point(tmp_path, bad_point, message):
     with pytest.raises(ValueError, match=message):
         load_solution_set(str(path))
     assert load_solution_set(str(path), reverify=False).count == sols.count
+
+
+@pytest.mark.parametrize("reverify", [True, False])
+def test_load_refuses_a_record_of_another_predicate(tmp_path, reverify):
+    sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6), S_EMPTY))
+    lines = solution_set_text(sols).splitlines()
+    rec = json.loads(lines[-1])
+    rec["predicate"] = "thm16"
+    lines[-1] = json.dumps(rec, sort_keys=True)
+    path = tmp_path / "c.jsonl"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=rf"stored point \['1', '1'\] is a solution of "
+                                         "predicate 'thm16', not 'cor12'"):
+        load_solution_set(str(path), reverify=reverify)
 
 
 def test_cor12_reverify_rejects_tampered_point(tmp_path):
@@ -798,9 +811,8 @@ def test_sharded_search_equals_serial(search, workers):
         sharded = run_search(search, workers)
     finally:
         betachow.search.sharded = real
-    rows = search.rows(search.box)
     # one coordinate holds one row affine in dim 2, len(values) rows projective
-    per_first = 1 if search.descriptor["kind"] == "cor12" else len(rows.values)
+    per_first = 1 if search.descriptor["kind"] == "cor12" else len(search.values)
     assert seen == [(workers, max(1, 32 // per_first))]
     assert sharded.descriptor == serial.descriptor
     assert sharded.points == serial.points
@@ -810,7 +822,7 @@ def test_sharded_search_equals_serial(search, workers):
 def test_sharded_dim1_search_equals_serial():
     # one row, built once as a set; 91 first coordinates in 3 parts of 32
     search = _cor12_spec(parse_poly("1/2*x0 + 3", 1), SearchBox(1, 30, 1), SRing((2,)))
-    assert len(search.rows(search.box).firsts) == 91
+    assert len(search.firsts) == 91
     serial = run_search(search)
     for workers in (2, 3):
         sharded = run_search(search, workers)
@@ -1088,7 +1100,8 @@ def test_cor12_search_matches_fraction_check_search(case, workers):
     search = _cor12_spec(g, box, s)
     got = run_search(search, workers)
     want = run_search(Search(search.descriptor, search.box, search.s,
-                             partial(_cor12_fraction_check, g, s), search.rows), workers)
+                             partial(_cor12_fraction_check, g, s), search.values, search.lasts),
+                      workers)
     assert got.points == want.points
     assert got.witnesses == want.witnesses
 
@@ -1129,11 +1142,11 @@ def test_cor12_candidates_visit_divisors_only():
     # g(x', 0) = 1 on every row, so t = +-1; x0 | g(x) = 1 leaves x0 in
     # {-1, 0, 1}; u = 1 - x0 - t must divide K = g(x', 1 - x0) = 1:
     # x0 = 0 gives u in {0, 2}, x0 = 1 gives u = -t, x0 = -1 gives u = 2 - t
-    candidates = sorted(_walk(search.rows(search.box), range(-50, 51)))
+    candidates = sorted(_walk(search, range(-50, 51)))
     assert candidates == [(-1, 1), (1, -1), (1, 1)]
     assert set(run_search(search).points) <= set(candidates)
     search = _cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 5), S_EMPTY)
-    rows = {x0: sorted(t for _, t in _walk(search.rows(search.box), [x0])) for x0 in (0, 2, 3)}
+    rows = {x0: sorted(t for _, t in _walk(search, [x0])) for x0 in (0, 2, 3)}
     # x0 = 0: t | 3, and u = 1 - t | K = 4 drops t = 1 (u = 0, K != 0);
     # x0 = 2: t | 1, 2 | g(x) = 1 + t for both, and K = 0;
     # x0 = 3: g(3, 0) = 0, so the whole row, then 3 | g(x) = t leaves
@@ -1155,8 +1168,8 @@ def test_cor12_enumeration_checks_few_candidates():
         calls.append(xs)
         return search.check(xs)
 
-    sols = run_search(Search(search.descriptor, search.box, search.s, counting, search.rows),
-                      workers=1)
+    sols = run_search(Search(search.descriptor, search.box, search.s, counting,
+                             search.values, search.lasts), workers=1)
     assert len(calls) < 700
     assert len(set(calls)) == len(calls)
     assert sols.points == _brute_cor12(search).points
@@ -1268,8 +1281,8 @@ def test_thm11_search_matches_fraction_check_search(search, workers):
     oracle = partial(_thm11_fraction_check, forms, parse_poly(d["g"], d["dim"] + 1), d["mode"],
                      search.s)
     got = run_search(search, workers)
-    want = run_search(Search(search.descriptor, search.box, search.s, oracle, search.rows),
-                      workers)
+    want = run_search(Search(search.descriptor, search.box, search.s, oracle,
+                             search.values, search.lasts), workers)
     assert got.points == want.points
     assert got.witnesses == want.witnesses
 
@@ -1310,6 +1323,43 @@ def test_thm16_enumeration_matches_brute_box(ts, q, s, bound, workers):
     _assert_projective_matches_brute(spec, workers)
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(st.integers(-6, 6), min_size=5, max_size=5, unique=True), st.integers(3, 5),
+       S_RINGS, st.integers(0, 30), st.integers(1, 2))
+@example([0, 1, -1, 2, -2], 5, S_EMPTY, 30, 2)
+def test_thm16_enumeration_in_p1_matches_brute_box(ts, q, s, bound, workers):
+    # points of two coordinates: no middle coordinate between first and last
+    forms = [parse_poly(f"x0+{t}*x1", 2) for t in ts[:q]]
+    _assert_projective_matches_brute(_thm16_spec(forms, SearchBox(1, bound), s), workers)
+
+
+def _moment_planes(ts) -> list:
+    """x0 + t*x1 + t^2*x2 + t^3*x3 for distinct t: planes of P^3 in general
+    position."""
+    return [parse_poly(f"x0+{t}*x1+{t ** 2}*x2+{t ** 3}*x3", 4) for t in ts]
+
+
+# nine planes of P^3 in general position: at B = 3 they hold 2, 11 and 46
+# points for S = {}, {2} and {2, 3}, where the moment-curve planes hold 1 to 3
+P3_PLANES = [parse_poly(t, 4) for t in (
+    "x0 + x1 - 2*x2 - x3", "x0 - 2*x1 - x2 + x3", "x0 - 2*x1 + 2*x2 + x3",
+    "x0 - 2*x1 + x2 - 2*x3", "x0 - x1 - 2*x2 + 2*x3", "x0 - x1 - x2 + x3",
+    "x0 + 2*x1 + 2*x2 + 2*x3", "x0 + 2*x1 + 2*x2 - x3", "x0 + 2*x1 - x2 - 2*x3")]
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(st.just(P3_PLANES),
+                 st.lists(st.integers(-5, 5), min_size=9, max_size=10,
+                          unique=True).map(_moment_planes)),
+       S_RINGS, st.integers(0, 3), st.integers(1, 2))
+@example(P3_PLANES, S_EMPTY, 3, 1)
+@example(P3_PLANES, SRing((2,)), 3, 2)
+@example(P3_PLANES, SRing((2, 3)), 3, 2)
+def test_thm16_enumeration_in_p3_matches_brute_box(forms, s, bound, workers):
+    # points of four coordinates: two middle coordinates
+    _assert_projective_matches_brute(_thm16_spec(forms, SearchBox(3, bound), s), workers)
+
+
 @pytest.mark.parametrize("mode, want", [("i", [2]), ("ii", [2, 5, 0])])
 def test_thm11_check_stops_at_its_first_failing_form(mode, want):
     # G = 3: F_0 = 2 does not divide it, and F_2 = 0; mode i stops at F_0,
@@ -1341,8 +1391,8 @@ def test_thm11_enumeration_checks_few_candidates():
         calls.append(xs)
         return search.check(xs)
 
-    sols = run_search(Search(search.descriptor, search.box, search.s, counting, search.rows),
-                      workers=1)
+    sols = run_search(Search(search.descriptor, search.box, search.s, counting,
+                             search.values, search.lasts), workers=1)
     assert len(calls) < 50_000
     assert len(set(calls)) == len(calls)
     assert sols.points == run_search(_thm11_spec(forms, g_form, "i", box, S_EMPTY, False)).points
