@@ -10,7 +10,7 @@ Every predicate and verdict is computed in exact rational arithmetic;
 floating point appears only when rendering logarithms for humans.
 """
 
-# first: search and reporting read it with `from . import __version__`,
+# first: reporting reads it with `from . import __version__`,
 # so it must be set before any submodule is imported
 __version__ = "0.1.0"
 

@@ -6,7 +6,8 @@ another of its class with equal fields and is not hashable.  A ``Frozen``
 record also hashes by its fields and refuses assignment and deletion; its
 ``__init__`` validates and stores the fields through ``_assign``, and
 ``_make`` builds one from fields that are already valid, which is also how
-it unpickles (in a forked worker, say) without re-running the checks.
+it unpickles (a point in a shard's part or result, say) without re-running
+the checks.
 
 Importing ``dataclasses`` pulls ``inspect`` and ``ast`` into every
 command's start-up, and each decorated class execs generated source; these

@@ -58,12 +58,11 @@ from .reporting import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
-    RunConfig,
-    csv_head,
     csv_lines,
     fmt,
     jsonl_lines,
     parse_config_file,
+    report_head,
     worker_count,
     write_stream,
 )
@@ -123,11 +122,10 @@ def cmd_verify(args) -> int:
         raise ValueError("verify needs --chow-n-hi >= 2, --beta-n-hi >= 2, "
                          "--q-mult >= 3")
     rows = verify_rows(args.chow_n_hi, args.beta_n_hi, args.q_mult)
-    config = RunConfig("verify", {
+    _emit(rows, VERIFY_FIELDS, "verify", {
         "chow_n_hi": str(args.chow_n_hi), "beta_n_hi": str(args.beta_n_hi),
-        "q_mult": str(args.q_mult), "format": args.format,
-    })
-    _emit(rows, VERIFY_FIELDS, config, args)
+        "q_mult": str(args.q_mult),
+    }, args)
     for row in rows:
         if not row["verdict"]:
             print(f"FIRST FAILING ROW: {json.dumps({k: fmt(v) for k, v in row.items()})}",
@@ -178,13 +176,11 @@ def cmd_chow(args) -> int:
         rows.append({"item": f"nef {args.nef}", "value": res.describe()})
     if not rows:
         raise ValueError("nothing to do: pass --power, --nef, or --classes")
-    config = RunConfig("chow", {
+    _emit(rows, ["item", "value"], "chow", {
         "kind": args.kind, "n": str(args.n), "q": str(args.q),
         "ell": str(args.ell), "power": " ".join(args.power or []),
         "nef": args.nef or "", "classes": str(args.classes),
-        "format": args.format,
-    })
-    _emit(rows, ["item", "value"], config, args)
+    }, args)
     return EXIT_OK
 
 
@@ -198,7 +194,7 @@ def cmd_beta(args) -> int:
     if args.numeric_n is not None and not args.cyclic:
         raise ValueError("--numeric-N needs --cyclic")
     rows = []
-    params = {"format": args.format}
+    params = {}
     if args.cyclic:
         n, q = args.cyclic
         exact = beta_exact_cyclic(n, q)
@@ -230,8 +226,7 @@ def cmd_beta(args) -> int:
         params |= {"counting_l": str(args.counting_l)}
     if not rows:
         raise ValueError("nothing to do: pass --cyclic, --marked, or --counting-l")
-    config = RunConfig("beta", params)
-    _emit(rows, ["item", "exact", "estimate", "claim", "verdict"], config, args)
+    _emit(rows, ["item", "exact", "estimate", "claim", "verdict"], "beta", params, args)
     return EXIT_OK
 
 
@@ -285,11 +280,10 @@ def cmd_heights(args) -> int:
     fields = ["place", "in_s", "value", "lambda"]
     if len(gens) > 1:
         fields.append("subscheme_value")
-    config = RunConfig("heights", {
+    _emit(rows, fields, "heights", {
         "form": args.form, "point": args.point, "s": args.s,
-        "subscheme": ";".join(args.subscheme or []), "format": args.format,
-    })
-    _emit(rows, fields, config, args)
+        "subscheme": ";".join(args.subscheme or []),
+    }, args)
     return EXIT_OK
 
 
@@ -348,17 +342,15 @@ def cmd_search(args) -> int:
     sols = SolutionSet({**search.descriptor, "bound": args.box},
                        found.points[:cut], found.witnesses[:cut])
 
-    config = RunConfig("search", {
-        "kind": args.kind, "forms": args.forms, "mode": args.mode or "",
-        "box": str(args.box), "dim": str(args.dim),
-        "s_primes": args.s_primes or "none", "denom_cap": str(args.denom_cap),
-        "format": args.format,
-    })
     if args.format == "csv":
         rows = [{"point": ":".join(str(c) for c in pt),
                  "witnesses": json.dumps(wit, sort_keys=True)}
                 for pt, wit in zip(sols.points, sols.witnesses)]
-        _emit(rows, ["point", "witnesses"], config, args)
+        _emit(rows, ["point", "witnesses"], "search", {
+            "kind": args.kind, "forms": args.forms, "mode": args.mode,
+            "box": str(args.box), "dim": str(args.dim),
+            "s_primes": args.s_primes or "none", "denom_cap": str(args.denom_cap),
+        }, args)
     else:
         write_stream(args.out, (solution_set_text(sols),))
 
@@ -380,7 +372,9 @@ AUDIT_FIELDS = ["index", "point", "on_support", "lhs", "lhs_log", "verdict",
 
 def cmd_audit(args) -> int:
     s = _places(args.s)
-    form_texts, _ = _read_forms_file(args.forms)
+    form_texts, g_text = _read_forms_file(args.forms)
+    if g_text is not None:
+        raise ValueError("audit reads no G: a 'G:' line marks thm11's reference form")
     if not form_texts:
         raise ValueError("audit needs at least one form")
     nvars = max(parse_poly(t).nvars for t in form_texts)
@@ -391,20 +385,20 @@ def cmd_audit(args) -> int:
     points = iter_sample_points(nvars - 1, args.height_bound, args.samples, args.seed)
     audit_rows = subspace_rows if args.kind == "subspace" else levin_duke_rows
     blocks = audit_rows(forms, s, eps, points, args.workers)
-    config = RunConfig("audit", {
+    csv = args.format == "csv"
+    head = report_head("audit", {
         "kind": args.kind, "forms": args.forms, "s": args.s,
         "epsilon": args.epsilon, "samples": str(args.samples),
         "seed": str(args.seed), "height_bound": str(args.height_bound),
-        "format": args.format,
-    })
-    write_stream(args.out, _audit_report(blocks, config, args.format == "csv"))
+    }, AUDIT_FIELDS, csv)
+    write_stream(args.out, _audit_report(blocks, head, csv))
     return EXIT_OK
 
 
-def _audit_report(blocks, config: RunConfig, csv: bool):
-    """The report's text: its header, then the lines of each block of rows
+def _audit_report(blocks, head: str, csv: bool):
+    """The report's text: its head, then the lines of each block of rows
     as the block is taken, then the summary line accumulated on the way."""
-    yield csv_head(AUDIT_FIELDS, config) if csv else config.header_json() + "\n"
+    yield head
     samples = violators = on_support = 0
     max_defect = None
     for block in blocks:
@@ -443,13 +437,13 @@ def _audit_cell(key: str, value):
 # plumbing
 # ---------------------------------------------------------------------------
 
-def _emit(rows: list[dict], fields: list[str], config: RunConfig, args):
-    if args.format == "json":
-        records = [{k: fmt(row.get(k, "")) for k in fields} for row in rows]
-        chunks = (config.header_json() + "\n", jsonl_lines(records))
+def _emit(rows: list[dict], fields: list[str], command: str, params: dict[str, str], args):
+    csv = args.format == "csv"
+    if csv:
+        body = csv_lines(rows, fields)
     else:
-        chunks = (csv_head(fields, config), csv_lines(rows, fields))
-    write_stream(args.out, chunks)
+        body = jsonl_lines([{k: fmt(row.get(k, "")) for k in fields} for row in rows])
+    write_stream(args.out, (report_head(command, params, fields, csv), body))
 
 
 def _add_common(p: argparse.ArgumentParser):

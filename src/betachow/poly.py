@@ -297,7 +297,8 @@ def _int_terms(items: list[tuple[Fraction | int, Exponents]], xs: tuple) -> Frac
 def _int_evaluator(f: MultiPoly) -> Callable[[tuple], Fraction | int]:
     """Fast exact evaluation: integral coefficients are kept as ints and the
     others as Fractions, so an integer-coefficient f gives an int at an
-    integer point.  A partial of a module-level function, so it pickles."""
+    integer point.  A partial of a module-level function, so that a Search
+    holding one pickles; shard workers get it when they are forked."""
     if f.is_homogeneous() and f.total_degree() == 1:
         return partial(_int_linear, [_exact(c) for c in f.linear_coefficients()])
     return partial(_int_terms, [(_exact(c), e) for e, c in f.terms.items()])

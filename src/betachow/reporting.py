@@ -1,4 +1,4 @@
-"""Deterministic report rendering and run configuration.
+"""Deterministic report rendering and artifact headers.
 
 Every output file begins with a header embedding the artifact version and
 the full run configuration, and contains nothing time- or path-dependent:
@@ -25,7 +25,6 @@ import sys
 from typing import Iterable
 
 from . import __version__
-from ._records import Record
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -35,27 +34,25 @@ EXIT_RESOURCE = 3
 WORKERS_ENV = "BETACHOW_WORKERS"
 
 
-class RunConfig(Record):
-    """Command name plus every parameter that shaped the run."""
+def header_json(**fields) -> str:
+    """The JSON header line of every artifact, without its newline: the
+    artifact name and version, then fields (a report's command and params,
+    a solution file's or checkpoint's kind and descriptor), keys sorted."""
+    return json.dumps({"artifact": "betachow", "version": __version__, **fields},
+                      sort_keys=True)
 
-    __slots__ = ("command", "params")
 
-    def __init__(self, command: str, params: dict[str, str] | None = None):
-        self.command = command
-        self.params = {} if params is None else params
-
-    def sorted_params(self) -> list[tuple[str, str]]:
-        return sorted(self.params.items())
-
-    def header_comment_lines(self) -> list[str]:
-        lines = [f"# betachow {__version__}", f"# command={self.command}"]
-        lines += [f"# {k}={v}" for k, v in self.sorted_params()]
-        return lines
-
-    def header_json(self) -> str:
-        return json.dumps({"artifact": "betachow", "version": __version__,
-                           "command": self.command,
-                           "params": dict(self.sorted_params())}, sort_keys=True)
+def report_head(command: str, params: dict[str, str], fields: list[str], csv: bool) -> str:
+    """A report's head.  The parameters gain its format, csv or json.  A CSV
+    head is comment lines echoing the version, the command and each
+    parameter, sorted, then the field-name line; a JSON head is the header
+    line."""
+    params = {**params, "format": "csv" if csv else "json"}
+    if not csv:
+        return header_json(command=command, params=params) + "\n"
+    lines = [f"# betachow {__version__}", f"# command={command}",
+             *(f"# {k}={v}" for k, v in sorted(params.items())), ",".join(fields)]
+    return "".join(line + "\n" for line in lines)
 
 
 def fmt(value) -> str:
@@ -70,12 +67,6 @@ def fmt(value) -> str:
     if kind is float:
         return repr(value)
     return str(value)
-
-
-def csv_head(fieldnames: list[str], config: RunConfig) -> str:
-    """The header comment lines and the field-name line of a CSV report."""
-    lines = [*config.header_comment_lines(), ",".join(fieldnames)]
-    return "".join(line + "\n" for line in lines)
 
 
 def csv_lines(rows: list[dict], fieldnames: list[str]) -> str:

@@ -24,7 +24,6 @@ from math import gcd, lcm, prod
 from operator import getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
-from . import __version__
 from ._records import Frozen, Record
 from .heights import ProjPoint, support_primes
 from .linalg import kernel_basis
@@ -36,6 +35,7 @@ from .poly import (
     parse_poly,
 )
 from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _prime_to, _vp, factor, is_prime
+from .reporting import header_json
 from .sharding import sharded
 
 
@@ -158,8 +158,10 @@ def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
 #
 # Each spec factory validates its search's arguments and its theorem's
 # hypotheses, and returns one Search.  Its check is a partial of a
-# module-level point function (so it pickles) giving the values whose
-# valuations witness a solution, or None.  search_spec is the one decoder
+# module-level point function giving the values whose valuations witness a
+# solution, or None, so a Search pickles (tests/test_records.py checks it);
+# shard workers get the search when forked, and pickle only parts and
+# results.  search_spec is the one decoder
 # from a descriptor to a factory.  A check's values are exact up to S-units,
 # which no witness sees: cor12 runs in ints over one S-unit denominator per
 # point, thm11 in ints over forms scaled by S-units, and thm16 evaluates its
@@ -174,9 +176,10 @@ class Search(Frozen):
     """One validated search, decoded once: the canonical descriptor, its box
     and ring, the per-point check, and its candidate rows, built once from
     the box: the first coordinate runs over firsts, the others but the last
-    over values, and the last one over lasts(prefix), a picklable rule for
-    the values after the prefix that can pass the check.  Runs, shard
-    workers, checkpoints and reverify all take it."""
+    over values, and the last one over lasts(prefix), a rule for the values
+    after the prefix that can pass the check.  Runs, shard workers,
+    checkpoints and reverify all take it.  Its check and rule are partials
+    of module-level functions, so it pickles (see the Check comment)."""
 
     __slots__ = ("descriptor", "box", "s", "check", "values", "lasts")
 
@@ -383,8 +386,10 @@ def search_spec(descriptor: dict) -> Search:
     for thm11 "mode" and "assert_general_position"; a run's cor12 g may come
     as the one entry of "forms".  A canonical descriptor decodes to a Search
     holding itself.  s_primes must be a list of int primes, every
-    polynomial text a string, and a projective box's denom_cap 0: it holds
-    integer points only."""
+    polynomial text a string, and denom_cap 0 where the box holds integer
+    points only: a projective box, or cor12's with no S-primes.  cor12 and
+    thm16 refuse a G beside their forms, a mode other than "i" and an
+    asserted general position, which they would not read."""
     need = partial(_required, descriptor)
     s_primes = need("s_primes")
     if type(s_primes) is not list:
@@ -392,15 +397,25 @@ def search_spec(descriptor: dict) -> Search:
     s = SRing(tuple(s_primes))
     box = SearchBox(need("dim"), need("bound"), need("denom_cap"))
     kind = need("kind")
+    if kind not in ("cor12", "thm11", "thm16"):
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    if kind != "thm11":
+        # G, the mode and the general-position assertion are thm11's alone
+        if "forms" in descriptor and descriptor.get("g") is not None:
+            raise ValueError(f"{kind} reads no G: a 'G:' line marks thm11's reference form")
+        if descriptor.get("mode", "i") != "i":
+            raise ValueError(f"{kind} has no mode {descriptor['mode']!r}: --mode ii is thm11's")
+        if descriptor.get("assert_general_position"):
+            raise ValueError(f"{kind} takes no general-position assertion: "
+                             "--assert-general-position is thm11's")
+    if box.denom_cap and (kind != "cor12" or not s.primes):
+        raise ValueError(f"{kind} searches integer points only (a projective box, or "
+                         "no S-primes): denom_cap must be 0")
     if kind == "cor12":
         texts = _poly_texts(descriptor["forms"] if "forms" in descriptor else [need("g")])
         if len(texts) != 1:
             raise ValueError("cor12 needs exactly one polynomial line (g)")
         return _cor12_spec(parse_poly(texts[0], box.dim), box, s)
-    if kind not in ("thm11", "thm16"):
-        raise ValueError(f"unknown predicate kind {kind!r}")
-    if box.denom_cap:
-        raise ValueError(f"{kind} searches integer points of P^n: denom_cap must be 0")
     forms = [parse_poly(t, box.dim + 1) for t in _poly_texts(need("forms"))]
     if kind == "thm16":
         return _thm16_spec(forms, box, s)
@@ -586,17 +601,12 @@ def run_search(search: Search, workers: int = 1) -> SolutionSet:
 # persistence with re-verification
 # ---------------------------------------------------------------------------
 
-def _header(kind: str, descriptor: dict) -> str:
-    """The first line of a solution file or checkpoint."""
-    return json.dumps({"artifact": "betachow", "version": __version__, "kind": kind,
-                       "descriptor": descriptor}, sort_keys=True)
-
-
 def solution_set_text(sols: SolutionSet) -> str:
     """A solution file: the header line, then one line per solution."""
     predicate = sols.descriptor["kind"]
     records = (json.dumps({**rec, "predicate": predicate}, sort_keys=True) for rec in sols.records())
-    return "\n".join([_header("solution-set", sols.descriptor), *records]) + "\n"
+    header = header_json(kind="solution-set", descriptor=sols.descriptor)
+    return "\n".join([header, *records]) + "\n"
 
 
 def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
@@ -733,7 +743,7 @@ def _open_checkpoint(path: str, search: Search) -> tuple[SolutionSet, set[str]]:
             data = fh.read()
     except FileNotFoundError:
         data = b""
-    header = _header("checkpoint", search.descriptor)
+    header = header_json(kind="checkpoint", descriptor=search.descriptor)
     body = data[:data.rfind(b"\n") + 1].rstrip()      # complete lines, trailing blanks cut
     last = body.rpartition(b"\n")[2]
     try:

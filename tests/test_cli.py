@@ -513,6 +513,35 @@ def test_degeneracy_report_matches_its_pinned_bytes(tmp_path, capsys, kind, form
     assert hashlib.sha256(out.encode()).hexdigest() == sha
 
 
+# sha256 of `search --format csv` output bytes, pinned before the report and
+# solution-file headers were built by one function: (forms file name, its
+# text, argv).  The head echoes the forms path, so the file is written and
+# named relative to the working directory.
+SEARCH_CSV_PINS = [
+    ("g.txt", "1\n",
+     ["cor12", "--dim", "2", "--box", "6", "--s-primes", "2,3", "--denom-cap", "1"],
+     "67e738de75736c13a7c9cb45785b27f5e10262fb7ddd0ce0553a3fcf7a126681"),
+    ("thm11.txt", "".join(_LINES[:5]) + "G: x0\n",
+     ["thm11", "--box", "12", "--mode", "ii", "--s-primes", "2,3"],
+     "0b3832b59a717fe54ee9f48b35c57da2ff4052a90e181084010e796dd4ea47f0"),
+    ("thm16.txt", "".join(_LINES),
+     ["thm16", "--box", "6", "--s-primes", "2"],
+     "41cf8d55f5c71b669d5c90633b86792a38a33095ada11a0245a1509e239df5a1"),
+]
+
+
+@pytest.mark.parametrize("name, text, argv, sha", SEARCH_CSV_PINS,
+                         ids=[argv[0] for _, _, argv, _ in SEARCH_CSV_PINS])
+def test_search_csv_matches_its_pinned_bytes(tmp_path, capsys, monkeypatch, name, text,
+                                             argv, sha):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(text)
+    code, printed, err = run(capsys, "search", argv[0], "--forms", name, *argv[1:],
+                             "--format", "csv", "--out", "out.csv")
+    assert (code, printed, err) == (0, "", "")
+    assert hashlib.sha256((tmp_path / "out.csv").read_bytes()).hexdigest() == sha
+
+
 def test_search_cor12_s_primes_and_denominators(tmp_path, capsys):
     forms = tmp_path / "g.txt"
     forms.write_text("1\n")
@@ -821,23 +850,50 @@ SIX_LINES = "".join(f"x0+{i}*x1+{i * i}*x2\n" for i in range(6))
 
 
 @pytest.mark.parametrize("kind, lines, extra", [
-    ("thm16", SIX_LINES, ()),
-    ("thm11", "x0\nx1\nx2\nx0+x1+x2\nG: x0+2*x1+3*x2\n", ("--mode", "ii")),
-], ids=["thm16", "thm11"])
+    ("thm16", SIX_LINES, ("--s-primes", "2")),
+    ("thm11", "x0\nx1\nx2\nx0+x1+x2\nG: x0+2*x1+3*x2\n", ("--s-primes", "2", "--mode", "ii")),
+    ("cor12", "1\n", ()),
+], ids=["thm16", "thm11", "cor12"])
 @pytest.mark.parametrize("checkpoint", [False, True])
 def test_projective_search_refuses_a_denominator_cap(tmp_path, capsys, kind, lines, extra,
                                                      checkpoint):
-    # a projective box holds integer points only: a cap would be echoed, unused
+    # a projective box, or cor12's over an empty S, holds integer points only:
+    # a cap would be echoed, unused
     forms = tmp_path / "forms.txt"
     forms.write_text(lines)
     out, ck = tmp_path / "o.jsonl", tmp_path / "ck.jsonl"
     more = ("--checkpoint", str(ck)) if checkpoint else ()
     code, stdout, err = run(capsys, "search", kind, "--forms", str(forms), "--box", "3",
-                            "--dim", "2", "--s-primes", "2", "--denom-cap", "2",
-                            "--format", "json", *extra, *more, "--out", str(out))
+                            "--dim", "2", "--denom-cap", "2", "--format", "json",
+                            *extra, *more, "--out", str(out))
     assert (code, stdout) == (2, "")
     assert "denom_cap must be 0" in err
     assert not out.exists() and not ck.exists()
+
+
+@pytest.mark.parametrize("kind, lines", [("cor12", "1\n"), ("thm16", SIX_LINES)],
+                         ids=["cor12", "thm16"])
+@pytest.mark.parametrize("unread, extra, message", [
+    ("G: x0\n", (), "reads no G: a 'G:' line marks thm11's reference form"),
+    ("", ("--mode", "ii"), "has no mode 'ii': --mode ii is thm11's"),
+    ("", ("--assert-general-position",), "takes no general-position assertion"),
+], ids=["g-line", "mode-ii", "assert-general-position"])
+def test_search_refuses_an_input_its_kind_never_reads(tmp_path, capsys, kind, lines, unread,
+                                                      extra, message):
+    forms, out, ck = tmp_path / "forms.txt", tmp_path / "o.csv", tmp_path / "ck.jsonl"
+    forms.write_text(lines)
+    argv = ["search", kind, "--forms", str(forms), "--box", "3", "--dim", "2",
+            "--checkpoint", str(ck)]
+    assert run(capsys, *argv, "--out", str(tmp_path / "first.txt"))[0] == 0
+    # half a checkpoint: a run that read it would append the rest
+    ck.write_text("".join(ck.read_text().splitlines(keepends=True)[:3]))
+    before = ck.read_bytes()
+    forms.write_text(lines + unread)
+    for more in ((), ("--checkpoint", str(ck))):
+        code, stdout, err = run(capsys, *argv[:-2], *extra, *more, "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert f"error: {kind} {message}" in err
+        assert not out.exists() and ck.read_bytes() == before
 
 
 def _growth_counts(capsys, tmp_path, kind, forms_text, box, growth, extra=()):
@@ -1121,6 +1177,9 @@ def test_output_independent_of_workers(tmp_path, capsys, argv):
     ("levinduke", "1/2*x0 + x1 + x2", "weil_local needs integer coefficients"),
     ("subspace", "x0^2 + x1", "general position check restricted to hyperplanes"),
     ("levinduke", "x0^2 + x1", "forms must be homogeneous of degree >= 1"),
+    # a G line, which only search thm11 reads
+    ("subspace", "x0+x1+x2\nG: x0", "audit reads no G: a 'G:' line marks thm11's"),
+    ("levinduke", "G: x0", "audit reads no G: a 'G:' line marks thm11's"),
 ])
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_audit_rejects_bad_forms(tmp_path, capsys, kind, lines, message, workers):

@@ -22,7 +22,6 @@ from betachow.heights import (
     ProjPoint,
     make_place_set,
 )
-from betachow.reporting import RunConfig
 from betachow.search import (
     Search,
     SearchBox,
@@ -80,10 +79,10 @@ def test_equal_values_hash_alike():
 
 
 def test_mutable_records_compare_by_fields_and_are_unhashable():
-    assert RunConfig("a", {"k": "v"}) == RunConfig("a", {"k": "v"}) != RunConfig("b")
-    assert SolutionSet({}) == SolutionSet({}, [], [])
+    assert SolutionSet({"k": "v"}) == SolutionSet({"k": "v"}) != SolutionSet({"k": "w"})
+    assert SolutionSet({}) == SolutionSet({}, [], []) != SolutionSet({}, [(1,)], [{}])
     with pytest.raises(TypeError):
-        hash(RunConfig("a"))
+        hash(SolutionSet({}))
 
 
 FROZEN = [
@@ -118,9 +117,6 @@ def test_defaults_are_fresh_per_instance():
     s.points.append((1,))
     s.witnesses.append({})
     assert t.points == [] and t.witnesses == []
-    c, d = RunConfig("x"), RunConfig("y")
-    c.params["k"] = "v"
-    assert d.params == {}
 
 
 def test_constructors_keep_their_keyword_arguments():

@@ -749,6 +749,13 @@ def test_load_refuses_a_box_field_that_is_not_an_int(tmp_path, key, value):
     ("thm11", "g", 5, "are not strings"),
     ("thm16", "forms", [5], "are not strings"),
     ("thm11", "forms", "x0", "are not strings"),
+    # what only thm11 reads
+    ("thm16", "g", "x0", "thm16 reads no G"),
+    ("cor12", "mode", "ii", "cor12 has no mode 'ii'"),
+    ("cor12", "assert_general_position", True, "cor12 takes no general-position assertion"),
+    ("thm16", "assert_general_position", True, "thm16 takes no general-position assertion"),
+    # a cap on a box of integers: S is empty
+    ("cor12", "denom_cap", 2, "cor12 searches integer points only"),
 ])
 def test_a_malformed_descriptor_field_is_a_value_error(tmp_path, kind, key, value, message):
     descriptor = {**DESCRIPTORS[kind], key: value}
