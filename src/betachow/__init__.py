@@ -26,12 +26,10 @@ from .chow import (
     cyclic_config,
     marked_config,
     nef_test,
-    strict_transform,
     top_intersection,
 )
 from .beta import (
     AutissierInput,
-    autissier_h0_lower,
     beta_autissier_lower,
     beta_exact_cyclic,
     beta_numeric_cyclic,
@@ -42,14 +40,11 @@ from .beta import (
 from .heights import (
     ARCH,
     LocalHeight,
-    MkConstant,
     Place,
     ProjPoint,
     height,
     make_place_set,
-    product_over_places,
     proximity_counting,
-    theoremkey_condition,
     weil_local,
     weil_subscheme,
 )

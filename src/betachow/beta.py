@@ -14,7 +14,7 @@ enclosures, never as floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, isqrt
+from math import isqrt
 
 from ._records import Frozen
 from .chow import config_classes, marked_config, top_intersection
@@ -121,31 +121,6 @@ def beta_numeric_cyclic(n: int, q: int, N: int) -> Fraction:
         if s > 0:
             total += s
     return Fraction(total, N ** (n + 1) * (q ** n - n ** n * q))
-
-
-class H0LowerBound(Frozen):
-    """Exact main term of the section-count lower bound plus the symbolic
-    error order, which is reported but never folded into exact verdicts."""
-
-    # the error term's implicit constant depends on the slope cap delta
-    __slots__ = ("value", "error_order")
-
-    def __init__(self, value: Fraction, error_order: str):
-        self._assign(value, error_order)
-
-
-def autissier_h0_lower(n: int, a_top: Fraction, a_b: Fraction, a_b2: Fraction,
-                       N: int, m: int, delta: Fraction) -> H0LowerBound:
-    """Three-term lower bound for h^0(N*A - m*B) with 1 <= m <= delta*N."""
-    if n < 2:
-        raise ValueError("dimension must be >= 2")
-    if not 1 <= m <= Fraction(delta) * N:
-        raise ValueError("m out of range: need 1 <= m <= delta*N")
-    a_top, a_b, a_b2 = Fraction(a_top), Fraction(a_b), Fraction(a_b2)
-    value = (a_top * N ** n / factorial(n)
-             - a_b * N ** (n - 1) * m / factorial(n - 1)
-             + (n - 1) * a_b2 * N ** (n - 2) * min(m * m, N * N) / factorial(n))
-    return H0LowerBound(value, f"O(N^{n - 1})")
 
 
 # ---------------------------------------------------------------------------

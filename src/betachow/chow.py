@@ -128,12 +128,6 @@ class DivisorClass(Frozen):
         return {"n": self.n, "r": self.r, "a": str(self.a),
                 "b": [str(x) for x in self.b]}
 
-    @classmethod
-    def from_json(cls, d: dict) -> "DivisorClass":
-        if d["r"] != len(d["b"]):
-            raise ValueError("b must have length r")
-        return cls(d["n"], d["a"], d["b"])
-
 
 def pullback_hyperplane(n: int, r: int) -> DivisorClass:
     return DivisorClass._exact(n, r, 1, {})
@@ -143,17 +137,6 @@ def e_class(n: int, r: int, i: int) -> DivisorClass:
     """Named basis class E_i: zero H-part, unit b-vector at i (0-based)."""
     # range(r)[i] indexes as a list would: negative i from the end, IndexError past r
     return DivisorClass._exact(n, r, 0, {range(r)[i]: 1})
-
-
-def strict_transform(n: int, degree: int, mults: Sequence[Fraction | int]) -> DivisorClass:
-    """Class d*H - sum_i m_i*E_i of a degree-d divisor through the points."""
-    if degree < 1:
-        raise ValueError("degree must be >= 1")
-    mults = tuple(mults)
-    cls = DivisorClass(n, degree, mults)
-    if any(m < 0 for m in cls._b.values()):
-        raise ValueError("multiplicities must be >= 0")
-    return cls
 
 
 def top_intersection(classes: Sequence[DivisorClass]) -> Fraction:

@@ -6,13 +6,16 @@ heights (local Weil breakdowns), search (divisibility / ideal-equality
 searches over boxes), audit (sampled height-inequality audits).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource
-bound hit (factorization).  Outputs carry a header echoing the full run
-configuration; a fixed seed makes every output byte-identical across runs.
+bound hit (factorization), 141 the reader of the output went away (as a
+shell reports a process that SIGPIPE ended).  Outputs carry a header
+echoing the full run configuration; a fixed seed makes every output
+byte-identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from bisect import bisect_right
@@ -55,6 +58,7 @@ from .poly import parse_poly
 from .primes import FactorizationBoundError
 from .reporting import (
     EXIT_OK,
+    EXIT_PIPE,
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY_FAIL,
@@ -573,10 +577,23 @@ def main(argv: list[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         args.workers = worker_count(args.workers)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()          # so a reader gone by now is seen here
+        return code
     except FactorizationBoundError as exc:
         print(f"error: resource bound: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except BrokenPipeError:
+        # the reader went away (`betachow ... | head -1`): no error line.  A
+        # stdout left with unwritten text is closed, since the interpreter's
+        # exit skips a closed stream but would flush that text into the same
+        # pipe and report it; closing flushes, and fails, once more
+        try:
+            sys.stdout.flush()
+        except BrokenPipeError:
+            with contextlib.suppress(BrokenPipeError):
+                sys.stdout.close()
+        return EXIT_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -28,12 +28,12 @@ silently dropping a prime.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, log, prod
-from typing import Iterable, Mapping, Sequence
+from math import gcd, lcm, log
+from typing import Iterable, Sequence
 
 from ._records import Frozen
 from .poly import MultiPoly
-from .primes import _prime_to, _vp_int, factor, is_prime, vp
+from .primes import _prime_to, _vp_int, factor, is_prime
 
 
 class Place(Frozen):
@@ -46,10 +46,6 @@ class Place(Frozen):
         if prime is not None and (type(prime) is not int or not is_prime(prime)):
             raise ValueError(f"{prime} is not prime")
         self._assign(prime)
-
-    @property
-    def is_finite(self) -> bool:
-        return self.prime is not None
 
     def __str__(self) -> str:
         return "inf" if self.prime is None else str(self.prime)
@@ -81,16 +77,6 @@ def parse_places(text: str) -> PlaceSet:
 
 def finite_primes(s: PlaceSet) -> tuple[int, ...]:
     return tuple(sorted(v.prime for v in s if v.prime is not None))
-
-
-def abs_at(x: Fraction | int, v: Place) -> Fraction:
-    """|x|_v as an exact rational (x = 0 maps to 0)."""
-    x = Fraction(x)
-    if x == 0:
-        return Fraction(0)
-    if v.is_finite:
-        return Fraction(v.prime) ** (-vp(x, v.prime))
-    return abs(x)
 
 
 class ProjPoint(Frozen):
@@ -164,9 +150,9 @@ def check_weil_form(f: MultiPoly):
     """Raise ValueError unless f is a nonconstant homogeneous form with
     integer coefficients, the forms this module takes local values of."""
     if not f.is_homogeneous() or f.total_degree() < 1:
-        raise ValueError("weil_local needs a nonconstant homogeneous form")
+        raise ValueError(f"form {f} is not a nonconstant homogeneous form")
     if not f.has_integer_coefficients():
-        raise ValueError("weil_local needs integer coefficients")
+        raise ValueError(f"form {f} needs integer coefficients")
 
 
 def _local_value(val: int, coords: Sequence[int], degree: int,
@@ -273,100 +259,3 @@ def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecompo
     support = support_primes([val, *[c for c in p.coords if c != 0]])
     hd, n_part = _s_split(val.numerator, height(p), f.total_degree(), finite_primes(s))
     return HeightDecomposition(Fraction(hd, n_part), n_part, Fraction(hd), support)
-
-
-def product_over_places(x: Fraction | int) -> Fraction:
-    """prod_v |x|_v over the support of a nonzero rational (exactly 1)."""
-    x = Fraction(x)
-    if x == 0:
-        raise ValueError("product formula needs a nonzero rational")
-    total = abs(x)
-    for q in support_primes([x]):
-        total *= abs_at(x, Place(q))
-    return total
-
-
-class MkConstant(Frozen):
-    """Finitely-supported multiplicative slack per place (default 1)."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries: tuple[tuple[Place, Fraction], ...] = ()):
-        for _, g in entries:
-            if g <= 0:
-                raise ValueError("multiplicative slack must be positive")
-        self._assign(entries)
-
-    @classmethod
-    def trivial(cls) -> "MkConstant":
-        return cls(())
-
-    @classmethod
-    def from_map(cls, m: Mapping[Place, Fraction]) -> "MkConstant":
-        return cls(tuple(sorted(((v, Fraction(g)) for v, g in m.items()),
-                                key=lambda t: (t[0].prime is not None, t[0].prime or 0))))
-
-    def at(self, v: Place) -> Fraction:
-        for place, g in self.entries:
-            if place == v:
-                return g
-        return Fraction(1)
-
-    def support(self) -> tuple[Place, ...]:
-        return tuple(v for v, g in self.entries if g != 1)
-
-
-def theoremkey_condition(p: ProjPoint, forms: Sequence[MultiPoly],
-                         s: PlaceSet, gamma: MkConstant | None = None,
-                         mode: str = "i") -> bool:
-    """Exact per-place comparison of normalized local heights off S.
-
-    forms[0] is the reference divisor D_0; the rest are D_1..D_r.  Mode "i"
-    checks (1/d_i) lambda_i <= (1/d_0) lambda_0 + gamma_v at every finite
-    place outside S for every i; mode "ii" checks the sum over i instead.
-    Every form is checked before any is evaluated, and each is evaluated
-    once.  Comparisons are cross-powered so only integer exponents appear.
-    """
-    if mode not in ("i", "ii"):
-        raise ValueError("mode must be 'i' or 'ii'")
-    if len(forms) < 2:
-        raise ValueError("need the reference form and at least one divisor")
-    gamma = gamma or MkConstant.trivial()
-    for f in forms:
-        check_weil_form(f)
-    degrees = [f.total_degree() for f in forms]
-    d0 = degrees[0]
-    if mode == "i" and any(d < d0 for d in degrees[1:]):
-        raise ValueError("mode i needs deg(D_i) >= deg(D_0)")
-    values = [f.evaluate(p.coords).numerator for f in forms]
-    if any(val == 0 for val in values):
-        raise ValueError("point on support")
-
-    primes = set(support_primes(values + [c for c in p.coords if c != 0]))
-    primes.update(v.prime for v in gamma.support() if v.is_finite)
-    primes -= set(finite_primes(s))
-
-    degrees_lcm = lcm(*degrees)
-    for q in sorted(primes):
-        g = gamma.at(Place(q))
-        v0, *rest = [_local_value(val, p.coords, d, q) for val, d in zip(values, degrees)]
-        if mode == "i":
-            if any(v ** d0 > v0 ** d * g ** (d0 * d) for v, d in zip(rest, degrees[1:])):
-                return False
-        elif prod(v ** (degrees_lcm // d) for v, d in zip(rest, degrees[1:])) > \
-                v0 ** (degrees_lcm // d0) * g ** degrees_lcm:
-            return False
-    return True
-
-
-def strict_transform_local(f_d: MultiPoly, f_w: MultiPoly, p: ProjPoint,
-                           v: Place) -> tuple[Fraction, Fraction]:
-    """Local values (strict transform, subscheme) for blow-up data (D, W).
-
-    The subscheme value is min(lambda_D, lambda_W); the strict-transform
-    value is lambda_D divided by it, so it is 1 exactly when D is locally
-    dominated by W at v.
-    """
-    val_d = weil_local(f_d, p, v).value
-    val_y = weil_subscheme([f_d, f_w], p, v).value
-    return val_d / val_y, val_y

@@ -58,11 +58,6 @@ class MultiPoly:
         exps = tuple(1 if j == i else 0 for j in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, exps: Sequence[int], coeff) -> "MultiPoly":
-        exps = tuple(exps)
-        return cls(len(exps), {exps: Fraction(coeff)})
-
     # -- ring operations -------------------------------------------------
 
     def _coerce(self, other) -> "MultiPoly":

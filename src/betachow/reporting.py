@@ -30,6 +30,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_PIPE = 141        # 128 + SIGPIPE
 
 WORKERS_ENV = "BETACHOW_WORKERS"
 

@@ -24,13 +24,12 @@ from betachow.heights import (
     ProjPoint,
     height,
     make_place_set,
-    product_over_places,
     support_primes,
-    theoremkey_condition,
     weil_local,
 )
 from betachow.poly import MultiPoly, parse_poly
 from betachow.search import SearchBox, SRing, _cor12_spec, _thm11_spec, run_search, vanishing_forms
+from oracles import key_condition, product_over_places
 
 
 def report(number: int, label: str, ok: bool, started: float):
@@ -152,7 +151,7 @@ def test_criterion_7_divisibility_condition_bridge():
     ok = ok and cor_sols.count > 0
     for pt in cor_sols.points:
         p = ProjPoint.normalize([1, *pt])
-        ok = ok and theoremkey_condition(p, [g_proj, *proj_forms], s_places, mode="ii")
+        ok = ok and key_condition(p, [g_proj, *proj_forms], s_places, "ii")
     # divisibility search with five hyperplanes in general position
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 6)]
     g_form = parse_poly("x0", 3)
@@ -160,7 +159,7 @@ def test_criterion_7_divisibility_condition_bridge():
     ok = ok and sols.count > 0
     for pt in sols.points:
         p = ProjPoint(tuple(int(c) for c in pt))
-        ok = ok and theoremkey_condition(p, [g_form, *forms], s_places, mode="i")
+        ok = ok and key_condition(p, [g_form, *forms], s_places, "i")
     report(7, "every found solution satisfies the local-height condition", ok, t0)
 
 

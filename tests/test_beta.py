@@ -6,7 +6,6 @@ import pytest
 import betachow.beta
 from betachow.beta import (
     AutissierInput,
-    autissier_h0_lower,
     autissier_input_marked,
     beta_autissier_lower,
     beta_exact_cyclic,
@@ -175,20 +174,6 @@ def test_marked_targets_scan():
     assert all(r["ok"] for r in rows)
     assert marked_target(2, 10, 1) == Fraction(15, 2)
     assert marked_target(2, 10, 4) == Fraction(5)
-
-
-def test_h0_lower_bound():
-    # m = N sits exactly on the min-switch
-    a_top, a_b, a_b2 = Fraction(661), Fraction(21), Fraction(0)
-    at_switch = autissier_h0_lower(2, a_top, a_b, a_b2, 100, 100, Fraction(2))
-    assert at_switch.value == a_top * 10000 / 2 - a_b * 100 * 100
-    spot = autissier_h0_lower(2, a_top, a_b, a_b2, 100, 50, Fraction(2))
-    assert spot.value == Fraction(661 * 10000, 2) - 21 * 100 * 50
-    assert spot.error_order == "O(N^1)"
-    with pytest.raises(ValueError, match="out of range"):
-        autissier_h0_lower(2, a_top, a_b, a_b2, 100, 0, Fraction(2))
-    with pytest.raises(ValueError, match="out of range"):
-        autissier_h0_lower(2, a_top, a_b, a_b2, 100, 300, Fraction(2))
 
 
 def test_sqrt_enclosure():

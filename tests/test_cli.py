@@ -332,7 +332,25 @@ def test_heights_bad_form_is_a_usage_error_before_factoring(capsys):
     code, _, err = run(capsys, "heights", "--form", "1/2*x0", "--point",
                        "1361129467683753853853498429727072845827,3")
     assert code == 2
-    assert "weil_local needs integer coefficients" in err
+    assert "form 1/2*x0 needs integer coefficients" in err
+
+
+def test_a_reader_gone_from_stdout_exits_141_and_writes_no_error(tmp_path):
+    # the 2000-sample audit writes 148,742 bytes, past a 64 KiB pipe buffer,
+    # so a reader that takes one line and closes the pipe breaks a write:
+    # the status is the one a shell reports for a process SIGPIPE ended
+    forms = tmp_path / "f.txt"
+    forms.write_text("x0\nx1\nx2\nx0+x1+x2\n")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "betachow.cli", "audit", "subspace", "--forms", str(forms),
+         "--samples", "2000", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.stdout.readline() == f"# betachow {betachow.__version__}\n".encode()
+    proc.stdout.close()
+    assert proc.wait(timeout=120) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 def test_heights_logs_past_the_float_range(capsys):
@@ -1173,8 +1191,8 @@ def test_output_independent_of_workers(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("kind, lines, message", [
-    ("subspace", "1/2*x0 + x1 + x2", "weil_local needs integer coefficients"),
-    ("levinduke", "1/2*x0 + x1 + x2", "weil_local needs integer coefficients"),
+    ("subspace", "1/2*x0 + x1 + x2", "form 1/2*x0 + x1 + x2 needs integer coefficients"),
+    ("levinduke", "1/2*x0 + x1 + x2", "form 1/2*x0 + x1 + x2 needs integer coefficients"),
     ("subspace", "x0^2 + x1", "general position check restricted to hyperplanes"),
     ("levinduke", "x0^2 + x1", "forms must be homogeneous of degree >= 1"),
     # a G line, which only search thm11 reads

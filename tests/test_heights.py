@@ -1,33 +1,29 @@
 import random
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, prod
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import betachow.heights
 from betachow.audits import iter_sample_points
 from betachow.heights import (
     ARCH,
-    MkConstant,
     Place,
     ProjPoint,
     _ratio_text,
-    abs_at,
     height,
     make_place_set,
     parse_places,
-    product_over_places,
     proximity_counting,
-    strict_transform_local,
     support_primes,
-    theoremkey_condition,
     weil_local,
     weil_subscheme,
 )
 from betachow.poly import MultiPoly, monomial_exponents, parse_poly
 from betachow.primes import vp
+from oracles import abs_at, key_condition, product_over_places
 
 COORD = st.integers(-10 ** 6, 10 ** 6)
 
@@ -235,13 +231,13 @@ def test_weil_subscheme():
     assert weil_subscheme([f0], p, ARCH).value == weil_local(f0, p, ARCH).value
 
 
-def test_strict_transform_local_where_w_vanishes():
+def test_weil_subscheme_where_w_vanishes():
     # W = x1 vanishes at [3:0:1], so lambda_W is +infinity: the subscheme
-    # value is lambda_D and the strict transform is 1 at every place
+    # value is lambda_D at every place
     f_d, f_w = parse_poly("x0+x2", 3), parse_poly("x1", 3)
     p = ProjPoint.normalize([3, 0, 1])
     for v in (ARCH, Place(2), Place(3)):
-        assert strict_transform_local(f_d, f_w, p, v) == (1, weil_local(f_d, p, v).value)
+        assert weil_subscheme([f_d, f_w], p, v).value == weil_local(f_d, p, v).value
     with pytest.raises(ValueError, match="point on support"):
         weil_subscheme([f_w, parse_poly("x1^2", 3)], p, ARCH)
     with pytest.raises(ValueError, match="homogeneous"):
@@ -276,47 +272,34 @@ def test_proximity_counting_examples():
     assert dec2.total == 9 == height(p) ** 2
 
 
-def test_theoremkey_reflexive():
+def test_key_condition_reflexive_and_refused_on_the_support():
     f = parse_poly("x0+x1", 3)
     p = ProjPoint.normalize([2, 1, 1])
-    assert theoremkey_condition(p, [f, f], make_place_set(), mode="i")
-    assert theoremkey_condition(p, [f, f], make_place_set(), mode="ii")
+    assert key_condition(p, [f, f], make_place_set(), "i")
+    assert key_condition(p, [f, f], make_place_set(), "ii")
+    # x1 vanishes at [1:0:1], where every value of x0 + x1 is 1
+    for mode in ("i", "ii"):
+        with pytest.raises(ValueError, match="point on support"):
+            key_condition(ProjPoint.normalize([1, 0, 1]), [f, parse_poly("x1", 3)],
+                          make_place_set(), mode)
 
 
-def test_theoremkey_sample_against_valuation_oracle():
+def test_key_condition_sample_against_valuations():
     # D_0 = [x0+x1 = 0], D_1 = [x0 = 0], P = [2:1:1], S = {inf}
     g0 = parse_poly("x0+x1", 3)
     f1 = parse_poly("x0", 3)
     p = ProjPoint.normalize([2, 1, 1])
-    # oracle: condition at each prime is v_p(F_1) <= v_p(G) (degrees 1, gamma 0)
+    # oracle: condition at each prime is v_p(F_1) <= v_p(G) (degrees 1)
     v0, v1 = g0.evaluate(p.coords), f1.evaluate(p.coords)  # 3, 2
     oracle = all(vp(v1, q) <= vp(v0, q) for q in (2, 3))
     assert oracle is False
-    assert theoremkey_condition(p, [g0, f1], make_place_set(), mode="i") is False
-
-
-def test_theoremkey_gamma_override():
-    g0 = parse_poly("x0+x1", 3)
-    f1 = parse_poly("x0", 3)
-    p = ProjPoint.normalize([2, 1, 1])
-    gamma = MkConstant.from_map({Place(2): Fraction(2)})
-    assert theoremkey_condition(p, [g0, f1], make_place_set(), gamma, mode="i")
-    assert gamma.at(Place(7)) == 1
-
-
-def test_theoremkey_mode_i_requires_dominating_degrees():
-    quad = parse_poly("x0^2+x1*x2", 3)
-    lin = parse_poly("x0", 3)
-    p = ProjPoint.normalize([2, 1, 1])
-    with pytest.raises(ValueError):
-        theoremkey_condition(p, [quad, lin], make_place_set(), mode="i")
-    # mode ii has no such hypothesis
-    theoremkey_condition(p, [quad, lin], make_place_set(), mode="ii")
+    assert key_condition(p, [g0, f1], make_place_set(), "i") is False
 
 
 def test_blowup_integrality_equivalence():
-    # (D, W) blow-up data: strict-transform value is 1 at every place off S
-    # iff lambda_D <= lambda_W there; both sides computed independently.
+    # (D, W) blow-up data: the strict-transform value lambda_D / min(lambda_D,
+    # lambda_W) is 1 at every place off S iff lambda_D <= lambda_W there;
+    # both sides computed independently.
     rng = random.Random(43)
     f_d = parse_poly("x0", 3)
     f_w = parse_poly("x1", 3)
@@ -329,7 +312,8 @@ def test_blowup_integrality_equivalence():
             continue
         primes = support_primes([f_d.evaluate(p.coords), f_w.evaluate(p.coords)])
         off_s = [Place(q) for q in primes]
-        lhs = all(strict_transform_local(f_d, f_w, p, v)[0] == 1 for v in off_s)
+        lhs = all(weil_local(f_d, p, v).value == weil_subscheme([f_d, f_w], p, v).value
+                  for v in off_s)
         rhs = all(weil_local(f_d, p, v).value <= weil_local(f_w, p, v).value
                   for v in off_s)
         assert lhs == rhs
@@ -364,61 +348,3 @@ def test_proximity_counting_matches_weil_local_per_place(f, coords, s_primes):
     assert (dec.proximity, dec.counting, dec.total, dec.support) == \
         _proximity_counting_per_place(f, p, s)
     assert dec.total == height(p) ** f.total_degree()
-
-
-def _theoremkey_per_place(p, forms, s, gamma, mode):
-    """The oracle: the per-prime comparison with every local value taken
-    from weil_local, one call per form and prime."""
-    degrees = [f.total_degree() for f in forms]
-    d0, big = degrees[0], lcm(*degrees)
-    values = [f.evaluate(p.coords) for f in forms]
-    primes = set(support_primes(values + [c for c in p.coords if c != 0]))
-    primes.update(v.prime for v in gamma.support() if v.is_finite)
-    primes -= {v.prime for v in s if v.is_finite}
-    for q in sorted(primes):
-        g = gamma.at(Place(q))
-        vals = [weil_local(f, p, Place(q)).value for f in forms]
-        if mode == "i":
-            if any(vals[i] ** d0 > vals[0] ** degrees[i] * g ** (d0 * degrees[i])
-                   for i in range(1, len(forms))):
-                return False
-        elif prod(vals[i] ** (big // degrees[i]) for i in range(1, len(forms))) > \
-                vals[0] ** (big // d0) * g ** big:
-            return False
-    return True
-
-
-GAMMAS = st.dictionaries(st.sampled_from([ARCH, Place(2), Place(3), Place(5), Place(7)]),
-                         st.sampled_from([Fraction(1, 4), Fraction(1, 2), Fraction(2),
-                                          Fraction(3), Fraction(9, 2)]), max_size=3)
-
-
-@settings(max_examples=200, deadline=None)
-# at 2 the values are 1 and 4 = gamma^(d0*d1): both modes hold with no room
-@example([parse_poly("x0", 3), parse_poly("x1^2", 3)], [1, 2, 1], (), {Place(2): Fraction(2)}, "i")
-@example([parse_poly("x0", 3), parse_poly("x1^2", 3)], [1, 2, 1], (), {Place(2): Fraction(2)}, "ii")
-@given(st.lists(integer_forms(), min_size=2, max_size=4),
-       # small coordinates give values with few primes, where the condition can hold
-       st.lists(st.one_of(st.integers(-12, 12), st.integers(-10 ** 4, 10 ** 4)),
-                min_size=3, max_size=3),
-       st.sampled_from(S_CHOICES), GAMMAS, st.sampled_from(["i", "ii"]))
-def test_theoremkey_matches_weil_local_per_prime(forms, coords, s_primes, gamma, mode):
-    assume(any(coords))
-    p = ProjPoint.normalize(coords)
-    assume(all(f.evaluate(p.coords) != 0 for f in forms))
-    degrees = [f.total_degree() for f in forms]
-    assume(mode == "ii" or min(degrees[1:]) >= degrees[0])
-    s, gamma = make_place_set(s_primes), MkConstant.from_map(gamma)
-    assert theoremkey_condition(p, forms, s, gamma, mode) == \
-        _theoremkey_per_place(p, forms, s, gamma, mode)
-
-
-@pytest.mark.parametrize("coords", [[1, 1, 0], [2, 2, 1]])
-@pytest.mark.parametrize("first", [True, False])
-def test_theoremkey_refuses_rational_coefficients_at_every_point(coords, first):
-    # 1/2*x0 + 1/2*x1 is 1 at [1:1:0], where no prime is checked at all
-    half, x0 = parse_poly("1/2*x0+1/2*x1", 3), parse_poly("x0", 3)
-    forms = [half, x0] if first else [x0, half]
-    for mode in ("i", "ii"):
-        with pytest.raises(ValueError, match="integer coefficients"):
-            theoremkey_condition(ProjPoint.normalize(coords), forms, make_place_set(), mode=mode)

@@ -20,7 +20,7 @@ def rand_poly(rng, nvars, max_deg=3, terms=4):
     out = MultiPoly.zero(nvars)
     for _ in range(terms):
         exps = tuple(rng.randint(0, max_deg) for _ in range(nvars))
-        out = out + MultiPoly.monomial(exps, Fraction(rng.randint(-5, 5), rng.randint(1, 4)))
+        out = out + MultiPoly(nvars, {exps: Fraction(rng.randint(-5, 5), rng.randint(1, 4))})
     return out
 
 

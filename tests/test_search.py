@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import betachow.search
-from betachow.heights import ProjPoint, make_place_set, support_primes, theoremkey_condition
+from betachow.heights import ProjPoint, make_place_set, support_primes
 from betachow.linalg import kernel_basis
 from betachow.poly import (
     MultiPoly,
@@ -42,6 +42,7 @@ from betachow.search import (
     solution_set_text,
     vanishing_forms,
 )
+from oracles import key_condition
 
 S_EMPTY = SRing(())
 
@@ -259,7 +260,32 @@ def test_thm11_divisibility_implies_key_condition():
     assert sols.count > 0
     for pt in sols.points:
         p = ProjPoint(tuple(int(c) for c in pt))
-        assert theoremkey_condition(p, [g_form, *forms], make_place_set(), mode="i")
+        assert key_condition(p, [g_form, *forms], make_place_set(), "i")
+
+
+@pytest.mark.parametrize("mode", ["i", "ii"])
+@pytest.mark.parametrize("s_primes", [(), (2,), (2, 3)])
+def test_thm11_check_is_the_key_condition_on_a_whole_box(s_primes, mode):
+    # hyperplanes of degree 1, so F_i | G in O_S (mode ii: their product)
+    # exactly when the local heights compare at every prime off S: both
+    # directions, at each of the 493 normalized points off the support in
+    # the box of height 5
+    bound = 5
+    forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 6)]
+    g_form = parse_poly("x0", 3)
+    search = _thm11_spec(forms, g_form, mode, SearchBox(2, bound), SRing(s_primes), False)
+    s = make_place_set(s_primes)
+    checked = passed = 0
+    for xs in product(range(bound + 1), *[range(-bound, bound + 1)] * 2):
+        if gcd(*xs) != 1 or next(c for c in xs if c) < 0:
+            continue
+        if any(f.evaluate(xs) == 0 for f in [g_form, *forms]):
+            continue
+        verdict = search.check(xs) is not None
+        assert verdict == key_condition(ProjPoint(xs), [g_form, *forms], s, mode), xs
+        checked += 1
+        passed += verdict
+    assert checked == 493 and passed > 0
 
 
 def ideal_window_sides(form_vps, n, coord_min_vp=0):
