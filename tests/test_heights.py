@@ -140,6 +140,24 @@ def test_weil_local_errors():
         weil_local(parse_poly("x0+1", 2), ProjPoint.normalize([1, 1]), ARCH)
 
 
+@pytest.mark.parametrize("coords", [[1, 1, 0], [2, 2, 1]])
+@pytest.mark.parametrize("first", [True, False])
+def test_height_forms_refuse_rational_coefficients_at_every_point(coords, first):
+    # 1/2*x0 + 1/2*x1 is 1 at [1:1:0], a value with no prime in it, and x2
+    # vanishes there, so the subscheme's minimum is taken over the half form
+    # alone; each call still refuses it, wherever it stands among the generators
+    half, x2 = parse_poly("1/2*x0+1/2*x1", 3), parse_poly("x2", 3)
+    generators = [half, x2] if first else [x2, half]
+    p = ProjPoint.normalize(coords)
+    for v in (ARCH, Place(2)):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            weil_local(half, p, v)
+        with pytest.raises(ValueError, match="integer coefficients"):
+            weil_subscheme(generators, p, v)
+    with pytest.raises(ValueError, match="integer coefficients"):
+        proximity_counting(half, p, make_place_set([2]))
+
+
 def test_height_machine_identity_random():
     from betachow.poly import MultiPoly
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from betachow.beta import AutissierInput, RationalInterval
-from betachow.chow import BlowupConfig, CurveClass, NefResult, cyclic_config
+from betachow.chow import BlowupConfig, CurveClass, DivisorClass, NefResult, cyclic_config
 from betachow.heights import (
     ARCH,
     HeightDecomposition,
@@ -97,6 +97,7 @@ FROZEN = [
     AutissierInput(2, 1, 1, 0),
     RationalInterval(Fraction(0), Fraction(1)),
     cyclic_config(2, 6),
+    DivisorClass(2, 1, (1, 0, 0)),
     CurveClass("line-through-point-set", ()),
     NefResult("inconclusive", None, None, Fraction(0)),
 ]
