@@ -13,7 +13,9 @@ top product of n classes (a_j*H - sum_i b_{j,i}*E_i)/d_j is
     (prod_j a_j  -  sum_{i in S} prod_j b_{j,i}) / prod_j d_j,
 
 where S is the support of the sparsest class: at every other index one
-factor is 0.  That is integer arithmetic and one Fraction per product.
+factor is 0.  A run of one class object among the factors, as in
+D^k*Ht^(n-k), enters as a power (a_D**k, b_{D,i}**k), so a product is one
+integer pass and one Fraction.
 
 Two point/hyperplane configurations are built in: the cyclic one (q >= 3n
 hyperplanes, each consecutive window of n of them meeting in a blown-up
@@ -31,7 +33,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from typing import Sequence
 
 from ._records import Frozen
@@ -140,20 +142,43 @@ def e_class(n: int, r: int, i: int) -> DivisorClass:
 
 
 def top_intersection(classes: Sequence[DivisorClass]) -> Fraction:
-    """Top Chow product of n divisor classes on the same blow-up."""
+    """Top Chow product of n divisor classes on the same blow-up.
+
+    A run of one class object (D, D, ..., D) enters as one factor raised to
+    the run's length; equal classes held by different objects stay separate
+    factors, which gives the same value.
+    """
     classes = list(classes)
     if not classes:
         raise ValueError("empty product")
-    n, r = classes[0].n, classes[0].r
+    prev = classes[0]
+    n, r = prev.n, prev.r
     if len(classes) != n:
         raise ValueError(f"top product needs exactly n = {n} classes")
-    if any(c.n != n or c.r != r for c in classes):
-        raise ValueError("mismatched (n, r)")
-    total = prod([c._a for c in classes])
-    bs = [c._b for c in classes]
-    for i in min(bs, key=len):
-        total -= prod([b.get(i, 0) for b in bs])
-    return Fraction(total, prod([c._den for c in classes]))
+    runs = []
+    e = 0
+    for c in classes:
+        if c is prev:
+            e += 1
+            continue
+        if c.n != n or c.r != r:
+            raise ValueError("mismatched (n, r)")
+        runs.append((prev, e))
+        prev, e = c, 1
+    runs.append((prev, e))
+    total = den = 1
+    sparsest = prev._b
+    for c, e in runs:
+        total *= c._a ** e
+        den *= c._den ** e
+        if len(c._b) < len(sparsest):
+            sparsest = c._b
+    for i in sparsest:
+        term = 1
+        for c, e in runs:
+            term *= c._b.get(i, 0) ** e
+        total -= term
+    return Fraction(total, den)
 
 
 # ---------------------------------------------------------------------------
@@ -296,21 +321,22 @@ class NefResult(Frozen):
 def _match_cyclic(cls: DivisorClass, cfg: BlowupConfig) -> str | None:
     """Match cls = t*(D - m*Ht_i), t > 0, 0 <= m <= n (m = 0 is t*D)."""
     n, q = cfg.n, cfg.q
+    a, b = cls.a, cls.b
     for i in range(q):
         window = cfg.incidence[i]
         out_idx = next(j for j in range(q) if j not in window)
-        t = cls.b[out_idx] / n
+        t = b[out_idx] / n
         if t <= 0:
             continue
-        if any(cls.b[j] != t * n for j in range(q) if j not in window):
+        if any(b[j] != t * n for j in range(q) if j not in window):
             continue
-        inside = {cls.b[j] for j in window}
+        inside = {b[j] for j in window}
         if len(inside) != 1:
             continue
         m = n - inside.pop() / t
         if not (0 <= m <= n):
             continue
-        if cls.a != t * (q - m):
+        if a != t * (q - m):
             continue
         scale = "" if t == 1 else f"{t} * "
         mtxt = f" - {m}*Ht{i + 1}" if m else ""
@@ -328,20 +354,21 @@ def _match_marked(cls: DivisorClass, cfg: BlowupConfig) -> str | None:
     classes.  This covers Ht_i and the ample-side class A itself.
     """
     n = cfg.n
-    if any(x < 0 for x in cls.b):
+    a, b = cls.a, cls.b
+    if any(x < 0 for x in b):
         return None
-    slack = cls.a - sum(cls.b, Fraction(0))
+    slack = a - sum(b, Fraction(0))
     if slack < 0:
         return None
-    if cls.a == 1 and sum(cls.b) == 1 and set(cls.b) <= {Fraction(0), Fraction(1)}:
-        i = cls.b.index(Fraction(1))
+    if a == 1 and sum(b) == 1 and set(b) <= {Fraction(0), Fraction(1)}:
+        i = b.index(Fraction(1))
         return f"marked strict transform Ht{i + 1} (nef for every index)"
-    ells = set(cls.b)
+    ells = set(b)
     if len(ells) == 1:
         ell = ells.pop()
-        if ell > 0 and cls.a == ell * (n + 1) + 1:
+        if ell > 0 and a == ell * (n + 1) + 1:
             return f"marked class A with ell = {ell} (combination of nef strict transforms)"
-    parts = [f"{cls.b[i]}*Ht{i + 1}" for i in range(n + 1) if cls.b[i]]
+    parts = [f"{b[i]}*Ht{i + 1}" for i in range(n + 1) if b[i]]
     if slack:
         parts.append(f"{slack}*Ht{n + 2}")
     return ("nonnegative combination of marked nef strict transforms: "

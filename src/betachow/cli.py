@@ -171,8 +171,12 @@ def cmd_chow(args) -> int:
                 raise ValueError(f"unknown class {name!r}")
             if exp < 0:
                 raise ValueError(f"--power exponent must be >= 0, got {token!r}")
-            factors.extend([classes[name]] * exp)
-        value = top_intersection(factors)
+            factors.append((classes[name], exp))
+        count = sum(exp for _, exp in factors)
+        if count and count != cfg.n:
+            # top_intersection's refusal, before a list of count classes is built
+            raise ValueError(f"top product needs exactly n = {cfg.n} classes")
+        value = top_intersection([cls for cls, exp in factors for _ in range(exp)])
         rows.append({"item": "power " + " ".join(args.power), "value": value})
     if args.nef:
         cls = parse_class_expr(args.nef, cfg, args.ell)

@@ -436,3 +436,38 @@ def test_top_intersection_matches_its_generator_form(classes):
     assert value == _outcome(generator_top, classes)
     assert type(value) in (Fraction, str)
     assert _outcome(top_intersection, iter(classes)) == value
+
+
+HALVES = st.builds(lambda p, d: Fraction(2 * p + 1, 2 * d),
+                   st.integers(-4, 4), st.sampled_from([1, 2, 3]))
+
+
+@st.composite
+def _run_products(draw):
+    """Classes a and b whose denominators are > 1 (their H-parts have an
+    even denominator), a on the blow-up of P^n at r points (n in 1..4, r in
+    0..4) and b on the same one half the time, else with another r or n,
+    with run lengths k and m - k: m is mostly n, else anything in 0..n+1."""
+    n, r = draw(st.integers(1, 4)), draw(st.integers(0, 4))
+
+    def draw_class(n, r):
+        return DivisorClass(n, draw(HALVES), draw(st.lists(FRACTIONS, min_size=r, max_size=r)))
+
+    a = draw_class(n, r)
+    b = draw_class(*draw(st.sampled_from([(n, r), (n, r), (n, (r + 1) % 5), (n % 4 + 1, r)])))
+    m = n if draw(st.booleans()) else draw(st.integers(0, n + 1))
+    return a, b, draw(st.integers(0, m)), m
+
+
+@settings(max_examples=300, deadline=None)
+@given(_run_products())
+def test_runs_of_one_class_match_equal_copies_and_brute_force(case):
+    a, b, k, m = case
+    assert a._den > 1 and b._den > 1
+    runs = [a] * k + [b] * (m - k)
+    copies = [DivisorClass(c.n, c.a, c.b) for c in runs]
+    assert len({id(c) for c in copies}) == m
+    value = _outcome(top_intersection, runs)
+    assert value == _outcome(top_intersection, copies) == _outcome(generator_top, runs)
+    if type(value) is Fraction:
+        assert value == brute_force_top(runs) == brute_force_top(copies)

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -192,6 +193,25 @@ def test_chow_bad_class_expression_exits_2(capsys, expr, message):
     assert code == 2
     assert message in err and "Traceback" not in err
     assert out == ""
+
+
+@pytest.mark.parametrize("power, message", [
+    (["D,1000000"], "top product needs exactly n = 2 classes"),
+    (["D,1", "Ht1,999999"], "top product needs exactly n = 2 classes"),
+    (["D,0", "Ht1,0"], "empty product"),
+], ids=["D^1000000", "sum-1000000", "sum-0"])
+def test_chow_power_refuses_a_wrong_exponent_sum_before_building_the_product(
+        capsys, power, message):
+    # a list of a million classes alone takes 8 MB
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, "chow", "--config", "cyclic", "--n", "2", "--q", "6",
+                             "--power", *power)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert peak < 2 ** 20, peak
 
 
 @pytest.mark.parametrize("power", [["D,-1", "Ht1,2"], ["Ht1,2", "D,-1"]])
