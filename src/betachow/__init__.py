@@ -38,12 +38,9 @@ from .beta import (
     g_aut,
 )
 from .heights import (
-    ARCH,
-    LocalHeight,
-    Place,
     ProjPoint,
+    SRing,
     height,
-    make_place_set,
     proximity_counting,
     weil_local,
     weil_subscheme,
@@ -51,7 +48,6 @@ from .heights import (
 from .search import (
     SearchBox,
     SolutionSet,
-    SRing,
     degeneracy_report,
     run_search,
     search_spec,

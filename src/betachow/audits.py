@@ -50,14 +50,13 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import det
 from .poly import MultiPoly, _int_evaluator, hyperplanes_general_position
 from .heights import (
-    PlaceSet,
     ProjPoint,
+    SRing,
     _local_value,
     _log,
     _ratio_text,
     _s_split,
     check_weil_form,
-    finite_primes,
     height,
 )
 from .primes import factor
@@ -90,7 +89,7 @@ def _draw(dim: int, height_bound: int, count: int, rng: random.Random) -> Iterat
         yield ProjPoint.normalize(coords)
 
 
-def subspace_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
+def subspace_rows(forms: Sequence[MultiPoly], s: SRing, eps: Fraction,
                   points: Iterable[ProjPoint], workers: int = 1) -> Iterator[list[dict]]:
     """Audit sum_{v in S} max_I sum_{i in I} lambda_i <= (n+1+eps) h(P),
     one block of rows at a time (module docstring).
@@ -107,7 +106,7 @@ def subspace_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
     for f in forms:
         check_weil_form(f)
     eps = Fraction(eps)
-    s_primes = finite_primes(s)
+    s_primes = s.primes
     n = forms[0].nvars - 1
     params = ((*s_primes, *_minor_primes(forms, n, s_primes)), len(s_primes), eps, n)
     return _blocks(_subspace_row, forms, params, points, workers)
@@ -161,7 +160,7 @@ def _subspace_row(evaluators, params, idx: int, p: ProjPoint) -> dict:
                    defect_by_place={v: d for v, d in texts.items() if d != "1"})
 
 
-def levin_duke_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
+def levin_duke_rows(forms: Sequence[MultiPoly], s: SRing, eps: Fraction,
                     points: Iterable[ProjPoint], workers: int = 1,
                     assert_general_position: bool = False) -> Iterator[list[dict]]:
     """Audit sum_i (1/d_i) m_{D_i,S}(P) > (q-n-1-eps) h(P) per sample, one
@@ -184,7 +183,7 @@ def levin_duke_rows(forms: Sequence[MultiPoly], s: PlaceSet, eps: Fraction,
     for f in forms:
         check_weil_form(f)
     n = forms[0].nvars - 1
-    params = (degrees, lcm(*degrees), finite_primes(s), eps, n)
+    params = (degrees, lcm(*degrees), s.primes, eps, n)
     return _blocks(_levin_duke_row, forms, params, points, workers)
 
 

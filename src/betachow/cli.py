@@ -44,10 +44,8 @@ from .chow import (
     top_intersection,
 )
 from .heights import (
-    ARCH,
-    Place,
     ProjPoint,
-    finite_primes,
+    _log,
     height,
     parse_places,
     proximity_counting,
@@ -264,17 +262,17 @@ def cmd_heights(args) -> int:
     form = parse_poly(args.form, len(point.coords))
     gens = [form, *(parse_poly(text, len(point.coords)) for text in args.subscheme or [])]
     dec = proximity_counting(form, point, s)
-    places = [ARCH] + [Place(p) for p in sorted(set(finite_primes(s))
-                                                | set(dec.support))]
     rows = []
     product = 1                     # of the printed local values: h^d when they agree
-    for v in places:
-        lh = weil_local(form, point, v)
-        product *= lh.value
-        row = {"place": str(v), "in_s": "yes" if v in s else "no",
-               "value": lh.value, "lambda": lh.log_value}
+    # None is the Archimedean place, which is in every S
+    for prime in [None, *sorted(set(s.primes) | set(dec.support))]:
+        value = weil_local(form, point, prime)
+        product *= value
+        row = {"place": "inf" if prime is None else str(prime),
+               "in_s": "yes" if prime is None or prime in s.primes else "no",
+               "value": value, "lambda": _log(value)}
         if len(gens) > 1:
-            row["subscheme_value"] = weil_subscheme(gens, point, v).value
+            row["subscheme_value"] = weil_subscheme(gens, point, prime)
         rows.append(row)
     rows.append({"place": "m_S", "in_s": "", "value": dec.proximity,
                  "lambda": float(dec.log_rows["m"])})

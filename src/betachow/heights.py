@@ -2,9 +2,11 @@
 
 The ground field is fixed to Q: places are the Archimedean absolute value
 and one p-adic absolute value per prime, normalized so the product formula
-holds exactly.  Local heights are stored multiplicatively as positive
-rationals (the logarithm is rendering only), with the standard
-representative
+holds exactly.  A place is named by its prime, an int, or by None for the
+Archimedean place.  A set S of places is an SRing, which lists the finite
+primes of S; the Archimedean place is always in S.  Local heights are
+stored multiplicatively as positive rationals (the logarithm is rendering
+only), with the standard representative
 
     value_v(F, P) = max_j |x_j|_v^{deg F} / |F(x)|_v
 
@@ -28,7 +30,7 @@ silently dropping a prime.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, log
+from math import gcd, lcm, log, prod
 from typing import Iterable, Sequence
 
 from ._records import Frozen
@@ -36,33 +38,44 @@ from .poly import MultiPoly
 from .primes import _prime_to, _vp_int, factor, is_prime
 
 
-class Place(Frozen):
-    """The Archimedean place (prime None) or a finite place of Q, whose
-    prime is an int (not a bool or a float)."""
+class SRing(Frozen):
+    """Ring of S-integers: denominators restricted to the listed primes,
+    which are ints (not bools or floats)."""
 
-    __slots__ = ("prime",)
+    __slots__ = ("primes",)
 
-    def __init__(self, prime: int | None = None):
-        if prime is not None and (type(prime) is not int or not is_prime(prime)):
-            raise ValueError(f"{prime} is not prime")
-        self._assign(prime)
+    def __init__(self, primes: tuple[int, ...] = ()):
+        ps = tuple(primes)
+        if not all(type(p) is int for p in ps) or list(ps) != sorted(set(ps)) \
+                or not all(is_prime(p) for p in ps):
+            raise ValueError("S must be a strictly ascending list of primes")
+        self._assign(ps)
 
-    def __str__(self) -> str:
-        return "inf" if self.prime is None else str(self.prime)
+    def strip_s_part(self, n: int) -> int:
+        return _prime_to(n, self.primes)
+
+    def is_unit(self, n: int) -> bool:
+        """Whether n != 0 is +- a product of S-primes: every exponent of such
+        an |n| is below its bit length, so it divides prod(S)^bits."""
+        n = abs(n)
+        return pow(prod(self.primes), n.bit_length(), n) == 0
+
+    def contains(self, x: Fraction | int) -> bool:
+        if isinstance(x, int):
+            return True
+        return self.strip_s_part(x.denominator) == 1
 
 
-ARCH = Place(None)
-
-PlaceSet = frozenset[Place]
-
-
-def make_place_set(primes: Iterable[int] = ()) -> PlaceSet:
-    """Finite place set containing the Archimedean place."""
-    return frozenset([ARCH, *(Place(p) for p in primes)])
+def _check_place(prime) -> None:
+    """Raise ValueError unless prime names a place: None (the Archimedean
+    place) or a prime int (not a bool or a float)."""
+    if prime is not None and (type(prime) is not int or not is_prime(prime)):
+        raise ValueError(f"{prime} is not prime")
 
 
-def parse_places(text: str) -> PlaceSet:
-    """Parse 'inf', 'inf,2,3', '2,3', or 'none' (Archimedean always in)."""
+def parse_places(text: str) -> SRing:
+    """Parse 'inf', 'inf,2,3', '2,3', or 'none' (Archimedean always in);
+    the primes may repeat and come in any order."""
     primes = []
     for token in text.split(","):
         token = token.strip()
@@ -72,11 +85,9 @@ def parse_places(text: str) -> PlaceSet:
             primes.append(int(token))
         except ValueError:
             raise ValueError(f"{token!r} is neither 'inf' nor an int") from None
-    return make_place_set(primes)
-
-
-def finite_primes(s: PlaceSet) -> tuple[int, ...]:
-    return tuple(sorted(v.prime for v in s if v.prime is not None))
+    for prime in primes:
+        _check_place(prime)
+    return SRing(tuple(sorted(set(primes))))
 
 
 class ProjPoint(Frozen):
@@ -131,21 +142,6 @@ def _log(x: Fraction | int) -> float:
         return log(x.numerator) - log(x.denominator)
 
 
-class LocalHeight(Frozen):
-    """Multiplicative local Weil value at one place (lambda = log value)."""
-
-    __slots__ = ("place", "value")
-
-    def __init__(self, place: Place, value: Fraction):
-        if value <= 0:
-            raise ValueError("multiplicative local height must be positive")
-        self._assign(place, value)
-
-    @property
-    def log_value(self) -> float:
-        return _log(self.value)
-
-
 def check_weil_form(f: MultiPoly):
     """Raise ValueError unless f is a nonconstant homogeneous form with
     integer coefficients, the forms this module takes local values of."""
@@ -161,23 +157,25 @@ def _local_value(val: int, coords: Sequence[int], degree: int,
     given degree and a normalized point P with these coordinates.
 
     prime is None at the Archimedean place, where the value is
-    max_j |x_j|^deg / |val|.  Otherwise it is trusted to be prime (it comes
-    from a validated Place or from factor()); the coordinates are coprime,
-    so min_j v_q(x_j) = 0 and the value is the integer q^{v_q(val)}.
+    max_j |x_j|^deg / |val|.  Otherwise it is trusted to be prime (the
+    callers check it or take it from S or factor()); the coordinates are
+    coprime, so min_j v_q(x_j) = 0 and the value is the integer
+    q^{v_q(val)}.
     """
     if prime is None:
         return Fraction(max(abs(c) for c in coords) ** degree, abs(val))
     return prime ** _vp_int(val, prime)
 
 
-def weil_local(f: MultiPoly, p: ProjPoint, v: Place) -> LocalHeight:
-    """Standard local Weil value max_j |x_j|_v^deg / |F(x)|_v, exact."""
+def weil_local(f: MultiPoly, p: ProjPoint, prime: int | None) -> Fraction:
+    """Standard local Weil value max_j |x_j|_v^deg / |F(x)|_v, exact, at
+    the place v of prime (None for the Archimedean place)."""
+    _check_place(prime)
     check_weil_form(f)
     val = f.evaluate(p.coords)
     if val == 0:
         raise ValueError("point on support")
-    return LocalHeight(v, Fraction(_local_value(val.numerator, p.coords,
-                                                f.total_degree(), v.prime)))
+    return Fraction(_local_value(val.numerator, p.coords, f.total_degree(), prime))
 
 
 def _s_split(val: int, h: int, degree: int, s_primes: Iterable[int]) -> tuple[int, int]:
@@ -196,12 +194,15 @@ def _ratio_text(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def weil_subscheme(generators: Sequence[MultiPoly], p: ProjPoint, v: Place) -> LocalHeight:
+def weil_subscheme(generators: Sequence[MultiPoly], p: ProjPoint,
+                   prime: int | None) -> Fraction:
     """Local value of the subscheme cut out by several forms: the minimum
     of the component values (each form taken with its own degree,
     f.total_degree()).  A form vanishing at P has value +infinity there and
     drops out of the minimum; P is on the subscheme, an error, only when
-    every form vanishes.  Every form is checked, vanishing or not."""
+    every form vanishes.  Every form is checked, vanishing or not.  prime
+    is weil_local's."""
+    _check_place(prime)
     if not generators:
         raise ValueError("subscheme needs at least one generator")
     values = []
@@ -209,10 +210,10 @@ def weil_subscheme(generators: Sequence[MultiPoly], p: ProjPoint, v: Place) -> L
         check_weil_form(f)
         val = f.evaluate(p.coords)
         if val != 0:
-            values.append(_local_value(val.numerator, p.coords, f.total_degree(), v.prime))
+            values.append(_local_value(val.numerator, p.coords, f.total_degree(), prime))
     if not values:
         raise ValueError("point on support")
-    return LocalHeight(v, Fraction(min(values)))
+    return Fraction(min(values))
 
 
 def support_primes(values: Iterable[Fraction | int]) -> tuple[int, ...]:
@@ -244,18 +245,16 @@ class HeightDecomposition(Frozen):
                 "h": _log(self.total)}
 
 
-def proximity_counting(f: MultiPoly, p: ProjPoint, s: PlaceSet) -> HeightDecomposition:
+def proximity_counting(f: MultiPoly, p: ProjPoint, s: SRing) -> HeightDecomposition:
     """Exact decomposition h = m * N of the local Weil values of F at P.
 
     The split is _s_split's; the support is found by factoring F(P) and the
     coordinates, and everywhere else the local value is 1.
     """
-    if ARCH not in s:
-        raise ValueError("the place set must contain the Archimedean place")
     check_weil_form(f)
     val = f.evaluate(p.coords)
     if val == 0:
         raise ValueError("point on support")
     support = support_primes([val, *[c for c in p.coords if c != 0]])
-    hd, n_part = _s_split(val.numerator, height(p), f.total_degree(), finite_primes(s))
+    hd, n_part = _s_split(val.numerator, height(p), f.total_degree(), s.primes)
     return HeightDecomposition(Fraction(hd, n_part), n_part, Fraction(hd), support)

@@ -1,9 +1,13 @@
 """Deterministic report rendering and artifact headers.
 
 Every output file begins with a header embedding the artifact version and
-the full run configuration, and contains nothing time- or path-dependent:
-re-running a command with the parameters echoed in a header reproduces the
-file byte for byte.
+the run's parameters, and contains nothing time-dependent.  Two gaps keep
+a header from reproducing its file, and ROADMAP item 11 closes both:
+
+- the search CSV head and both audit heads echo --forms as typed, so the
+  same run through another path to the forms file writes other bytes;
+- the search CSV head omits --assert-general-position, so re-running a
+  run that needed it with the echoed parameters is refused.
 
 Every report goes through one writer, write_stream, as a sequence of text
 chunks.  To stdout the chunks are printed as they come.  An --out file is

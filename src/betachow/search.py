@@ -25,7 +25,7 @@ from operator import getitem, mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from ._records import Frozen, Record
-from .heights import ProjPoint, support_primes
+from .heights import ProjPoint, SRing, support_primes
 from .linalg import kernel_basis
 from .poly import (
     MultiPoly,
@@ -34,37 +34,9 @@ from .poly import (
     monomial_exponents,
     parse_poly,
 )
-from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _prime_to, _vp, factor, is_prime
+from .primes import FACTOR_BOUND_DEFAULT, FactorizationBoundError, _vp, factor, is_prime
 from .reporting import header_json
 from .sharding import sharded
-
-
-class SRing(Frozen):
-    """Ring of S-integers: denominators restricted to the listed primes,
-    which are ints (not bools or floats)."""
-
-    __slots__ = ("primes",)
-
-    def __init__(self, primes: tuple[int, ...] = ()):
-        ps = tuple(primes)
-        if not all(type(p) is int for p in ps) or list(ps) != sorted(set(ps)) \
-                or not all(is_prime(p) for p in ps):
-            raise ValueError("S must be a strictly ascending list of primes")
-        self._assign(ps)
-
-    def strip_s_part(self, n: int) -> int:
-        return _prime_to(n, self.primes)
-
-    def is_unit(self, n: int) -> bool:
-        """Whether n != 0 is +- a product of S-primes: every exponent of such
-        an |n| is below its bit length, so it divides prod(S)^bits."""
-        n = abs(n)
-        return pow(prod(self.primes), n.bit_length(), n) == 0
-
-    def contains(self, x: Fraction | int) -> bool:
-        if isinstance(x, int):
-            return True
-        return self.strip_s_part(x.denominator) == 1
 
 
 def _divisors(n: int, bound: int = FACTOR_BOUND_DEFAULT) -> list[int]:

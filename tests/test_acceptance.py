@@ -19,11 +19,8 @@ from betachow.beta import (
 )
 from betachow.chow import config_classes, cyclic_config, e_class, nef_test, top_intersection
 from betachow.heights import (
-    ARCH,
-    Place,
     ProjPoint,
     height,
-    make_place_set,
     support_primes,
     weil_local,
 )
@@ -116,9 +113,9 @@ def test_criterion_5_height_machine_identity():
         value = f.evaluate(p.coords)
         if value == 0:
             continue
-        total = weil_local(f, p, ARCH).value
+        total = weil_local(f, p, None)
         for q in support_primes([value, *p.coords]):
-            total *= weil_local(f, p, Place(q)).value
+            total *= weil_local(f, p, q)
         ok = ok and total == Fraction(height(p)) ** degree
         checked += 1
     for _ in range(10_000):
@@ -142,7 +139,7 @@ def test_criterion_6_cor12_desk_search():
 
 def test_criterion_7_divisibility_condition_bridge():
     t0 = time.monotonic()
-    s_places = make_place_set()
+    s_places = SRing()
     ok = True
     # solutions of the affine search, moved to projective coordinates
     cor_sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 100), SRing(())))
@@ -192,7 +189,7 @@ def _max_defect(rows):
 def test_criterion_9_audit_boundedness():
     t0 = time.monotonic()
     eps = Fraction(1, 2)
-    s = make_place_set()
+    s = SRing()
     arrangement = [parse_poly(t, 3) for t in ("x0", "x1", "x2", "x0+x1+x2")]
     low = _audit_rows(subspace_rows, arrangement, s, eps,
                       iter_sample_points(2, 10 ** 3, 1000, seed=101))

@@ -19,7 +19,7 @@ import betachow.cli
 from betachow.chow import config_classes, cyclic_config
 from betachow.cli import main, verify_rows
 from betachow.reporting import parse_config_file
-from betachow.search import load_solution_set
+from betachow.search import SRing, load_solution_set
 
 
 def run(capsys, *argv):
@@ -1239,6 +1239,7 @@ def test_audit_rejects_bad_forms(tmp_path, capsys, kind, lines, message, workers
      "--s: 4 is not prime"),
     (["heights", "--form", "x0", "--point", "2,3", "--s", "2,x"],
      "--s: 'x' is neither 'inf' nor an int"),
+    (["heights", "--form", "x0", "--point", "2,3", "--s", "inf,4"], "--s: 4 is not prime"),
     *((["chow", "--config", "cyclic", "--n", "2", "--q", "6", "--power", *power],
       f"--power: {token!r} is not NAME,EXP with EXP an int or n")
       for power, token in [(["D,x"], "D,x"), (["D"], "D"), (["D,"], "D,"),
@@ -1252,6 +1253,30 @@ def test_bad_place_is_refused_by_its_flag(tmp_path, capsys, argv, message):
     assert (code, stdout) == (2, "")
     assert message in err and "invalid literal" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["heights", "--form", "x0+2*x1", "--point", "3,5"],
+    ["audit", "subspace", "--forms", "{forms}", "--samples", "20", "--seed", "3",
+     "--height-bound", "50"],
+])
+def test_s_is_normalized_once(tmp_path, capsys, argv):
+    # --s takes S's primes in any order and repeated; the head echoes the
+    # text as typed, and every row is that of the one SRing((2, 3))
+    forms = tmp_path / "forms.txt"
+    forms.write_text("x0\nx1\nx2\nx0+x1+x2\n")
+    rows = []
+    for s in ("3,2,2", "inf,2,3"):
+        code, out, err = run(capsys, *[a.format(forms=forms) for a in argv], "--s", s,
+                             "--format", "json")
+        assert (code, err) == (0, "")
+        head, *body = out.splitlines()
+        assert json.loads(head)["params"]["s"] == s
+        rows.append(body)
+    assert rows[0] == rows[1] and len(rows[0]) > 2
+    # SRing itself takes S only strictly ascending
+    with pytest.raises(ValueError, match="strictly ascending"):
+        SRing((3, 2))
 
 
 def _general_position_calls(monkeypatch) -> list:

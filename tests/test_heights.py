@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 from math import gcd, prod
 
@@ -9,12 +10,10 @@ from hypothesis import strategies as st
 import betachow.heights
 from betachow.audits import iter_sample_points
 from betachow.heights import (
-    ARCH,
-    Place,
     ProjPoint,
+    SRing,
     _ratio_text,
     height,
-    make_place_set,
     parse_places,
     proximity_counting,
     support_primes,
@@ -95,26 +94,36 @@ def test_sampled_points_skip_the_validating_constructor(monkeypatch):
 
 def test_places():
     s = parse_places("inf,2,3")
-    assert ARCH in s and Place(2) in s and len(s) == 3
-    assert parse_places("inf") == make_place_set()
-    with pytest.raises(ValueError):
-        Place(6)
-    for prime in (2.0, True, "2"):
-        with pytest.raises(ValueError, match="is not prime"):
-            Place(prime)
-    assert abs_at(Fraction(12), Place(2)) == Fraction(1, 4)
-    assert abs_at(Fraction(-3, 8), ARCH) == Fraction(3, 8)
+    assert s == SRing((2, 3)) and s.primes == (2, 3)
+    assert parse_places("3,2,2") == parse_places("oo,2,3") == s
+    assert parse_places("inf") == parse_places("none") == SRing()
+    with pytest.raises(ValueError, match="^4 is not prime$"):
+        parse_places("inf,4")
+    with pytest.raises(ValueError, match="^'x' is neither 'inf' nor an int$"):
+        parse_places("inf,x")
+    assert abs_at(Fraction(12), 2) == Fraction(1, 4)
+    assert abs_at(Fraction(-3, 8), None) == Fraction(3, 8)
+
+
+@pytest.mark.parametrize("prime", [6, 2.0, True, "2"])
+def test_local_values_refuse_a_place_that_is_not_an_int_prime(prime):
+    f, p = parse_poly("x0", 2), ProjPoint.normalize([2, 3])
+    message = "^" + re.escape(f"{prime} is not prime") + "$"
+    with pytest.raises(ValueError, match=message):
+        weil_local(f, p, prime)
+    with pytest.raises(ValueError, match=message):
+        weil_subscheme([f], p, prime)
 
 
 def test_weil_local_standard_example():
     f = parse_poly("x0", 2)
     p = ProjPoint.normalize([2, 3])
-    assert weil_local(f, p, ARCH).value == Fraction(3, 2)
-    assert weil_local(f, p, Place(2)).value == 2
-    assert weil_local(f, p, Place(3)).value == 1
-    total = weil_local(f, p, ARCH).value
+    assert weil_local(f, p, None) == Fraction(3, 2)
+    assert weil_local(f, p, 2) == 2
+    assert weil_local(f, p, 3) == 1
+    total = weil_local(f, p, None)
     for q in support_primes([2, 3]):
-        total *= weil_local(f, p, Place(q)).value
+        total *= weil_local(f, p, q)
     assert total == height(p) ** 1
 
 
@@ -122,22 +131,22 @@ def test_weil_local_near_divisor():
     f = parse_poly("x0+x1", 2)
     for q in (3, 5, 7):
         p = ProjPoint.normalize([1, -1 + q])
-        assert weil_local(f, p, Place(q)).value == q
+        assert weil_local(f, p, q) == q
 
 
 def test_weil_local_unit_case():
     f = parse_poly("x0+x1", 2)
     p = ProjPoint.normalize([1, 2])
-    assert weil_local(f, p, Place(5)).value == 1
+    assert weil_local(f, p, 5) == 1
 
 
 def test_weil_local_errors():
     with pytest.raises(ValueError, match="point on support"):
-        weil_local(parse_poly("x0", 2), ProjPoint.normalize([0, 1]), ARCH)
+        weil_local(parse_poly("x0", 2), ProjPoint.normalize([0, 1]), None)
     with pytest.raises(ValueError, match="integer coefficients"):
-        weil_local(parse_poly("1/2*x0", 2), ProjPoint.normalize([1, 1]), ARCH)
+        weil_local(parse_poly("1/2*x0", 2), ProjPoint.normalize([1, 1]), None)
     with pytest.raises(ValueError):
-        weil_local(parse_poly("x0+1", 2), ProjPoint.normalize([1, 1]), ARCH)
+        weil_local(parse_poly("x0+1", 2), ProjPoint.normalize([1, 1]), None)
 
 
 @pytest.mark.parametrize("coords", [[1, 1, 0], [2, 2, 1]])
@@ -149,13 +158,13 @@ def test_height_forms_refuse_rational_coefficients_at_every_point(coords, first)
     half, x2 = parse_poly("1/2*x0+1/2*x1", 3), parse_poly("x2", 3)
     generators = [half, x2] if first else [x2, half]
     p = ProjPoint.normalize(coords)
-    for v in (ARCH, Place(2)):
+    for v in (None, 2):
         with pytest.raises(ValueError, match="integer coefficients"):
             weil_local(half, p, v)
         with pytest.raises(ValueError, match="integer coefficients"):
             weil_subscheme(generators, p, v)
     with pytest.raises(ValueError, match="integer coefficients"):
-        proximity_counting(half, p, make_place_set([2]))
+        proximity_counting(half, p, SRing((2,)))
 
 
 def test_height_machine_identity_random():
@@ -173,9 +182,9 @@ def test_height_machine_identity_random():
         if f.evaluate(p.coords) == 0:
             continue
         val = f.evaluate(p.coords)
-        total = weil_local(f, p, ARCH).value
+        total = weil_local(f, p, None)
         for q in support_primes([val, *p.coords]):
-            finite_value = weil_local(f, p, Place(q)).value
+            finite_value = weil_local(f, p, q)
             assert finite_value >= 1  # normalized point, integer coefficients
             total *= finite_value
         assert total == Fraction(height(p)) ** f.total_degree()
@@ -221,11 +230,11 @@ def test_weil_local_matches_abs_at_formula(f, coords):
     d = f.total_degree()
     support = support_primes([val, *p.coords])
     total = Fraction(1)
-    for v in [ARCH, *(Place(q) for q in sorted({2, 3, 5, 7, *support}))]:
+    for v in [None, *sorted({2, 3, 5, 7, *support})]:
         expected = max(abs_at(c, v) for c in p.coords) ** d / abs_at(val, v)
-        got = weil_local(f, p, v).value
+        got = weil_local(f, p, v)
         assert type(got) is Fraction and got == expected
-        if v == ARCH or v.prime in support:
+        if v is None or v in support:
             total *= got
         else:
             assert got == 1
@@ -245,8 +254,8 @@ def test_product_formula_random():
 def test_weil_subscheme():
     f0, f1 = parse_poly("x0", 2), parse_poly("x1", 2)
     p = ProjPoint.normalize([2, 3])
-    assert weil_subscheme([f0, f1], p, Place(2)).value == 1  # min(2, 1)
-    assert weil_subscheme([f0], p, ARCH).value == weil_local(f0, p, ARCH).value
+    assert weil_subscheme([f0, f1], p, 2) == 1  # min(2, 1)
+    assert weil_subscheme([f0], p, None) == weil_local(f0, p, None)
 
 
 def test_weil_subscheme_where_w_vanishes():
@@ -254,12 +263,12 @@ def test_weil_subscheme_where_w_vanishes():
     # value is lambda_D at every place
     f_d, f_w = parse_poly("x0+x2", 3), parse_poly("x1", 3)
     p = ProjPoint.normalize([3, 0, 1])
-    for v in (ARCH, Place(2), Place(3)):
-        assert weil_subscheme([f_d, f_w], p, v).value == weil_local(f_d, p, v).value
+    for v in (None, 2, 3):
+        assert weil_subscheme([f_d, f_w], p, v) == weil_local(f_d, p, v)
     with pytest.raises(ValueError, match="point on support"):
-        weil_subscheme([f_w, parse_poly("x1^2", 3)], p, ARCH)
+        weil_subscheme([f_w, parse_poly("x1^2", 3)], p, None)
     with pytest.raises(ValueError, match="homogeneous"):
-        weil_subscheme([f_d, parse_poly("x1^2+x1", 3)], p, ARCH)
+        weil_subscheme([f_d, parse_poly("x1^2+x1", 3)], p, None)
 
 
 def test_weil_subscheme_monotone_under_refinement():
@@ -272,34 +281,34 @@ def test_weil_subscheme_monotone_under_refinement():
                                  rng.randint(-20, 20) or 3])
         if any(f.evaluate(p.coords) == 0 for f in fs):
             continue
-        for v in (ARCH, Place(2), Place(3), Place(5)):
-            big = weil_subscheme(fs, p, v).value
-            small = weil_subscheme(fs[:2], p, v).value
+        for v in (None, 2, 3, 5):
+            big = weil_subscheme(fs, p, v)
+            small = weil_subscheme(fs[:2], p, v)
             assert big <= small
 
 
 def test_proximity_counting_examples():
     f = parse_poly("x0", 2)
     p = ProjPoint.normalize([2, 3])
-    dec = proximity_counting(f, p, make_place_set())
+    dec = proximity_counting(f, p, SRing())
     assert (dec.proximity, dec.counting, dec.total) == (Fraction(3, 2), 2, 3)
-    dec_all = proximity_counting(f, p, make_place_set([2, 3]))
+    dec_all = proximity_counting(f, p, SRing((2, 3)))
     assert dec_all.counting == 1
     f2 = parse_poly("x0*x1", 2)
-    dec2 = proximity_counting(f2, p, make_place_set())
+    dec2 = proximity_counting(f2, p, SRing())
     assert dec2.total == 9 == height(p) ** 2
 
 
 def test_key_condition_reflexive_and_refused_on_the_support():
     f = parse_poly("x0+x1", 3)
     p = ProjPoint.normalize([2, 1, 1])
-    assert key_condition(p, [f, f], make_place_set(), "i")
-    assert key_condition(p, [f, f], make_place_set(), "ii")
+    assert key_condition(p, [f, f], SRing(), "i")
+    assert key_condition(p, [f, f], SRing(), "ii")
     # x1 vanishes at [1:0:1], where every value of x0 + x1 is 1
     for mode in ("i", "ii"):
         with pytest.raises(ValueError, match="point on support"):
             key_condition(ProjPoint.normalize([1, 0, 1]), [f, parse_poly("x1", 3)],
-                          make_place_set(), mode)
+                          SRing(), mode)
 
 
 def test_key_condition_sample_against_valuations():
@@ -311,7 +320,7 @@ def test_key_condition_sample_against_valuations():
     v0, v1 = g0.evaluate(p.coords), f1.evaluate(p.coords)  # 3, 2
     oracle = all(vp(v1, q) <= vp(v0, q) for q in (2, 3))
     assert oracle is False
-    assert key_condition(p, [g0, f1], make_place_set(), "i") is False
+    assert key_condition(p, [g0, f1], SRing(), "i") is False
 
 
 def test_blowup_integrality_equivalence():
@@ -321,7 +330,7 @@ def test_blowup_integrality_equivalence():
     rng = random.Random(43)
     f_d = parse_poly("x0", 3)
     f_w = parse_poly("x1", 3)
-    s = make_place_set()
+    s = SRing()
     for _ in range(80):
         coords = [rng.randint(-30, 30) or 1, rng.randint(-30, 30) or 2,
                   rng.randint(-30, 30) or 3]
@@ -329,10 +338,10 @@ def test_blowup_integrality_equivalence():
         if f_d.evaluate(p.coords) == 0 or f_w.evaluate(p.coords) == 0:
             continue
         primes = support_primes([f_d.evaluate(p.coords), f_w.evaluate(p.coords)])
-        off_s = [Place(q) for q in primes]
-        lhs = all(weil_local(f_d, p, v).value == weil_subscheme([f_d, f_w], p, v).value
+        off_s = [q for q in primes]
+        lhs = all(weil_local(f_d, p, v) == weil_subscheme([f_d, f_w], p, v)
                   for v in off_s)
-        rhs = all(weil_local(f_d, p, v).value <= weil_local(f_w, p, v).value
+        rhs = all(weil_local(f_d, p, v) <= weil_local(f_w, p, v)
                   for v in off_s)
         assert lhs == rhs
 
@@ -345,12 +354,13 @@ S_CHOICES = [(), (2,), (2, 3), (5, 7)]
 
 
 def _proximity_counting_per_place(f, p, s):
-    """The oracle: m_S the product of weil_local over S (which holds ARCH),
-    N_S the product over the support off S, and their product."""
+    """The oracle: m_S the product of weil_local over S (which holds the
+    Archimedean place, None), N_S the product over the support off S, and
+    their product."""
     val = f.evaluate(p.coords)
     support = support_primes([val, *[c for c in p.coords if c != 0]])
-    m = prod(weil_local(f, p, v).value for v in s)
-    n = prod((weil_local(f, p, Place(q)).value for q in support if Place(q) not in s),
+    m = prod(weil_local(f, p, v) for v in (None, *s.primes))
+    n = prod((weil_local(f, p, q) for q in support if q not in s.primes),
              start=Fraction(1))
     return m, n, m * n, support
 
@@ -361,7 +371,7 @@ def test_proximity_counting_matches_weil_local_per_place(f, coords, s_primes):
     assume(any(coords))
     p = ProjPoint.normalize(coords)
     assume(f.evaluate(p.coords) != 0)
-    s = make_place_set(s_primes)
+    s = SRing(s_primes)
     dec = proximity_counting(f, p, s)
     assert (dec.proximity, dec.counting, dec.total, dec.support) == \
         _proximity_counting_per_place(f, p, s)

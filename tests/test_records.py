@@ -14,14 +14,7 @@ import pytest
 
 from betachow.beta import AutissierInput, RationalInterval
 from betachow.chow import BlowupConfig, CurveClass, DivisorClass, NefResult, cyclic_config
-from betachow.heights import (
-    ARCH,
-    HeightDecomposition,
-    LocalHeight,
-    Place,
-    ProjPoint,
-    make_place_set,
-)
+from betachow.heights import HeightDecomposition, ProjPoint, parse_places
 from betachow.search import (
     Search,
     SearchBox,
@@ -68,9 +61,10 @@ def test_unpickling_a_value_runs_no_check(monkeypatch):
 
 
 def test_equal_values_hash_alike():
-    assert Place(2) == Place(2) and hash(Place(2)) == hash(Place(2))
-    assert Place(2) != Place(3) and Place(2) != ARCH
-    assert Place(3) in make_place_set([2, 3]) and Place(5) not in make_place_set([2, 3])
+    s = parse_places("3,2")
+    assert s == SRing((2, 3)) and hash(s) == hash(SRing((2, 3)))
+    assert SRing((2,)) != SRing((3,)) and SRing((2,)) != SRing()
+    assert 3 in s.primes and 5 not in s.primes
     assert {ProjPoint((1, 2)), ProjPoint.normalize([-2, -4])} == {ProjPoint((1, 2))}
     assert ProjPoint((1, 2)) != ProjPoint((1, 3))
     assert SRing((2,)) == SRing([2]) and SearchBox(2, 3) == SearchBox(2, 3, 0)
@@ -87,9 +81,7 @@ def test_mutable_records_compare_by_fields_and_are_unhashable():
 
 
 FROZEN = [
-    Place(2),
     ProjPoint((1, 2)),
-    LocalHeight(ARCH, Fraction(2)),
     HeightDecomposition(Fraction(3, 2), 2, Fraction(3), (2,)),
     SRing((2,)),
     SearchBox(2, 3),

@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import betachow.search
-from betachow.heights import ProjPoint, make_place_set, support_primes
+from betachow.heights import ProjPoint, support_primes
 from betachow.linalg import kernel_basis
 from betachow.poly import (
     MultiPoly,
@@ -260,7 +260,7 @@ def test_thm11_divisibility_implies_key_condition():
     assert sols.count > 0
     for pt in sols.points:
         p = ProjPoint(tuple(int(c) for c in pt))
-        assert key_condition(p, [g_form, *forms], make_place_set(), "i")
+        assert key_condition(p, [g_form, *forms], SRing(), "i")
 
 
 @pytest.mark.parametrize("mode", ["i", "ii"])
@@ -273,8 +273,8 @@ def test_thm11_check_is_the_key_condition_on_a_whole_box(s_primes, mode):
     bound = 5
     forms = [parse_poly(f"x0+{i}*x1+{i * i}*x2", 3) for i in range(1, 6)]
     g_form = parse_poly("x0", 3)
-    search = _thm11_spec(forms, g_form, mode, SearchBox(2, bound), SRing(s_primes), False)
-    s = make_place_set(s_primes)
+    s = SRing(s_primes)
+    search = _thm11_spec(forms, g_form, mode, SearchBox(2, bound), s, False)
     checked = passed = 0
     for xs in product(range(bound + 1), *[range(-bound, bound + 1)] * 2):
         if gcd(*xs) != 1 or next(c for c in xs if c) < 0:
