@@ -20,7 +20,7 @@ from math import lcm
 from operator import mul
 from typing import Callable, Iterable, Sequence
 
-from .linalg import rank
+from .linalg import det, rank
 
 Exponents = tuple[int, ...]
 
@@ -321,6 +321,8 @@ def hyperplanes_general_position(forms: Sequence[MultiPoly]) -> bool:
         coeffs = {e.index(1): c.numerator * (den // c.denominator) for e, c in f.terms.items()}
         vectors.append([coeffs.get(i, 0) for i in range(nv)])
     k = min(len(forms), nv)
+    if k == nv:     # square subsets: independent iff the integer determinant is nonzero
+        return all(det(subset) != 0 for subset in combinations(vectors, k))
     return all(rank(subset) == k for subset in combinations(vectors, k))
 
 

@@ -115,10 +115,20 @@ class SolutionSet(Record):
                 for pt, wit in zip(self.points, self.witnesses)]
 
 
+def _unit_product(values: Sequence[Fraction | int]) -> int:
+    """The product of the nonzero numerators and all the denominators of
+    the values: an S-unit iff every nonzero value is one."""
+    return prod([v.numerator * v.denominator for v in values if v])
+
+
 def _witness_map(values: Sequence[Fraction | int], s: SRing) -> dict:
     """Per-prime valuations of the checked values (null for a zero value),
-    over the primes outside S dividing one; each numerator and denominator
-    is stripped of its S part before it is factored."""
+    over the primes outside S dividing one.  Values that are all S-units
+    (zeros aside) have the map {}, settled by one is_unit test on their
+    _unit_product; otherwise each numerator and denominator is stripped of
+    its S part before it is factored."""
+    if s.is_unit(_unit_product(values)):
+        return {}
     parts = [s.strip_s_part(k) for v in values if v != 0 for k in (v.numerator, v.denominator)]
     return {str(p): [_vp(v, p) if v != 0 else None for v in values]
             for p in support_primes(parts)}
@@ -583,12 +593,16 @@ def solution_set_text(sols: SolutionSet) -> str:
 
 def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
     """Whether stored is the witness map of the checked values, without
-    factoring them: every key names a prime outside S (keys caches that
-    verdict per key), its list holds each value's valuation there, None at
-    exactly the zero values, and no nonzero value keeps a prime outside S
-    once the listed ones are divided out."""
+    factoring them.  Values that are all S-units (zeros aside) match {}
+    alone, settled by one is_unit test on their _unit_product.  Otherwise
+    every key names a prime outside S (keys caches that verdict per key),
+    its list holds each value's valuation there, None at exactly the zero
+    values, and no nonzero value keeps a prime outside S once the listed
+    ones are divided out."""
     if not isinstance(stored, dict):
         return False
+    if s.is_unit(_unit_product(values)):
+        return not stored
     nums = [abs(v.numerator) or 1 for v in values]      # a zero value leaves 1
     dens = [v.denominator for v in values]
     for key, vps in stored.items():
@@ -614,22 +628,17 @@ def _witnesses_match(stored, values: list, s: SRing, keys: dict) -> bool:
     return s.is_unit(prod(nums) * prod(dens))
 
 
-def _stored_point(texts) -> tuple:
-    """A stored point, a JSON list of its coordinates' texts, read back: each
-    text must be str of its value, an int or a Fraction in lowest terms."""
-    if not isinstance(texts, list):
-        raise ValueError(f"stored point {texts!r} is not a list of coordinates")
-    point = []
-    for text in texts:
-        try:
-            num, _, den = text.partition("/")
-            c = Fraction(int(num), int(den)) if den else int(num)
-        except (AttributeError, ValueError, ZeroDivisionError):
-            c = None
-        if c is None or str(c) != text:
-            raise ValueError(f"stored coordinate {text!r} is not canonical")
-        point.append(c)
-    return tuple(point)
+def _stored_coordinate(text) -> Fraction | int:
+    """A stored coordinate's text read back: it must be str of its value,
+    an int or a Fraction in lowest terms."""
+    try:
+        num, _, den = text.partition("/")
+        c = Fraction(int(num), int(den)) if den else int(num)
+    except (AttributeError, ValueError, ZeroDivisionError):
+        c = None
+    if c is None or str(c) != text:
+        raise ValueError(f"stored coordinate {text!r} is not canonical")
+    return c
 
 
 def _records_solution_set(descriptor: dict, records: Iterable[dict],
@@ -639,30 +648,55 @@ def _records_solution_set(descriptor: dict, records: Iterable[dict],
     search's box, a projective point not in normalized form, a failing
     point, or stored witnesses that are not the witness map of the check's
     values raise.  None skips the re-check; a coordinate that is not
-    canonical text raises either way."""
+    canonical text raises either way.  Each distinct coordinate text is
+    parsed, checked canonical and tested against the box once, at the
+    first record that holds it; later records take its value from memo, a
+    dict that lives for this call only."""
     keys: dict = {}
     projective = _required(descriptor, "projective")
     if search is not None:
-        box, s = search.box, search.s
+        box, s, check = search.box, search.s, search.check
+        ncoords = box.dim + projective
         # coordinates of the box: |numerator| <= B and a denominator dividing
         # prod_{p in S} p^denom_cap (projective boxes hold integers only)
         denoms = 1 if projective else prod(p ** box.denom_cap for p in s.primes)
+    memo: dict[str, Fraction | int] = {}
+
+    def read(texts: list) -> tuple:
+        """The point of texts that are not all in memo; each text new to
+        memo is parsed, checked canonical and kept, and then, given the
+        search, the new values are tested against the box."""
+        new = []
+        for t in texts:
+            if type(t) is not str or t not in memo:
+                memo[t] = c = _stored_coordinate(t)
+                new.append(c)
+        if search is not None and any(abs(c.numerator) > box.bound or denoms % c.denominator
+                                      for c in new):
+            raise ValueError(f"stored point {texts} is not a point of the search box")
+        return tuple([memo[t] for t in texts])
+
     out = SolutionSet(descriptor)
     for rec in records:
-        if not isinstance(rec, dict) or not {"point", "witnesses"} <= rec.keys():
+        if not isinstance(rec, dict) or "point" not in rec or "witnesses" not in rec:
             raise ValueError(f"malformed solution record {rec!r}")
-        point = _stored_point(rec["point"])
+        texts = rec["point"]
+        if not isinstance(texts, list):
+            raise ValueError(f"stored point {texts!r} is not a list of coordinates")
+        try:
+            point = tuple([memo[t] for t in texts])
+        except (KeyError, TypeError):       # a text not in memo, or not a string
+            point = read(texts)
         if search is not None:
-            if len(point) != box.dim + projective or any(
-                    abs(c.numerator) > box.bound or denoms % c.denominator for c in point):
-                raise ValueError(f"stored point {rec['point']} is not a point of the search box")
+            if len(point) != ncoords:
+                raise ValueError(f"stored point {texts} is not a point of the search box")
             if projective and ProjPoint.normalize(point).coords != point:
-                raise ValueError(f"stored point {rec['point']} is not normalized")
-            values = search.check(point)
+                raise ValueError(f"stored point {texts} is not normalized")
+            values = check(point)
             if values is None:
-                raise ValueError(f"stored point {rec['point']} fails its predicate")
+                raise ValueError(f"stored point {texts} fails its predicate")
             if not _witnesses_match(rec["witnesses"], values, s, keys):
-                raise ValueError(f"stored point {rec['point']} has witnesses that differ "
+                raise ValueError(f"stored point {texts} has witnesses that differ "
                                  "from its predicate")
         out.points.append(point)
         out.witnesses.append(rec["witnesses"])
@@ -706,9 +740,10 @@ def _open_checkpoint(path: str, search: Search) -> tuple[SolutionSet, set[str]]:
     A torn final line (no trailing newline, or not JSON) is cut off in
     place, by truncating the file after its last complete line; an absent
     or empty file is started with the header line.  A checkpoint whose
-    header differs (another search, or another version), a malformed or
-    failing record, a point stored under another first coordinate, or a
-    point stored twice raises, and leaves the file as it was.
+    header differs (another search, or another version), a line that is
+    not {"first": str, "records": list}, a malformed or failing record, a
+    point stored under another first coordinate, or a point stored twice
+    raises, and leaves the file as it was.
     """
     try:
         with open(path, "rb") as fh:
@@ -726,7 +761,8 @@ def _open_checkpoint(path: str, search: Search) -> tuple[SolutionSet, set[str]]:
     if lines and json.loads(lines[0]) != json.loads(header):
         raise ValueError(f"checkpoint {path} was written for another search or version")
     ranges = [json.loads(line) for line in lines[1:]]
-    if not all(isinstance(r, dict) and {"first", "records"} <= r.keys() for r in ranges):
+    if not all(isinstance(r, dict) and type(r.get("first")) is str
+               and type(r.get("records")) is list for r in ranges):
         raise ValueError(f"checkpoint {path} holds a malformed record")
     firsts = [r["first"] for r in ranges for _ in r["records"]]
     merged = _records_solution_set(search.descriptor,

@@ -1,8 +1,8 @@
 """Reference implementations the tests check the library against.
 
 Each one computes its quantity the slow, textbook way: absolute values
-place by place, and local heights from weil_local one form and one prime
-at a time.
+place by place, local heights from weil_local one form and one prime at a
+time, and witness maps by factoring every value.
 """
 
 from fractions import Fraction
@@ -60,3 +60,13 @@ def key_condition(p, forms, s, mode: str) -> bool:
                 vals[0] ** (big // d0):
             return False
     return True
+
+
+def witness_map_by_factoring(values, s) -> dict:
+    """The witness map of a search's checked values (ints or Fractions) over
+    s, an SRing: for each prime outside S dividing a numerator or a
+    denominator, found by stripping each of its S part and factoring the
+    rest, the valuation of every value there (None for a zero value)."""
+    parts = [s.strip_s_part(k) for v in values if v != 0 for k in (v.numerator, v.denominator)]
+    return {str(q): [vp(v, q) if v != 0 else None for v in values]
+            for q in support_primes(parts)}

@@ -780,6 +780,27 @@ def test_checkpoint_malformed_record_is_refused(tmp_path, capsys, record, messag
     assert message in err
 
 
+@pytest.mark.parametrize("record", [
+    {"first": "0", "records": 5},               # records not a list
+    {"first": "0", "records": {"point": ["0", "1"]}},
+    {"first": ["0"], "records": []},            # first not a string
+    {"first": 0, "records": []},
+    {"first": None, "records": []},
+])
+def test_checkpoint_range_of_the_wrong_shape_is_refused(tmp_path, capsys, record):
+    ck = tmp_path / "ck.jsonl"
+    code, _, _ = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "a.jsonl")
+    assert code == 0
+    lines = ck.read_text().splitlines()
+    ck.write_text("\n".join([*lines[:2], json.dumps(record), *lines[2:]]) + "\n")
+    before = ck.read_bytes()
+    code, out, err = _cor12_checkpoint_run(capsys, tmp_path, "1", ck, "b.jsonl")
+    assert code == 2
+    assert err == f"error: checkpoint {ck} holds a malformed record\n"
+    assert not out.exists()
+    assert ck.read_bytes() == before
+
+
 @pytest.mark.parametrize("tear", ["no-newline", "bad-json"])
 def test_checkpoint_torn_final_line_is_dropped(tmp_path, capsys, tear):
     full = tmp_path / "full.jsonl"

@@ -159,6 +159,9 @@ def test_general_position_matches_per_subset_rref(forms):
     (["x0", "x1", "x2", "x3", "x0+2/3*x1"], 4, False),              # P^3: x0, x1, x2, x0+2/3*x1
     ([f"x0+{i}*x1+{i * i}*x2" for i in range(5)] + ["2*x0+x1+x2"], 3, False),   # one dependent triple
     (["1/2*x0+x1-x2", "x0-1/3*x1", "3/4*x2", "x0+x1+x2"], 3, True),  # Fraction coefficients
+    # P^3: nine planes on the moment curve, then eight with the sum of the first three
+    ([f"x0+{i}*x1+{i ** 2}*x2+{i ** 3}*x3" for i in range(9)], 4, True),
+    ([f"x0+{i}*x1+{i ** 2}*x2+{i ** 3}*x3" for i in range(8)] + ["3*x0+3*x1+5*x2+9*x3"], 4, False),
 ])
 def test_general_position_cases_match_per_subset_rref(texts, nvars, want):
     forms = [parse_poly(t, nvars) for t in texts]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from functools import partial
@@ -27,6 +28,7 @@ from betachow.search import (
     SolutionSet,
     SRing,
     _cor12_spec,
+    _records_solution_set,
     _thm11_spec,
     _thm16_spec,
     _thm16_verdicts,
@@ -42,7 +44,7 @@ from betachow.search import (
     solution_set_text,
     vanishing_forms,
 )
-from oracles import key_condition
+from oracles import key_condition, witness_map_by_factoring
 
 S_EMPTY = SRing(())
 
@@ -175,6 +177,55 @@ def test_load_refuses_coordinates_that_are_not_canonical_text(tmp_path, reverify
         load_solution_set(str(path), reverify=reverify)
 
 
+def _rewritten(tmp_path, sols, edit) -> str:
+    """A saved copy of sols whose records edit(records) rewrote in place."""
+    header, *records = [json.loads(line) for line in solution_set_text(sols).splitlines()]
+    edit(records)
+    path = tmp_path / "edited.jsonl"
+    path.write_text("".join(json.dumps(rec, sort_keys=True) + "\n" for rec in [header, *records]))
+    return str(path)
+
+
+@pytest.mark.parametrize("reverify", [True, False])
+@pytest.mark.parametrize("coordinate", [1, True, ["1"]])
+def test_a_seen_text_stored_as_another_json_value_is_not_canonical(tmp_path, reverify, coordinate):
+    # "1" is read (and remembered) from an earlier record before the last
+    # one stores the same coordinate as a JSON number, bool or list
+    sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6), S_EMPTY))
+    assert "1" in [str(c) for pt in sols.points[:-1] for c in pt]
+
+    def edit(records):
+        records[-1]["point"][-1] = coordinate
+    with pytest.raises(ValueError, match=re.escape(f"stored coordinate {coordinate!r} is not canonical")):
+        load_solution_set(_rewritten(tmp_path, sols, edit), reverify=reverify)
+
+
+@pytest.mark.parametrize("outside", ["8", "-1/8", "1/3"])
+def test_a_repeated_text_outside_the_box_is_refused_at_its_first_record(tmp_path, outside):
+    sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,))))
+
+    def edit(records):
+        records[3]["point"] = [outside, "1"]
+        records[5]["point"] = [outside, "-1"]
+        records[7]["point"] = [outside, "2/4"]
+    path = _rewritten(tmp_path, sols, edit)
+    with pytest.raises(ValueError, match=re.escape(f"stored point ['{outside}', '1'] is not "
+                                                   "a point of the search box")):
+        load_solution_set(path)
+    # without the re-check only the canonical form is read, and 2/4 fails it
+    with pytest.raises(ValueError, match="stored coordinate '2/4' is not canonical"):
+        load_solution_set(path, reverify=False)
+
+
+def test_a_non_canonical_text_is_refused_before_the_box(tmp_path):
+    sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 6, 2), SRing((2,))))
+
+    def edit(records):
+        records[3]["point"] = ["8", "2/4"]
+    with pytest.raises(ValueError, match="stored coordinate '2/4' is not canonical"):
+        load_solution_set(_rewritten(tmp_path, sols, edit))
+
+
 def test_cor12_empty_box():
     g = parse_poly("1", 2)
     assert run_search(_cor12_spec(g, SearchBox(2, 0), S_EMPTY)).points == []
@@ -209,6 +260,26 @@ def test_cor12_witnesses_record_valuations():
     for pt, wit in zip(sols.points, sols.witnesses):
         for prime in wit:
             assert int(prime) not in (3,)
+
+
+_S_UNIT = st.builds(lambda a, b: 2 ** a * 3 ** b, st.integers(0, 6), st.integers(0, 6))
+_WITNESSED = st.one_of(
+    st.just(0),
+    st.builds(lambda sign, u, k: sign * u * k, st.sampled_from([1, -1]), _S_UNIT,
+              st.sampled_from([1, 1, 5, 7, 25, 35, 221])),
+    st.builds(lambda sign, u, k, w, m: Fraction(sign * u * k, w * m), st.sampled_from([1, -1]),
+              _S_UNIT, st.integers(1, 60), _S_UNIT, st.sampled_from([1, 1, 5, 11])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_WITNESSED, max_size=6), st.sampled_from([S_EMPTY, SRing((2, 3))]))
+@example([], S_EMPTY)
+@example([0, 0], SRing((2, 3)))
+@example([Fraction(1, 6), -12, 0], SRing((2, 3)))
+@example([Fraction(5, 6), Fraction(1, 5)], SRing((2, 3)))
+def test_witness_map_matches_the_factoring_oracle(values, s):
+    assert _witness_map(values, s) == witness_map_by_factoring(values, s)
 
 
 def test_thm11_unit_coordinate_solutions():
@@ -678,6 +749,33 @@ def test_reverify_tests_each_witness_key_for_primality_once(tmp_path, monkeypatc
     # SRing checks the primes of S itself
     s_primes = sols.descriptor["s_primes"]
     assert sorted(p for p in calls if p not in s_primes) == sorted(int(k) for k in keys)
+
+
+@pytest.mark.parametrize("reverify", [True, False])
+def test_reload_builds_one_fraction_per_distinct_non_integral_text(count_fractions, reverify):
+    sols = run_search(_cor12_spec(parse_poly("1", 2), SearchBox(2, 8, 2), SRing((2,))))
+    header, *records = [json.loads(line) for line in solution_set_text(sols).splitlines()]
+    texts = {text for rec in records for text in rec["point"] if "/" in text}
+    assert len(texts) < sum(len(rec["point"]) for rec in records) // 2
+    search = search_spec(header["descriptor"]) if reverify else None
+    built = count_fractions()
+    loaded = _records_solution_set(header["descriptor"], records, search)
+    assert loaded.points == sols.points
+    assert sorted(built) == sorted(tuple(map(int, text.split("/"))) for text in texts)
+
+
+@pytest.mark.parametrize("search", [
+    lambda: run_search(_cor12_spec(parse_poly("3 - x0 + x1", 2), SearchBox(2, 6, 1), SRing((2,)))),
+    lambda: run_search(_thm16_spec(SIX, SearchBox(2, 5), SRing((2, 3)))),
+])
+def test_reverify_of_non_empty_witness_maps_factors_nothing(tmp_path, count_factor_calls, search):
+    sols = search()
+    assert any(sols.witnesses) and not all(sols.witnesses)
+    path = tmp_path / "w.jsonl"
+    path.write_text(solution_set_text(sols))
+    seen = count_factor_calls()
+    assert load_solution_set(str(path)).witnesses == sols.witnesses
+    assert seen == []
 
 
 @pytest.mark.parametrize("edit", [
